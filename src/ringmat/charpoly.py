@@ -1,15 +1,16 @@
 """Characteristic polynomials, adjugates, and their exact invariants.
 
-charpoly(A) computes chi_A = det(t*I - A) by running the generic
-determinant over the polynomial ring, then recovers the coefficient
-matrices D_0 .. D_(n-1) of adj(t*I - A) = sum_k t**k * D_k by the cheap
-descending recursion
+charpoly(A) computes chi_A = det(t*I - A) with the Samuelson-Berkowitz
+algorithm (matrix.berkowitz): O(n**4) ring operations over the ring of
+A itself, with no division and no polynomial arithmetic.  The
+coefficient matrices D_0 .. D_(n-1) of adj(t*I - A) = sum_k t**k * D_k
+are computed on first use by the Horner recursion
 
-    D_(n-1) = I,        D_(k-1) = A @ D_k + c_(n-k) * I,
+    D_(n-1) = I,        D_(k-1) = D_k @ A + c_(n-k) * I,
 
-which never touches polynomial arithmetic.  The expensive route (the
-adjugate computed over the polynomial ring and read off coefficientwise)
-exists in the test suite as an independent oracle for this recursion.
+another n - 2 matmuls.  The expensive routes, det and adjugate of
+t*I - A over the polynomial ring by the subset DP and by cofactors,
+remain in the identities and tests as independent oracles.
 
 Coefficients are indexed from the top: c_j is the coefficient of
 t**(n-j), so c_0 = 1 and c_n = (-1)**n * det(A).  Everything here is
@@ -23,8 +24,9 @@ and is therefore restricted to rings that divide exactly by integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .matrix import Matrix, apply_poly, char_matrix
+from .matrix import Matrix, adjugate_coefficients, apply_poly, berkowitz
 from .poly import Polynomial
 from .rings import QAlgebraRequiredError, ShapeError
 
@@ -35,13 +37,17 @@ class CharPolyData:
 
     chi is monic of degree n; c has length n + 1 with c[j] the coefficient
     of t**(n-j); D has length n with D[k] the coefficient matrix of t**k
-    in adj(t*I - A).
+    in adj(t*I - A), computed from matrix (A) on first access.
     """
 
     n: int
     chi: Polynomial
     c: tuple
-    D: tuple
+    matrix: Matrix
+
+    @cached_property
+    def D(self) -> tuple:
+        return tuple(adjugate_coefficients(self.matrix, self.c))
 
     def coefficient(self, j: int):
         """c_j, defined as zero for j outside 0..n."""
@@ -72,24 +78,15 @@ def _require_square(a: Matrix) -> None:
             f"got {a.rows} x {a.cols}")
 
 
-def _assemble(a: Matrix, chi: Polynomial) -> CharPolyData:
-    K = a.ring
-    n = a.rows
-    c = tuple(chi.coeff(n - j) for j in range(n + 1))
-    # adj(t*I - A) coefficient matrices, highest index first
-    D = [None] * n
-    if n:
-        D[n - 1] = Matrix.identity(K, n)
-        for k in range(n - 1, 0, -1):
-            D[k - 1] = a @ D[k] + Matrix.identity(K, n).scale(c[n - k])
-    return CharPolyData(n=n, chi=chi, c=c, D=tuple(D))
+def _assemble(a: Matrix, c) -> CharPolyData:
+    return CharPolyData(n=a.rows, chi=Polynomial(a.ring, c[::-1]),
+                        c=tuple(c), matrix=a)
 
 
 def charpoly(a: Matrix) -> CharPolyData:
     """Characteristic polynomial of a square matrix, division-free."""
     _require_square(a)
-    chi = char_matrix(a).det()
-    return _assemble(a, chi)
+    return _assemble(a, berkowitz(a))
 
 
 def charpoly_newton(a: Matrix) -> CharPolyData:
@@ -113,8 +110,7 @@ def charpoly_newton(a: Matrix) -> CharPolyData:
         for i in range(1, k + 1):
             acc = K.add(acc, K.mul(tr[i], c[k - i]))
         c.append(K.neg(K.div_int(acc, k)))
-    chi = Polynomial(K, [c[n - k] for k in range(n + 1)])
-    return _assemble(a, chi)
+    return _assemble(a, c)
 
 
 def power_traces(a: Matrix, imax: int) -> list:
@@ -132,21 +128,11 @@ def power_traces(a: Matrix, imax: int) -> list:
 def adjugate_via_charpoly(a: Matrix) -> Matrix:
     """adj(A) = (-1)**(n-1) * (c_(n-1)*I + c_(n-2)*A + ... + c_0*A**(n-1)).
 
-    An independent route to the adjugate that never forms a cofactor; for
-    n = 0 it returns the empty matrix, matching Matrix.adjugate().
+    This formula is the production route of Matrix.adjugate(), so this is
+    that call; Matrix.adjugate_cofactor() is the independent oracle.
     """
     _require_square(a)
-    K = a.ring
-    n = a.rows
-    if n == 0:
-        return Matrix(K, 0, 0, ())
-    data = charpoly(a)
-    acc = Matrix.identity(K, n).scale(data.c[0])
-    for i in range(1, n):
-        acc = acc @ a + Matrix.identity(K, n).scale(data.c[i])
-    if (n - 1) & 1:
-        acc = -acc
-    return acc
+    return a.adjugate()
 
 
 def cayley_hamilton_residual(a: Matrix) -> Matrix:

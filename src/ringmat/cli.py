@@ -6,7 +6,8 @@ campaigns.  All numeric I/O is decimal strings inside JSON so that
 arbitrary-precision values never pass through a float.
 
 Exit codes: 0 success, 1 at least one identity violation, 2 parse or
-configuration error, 3 shape or ring mismatch.
+configuration error (including an out-of-range argument value), 3 shape
+or ring mismatch.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("adjugate", help="adjugate matrix")
     _add_matrix_opts(p)
     p.add_argument("--via-charpoly", action="store_true",
-                   help="evaluate the charpoly-coefficient formula instead "
-                        "of cofactors")
+                   help="accepted for compatibility: the adjugate is always "
+                        "the charpoly-coefficient formula")
 
     p = sub.add_parser("verify",
                        help="check identities around one matrix")
@@ -151,12 +152,7 @@ def _cmd_charpoly(args) -> int:
 def _cmd_adjugate(args) -> int:
     ring = _ring_arg(args.ring) if args.ring else None
     a = _read_matrix_arg(args.matrix, ring)
-    if args.via_charpoly:
-        from .charpoly import adjugate_via_charpoly
-        adj = adjugate_via_charpoly(a)
-    else:
-        adj = a.adjugate()
-    _emit(adj.to_json(), args.out)
+    _emit(a.adjugate().to_json(), args.out)
     return 0
 
 
@@ -200,7 +196,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (ParseError, GuardError) as exc:
+    except (ParseError, GuardError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (ShapeError, RingMismatchError, QAlgebraRequiredError,

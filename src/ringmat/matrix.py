@@ -1,12 +1,20 @@
 """Exact matrices over a commutative ring.
 
-Matrices are immutable, stored row-major, and carry their ring.  Two
-determinant routines are provided on purpose: det() is the production
-path, a division-free dynamic program over column subsets costing
-O(n^2 * 2^n) ring multiplications, and det_leibniz() is a deliberately
-naive signed permutation sum kept as an independent cross-check (refused
-for n > 8).  Neither ever divides, so both are valid over rings with zero
-divisors.
+Matrices are immutable, stored row-major, and carry their ring.  Every
+production kernel is division-free, so it is valid over rings with zero
+divisors (Z/m, including the zero ring Z/1) and over nested R[t]:
+
+  * matmul: n*k*m products, one Ring.dot per output entry.
+  * berkowitz(): the Samuelson-Berkowitz characteristic polynomial
+    det(t*I - A), about n**4/4 ring multiplications.
+  * det(): (-1)**n * c_n from berkowitz(), so O(n**4).
+  * adjugate(): the charpoly coefficients summed by Horner in A, one
+    berkowitz() plus n - 2 matmuls, so O(n**4).
+
+Independent oracles, kept for identities and tests to compare against:
+det_subset_dp() is a dynamic program over column subsets, O(n**2 * 2**n);
+adjugate_cofactor() takes n**2 cofactors by that DP; det_leibniz() is the
+naive signed permutation sum, refused for n > 8.  None of them divides.
 
 Row, column, and entry indices are 1-based in the public operations
 (entry, row, minor, submatrix); that matches the usual cofactor and
@@ -127,20 +135,12 @@ class Matrix:
                 f"cannot multiply {self.rows} x {self.cols} by "
                 f"{other.rows} x {other.cols}")
         R = self.ring
+        dot = R.dot
         n, k, m = self.rows, self.cols, other.cols
         a, b = self._e, other._e
-        zero = R.zero()
-        out = []
-        for i in range(n):
-            arow = a[i * k:(i + 1) * k]
-            for j in range(m):
-                acc = zero
-                for l in range(k):
-                    al = arow[l]
-                    if not R.is_zero(al):
-                        acc = R.add(acc, R.mul(al, b[l * m + j]))
-                out.append(acc)
-        return Matrix(R, n, m, out)
+        rows = [a[i * k:(i + 1) * k] for i in range(n)]
+        cols = [b[j::m] for j in range(m)]
+        return Matrix(R, n, m, [dot(row, col) for row in rows for col in cols])
 
     def scale(self, value) -> "Matrix":
         """Multiply every entry by a ring value."""
@@ -174,7 +174,14 @@ class Matrix:
         return acc
 
     def det(self):
-        """Determinant, division-free.
+        """Determinant as (-1)**n * c_n of berkowitz(); det of 0 x 0 is 1."""
+        if not self.is_square():
+            raise ShapeError("determinant requires a square matrix")
+        c_n = berkowitz(self)[-1]
+        return self.ring.neg(c_n) if self.rows & 1 else c_n
+
+    def det_subset_dp(self):
+        """Determinant oracle, independent of berkowitz(); O(n**2 * 2**n).
 
         Dynamic program over column subsets: after processing r rows the
         table maps each r-subset S of columns to the determinant of the
@@ -217,7 +224,7 @@ class Matrix:
         return table.get((1 << n) - 1, zero)
 
     def det_leibniz(self):
-        """Signed permutation sum, the independent cross-check for det().
+        """Signed permutation sum, a second determinant oracle.
 
         Exponential in n and refused for n > 8.
         """
@@ -270,8 +277,20 @@ class Matrix:
     def adjugate(self) -> "Matrix":
         """Adjugate (classical adjoint): entry (i, j) is the (j, i) cofactor.
 
-        adj of any 1 x 1 matrix is (1); adj of the 0 x 0 matrix is itself.
+        Computed as adj(A) = (-1)**(n-1) * (c_0*A**(n-1) + ... + c_(n-1)*I)
+        from the berkowitz() coefficients, never forming a cofactor.  adj
+        of any 1 x 1 matrix is (1); adj of the 0 x 0 matrix is itself.
         """
+        if not self.is_square():
+            raise ShapeError("adjugate requires a square matrix")
+        n = self.rows
+        if n == 0:
+            return self
+        adj = adjugate_coefficients(self, berkowitz(self))[0]
+        return -adj if (n - 1) & 1 else adj
+
+    def adjugate_cofactor(self) -> "Matrix":
+        """Adjugate oracle: n**2 cofactors, each by det_subset_dp()."""
         if not self.is_square():
             raise ShapeError("adjugate requires a square matrix")
         n = self.rows
@@ -279,7 +298,7 @@ class Matrix:
         out = []
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                cof = self.minor(j, i).det()
+                cof = self.minor(j, i).det_subset_dp()
                 if (i + j) & 1:
                     cof = R.neg(cof)
                 out.append(cof)
@@ -334,6 +353,65 @@ def _signed_permutations(n: int):
     return tuple(out)
 
 
+def berkowitz(a: Matrix) -> list:
+    """[c_0, ..., c_n] with det(t*I - a) = sum_j c_j * t**(n-j); c_0 = 1.
+
+    Samuelson-Berkowitz (Berkowitz, IPL 18, 1984).  Let B be the leading
+    k x k block of a, bordered by the column C above and the row R left
+    of the diagonal entry d.  The charpoly of the bordered block is the
+    Toeplitz product of the charpoly of B with the column
+    1, -d, -R C, -R B C, ..., -R B**(k-1) C.  About n**4/4 ring
+    multiplications, all inside Ring.dot, and no division.
+    """
+    if not a.is_square():
+        raise ShapeError("characteristic polynomial requires a square matrix")
+    R = a.ring
+    dot, sub = R.dot, R.sub
+    n = a.rows
+    e = a._e
+    p = [R.one()]
+    for k in range(n):
+        block = [e[i * n:i * n + k] for i in range(k)]
+        row = e[k * n:k * n + k]
+        v = e[k:k * n:n]
+        s = [e[k * n + k]]                    # d, R C, R B C, ...
+        for j in range(k):
+            if j:
+                v = [dot(r, v) for r in block]
+            s.append(dot(row, v))
+        # Toeplitz product: new p_i = p_i - sum_j s_(i-1-j) * p_j, where
+        # zip inside dot stops j at i - 1 and the appended zero is p_(k+1)
+        p.append(R.zero())
+        p = [p[0]] + [sub(p[i], dot(s[i - 1::-1], p)) for i in range(1, k + 2)]
+    return p
+
+
+def adjugate_coefficients(a: Matrix, c) -> list:
+    """[D_0, ..., D_(n-1)] with adj(t*I - a) = sum_k t**k * D_k.
+
+    c is berkowitz(a).  Horner in a: D_(n-1) = I and
+    D_(k-1) = D_k @ a + c_(n-k) * I, so D_0 = (-1)**(n-1) * adj(a).  The
+    first step is a itself, so this costs n - 2 matmuls.
+    """
+    n = a.rows
+    if n == 0:
+        return []
+    out = [Matrix.identity(a.ring, n)]
+    for ci in c[1:n]:
+        out.append(_plus_scalar(a if len(out) == 1 else out[-1] @ a, ci))
+    out.reverse()
+    return out
+
+
+def _plus_scalar(m: Matrix, value) -> Matrix:
+    """m + value * I for a square m, adding on the diagonal only."""
+    R = m.ring
+    e = list(m._e)
+    for d in range(0, len(e), m.rows + 1):
+        e[d] = R.add(e[d], value)
+    return Matrix(R, m.rows, m.cols, e)
+
+
 def block2x2(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
     """Glue four conforming blocks into [[a, b], [c, d]]."""
     for other in (b, c, d):
@@ -373,7 +451,7 @@ def apply_poly(p: Polynomial, a: Matrix) -> Matrix:
     coeffs = p.coeffs
     result = Matrix.identity(R, n).scale(coeffs[-1])
     for k in range(len(coeffs) - 2, -1, -1):
-        result = result @ a + Matrix.identity(R, n).scale(coeffs[k])
+        result = _plus_scalar(result @ a, coeffs[k])
     return result
 
 

@@ -166,6 +166,25 @@ class PolynomialRing(Ring):
     def mul(self, a, b):
         return a * b
 
+    def dot(self, xs, ys):
+        # every product accumulates into one coefficient list
+        base = self.base
+        add, mul, is_zero = base.add, base.mul, base.is_zero
+        out = []
+        for x, y in zip(xs, ys):
+            a, b = x.coeffs, y.coeffs
+            if not a or not b:
+                continue
+            grow = len(a) + len(b) - 1 - len(out)
+            if grow > 0:
+                out.extend([base.zero()] * grow)
+            for i, ai in enumerate(a):
+                if is_zero(ai):
+                    continue
+                for j, bj in enumerate(b, i):
+                    out[j] = add(out[j], mul(ai, bj))
+        return Polynomial(base, out)
+
     def from_int(self, k):
         return Polynomial(self.base, (self.base.from_int(k),))
 

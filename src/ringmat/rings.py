@@ -21,6 +21,7 @@ when a particular quotient happens to exist.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .report import VerificationReport, make_report
 
@@ -75,6 +76,19 @@ class Ring:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
+
+    def dot(self, xs, ys):
+        """Sum of x * y over the pairs zip(xs, ys) makes; zero when empty.
+
+        The inner-product kernel of matmul and the characteristic
+        polynomial.  This generic version skips zero x; subclasses
+        override it with one that builds fewer intermediate values.
+        """
+        acc = self.zero()
+        for x, y in zip(xs, ys):
+            if not self.is_zero(x):
+                acc = self.add(acc, self.mul(x, y))
+        return acc
 
     def from_int(self, k: int):
         """Canonical image of the integer k (the unique map from the integers)."""
@@ -158,6 +172,9 @@ class IntegerRing(Ring):
     def mul(self, a, b):
         return a * b
 
+    def dot(self, xs, ys):
+        return sum(map(mul, xs, ys))
+
     def from_int(self, k):
         return k
 
@@ -217,6 +234,9 @@ class ModRing(Ring):
     def mul(self, a, b):
         return (a * b) % self.m
 
+    def dot(self, xs, ys):
+        return sum(map(mul, xs, ys)) % self.m
+
     def from_int(self, k):
         return k % self.m
 
@@ -272,6 +292,17 @@ class RationalRing(Ring):
 
     def mul(self, a, b):
         return a * b
+
+    def dot(self, xs, ys):
+        # one unreduced num/den accumulation, reduced once at the end
+        num, den = 0, 1
+        for x, y in zip(xs, ys):
+            n = x.numerator * y.numerator
+            if n:
+                d = x.denominator * y.denominator
+                num = num * d + n * den
+                den *= d
+        return Fraction(num, den)
 
     def from_int(self, k):
         return Fraction(k)

@@ -273,11 +273,16 @@ def _fz_nilpotency(rng, ring, size, params, case):
     return [ids.verify_nilpotency_criterion(a)]
 
 
+def _imax(params, n: int) -> int:
+    """The power-trace bound: params["imax"] when given, else 2n + 1."""
+    imax = params.get("imax")
+    return 2 * n + 1 if imax is None else imax
+
+
 def _fz_nilpotency_converse(rng, ring, size, params, case):
     n = 1 + rng.below(max(min(size, 5), 1))
     a = sample_strict_upper(rng, ring, n)
-    imax = params.get("imax") or 2 * n + 1
-    return [ids.verify_nilpotency_converse(a, imax)]
+    return [ids.verify_nilpotency_converse(a, _imax(params, n))]
 
 
 def _fz_almkvist(rng, ring, size, params, case):
@@ -503,8 +508,7 @@ def _on_nilpotency(a, rng, params):
 
 
 def _on_nilpotency_converse(a, rng, params):
-    imax = params.get("imax") or 2 * a.rows + 1
-    return [ids.verify_nilpotency_converse(a, imax)]
+    return [ids.verify_nilpotency_converse(a, _imax(params, a.rows))]
 
 
 def _on_almkvist(a, rng, params):
@@ -642,6 +646,8 @@ def run_suite(names, *, ring=None, matrix=None, seed: int = 0,
         names = resolve_suite(names)
     if (ring is None) == (matrix is None):
         raise ValueError("pass exactly one of ring= (fuzz) or matrix=")
+    if params.get("imax") is not None and params["imax"] < 1:
+        raise ValueError(f"imax must be at least 1, got {params['imax']}")
     if ring is not None:
         if count < 0:
             raise GuardError("count must be nonnegative")

@@ -3,10 +3,10 @@
 The random corpora here are frozen by (seed, label, index) through the
 library's own splittable generator, so every test run sees the same
 matrices.  The D_k oracle deliberately takes the long way around:
-adjugate of tI - A over the polynomial ring, read off coefficientwise.
-The production code computes the same matrices by a descending
-recursion and never builds that adjugate, which is what makes the
-comparison worth having.
+adjugate of tI - A over the polynomial ring by cofactors, read off
+coefficientwise.  The production code computes the same matrices by a
+descending recursion and never builds that adjugate, which is what makes
+the comparison worth having.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from ringmat.matrix import Matrix, char_matrix
 from ringmat.poly import PolynomialRing
 from ringmat.rings import QQ, ZZ, ModRing
 
+Z1 = ModRing(1)
 Z6 = ModRing(6)
 Z8 = ModRing(8)
 ZT = PolynomialRing(ZZ)
@@ -27,6 +28,14 @@ RINGS5 = (
     ("mod8", Z8),
     ("rat", QQ),
     ("poly", ZT),
+)
+
+# the production kernels against their oracles: RINGS5 plus the zero
+# ring, a zero-divisor polynomial ring and a nested one
+RINGS8 = RINGS5 + (
+    ("mod1", Z1),
+    ("poly-mod8", PolynomialRing(Z8)),
+    ("poly-poly", PolynomialRing(ZT)),
 )
 
 
@@ -51,7 +60,7 @@ def corpus(ring, label: str, count: int, nmax: int, seed: int = 2026,
 def coefficient_matrices_oracle(a: Matrix) -> list:
     """D_0..D_{n-1} extracted from adj(tI - A) computed over K[t]."""
     n = a.rows
-    adj = char_matrix(a).adjugate()
+    adj = char_matrix(a).adjugate_cofactor()
     out = []
     for k in range(n):
         entries = tuple(adj.entry(i, j).coeff(k)

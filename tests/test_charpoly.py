@@ -2,7 +2,16 @@
 
 import pytest
 
-from helpers import RINGS5, Z8, ZT, coefficient_matrices_oracle, corpus, mat
+from helpers import (
+    RINGS5,
+    RINGS8,
+    Z1,
+    Z8,
+    ZT,
+    coefficient_matrices_oracle,
+    corpus,
+    mat,
+)
 from ringmat.charpoly import (
     adjugate_via_charpoly,
     cayley_hamilton_residual,
@@ -11,7 +20,7 @@ from ringmat.charpoly import (
     power_traces,
     trace_cayley_hamilton_residual,
 )
-from ringmat.matrix import Matrix
+from ringmat.matrix import Matrix, berkowitz, char_matrix
 from ringmat.rings import QQ, ZZ, QAlgebraRequiredError, ShapeError
 
 
@@ -104,7 +113,7 @@ def test_newton_requires_q_algebra():
 def test_adjugate_via_charpoly_matches_cofactors():
     for label, ring in RINGS5:
         for a in corpus(ring, f"adjroute-{label}", 10, 4):
-            assert adjugate_via_charpoly(a) == a.adjugate(), label
+            assert adjugate_via_charpoly(a) == a.adjugate_cofactor(), label
 
 
 def test_adjugate_via_charpoly_empty():
@@ -118,3 +127,35 @@ def test_power_traces_indexing():
     assert tr[1] == 5 and tr[2] == 13 and tr[3] == 35
     with pytest.raises(IndexError):
         tr[4]
+
+
+def test_charpoly_matches_subset_dp_oracle():
+    # Berkowitz over K against the subset DP over K[t]
+    for label, ring in RINGS8:
+        for a in corpus(ring, f"chi-oracle-{label}", 8, 6, singular_every=3):
+            assert charpoly(a).chi == char_matrix(a).det_subset_dp(), label
+
+
+def test_charpoly_edge_sizes():
+    for label, ring in RINGS8:
+        one = ring.one()
+        data = charpoly(Matrix(ring, 0, 0, ()))
+        assert data.c == (one,) and data.D == (), label
+        a = Matrix(ring, 1, 1, (ring.from_int(3),))
+        assert berkowitz(a) == [one, ring.neg(ring.from_int(3))], label
+        assert charpoly(a).D == (Matrix.identity(ring, 1),), label
+
+
+def test_zero_ring_charpoly_is_zero():
+    data = charpoly(mat(Z1, [[1, 2], [3, 4]]))
+    assert data.c == (0, 0, 0)
+    assert data.chi.is_zero()
+
+
+def test_coefficient_matrices_are_computed_on_first_use():
+    a = mat(ZZ, [[1, 2], [3, 4]])
+    data = charpoly(a)
+    assert "D" not in vars(data)
+    assert data.D[0] == mat(ZZ, [[-4, 2], [3, -1]])
+    assert data.D is data.D
+    assert data == charpoly(a)

@@ -164,6 +164,50 @@ def test_exit_code_2_parse_errors(capsys):
         assert err.startswith("error:"), argv
 
 
+NILPOTENT = json.dumps({"ring": "int", "entries": [[0, 1], [0, 0]]})
+
+
+def test_negative_almkvist_order_exits_2(capsys):
+    code, out, err = run_main(["verify", "almkvist", "--k", "-1",
+                               "--matrix", NILPOTENT], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
+def test_imax_below_one_exits_2(capsys):
+    for argv in (["verify", "nilpotency_converse", "--matrix", NILPOTENT],
+                 ["fuzz", "--ring", "int", "--suite", "nilpotency_converse",
+                  "--count", "2", "--size", "3"]):
+        for imax in ("0", "-4"):
+            code, out, err = run_main(argv + ["--imax", imax], capsys)
+            assert code == 2, (argv, imax)
+            assert err.startswith("error:") and "imax" in err
+            assert out == ""
+
+
+def test_omitted_imax_defaults_to_2n_plus_1(capsys):
+    code, out, _ = run_main(["fuzz", "--ring", "int", "--suite",
+                             "nilpotency_converse", "--count", "6",
+                             "--size", "4"], capsys)
+    assert code == 0
+    reports = json.loads(out.rsplit("\n", 2)[0])
+    assert len(reports) == 6
+    for rep in reports:
+        assert rep["inputs"]["imax"] == 2 * rep["inputs"]["matrix"]["rows"] + 1
+    code, out, _ = run_main(["verify", "nilpotency_converse", "--matrix",
+                             NILPOTENT, "--imax", "1"], capsys)
+    assert code == 0
+    assert json.loads(out.rsplit("\n", 2)[0])[0]["inputs"]["imax"] == 1
+
+
+def test_adjugate_via_charpoly_flag_matches_default(capsys):
+    m = json.dumps({"ring": "mod:8", "entries": [[1, 2, 3], [4, 5, 6], [7, 0, 2]]})
+    _, plain, _ = run_main(["adjugate", "--matrix", m], capsys)
+    _, via, _ = run_main(["adjugate", "--matrix", m, "--via-charpoly"], capsys)
+    assert via == plain
+
+
 def test_exit_code_3_shape_errors(capsys):
     rect = json.dumps({"ring": "int", "entries": [[1, 2, 3], [4, 5, 6]]})
     for argv in (["charpoly", "--matrix", rect],

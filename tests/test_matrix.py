@@ -1,15 +1,27 @@
 """Matrix arithmetic, division-free determinants, adjugates, submatrices."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import Z6, Z8, ZT, mat
-from ringmat.matrix import Matrix, apply_poly, block2x2, char_matrix, ent
+from helpers import RINGS8, Z1, Z6, Z8, ZT, corpus, mat
+from ringmat.charpoly import charpoly
+from ringmat.matrix import (
+    Matrix,
+    apply_poly,
+    berkowitz,
+    block2x2,
+    char_matrix,
+    ent,
+)
 from ringmat.poly import Polynomial, PolynomialRing
 from ringmat.rings import (
     QQ,
     ZZ,
     GuardError,
+    IntegerRing,
+    Ring,
     RingMismatchError,
     ShapeError,
 )
@@ -201,3 +213,85 @@ def test_multiplication_distributes_mod6(xs, ys, zs):
     c = Matrix(Z6, 3, 3, tuple(z % 6 for z in zs))
     assert (a + b) @ c == a @ c + b @ c
     assert (a @ b) @ c == a @ (b @ c)
+
+
+def test_det_matches_oracles():
+    for label, ring in RINGS8:
+        for a in corpus(ring, f"det-oracle-{label}", 8, 6, singular_every=3):
+            d = a.det()
+            assert d == a.det_subset_dp(), label
+            assert d == a.det_leibniz(), label
+
+
+def test_adjugate_matches_cofactor_oracle():
+    for label, ring in RINGS8:
+        for a in corpus(ring, f"adj-oracle-{label}", 8, 6, singular_every=3):
+            assert a.adjugate() == a.adjugate_cofactor(), label
+
+
+def test_kernels_at_n0_and_n1():
+    for label, ring in RINGS8:
+        one = ring.one()
+        e = Matrix(ring, 0, 0, ())
+        assert e.det() == e.det_subset_dp() == one, label
+        assert e.adjugate() == e.adjugate_cofactor() == e, label
+        assert berkowitz(e) == [one], label
+        a = Matrix(ring, 1, 1, (ring.from_int(5),))
+        assert a.det() == a.det_subset_dp() == ring.from_int(5), label
+        assert a.adjugate() == a.adjugate_cofactor() \
+            == Matrix.identity(ring, 1), label
+
+
+def test_zero_ring_kernels():
+    # in Z/1 one == zero, so every determinant and adjugate entry is 0
+    a = mat(Z1, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    assert Z1.one() == Z1.zero() == 0
+    assert a.det() == a.det_subset_dp() == 0
+    assert a.adjugate() == a.adjugate_cofactor() == Matrix.zeros(Z1, 3, 3)
+
+
+def test_non_square_kernels_raise():
+    b = Matrix.zeros(ZZ, 2, 3)
+    for op in (b.det_subset_dp, b.adjugate, b.adjugate_cofactor):
+        with pytest.raises(ShapeError):
+            op()
+    with pytest.raises(ShapeError):
+        berkowitz(b)
+
+
+class _CountingZZ(IntegerRing):
+    """Z with a mul counter; dot stays the generic Ring.dot, so it counts."""
+
+    dot = Ring.dot
+
+    def __init__(self):
+        self.muls = 0
+
+    def mul(self, a, b):
+        self.muls += 1
+        return a * b
+
+
+def _dense(ring, n):
+    # no zero entries, so the zero-skipping dot saves little
+    rng = random.Random(n)
+    return Matrix(ring, n, n, [rng.randint(1, 9) for _ in range(n * n)])
+
+
+def test_kernels_cost_polynomially_many_muls():
+    n = 12
+    for kernel, ceiling in ((Matrix.det, n ** 4),
+                            (charpoly, n ** 4),
+                            (Matrix.adjugate, 2 * n ** 4),
+                            (lambda a: charpoly(a).D, 2 * n ** 4)):
+        ring = _CountingZZ()
+        a = _dense(ring, n)
+        kernel(a)
+        assert 0 < ring.muls <= ceiling, (kernel, ring.muls)
+
+
+def test_counting_ring_computes_the_same_values():
+    a = _dense(_CountingZZ(), 6)
+    b = _dense(ZZ, 6)
+    assert a.det() == b.det() == b.det_subset_dp()
+    assert a.adjugate()._e == b.adjugate()._e

@@ -1,11 +1,20 @@
 """Univariate polynomial arithmetic over arbitrary coefficient rings."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import Z6, Z8, ZT
 from ringmat.poly import Polynomial, PolynomialRing
-from ringmat.rings import QQ, ZZ, ModRing, ParseError, RingMismatchError
+from ringmat.rings import (
+    QQ,
+    ZZ,
+    ModRing,
+    ParseError,
+    Ring,
+    RingMismatchError,
+)
 
 
 def P(*coeffs, ring=ZZ):
@@ -131,3 +140,35 @@ def test_ring_laws_hold_mod6(xs, ys, zs):
     assert (a + b).derivative() == a.derivative() + b.derivative()
     # Leibniz for d/dt
     assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+
+
+def _poly(rng, ring):
+    # zero polynomials and zero coefficients both occur
+    base = ring.base
+    if isinstance(base, PolynomialRing):
+        coeffs = [_poly(rng, base) for _ in range(rng.randint(0, 2))]
+    else:
+        coeffs = [base.from_int(rng.randint(-3, 3))
+                  for _ in range(rng.randint(0, 3))]
+    return Polynomial(base, coeffs)
+
+
+@pytest.mark.parametrize("ring", [
+    ZT, PolynomialRing(Z8), PolynomialRing(Z6), PolynomialRing(ModRing(1)),
+    PolynomialRing(QQ), PolynomialRing(ZT),
+], ids=str)
+def test_dot_matches_generic(ring):
+    rng = random.Random(f"polydot-{ring}")
+    assert ring.dot([], []) == Ring.dot(ring, [], []) == ring.zero()
+    for length in range(8):
+        for _ in range(10):
+            xs = [_poly(rng, ring) for _ in range(length)]
+            ys = [_poly(rng, ring) for _ in range(length)]
+            assert ring.dot(xs, ys) == Ring.dot(ring, xs, ys)
+
+
+def test_dot_trims_cancelled_top_terms():
+    # (t + 1)(t - 1) + (-t)(t) = -1: the t**2 terms cancel
+    t = ZT.t()
+    got = ZT.dot([t + ZT.one(), -t], [t - ZT.one(), t])
+    assert got.coeffs == (-1,)

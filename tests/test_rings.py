@@ -1,6 +1,8 @@
 """Ring primitives: canonical values, integer embedding, division gates."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +14,7 @@ from ringmat.rings import (
     ModRing,
     ParseError,
     QAlgebraRequiredError,
+    Ring,
     RingMismatchError,
     axiom_spotcheck,
     int_embed,
@@ -152,3 +155,44 @@ def test_ring_equality_is_structural():
     assert ZZ == ZZ and QQ == QQ
     assert ZZ != QQ
     assert len({ModRing(8), ModRing(8), ZZ}) == 2
+
+
+def _vector(rng, ring, length):
+    # about a third zeros, to exercise the generic zero skip
+    def draw():
+        if rng.random() < 0.35:
+            return ring.zero()
+        if ring is QQ:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return ring.from_int(rng.randint(-10**6, 10**6))
+    return [draw() for _ in range(length)]
+
+
+@pytest.mark.parametrize("ring", [ZZ, Z1, Z6, Z8, ModRing(2**61 - 1), QQ],
+                         ids=str)
+def test_dot_overrides_match_generic(ring):
+    rng = random.Random(f"dot-{ring}")
+    assert type(ring).dot is not Ring.dot
+    assert ring.dot([], []) == Ring.dot(ring, [], []) == ring.zero()
+    for length in range(12):
+        for _ in range(8):
+            xs = _vector(rng, ring, length)
+            ys = _vector(rng, ring, length)
+            got = ring.dot(xs, ys)
+            assert got == Ring.dot(ring, xs, ys)
+            assert type(got) is type(ring.zero())
+            if ring is QQ:
+                assert got.denominator > 0
+                assert gcd(got.numerator, got.denominator) == 1
+
+
+def test_dot_in_the_zero_ring_is_zero():
+    assert Z1.dot([1, 2, 3], [4, 5, 6]) == 0
+    assert Ring.dot(Z1, [0, 0], [0, 0]) == 0
+
+
+def test_rational_dot_is_reduced():
+    got = QQ.dot([Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 2)])
+    assert got == Fraction(1, 3)
+    assert (got.numerator, got.denominator) == (1, 3)
+    assert QQ.dot([Fraction(1, 2)], [Fraction(-2)]) == Fraction(-1)
