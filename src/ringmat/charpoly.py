@@ -150,9 +150,17 @@ def trace_cayley_hamilton_residual(a: Matrix, k: int) -> object:
     if k < 0:
         raise ValueError("k must be nonnegative")
     _require_square(a)
-    K = a.ring
-    data = charpoly(a)
-    tr = power_traces(a, k)
+    return trace_cayley_hamilton_sum(charpoly(a), power_traces(a, k), k)
+
+
+def trace_cayley_hamilton_sum(data: CharPolyData, tr, k: int):
+    """k*c_k + sum_i tr[i]*c_(k-i) for i = 1..k, the paper's headline sum.
+
+    data is charpoly(A) and tr is power_traces(A, m) for some m >= k, so
+    tr[i] = Tr(A**i).  The trace Cayley-Hamilton theorem says the sum is
+    zero for every k >= 0.
+    """
+    K = data.chi.ring
     acc = K.mul(K.from_int(k), data.coefficient(k))
     for i in range(1, k + 1):
         acc = K.add(acc, K.mul(tr[i], data.coefficient(k - i)))

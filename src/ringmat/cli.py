@@ -6,8 +6,8 @@ campaigns.  All numeric I/O is decimal strings inside JSON so that
 arbitrary-precision values never pass through a float.
 
 Exit codes: 0 success, 1 at least one identity violation, 2 parse or
-configuration error (including an out-of-range argument value), 3 shape
-or ring mismatch.
+configuration error (including an out-of-range argument value and input
+nested past the recursion limit), 3 shape or ring mismatch.
 """
 
 from __future__ import annotations
@@ -203,6 +203,10 @@ def main(argv=None) -> int:
             PreconditionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except RecursionError:
+        sys.stderr.write("error: input nested too deeply "
+                         "(recursion limit exceeded)\n")
+        return 2
 
 
 def entry() -> None:

@@ -31,6 +31,7 @@ from .charpoly import (
     charpoly,
     charpoly_newton,
     power_traces,
+    trace_cayley_hamilton_sum,
 )
 from .matrix import Matrix, block2x2, char_matrix, ent
 from .poly import Polynomial, PolynomialRing
@@ -304,9 +305,7 @@ def verify_trace_cayley_hamilton(a: Matrix, kmax: int | None = None) -> Verifica
     tr = power_traces(a, kmax)
     inputs = {"matrix": a.to_json(), "kmax": kmax}
     for k in range(kmax + 1):
-        acc = K.mul(K.from_int(k), data.coefficient(k))
-        for i in range(1, k + 1):
-            acc = K.add(acc, K.mul(tr[i], data.coefficient(k - i)))
+        acc = trace_cayley_hamilton_sum(data, tr, k)
         if not K.is_zero(acc):
             return make_report("trace_cayley_hamilton", acc, ring=K,
                                inputs=inputs, part=f"k_{k}")

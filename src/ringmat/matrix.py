@@ -11,6 +11,22 @@ divisors (Z/m, including the zero ring Z/1) and over nested R[t]:
   * adjugate(): the charpoly coefficients summed by Horner in A, one
     berkowitz() plus n - 2 matmuls, so O(n**4).
 
+Over the rationals every kernel runs on the integer lift instead of on
+Fractions.  _lift(A) returns (B, L) with L the lcm of the entry
+denominators and B = L*A, a matrix over ZZ.  The results come back by
+one exact division each:
+
+  * c_k(A) = c_k(B) / L**k, since det(t*I - B/L) = L**-n * det(L*t*I - B)
+    = sum_k c_k(B) * L**-k * t**(n-k).
+  * D_k(A) = D_k(B) / L**(n-1-k), since adj(M/L) = L**-(n-1) * adj(M) for
+    any n x n M, and adj(t*I - A) = L**-(n-1) * adj(L*t*I - B)
+    = sum_k t**k * L**(k-n+1) * D_k(B).  At k = 0 this is
+    adj(A) = adj(B) / L**(n-1).
+  * A1 @ A2 = (B1 @ B2) / (L1 * L2), by bilinearity.
+
+Both sides of each equation are the same rational number, and Fraction
+reduces it to the one canonical form, so the lift changes no output.
+
 Independent oracles, kept for identities and tests to compare against:
 det_subset_dp() is a dynamic program over column subsets, O(n**2 * 2**n);
 adjugate_cofactor() takes n**2 cofactors by that DP; det_leibniz() is the
@@ -23,11 +39,20 @@ Laplace sign conventions, where the (i, j) cofactor carries (-1)**(i+j).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import lcm
 
 from .poly import Polynomial, PolynomialRing
-from .rings import GuardError, Ring, RingMismatchError, ShapeError
+from .rings import (
+    ZZ,
+    GuardError,
+    RationalRing,
+    Ring,
+    RingMismatchError,
+    ShapeError,
+)
 
 
 class Matrix:
@@ -134,13 +159,10 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows} x {self.cols} by "
                 f"{other.rows} x {other.cols}")
-        R = self.ring
-        dot = R.dot
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self._e, other._e
-        rows = [a[i * k:(i + 1) * k] for i in range(n)]
-        cols = [b[j::m] for j in range(m)]
-        return Matrix(R, n, m, [dot(row, col) for row in rows for col in cols])
+        if isinstance(self.ring, RationalRing):
+            (b1, l1), (b2, l2) = _lift(self), _lift(other)
+            return _unlift(_product(b1, b2), self.ring, l1 * l2)
+        return _product(self, other)
 
     def scale(self, value) -> "Matrix":
         """Multiply every entry by a ring value."""
@@ -278,16 +300,19 @@ class Matrix:
         """Adjugate (classical adjoint): entry (i, j) is the (j, i) cofactor.
 
         Computed as adj(A) = (-1)**(n-1) * (c_0*A**(n-1) + ... + c_(n-1)*I)
-        from the berkowitz() coefficients, never forming a cofactor.  adj
-        of any 1 x 1 matrix is (1); adj of the 0 x 0 matrix is itself.
+        from the berkowitz() coefficients, never forming a cofactor; over
+        QQ as adj(B) / L**(n-1) on the integer lift B = L*A.  adj of any
+        1 x 1 matrix is (1); adj of the 0 x 0 matrix is itself.
         """
         if not self.is_square():
             raise ShapeError("adjugate requires a square matrix")
         n = self.rows
         if n == 0:
             return self
-        adj = adjugate_coefficients(self, berkowitz(self))[0]
-        return -adj if (n - 1) & 1 else adj
+        if isinstance(self.ring, RationalRing):
+            b, scale = _lift(self)
+            return _unlift(_adjugate(b), self.ring, scale ** (n - 1))
+        return _adjugate(self)
 
     def adjugate_cofactor(self) -> "Matrix":
         """Adjugate oracle: n**2 cofactors, each by det_subset_dp()."""
@@ -361,11 +386,15 @@ def berkowitz(a: Matrix) -> list:
     of the diagonal entry d.  The charpoly of the bordered block is the
     Toeplitz product of the charpoly of B with the column
     1, -d, -R C, -R B C, ..., -R B**(k-1) C.  About n**4/4 ring
-    multiplications, all inside Ring.dot, and no division.
+    multiplications, all inside Ring.dot, and no division.  Over QQ it
+    runs on the integer lift B = L*A and returns c_k(B) / L**k.
     """
     if not a.is_square():
         raise ShapeError("characteristic polynomial requires a square matrix")
     R = a.ring
+    if isinstance(R, RationalRing):
+        b, scale = _lift(a)
+        return [Fraction(c, scale ** k) for k, c in enumerate(berkowitz(b))]
     dot, sub = R.dot, R.sub
     n = a.rows
     e = a._e
@@ -391,16 +420,62 @@ def adjugate_coefficients(a: Matrix, c) -> list:
 
     c is berkowitz(a).  Horner in a: D_(n-1) = I and
     D_(k-1) = D_k @ a + c_(n-k) * I, so D_0 = (-1)**(n-1) * adj(a).  The
-    first step is a itself, so this costs n - 2 matmuls.
+    first step is a itself, so this costs n - 2 matmuls.  Over QQ the
+    whole recursion runs on the integer lift B = L*A, with c_k(B) =
+    c_k * L**k, and D_k = D_k(B) / L**(n-1-k).
     """
     n = a.rows
     if n == 0:
         return []
+    if isinstance(a.ring, RationalRing):
+        b, scale = _lift(a)
+        ds = adjugate_coefficients(b, _lift_coefficients(c, scale))
+        return [_unlift(d, a.ring, scale ** (n - 1 - k))
+                for k, d in enumerate(ds)]
     out = [Matrix.identity(a.ring, n)]
     for ci in c[1:n]:
         out.append(_plus_scalar(a if len(out) == 1 else out[-1] @ a, ci))
     out.reverse()
     return out
+
+
+def _product(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b over a's ring, one Ring.dot per entry; shapes already checked."""
+    R = a.ring
+    dot = R.dot
+    n, k, m = a.rows, a.cols, b.cols
+    ae, be = a._e, b._e
+    rows = [ae[i * k:(i + 1) * k] for i in range(n)]
+    cols = [be[j::m] for j in range(m)]
+    return Matrix(R, n, m, [dot(row, col) for row in rows for col in cols])
+
+
+def _adjugate(a: Matrix) -> Matrix:
+    """adj(a) for a square a with n >= 1: D_0 times (-1)**(n-1)."""
+    adj = adjugate_coefficients(a, berkowitz(a))[0]
+    return -adj if (a.rows - 1) & 1 else adj
+
+
+def _lift(a: Matrix) -> tuple:
+    """(B, L) for a matrix a over QQ: L is the lcm of the denominators of
+    the entries (1 when there are none) and B = L * a, a matrix over ZZ."""
+    scale = lcm(*[v.denominator for v in a._e])
+    return Matrix(ZZ, a.rows, a.cols,
+                  [v.numerator * (scale // v.denominator) for v in a._e]), scale
+
+
+def _unlift(b: Matrix, ring: Ring, d: int) -> Matrix:
+    """b / d over ring (QQ) for an integer matrix b; Fraction reduces."""
+    return Matrix(ring, b.rows, b.cols, [Fraction(v, d) for v in b._e])
+
+
+def _lift_coefficients(c, scale: int) -> list:
+    """[c_k * scale**k] as integers: the charpoly of B from that of A."""
+    out = [v * scale ** k for k, v in enumerate(c)]
+    if any(v.denominator != 1 for v in out):
+        raise ValueError("c cannot be the characteristic polynomial of "
+                         "the matrix: c_k * L**k is not an integer")
+    return [v.numerator for v in out]
 
 
 def _plus_scalar(m: Matrix, value) -> Matrix:

@@ -16,6 +16,16 @@ A ring may declare itself a Q-algebra, meaning division by any positive
 integer is exact and well defined.  Rationals qualify, as do polynomial
 rings over a qualifying base.  Integers and mod-m rings never divide, even
 when a particular quotient happens to exist.
+
+Rationals have no dot kernel of their own, because the matrix kernels
+never take an inner product of Fractions: matmul, the characteristic
+polynomial and the adjugate of a rational matrix A clear denominators
+once, B = L*A with L the lcm of the entry denominators, run over the
+integers, and divide at the end (c_k(A) = c_k(B)/L**k,
+adj(A) = adj(B)/L**(n-1), A1 @ A2 = (B1 @ B2)/(L1*L2); proofs in
+ringmat.matrix).  Each quotient is the exact rational value, and
+Fraction keeps one reduced form per value, so the results are exactly
+what the same kernels would give on Fractions.
 """
 
 from __future__ import annotations
@@ -292,17 +302,6 @@ class RationalRing(Ring):
 
     def mul(self, a, b):
         return a * b
-
-    def dot(self, xs, ys):
-        # one unreduced num/den accumulation, reduced once at the end
-        num, den = 0, 1
-        for x, y in zip(xs, ys):
-            n = x.numerator * y.numerator
-            if n:
-                d = x.denominator * y.denominator
-                num = num * d + n * den
-                den *= d
-        return Fraction(num, den)
 
     def from_int(self, k):
         return Fraction(k)

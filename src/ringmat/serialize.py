@@ -16,27 +16,54 @@ from .poly import Polynomial, PolynomialRing
 from .rings import QQ, ZZ, ModRing, ParseError, Ring, _parse_int
 
 
+# Polynomial rings nest at most this deep.  charpoly and adjugate on a 2 x 2
+# matrix over Z[t_1]...[t_d] still run at d = 300 and hit the interpreter's
+# recursion limit by d = 400; the cap leaves room for deeper call stacks.
+MAX_RING_DEPTH = 64
+
+
+def _check_depth(depth: int, where: str) -> None:
+    if depth > MAX_RING_DEPTH:
+        raise ParseError(f"{where}: polynomial rings nested more than "
+                         f"{MAX_RING_DEPTH} deep are refused")
+
+
+def _nest(ring: Ring, depth: int) -> Ring:
+    for _ in range(depth):
+        ring = PolynomialRing(ring)
+    return ring
+
+
 def ring_from_descriptor(obj, where: str = "ring") -> Ring:
-    """Build a ring from a {"kind": ...} descriptor object."""
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected a descriptor object, got "
-                         f"{type(obj).__name__}")
+    """Build a ring from a {"kind": ...} descriptor object.
+
+    Nested {"kind": "poly", "base": ...} levels are unwound in a loop and
+    refused beyond MAX_RING_DEPTH.
+    """
+    top, depth = where, 0
+    while True:
+        if not isinstance(obj, dict):
+            raise ParseError(f"{where}: expected a descriptor object, got "
+                             f"{type(obj).__name__}")
+        if obj.get("kind") != "poly":
+            break
+        if "base" not in obj:
+            raise ParseError(f"{where}: polynomial descriptor needs \"base\"")
+        depth += 1
+        _check_depth(depth, top)
+        obj, where = obj["base"], f"{where}.base"
     kind = obj.get("kind")
     if kind == "int":
-        return ZZ
+        return _nest(ZZ, depth)
     if kind == "rat":
-        return QQ
+        return _nest(QQ, depth)
     if kind == "mod":
         if "m" not in obj:
             raise ParseError(f"{where}: modular descriptor needs \"m\"")
         m = _parse_int(obj["m"], f"{where}.m")
         if m < 1:
             raise ParseError(f"{where}.m: modulus must be >= 1, got {m}")
-        return ModRing(m)
-    if kind == "poly":
-        if "base" not in obj:
-            raise ParseError(f"{where}: polynomial descriptor needs \"base\"")
-        return PolynomialRing(ring_from_descriptor(obj["base"], f"{where}.base"))
+        return _nest(ModRing(m), depth)
     raise ParseError(f"{where}: unknown ring kind {kind!r}")
 
 
@@ -44,17 +71,22 @@ def parse_ring(text_or_obj, where: str = "ring") -> Ring:
     """Accept a shorthand string or a descriptor object.
 
     Shorthands: "int", "rat", "mod:<m>", and "poly:<base>" where <base>
-    is itself a shorthand, nesting as deep as needed.
+    is itself a shorthand, nesting up to MAX_RING_DEPTH deep.
     """
     if isinstance(text_or_obj, dict):
         return ring_from_descriptor(text_or_obj, where)
     if not isinstance(text_or_obj, str):
         raise ParseError(f"{where}: expected a string or descriptor object")
     text = text_or_obj.strip()
+    depth = 0
+    while text.startswith("poly:"):
+        text = text[5:].strip()
+        depth += 1
+        _check_depth(depth, where)
     if text == "int":
-        return ZZ
+        return _nest(ZZ, depth)
     if text == "rat":
-        return QQ
+        return _nest(QQ, depth)
     if text.startswith("mod:"):
         tail = text[4:]
         try:
@@ -63,9 +95,7 @@ def parse_ring(text_or_obj, where: str = "ring") -> Ring:
             raise ParseError(f"{where}: bad modulus {tail!r}") from None
         if m < 1:
             raise ParseError(f"{where}: modulus must be >= 1, got {m}")
-        return ModRing(m)
-    if text.startswith("poly:"):
-        return PolynomialRing(parse_ring(text[5:], where))
+        return _nest(ModRing(m), depth)
     raise ParseError(
         f"{where}: unknown ring {text!r} (expected int, rat, mod:<m>, "
         f"or poly:<base>)")

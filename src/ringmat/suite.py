@@ -606,6 +606,25 @@ SUITES = {
 
 _BLOCK_IDENTITIES = {"block_commute", "rank1_block"}
 
+# Identities that take one side from an exponential oracle: the cofactor
+# adjugate (n**2 subset-DP determinants) over K or K[t], or the subset-DP
+# determinant.  Each case at n = 8 takes up to about 1 s over rat or
+# poly:mod:8 and each step in n costs about 3x more, so n above
+# _ORACLE_MAX_N is refused before any work.  In fuzz mode only the first
+# two draw n up to --size; the other two draw n <= 4 at any size.
+_ORACLE_IDENTITIES = ("adj_via_charpoly", "adj_trace", "charpoly_derivative",
+                      "eval_zero_hom")
+_ORACLE_FUZZ_IDENTITIES = ("adj_via_charpoly", "adj_trace")
+_ORACLE_MAX_N = 8
+
+
+def _oracle_guard(names, guarded, n: int, what: str) -> None:
+    over = [name for name in names if name in guarded]
+    if n > _ORACLE_MAX_N and over:
+        raise GuardError(
+            f"{what} > {_ORACLE_MAX_N} is refused for {', '.join(over)} "
+            f"(one side is an exponential oracle)")
+
 
 def resolve_suite(spec: str) -> tuple:
     """Expand a comma-separated list of suite or identity names."""
@@ -657,6 +676,9 @@ def run_suite(names, *, ring=None, matrix=None, seed: int = 0,
             raise GuardError(
                 "size > 6 is refused for block identities "
                 "(glued dimension doubles)")
+        _oracle_guard(names, _ORACLE_FUZZ_IDENTITIES, size, "size")
+    elif matrix.is_square():    # a non-square one fails its shape check
+        _oracle_guard(names, _ORACLE_IDENTITIES, matrix.rows, "n")
     reports = []
     for name in names:
         fuzz_fn, matrix_fn = _REGISTRY[name]

@@ -247,3 +247,59 @@ def test_mutation_hook_drives_exit_1():
     assert reports[0]["passed"] is False
     assert reports[0]["residual"] is not None
     assert "failed=1" in broken.stdout.strip().splitlines()[-1]
+
+
+def _descriptor(depth: int) -> str:
+    return '{"kind": "poly", "base": ' * depth + '{"kind": "int"}' + "}" * depth
+
+
+def test_deep_rings_exit_2_without_traceback(capsys):
+    # --count 0: the refusal must come from parsing, before any work
+    for ring, why in (("poly:" * 1200 + "int", "nested more than 64"),
+                      ("poly:" * 65 + "int", "nested more than 64"),
+                      (_descriptor(65), "nested more than 64"),
+                      (_descriptor(1200), "nested too deeply")):
+        code, out, err = run_main(["fuzz", "--ring", ring, "--count", "0",
+                                   "--size", "1"], capsys)
+        assert code == 2, ring[:40]
+        assert err.startswith("error:") and why in err
+        assert "Traceback" not in err and out == ""
+    # an embedded ring goes through the same cap
+    deep = '{"ring": "' + "poly:" * 65 + 'int", "entries": [[1]]}'
+    code, _, err = run_main(["charpoly", "--matrix", deep], capsys)
+    assert code == 2 and "nested more than 64" in err
+
+
+def test_ring_depth_cap_admits_64_levels(capsys):
+    m = '{"entries": [[' + "[" * 64 + '"1"' + "]" * 64 + "]]}"
+    for ring in ("poly:" * 64 + "int", _descriptor(64)):
+        code, out, _ = run_main(["charpoly", "--ring", ring, "--matrix", m],
+                                capsys)
+        assert code == 0
+        assert json.loads(out)["n"] == 1
+
+
+def test_recursion_error_maps_to_exit_2(capsys, monkeypatch):
+    def explode(args):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setitem(cli._DISPATCH, "charpoly", explode)
+    code, out, err = run_main(["charpoly", "--matrix", A_JSON], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_oracle_identities_refuse_large_sizes(capsys):
+    # the refusal comes before any work, so --count 0 is refused too
+    for suite in ("adj_trace", "adj_via_charpoly", "core"):
+        code, out, err = run_main(["fuzz", "--ring", "int", "--suite", suite,
+                                   "--size", "20", "--count", "0"], capsys)
+        assert code == 2, suite
+        assert err.startswith("error:") and "size > 8" in err
+        assert out == ""
+    big = json.dumps({"ring": "int", "entries": [[1] * 9] * 9})
+    for suite in ("adj_trace", "adj_via_charpoly", "charpoly_derivative",
+                  "eval_zero_hom", "all"):
+        code, out, err = run_main(["verify", suite, "--matrix", big], capsys)
+        assert code == 2, suite
+        assert err.startswith("error:") and "n > 8" in err
+        assert out == ""

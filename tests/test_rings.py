@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -162,13 +161,12 @@ def _vector(rng, ring, length):
     def draw():
         if rng.random() < 0.35:
             return ring.zero()
-        if ring is QQ:
-            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         return ring.from_int(rng.randint(-10**6, 10**6))
     return [draw() for _ in range(length)]
 
 
-@pytest.mark.parametrize("ring", [ZZ, Z1, Z6, Z8, ModRing(2**61 - 1), QQ],
+# QQ has no override: rational kernels run on the integer lift instead
+@pytest.mark.parametrize("ring", [ZZ, Z1, Z6, Z8, ModRing(2**61 - 1)],
                          ids=str)
 def test_dot_overrides_match_generic(ring):
     rng = random.Random(f"dot-{ring}")
@@ -181,9 +179,6 @@ def test_dot_overrides_match_generic(ring):
             got = ring.dot(xs, ys)
             assert got == Ring.dot(ring, xs, ys)
             assert type(got) is type(ring.zero())
-            if ring is QQ:
-                assert got.denominator > 0
-                assert gcd(got.numerator, got.denominator) == 1
 
 
 def test_dot_in_the_zero_ring_is_zero():

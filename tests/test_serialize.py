@@ -6,6 +6,7 @@ from helpers import Z8, ZT
 from ringmat.poly import PolynomialRing
 from ringmat.rings import QQ, ZZ, ModRing, ParseError
 from ringmat.serialize import (
+    MAX_RING_DEPTH,
     matrix_from_json,
     parse_ring,
     polynomial_from_json,
@@ -35,6 +36,26 @@ def test_shorthand_errors():
             parse_ring(bad)
     with pytest.raises(ParseError):
         parse_ring(42)
+
+
+def test_ring_nesting_is_capped():
+    def nested(base, depth):
+        for _ in range(depth):
+            base = PolynomialRing(base)
+        return base
+
+    deep = nested(ZZ, MAX_RING_DEPTH)
+    assert parse_ring("poly:" * MAX_RING_DEPTH + "int") == deep
+    assert ring_from_descriptor(deep.descriptor()) == deep
+    assert parse_ring(" poly: poly:mod:6") == nested(ModRing(6), 2)
+    too_deep = nested(ZZ, MAX_RING_DEPTH + 1)
+    for text in ("poly:" * (MAX_RING_DEPTH + 1) + "int", "poly:" * 100_000):
+        with pytest.raises(ParseError, match="nested more than"):
+            parse_ring(text)
+    with pytest.raises(ParseError, match="nested more than"):
+        ring_from_descriptor(too_deep.descriptor())
+    with pytest.raises(ParseError, match="nested more than"):
+        parse_ring(too_deep.descriptor())
 
 
 def test_descriptor_errors_name_the_field():

@@ -1,11 +1,13 @@
 """Suite resolution and the fuzz/single-matrix drivers."""
 
+import random
+
 import pytest
 
 from helpers import Z8, mat
 from ringmat.matrix import Matrix
 from ringmat.report import summarize
-from ringmat.rings import QQ, ZZ, GuardError, ModRing
+from ringmat.rings import QQ, ZZ, GuardError, ModRing, ShapeError
 from ringmat.suite import IDENTITY_NAMES, SUITES, resolve_suite, run_suite
 
 A = mat(ZZ, [[1, 2], [3, 4]])
@@ -69,6 +71,38 @@ def test_fuzz_rejects_bad_dimensions():
         run_suite(("det_oracle",), ring=ZZ, seed=0, count=-1, size=3)
     with pytest.raises(GuardError):
         run_suite(("det_oracle",), ring=ZZ, seed=0, count=1, size=-1)
+
+
+ORACLES = ("adj_via_charpoly", "adj_trace", "charpoly_derivative",
+           "eval_zero_hom")
+
+
+def test_oracle_size_guard_in_fuzz_mode():
+    for name in ("adj_via_charpoly", "adj_trace"):
+        with pytest.raises(GuardError):
+            run_suite((name,), ring=ZZ, seed=1, count=20, size=9)
+        reports = run_suite((name,), ring=ZZ, seed=1, count=3, size=8)
+        assert len(reports) == 3 and all(r.passed for r in reports)
+    # these two draw n <= 4 whatever the size, so no cap applies
+    for name in ("charpoly_derivative", "eval_zero_hom"):
+        reports = run_suite((name,), ring=ZZ, seed=1, count=3, size=20)
+        assert all(r.passed and r.inputs["matrix"]["rows"] <= 4
+                   for r in reports)
+
+
+def test_oracle_size_guard_in_matrix_mode():
+    rng = random.Random(9)
+    big = Matrix(ZZ, 9, 9, [rng.randint(-9, 9) for _ in range(81)])
+    top = Matrix(ZZ, 8, 8, big._e[:64])
+    for name in ORACLES:
+        with pytest.raises(GuardError):
+            run_suite((name,), matrix=big)
+        assert run_suite((name,), matrix=top)[0].passed
+    # identities without an exponential oracle still run at n = 9
+    assert run_suite(("adj_inverse", "trace_cayley_hamilton"), matrix=big)
+    # a non-square matrix keeps its shape error
+    with pytest.raises(ShapeError):
+        run_suite(ORACLES, matrix=Matrix(ZZ, 9, 3, big._e[:27]))
 
 
 def test_block_suite_size_guard():
