@@ -6,7 +6,13 @@ divisors), Q, and nested polynomial rings.  On top of the arithmetic
 sit the characteristic-polynomial routines (direct and trace-recursion)
 and a verification engine that checks several dozen determinant and
 trace identities on concrete or fuzzed inputs.
+
+The arithmetic core is imported eagerly.  The verification engine
+(suite, identities, derivations, fuzz) loads on first use of one of its
+names, so a process that only computes never compiles it.
 """
+
+from importlib import import_module as _import_module
 
 from .charpoly import (
     CharPolyData,
@@ -17,14 +23,6 @@ from .charpoly import (
     power_traces,
     trace_cayley_hamilton_residual,
 )
-from .derivations import (
-    Derivation,
-    ddt,
-    scaled_ddt,
-    standard_derivations,
-    zero_derivation,
-)
-from .fuzz import SplitMix64, derive_seed, sample_element, sample_matrix, stream
 from .matrix import Matrix, apply_poly, block2x2, char_matrix, ent
 from .poly import Polynomial, PolynomialRing
 from .report import VerificationReport, summarize
@@ -46,7 +44,6 @@ from .rings import (
     try_div_int,
 )
 from .serialize import matrix_from_json, parse_ring, ring_from_descriptor
-from .suite import IDENTITY_NAMES, SUITES, resolve_suite, run_suite
 
 __version__ = "0.1.0"
 
@@ -64,3 +61,29 @@ __all__ = [
     "stream", "summarize", "trace_cayley_hamilton_residual", "try_div_int",
     "zero_derivation",
 ]
+
+# Engine names, by the submodule that defines them.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("derivations", ("Derivation", "ddt", "scaled_ddt",
+                         "standard_derivations", "zero_derivation")),
+        ("fuzz", ("SplitMix64", "derive_seed", "sample_element",
+                  "sample_matrix", "stream")),
+        ("suite", ("IDENTITY_NAMES", "SUITES", "resolve_suite", "run_suite")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name):
+    # Resolved through the submodule on every access and never cached
+    # here, so rebinding the submodule's attribute is seen at once.
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -23,16 +23,15 @@ and is therefore restricted to rings that divide exactly by integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .matrix import Matrix, adjugate_coefficients, apply_poly, berkowitz
 from .poly import Polynomial
+from .record import FrozenRecord
 from .rings import QAlgebraRequiredError, ShapeError
 
 
-@dataclass(frozen=True)
-class CharPolyData:
+class CharPolyData(FrozenRecord):
     """chi_A with its coefficient family and adjugate coefficient matrices.
 
     chi is monic of degree n; c has length n + 1 with c[j] the coefficient
@@ -40,10 +39,10 @@ class CharPolyData:
     in adj(t*I - A), computed from matrix (A) on first access.
     """
 
-    n: int
-    chi: Polynomial
-    c: tuple
-    matrix: Matrix
+    _fields = ("n", "chi", "c", "matrix")
+
+    def __init__(self, n: int, chi: Polynomial, c: tuple, matrix: Matrix):
+        self._set(n=n, chi=chi, c=c, matrix=matrix)
 
     @cached_property
     def D(self) -> tuple:

@@ -5,6 +5,9 @@ verify runs identity checks around one matrix, fuzz runs seeded random
 campaigns.  All numeric I/O is decimal strings inside JSON so that
 arbitrary-precision values never pass through a float.
 
+verify and fuzz import the suite, and with it the verification engine,
+only when they run, so charpoly and adjugate never load it.
+
 Exit codes: 0 success, 1 at least one identity violation, 2 parse or
 configuration error (including an out-of-range argument value and input
 nested past the recursion limit), 3 shape or ring mismatch.
@@ -16,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import report as report_mod
 from .charpoly import charpoly, charpoly_newton
@@ -29,7 +33,6 @@ from .rings import (
     ShapeError,
 )
 from .serialize import matrix_from_json, parse_ring
-from .suite import resolve_suite, run_suite
 
 
 def _read_matrix_arg(text: str, ring):
@@ -51,8 +54,56 @@ def _read_matrix_arg(text: str, ring):
     return matrix_from_json(obj, ring)
 
 
+def _indented(value, out: list, indent: str) -> None:
+    """Append the pieces of json.dumps(value, indent=2) to out.
+
+    json.dumps takes its pure-Python path whenever indent is set; this
+    writer yields the same bytes with C-quoted strings in well under half
+    the time.  Values other than str, dict, list, tuple, bool, None and int
+    are left to json.dumps.
+    """
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out.append(sep)
+            out.append(_quote(key if isinstance(key, str) else json.dumps(key)))
+            out.append(": ")
+            _indented(item, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _indented(item, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        out.append(json.dumps(value))
+
+
 def _emit(payload, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    pieces = []
+    _indented(payload, pieces, "")
+    text = "".join(pieces)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -166,6 +217,7 @@ def _finish_reports(reports, out_path: str | None) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .suite import resolve_suite, run_suite
     names = resolve_suite(args.suite)
     ring = _ring_arg(args.ring) if args.ring else None
     a = _read_matrix_arg(args.matrix, ring)
@@ -175,6 +227,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from .suite import resolve_suite, run_suite
     names = resolve_suite(args.suite)
     ring = _ring_arg(args.ring)
     reports = run_suite(names, ring=ring, seed=args.seed, count=args.count,

@@ -14,23 +14,22 @@ Two exact formulas are checked for any derivation f and square matrix A:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
-
 from .matrix import Matrix
 from .poly import Polynomial, PolynomialRing
+from .record import FrozenRecord
 from .report import VerificationReport, make_report
 from .rings import Ring, RingMismatchError, ShapeError
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(FrozenRecord):
     """A labelled derivation acting on canonical values of one ring."""
 
-    algebra: Ring
-    label: str
-    fn: Callable = field(repr=False)
-    g: Polynomial | None = None
+    _fields = ("algebra", "label", "fn", "g")
+    _hidden = ("fn",)
+
+    def __init__(self, algebra: Ring, label: str, fn,
+                 g: Polynomial | None = None):
+        self._set(algebra=algebra, label=label, fn=fn, g=g)
 
     def __call__(self, value):
         return self.fn(value)

@@ -12,7 +12,9 @@ identical fuzz reports everywhere:
 Streams are split by reseeding: the child seed for a labelled stream is
 the first output of SplitMix64 seeded with parent_seed XOR FNV-1a64(label)
 (integer tokens are XORed in directly).  Bounded draws use rejection
-sampling on raw 64-bit outputs, and matrix entries are drawn row by row:
+sampling on raw 64-bit outputs (for a bound above 2**64, on the integer
+whose 64-bit words, lowest first, are the next ceil(bits(n - 1) / 64)
+outputs), and matrix entries are drawn row by row:
 
     integers        uniform in [-9, 9]
     mod m           uniform residue in [0, m)
@@ -23,13 +25,26 @@ sampling on raw 64-bit outputs, and matrix entries are drawn row by row:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
+from .identities import PRIME_BOUND, _is_prime
 from .matrix import Matrix, apply_poly
 from .poly import Polynomial, PolynomialRing
 from .rings import IntegerRing, ModRing, RationalRing, Ring, RingError
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# Polynomial rings that verify and fuzz accept nest at most this deep.  A
+# sampled entry at depth d draws (poly_degree + 1)**d base coefficients, and
+# each level multiplies the work of a campaign by about 8: `verify all` on a
+# 2 x 2 matrix took 0.41 s at depth 3, 2.1 s at depth 4 and 26 s at depth 5;
+# `fuzz --suite all --size 4 --count 1` took 1.6 s at depth 3 and 13.7 s at
+# depth 4.
+MAX_SAMPLE_DEPTH = 3
+
+# power_nilpotent factors by trial division up to this divisor.
+_TRIAL_BOUND = 10_000
 
 
 def _scramble(z: int) -> int:
@@ -56,9 +71,22 @@ class SplitMix64:
             raise ValueError("bound must be positive")
         if n == 1:
             return 0
+        if n > 1 << 64:
+            return self._below_wide(n)
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             v = self.next_u64()
+            if v < limit:
+                return v % n
+
+    def _below_wide(self, n: int) -> int:
+        words = -(-(n - 1).bit_length() // 64)
+        span = 1 << (64 * words)
+        limit = span - span % n
+        while True:
+            v = 0
+            for i in range(words):
+                v |= self.next_u64() << (64 * i)
             if v < limit:
                 return v % n
 
@@ -202,30 +230,62 @@ def characteristic(ring: Ring) -> int:
     return 0
 
 
+@lru_cache(maxsize=64)      # the fuzz drivers ask once per case
 def power_nilpotent(m: int):
     """(e, k) with e**(k+1) = 0 mod m and e**k nonzero, or None.
 
     e is the radical of m (the product of its distinct prime factors);
-    when m is squarefree the mod-m ring has no nonzero nilpotents.
+    when m is squarefree the mod-m ring has no nonzero nilpotents.  m is
+    factored by trial division up to _TRIAL_BOUND; whatever is left must
+    be a prime or a prime power, decided by Miller-Rabin.  When it is not,
+    or is too large to decide, m counts as unfactored and the result is
+    None too, so callers skip the nilpotent special case.
     """
     if m < 2:
         return None
-    rest = m
-    radical = 1
-    max_exp = 0
-    d = 2
-    while d * d <= rest:
+    radical, max_exp = 1, 0
+    rest, d = m, 2
+    while d * d <= rest and d <= _TRIAL_BOUND:
         if rest % d == 0:
-            radical *= d
             exp = 0
             while rest % d == 0:
                 rest //= d
                 exp += 1
+            radical *= d
             max_exp = max(max_exp, exp)
         d += 1
     if rest > 1:
-        radical *= rest
-        max_exp = max(max_exp, 1)
+        if d * d > rest:        # no divisor up to its square root: a prime
+            found = rest, 1
+        else:
+            found = _prime_power(rest)
+            if found is None:
+                return None
+        radical *= found[0]
+        max_exp = max(max_exp, found[1])
     if radical == m:
         return None
     return radical, max_exp - 1
+
+
+def _prime_power(n: int):
+    """(q, e) with n = q**e and q a prime below PRIME_BOUND, or None.
+
+    n has no prime factor up to _TRIAL_BOUND, so q > 2**13 and
+    e <= n.bit_length() // 13.
+    """
+    for e in range(1, n.bit_length() // (_TRIAL_BOUND.bit_length() - 1) + 1):
+        q = _iroot(n, e)
+        if q ** e == n and q < PRIME_BOUND and _is_prime(q):
+            return q, e
+    return None
+
+
+def _iroot(n: int, e: int) -> int:
+    """The integer part of n ** (1/e), for n >= 1, by Newton's method."""
+    x = 1 << -(-n.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y

@@ -21,7 +21,6 @@ adjugate_cofactor or det_leibniz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
 
@@ -34,19 +33,39 @@ from .charpoly import (
     trace_cayley_hamilton_sum,
 )
 from .matrix import Matrix, block2x2, char_matrix, ent
-from .poly import Polynomial, PolynomialRing
+from .poly import Polynomial, PolynomialRing, ring_depth
+from .record import FrozenRecord
 from .report import VerificationReport, hypothesis_not_met, make_report
 from .rings import ZZ, GuardError, PreconditionError, ShapeError
 
 TERM_GUARD = 100_000
 
+# Caps on the integer parameters of the nilpotency checks.  A**(k+1) over
+# Z[t] grows in degree with k: on a 3 x 3 matrix of linear entries k = 256
+# took 0.3 s and k = 1000 took 17 s.  The converse check runs imax matmuls:
+# on a nilpotent 8 x 8 integer matrix imax = 1000 took 65 ms and 10**5
+# took 5.3 s.
+MAX_K = 256
+MAX_IMAX = 1000
 
-@dataclass(frozen=True)
-class IndexSubset:
+# Miller-Rabin on the first 13 prime bases decides primality exactly below
+# this bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017).
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# Over R[t] nested d deep in characteristic p, the entries of A**p carry
+# up to (p * deg + 1)**d coefficients, so the Frobenius check refuses
+# p**d above this cap there.  An 8 x 8 matrix of linear entries over
+# (Z/251)[t] took 4 s, and fuzzing (Z/61)[t][u] at --size 4 --count 3
+# took 20 s.
+FROBENIUS_POLY_CAP = 256
+
+
+class IndexSubset(FrozenRecord):
     """A subset of {1, .., n} kept as a strictly increasing member tuple."""
 
-    n: int
-    members: tuple
+    _fields = ("n", "members")
 
     def __init__(self, n: int, members):
         members = tuple(members)
@@ -54,8 +73,7 @@ class IndexSubset:
             raise ValueError(f"members must be strictly increasing, got {members}")
         if members and not (1 <= members[0] and members[-1] <= n):
             raise ValueError(f"members {members} out of range 1..{n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "members", members)
+        self._set(n=n, members=members)
 
     def __len__(self):
         return len(self.members)
@@ -113,6 +131,12 @@ def _square(a: Matrix, what: str) -> None:
 def _same_ring(*ms) -> None:
     for m in ms[1:]:
         ms[0]._check_ring(m)
+
+
+def check_cap(name: str, value: int, cap: int) -> None:
+    """Refuse a cost parameter above its cap with GuardError."""
+    if value > cap:
+        raise GuardError(f"{name} = {value} exceeds the cap of {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +727,7 @@ def verify_nilpotency_converse(a: Matrix, imax: int) -> VerificationReport:
     _square(a, "nilpotency converse")
     if imax < 1:
         raise ValueError("imax must be at least 1")
+    check_cap("imax", imax, MAX_IMAX)
     K = a.ring
     n = a.rows
     inputs = {"matrix": a.to_json(), "imax": imax}
@@ -729,6 +754,7 @@ def verify_almkvist(a: Matrix, k: int) -> VerificationReport:
     _square(a, "nilpotent trace powers")
     if k < 0:
         raise ValueError("k must be nonnegative")
+    check_cap("k", k, MAX_K)
     K = a.ring
     n = a.rows
     inputs = {"matrix": a.to_json(), "k": k}
@@ -825,14 +851,43 @@ def verify_row_replacement(a: Matrix, b: Matrix) -> VerificationReport:
 
 
 def _is_prime(p: int) -> bool:
+    """Exact primality of p < PRIME_BOUND by deterministic Miller-Rabin.
+
+    Larger p is refused with GuardError: no base set used here proves it
+    prime.
+    """
+    if p >= PRIME_BOUND:
+        raise GuardError(f"primality of {p} is not decided at or above "
+                         f"{PRIME_BOUND}")
     if p < 2:
         return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
+    for b in _PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        i += 1
     return True
+
+
+def frobenius_cost_guard(K, p: int) -> None:
+    """Refuse the Frobenius check over a polynomial ring when p**depth
+    exceeds FROBENIUS_POLY_CAP."""
+    depth = ring_depth(K)
+    if depth and p ** depth > FROBENIUS_POLY_CAP:
+        raise GuardError(
+            f"Frobenius trace with p = {p} over polynomial rings nested "
+            f"{depth} deep is refused: p**{depth} exceeds {FROBENIUS_POLY_CAP}")
 
 
 def verify_frobenius_trace(a: Matrix, p: int) -> VerificationReport:
@@ -845,5 +900,6 @@ def verify_frobenius_trace(a: Matrix, p: int) -> VerificationReport:
     if not K.is_zero(K.from_int(p)):
         return hypothesis_not_met(
             "frobenius_trace", f"{p} is nonzero in {K}", inputs)
+    frobenius_cost_guard(K, p)
     diff = K.sub((a ** p).trace(), K.pow(a.trace(), p))
     return make_report("frobenius_trace", diff, ring=K, inputs=inputs)

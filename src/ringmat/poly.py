@@ -234,3 +234,11 @@ class PolynomialRing(Ring):
 
     def __str__(self):
         return f"poly over {self.base}"
+
+
+def ring_depth(ring: Ring) -> int:
+    """How many polynomial rings are nested over the base ring."""
+    depth = 0
+    while isinstance(ring, PolynomialRing):
+        ring, depth = ring.base, depth + 1
+    return depth

@@ -8,8 +8,7 @@ failure) the nonzero difference as a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from .record import Record
 
 # Identity names whose checks are deliberately corrupted.  Test-only hook:
 # populated via set_mutation() or the RINGMAT_MUTATE environment variable
@@ -27,23 +26,29 @@ def set_mutation(names) -> None:
         _MUTATED.update(names)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one identity check.
 
     passed is True exactly when the hypothesis was met and the computed
     residual was zero.  hypothesis_met is False when the inputs do not
     satisfy the identity's hypothesis; such reports are not failures and
     carry no residual.  residual is None on success, otherwise a ring
-    element (with residual_ring set) or a Matrix.
+    element (with residual_ring set) or a Matrix.  Reports are mutable
+    (callers annotate inputs), so they compare field-wise but do not hash.
     """
 
-    identity: str
-    passed: bool
-    hypothesis_met: bool = True
-    residual: Any = None
-    residual_ring: Any = None
-    inputs: dict = field(default_factory=dict)
+    _fields = ("identity", "passed", "hypothesis_met", "residual",
+               "residual_ring", "inputs")
+    __hash__ = None
+
+    def __init__(self, identity: str, passed: bool, hypothesis_met: bool = True,
+                 residual=None, residual_ring=None, inputs: dict | None = None):
+        self.identity = identity
+        self.passed = passed
+        self.hypothesis_met = hypothesis_met
+        self.residual = residual
+        self.residual_ring = residual_ring
+        self.inputs = {} if inputs is None else inputs
 
     def to_json(self) -> dict:
         if self.residual is None:

@@ -24,6 +24,7 @@ from .derivations import (
     verify_leibniz_chain,
 )
 from .fuzz import (
+    MAX_SAMPLE_DEPTH,
     SplitMix64,
     characteristic,
     power_nilpotent,
@@ -39,7 +40,7 @@ from .fuzz import (
 )
 from .identities import IndexSubset, subset_pairs
 from .matrix import Matrix, char_matrix
-from .poly import PolynomialRing
+from .poly import PolynomialRing, ring_depth
 from .report import hypothesis_not_met
 from .rings import GuardError
 
@@ -64,10 +65,12 @@ def _derivation_subject(a: Matrix):
 
 
 def _frobenius_p(ring, params):
+    """params["p"] when given, else the characteristic if it is a prime
+    below identities.PRIME_BOUND, else 2."""
     if params.get("p") is not None:
         return params["p"]
     ch = characteristic(ring)
-    return ch if ids._is_prime(ch) else 2
+    return ch if ch < ids.PRIME_BOUND and ids._is_prime(ch) else 2
 
 
 # --- fuzz drivers ----------------------------------------------------------
@@ -626,6 +629,39 @@ def _oracle_guard(names, guarded, n: int, what: str) -> None:
             f"(one side is an exponential oracle)")
 
 
+def _check_params(params) -> None:
+    """Refuse an out-of-range imax, k or p before any work."""
+    imax, k, p = params.get("imax"), params.get("k"), params.get("p")
+    if imax is not None:
+        if imax < 1:
+            raise ValueError(f"imax must be at least 1, got {imax}")
+        ids.check_cap("imax", imax, ids.MAX_IMAX)
+    if k is not None:
+        if k < 0:
+            raise ValueError(f"k must be nonnegative, got {k}")
+        ids.check_cap("k", k, ids.MAX_K)
+    if p is not None and p >= ids.PRIME_BOUND:
+        raise GuardError(f"p = {p} is refused: primality is decided only "
+                         f"below {ids.PRIME_BOUND}")
+
+
+def _frobenius_guard(names, ring, params) -> None:
+    """Refuse a Frobenius check that would run too large a power."""
+    if "frobenius_trace" in names:
+        p = _frobenius_p(ring, params)
+        if ring.is_zero(ring.from_int(p)):
+            ids.frobenius_cost_guard(ring, p)
+
+
+def _depth_guard(ring) -> None:
+    depth = ring_depth(ring)
+    if depth > MAX_SAMPLE_DEPTH:
+        raise GuardError(
+            f"polynomial rings nested {depth} deep are refused by verify and "
+            f"fuzz (at most {MAX_SAMPLE_DEPTH}; sampling cost grows "
+            f"exponentially with depth)")
+
+
 def resolve_suite(spec: str) -> tuple:
     """Expand a comma-separated list of suite or identity names."""
     chosen = []
@@ -665,8 +701,10 @@ def run_suite(names, *, ring=None, matrix=None, seed: int = 0,
         names = resolve_suite(names)
     if (ring is None) == (matrix is None):
         raise ValueError("pass exactly one of ring= (fuzz) or matrix=")
-    if params.get("imax") is not None and params["imax"] < 1:
-        raise ValueError(f"imax must be at least 1, got {params['imax']}")
+    _check_params(params)
+    base = ring if ring is not None else matrix.ring
+    _depth_guard(base)
+    _frobenius_guard(names, base, params)
     if ring is not None:
         if count < 0:
             raise GuardError("count must be nonnegative")

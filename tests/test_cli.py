@@ -303,3 +303,78 @@ def test_oracle_identities_refuse_large_sizes(capsys):
         assert code == 2, suite
         assert err.startswith("error:") and "n > 8" in err
         assert out == ""
+
+
+@pytest.mark.parametrize("payload", [
+    [], {}, [[]], [{}], {"a": []}, "plain", "é \"quoted\" \\ \n\t\x00  ",
+    0, -5, 10 ** 60, True, False, None, 1.5, float("inf"),
+    {"x": {"y": [1, "2", None, True, [{"z": []}]]}, 1: 2, None: 3, True: 4,
+     2.5: 5},
+    (1, 2, (3,)), [[["deep"]]],
+])
+def test_emit_writer_matches_json_dumps(payload):
+    pieces = []
+    cli._indented(payload, pieces, "")
+    assert "".join(pieces) == json.dumps(payload, indent=2)
+
+
+def test_emit_writer_matches_json_dumps_on_reports():
+    from ringmat.suite import run_suite
+    from ringmat import parse_ring
+    for ring in ("int", "mod:8", "rat", "poly:mod:8", "poly:poly:int"):
+        reports = run_suite("all", ring=parse_ring(ring), seed=3, count=2,
+                            size=3)
+        payload = [r.to_json() for r in reports]
+        pieces = []
+        cli._indented(payload, pieces, "")
+        assert "".join(pieces) == json.dumps(payload, indent=2), ring
+
+
+def _timed(argv, capsys):
+    import time
+    start = time.perf_counter()
+    result = run_main(argv, capsys)
+    return time.perf_counter() - start, result
+
+
+def test_large_primes_and_moduli_finish(capsys):
+    # both ran past 30 s with trial division
+    dt, (code, out, _) = _timed(["verify", "frobenius_trace", "--matrix",
+                                 A_JSON, "--p", "1000000000000000003"], capsys)
+    assert code == 0 and dt < 5
+    assert "hypothesis_not_met=1" in out
+    dt, (code, out, _) = _timed(["fuzz", "--ring", "mod:10000000000000061",
+                                 "--suite", "almkvist", "--size", "4"], capsys)
+    assert code == 0 and dt < 5
+    assert "total=100 " in out and "failed=0" in out
+
+
+def test_cost_caps_exit_2_at_once(capsys):
+    above = str(3317044064679887385961981)
+    for extra, why in ((["--k", "100000000"], "exceeds the cap of 256"),
+                       (["--imax", "1001"], "exceeds the cap of 1000"),
+                       (["--p", above], "decided only below")):
+        for argv in (["verify", "almkvist", "--matrix", A_JSON],
+                     ["fuzz", "--ring", "int", "--suite", "almkvist",
+                      "--size", "3", "--count", "0"]):
+            code, out, err = run_main(argv + extra, capsys)
+            assert code == 2, argv + extra
+            assert err.startswith("error:") and why in err and out == ""
+
+
+def test_sampling_depth_cap(capsys):
+    ring = "poly:" * 4 + "int"
+    m = '{"entries": [[' + "[" * 4 + '"1"' + "]" * 4 + "]]}"
+    for argv in (["fuzz", "--ring", ring, "--suite", "core", "--size", "2",
+                  "--count", "0"],
+                 ["verify", "det_product", "--ring", ring, "--matrix", m]):
+        code, out, err = run_main(argv, capsys)
+        assert code == 2 and "nested 4 deep" in err and out == ""
+    # charpoly and adjugate keep the parse cap of 64
+    for cmd in ("charpoly", "adjugate"):
+        code, out, _ = run_main([cmd, "--ring", ring, "--matrix", m], capsys)
+        assert code == 0
+    code, out, _ = run_main(["verify", "det_product", "--ring", "poly:" * 3 +
+                             "int", "--matrix", '{"entries": [[[[["1"]]]]]}'],
+                            capsys)
+    assert code == 0 and "failed=0" in out

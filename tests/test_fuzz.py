@@ -169,3 +169,37 @@ def test_power_nilpotent():
     assert power_nilpotent(6) is None      # squarefree
     assert power_nilpotent(1) is None
     assert power_nilpotent(0) is None
+
+
+def test_power_nilpotent_large_moduli():
+    # primes and prime powers beyond trial division are decided by
+    # Miller-Rabin, instantly
+    assert power_nilpotent(10000000000000061) is None
+    assert power_nilpotent(2 ** 61 - 1) is None
+    q = 1000000000000000003
+    assert power_nilpotent(q ** 2) == (q, 1)
+    assert power_nilpotent(8 * q ** 3) == (2 * q, 2)
+    assert power_nilpotent(9 * 10007 ** 4) == (3 * 10007, 3)
+    # below _TRIAL_BOUND ** 2 trial division alone finishes the job
+    assert power_nilpotent(9973 ** 2) == (9973, 1)
+    # a cofactor that is neither a prime nor a prime power is left
+    # unfactored: the special case is skipped
+    assert power_nilpotent(4 * 1000003 * 1000033) is None
+    assert power_nilpotent(4 * q * (2 ** 61 - 1)) is None
+    # a prime cofactor above PRIME_BOUND cannot be decided either
+    assert power_nilpotent(4 * (2 ** 89 - 1)) is None
+
+
+def test_below_above_two_to_the_64():
+    # one attempt reads the next outputs as one integer, lowest word first
+    ref = SplitMix64(7)
+    words = [ref.next_u64() for _ in range(2)]
+    assert SplitMix64(7).below(2 ** 100) == (words[0] | words[1] << 64) % 2 ** 100
+    # 2**64 itself is still a one-word draw
+    assert SplitMix64(7).below(2 ** 64) == words[0]
+    rng = SplitMix64(11)
+    for n in (2 ** 64 + 1, 3 * 2 ** 70 + 5, 10 ** 40 + 7):
+        draws = [rng.below(n) for _ in range(50)]
+        assert all(0 <= v < n for v in draws) and len(set(draws)) == 50
+    a = sample_matrix(stream(1, "wide"), ModRing(2 ** 89 - 1), 2, 2)
+    assert all(0 <= v < 2 ** 89 - 1 for v in a._e)

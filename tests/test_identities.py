@@ -335,3 +335,63 @@ class TestReportShape:
         assert blob["identity"] == "det_product"
         assert blob["inputs"]["matrix"]["entries"] == [["1", "2"], ["3", "4"]]
         assert blob["inputs"]["matrix_b"]["entries"] == [["0", "1"], ["1", "1"]]
+
+
+class TestPrimality:
+    def test_matches_a_sieve(self):
+        limit = 20_000
+        sieve = [True] * limit
+        sieve[0] = sieve[1] = False
+        for i in range(2, int(limit ** 0.5) + 1):
+            if sieve[i]:
+                sieve[i * i::i] = [False] * len(sieve[i * i::i])
+        assert [p for p in range(-5, limit) if ids._is_prime(p)] == \
+            [p for p in range(limit) if sieve[p]]
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # strong pseudoprimes to every prime base up to 23 and up to 37,
+        # so only the later bases expose them
+        assert not ids._is_prime(3825123056546413051)
+        assert not ids._is_prime(318665857834031151167461)
+
+    def test_large_primes_below_the_bound(self):
+        for p in (2 ** 61 - 1, 1000000000000000003, 10000000000000061,
+                  2 ** 31 - 1):
+            assert ids._is_prime(p)
+        assert not ids._is_prime((2 ** 61 - 1) * 1000003)
+
+    def test_bound_is_refused(self):
+        for n in (ids.PRIME_BOUND, ids.PRIME_BOUND + 2, 2 ** 89 - 1):
+            with pytest.raises(GuardError, match="not decided"):
+                ids._is_prime(n)
+        a = mat(ZZ, [[1]])
+        with pytest.raises(GuardError):
+            ids.verify_frobenius_trace(a, 2 ** 89 - 1)
+
+
+class TestCostCaps:
+    def test_k_cap(self):
+        a = Matrix.zeros(ZZ, 2, 2)
+        ok(ids.verify_almkvist(a, ids.MAX_K))
+        with pytest.raises(GuardError, match="k = 257 exceeds the cap of 256"):
+            ids.verify_almkvist(a, ids.MAX_K + 1)
+
+    def test_imax_cap(self):
+        a = Matrix.zeros(ZZ, 2, 2)
+        ok(ids.verify_nilpotency_converse(a, ids.MAX_IMAX))
+        with pytest.raises(GuardError, match="imax = 1001 exceeds"):
+            ids.verify_nilpotency_converse(a, ids.MAX_IMAX + 1)
+
+    def test_frobenius_over_polynomial_rings(self):
+        R = PolynomialRing(ModRing(257))
+        a = Matrix.from_rows(R, [[R.t()]])
+        with pytest.raises(GuardError, match=r"p\*\*1 exceeds 256"):
+            ids.verify_frobenius_trace(a, 257)
+        R2 = PolynomialRing(PolynomialRing(ModRing(17)))
+        with pytest.raises(GuardError, match=r"p\*\*2 exceeds 256"):
+            ids.verify_frobenius_trace(Matrix.from_rows(R2, [[R2.t()]]), 17)
+        # p**depth at the cap runs; p nonzero in the ring is a gate, not a refusal
+        R = PolynomialRing(ModRing(251))
+        ok(ids.verify_frobenius_trace(Matrix.from_rows(R, [[R.t()]]), 251))
+        gated(ids.verify_frobenius_trace(
+            Matrix.from_rows(PolynomialRing(ZZ), [[1]]), 1000000000000000003))

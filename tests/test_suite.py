@@ -5,7 +5,10 @@ import random
 import pytest
 
 from helpers import Z8, mat
+from ringmat.fuzz import MAX_SAMPLE_DEPTH
+from ringmat.identities import MAX_IMAX, MAX_K, PRIME_BOUND
 from ringmat.matrix import Matrix
+from ringmat.poly import PolynomialRing
 from ringmat.report import summarize
 from ringmat.rings import QQ, ZZ, GuardError, ModRing, ShapeError
 from ringmat.suite import IDENTITY_NAMES, SUITES, resolve_suite, run_suite
@@ -191,3 +194,55 @@ def test_derivations_lift_non_polynomial_rings():
     assert all(r.passed for r in reports)
     assert {r.inputs["derivation"]["label"] for r in reports} == \
         {"zero", "ddt", "g*ddt"}
+
+
+def _nested(ring, depth):
+    for _ in range(depth):
+        ring = PolynomialRing(ring)
+    return ring
+
+
+def test_sampling_depth_guard_in_both_modes():
+    # refused before any work: --count 0 and a 0 x 0 matrix are refused too
+    deep = _nested(ZZ, MAX_SAMPLE_DEPTH + 1)
+    for kwargs in ({"ring": deep, "count": 0, "size": 1},
+                   {"matrix": Matrix(deep, 0, 0, ())}):
+        with pytest.raises(GuardError, match="nested 4 deep"):
+            run_suite(("det_product",), seed=0, **kwargs)
+    ok = _nested(Z8, MAX_SAMPLE_DEPTH)
+    reports = run_suite(("det_product",), ring=ok, seed=0, count=2, size=1)
+    assert len(reports) == 2 and all(r.passed for r in reports)
+    reports = run_suite(("det_product",), matrix=Matrix.zeros(ok, 1, 1), seed=0)
+    assert reports[0].passed
+
+
+def test_parameter_caps_come_before_any_work():
+    for params, error, why in (
+            ({"k": MAX_K + 1}, GuardError, "k = 257"),
+            ({"k": -1}, ValueError, "k must be nonnegative"),
+            ({"imax": MAX_IMAX + 1}, GuardError, "imax = 1001"),
+            ({"imax": 0}, ValueError, "imax must be at least 1"),
+            ({"p": PRIME_BOUND}, GuardError, "decided only below")):
+        with pytest.raises(error, match=why):
+            run_suite(("det_product",), ring=ZZ, seed=0, count=0, size=1,
+                      params=params)
+    reports = run_suite(("almkvist", "nilpotency_converse"), matrix=A, seed=0,
+                        params={"k": MAX_K, "imax": MAX_IMAX})
+    assert all(r.passed for r in reports)
+
+
+def test_frobenius_cost_guard_comes_before_any_work():
+    big = PolynomialRing(ModRing(1009))
+    with pytest.raises(GuardError, match="Frobenius"):
+        run_suite(("frobenius_trace",), ring=big, seed=0, count=0, size=1)
+    with pytest.raises(GuardError, match="Frobenius"):
+        run_suite(("det_product", "frobenius_trace"),
+                  matrix=Matrix.zeros(big, 1, 1), seed=0)
+    # p = 2 is nonzero over (Z/1009)[t]: a gate, so the run goes ahead
+    reports = run_suite(("frobenius_trace",), ring=big, seed=0, count=2,
+                        size=2, params={"p": 2})
+    assert all(not r.hypothesis_met for r in reports)
+    # a characteristic too large to decide falls back to p = 2 as well
+    reports = run_suite(("frobenius_trace",), ring=ModRing(PRIME_BOUND + 2),
+                        seed=0, count=2, size=2)
+    assert all(r.inputs["p"] == 2 for r in reports)
