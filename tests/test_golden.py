@@ -4,8 +4,10 @@ Every case runs ringmat.cli.main in process and compares the SHA-256 of
 what it wrote with a digest recorded from an earlier commit.  The fuzz
 cases cover every suite over int, mod:8, rat and poly:mod:8 at a fixed
 seed, count and size, and pin both stdout (the summary line) and the
---out report file.  The command cases pin charpoly, charpoly --newton,
-adjugate and verify all on fixed integer and rational matrices.  A kernel
+--out report file; --suite all is pinned the same way over poly:int,
+poly:rat and poly:mod:1.  The command cases pin charpoly, charpoly
+--newton, adjugate and verify all on fixed integer and rational
+matrices, and charpoly and adjugate on a fixed poly:int matrix.  A kernel
 rewrite that changes a single output byte (a reordered report, a
 differently reduced fraction, a shifted random draw) fails here.
 
@@ -24,6 +26,7 @@ from ringmat.cli import main
 
 FUZZ_RINGS = ("int", "mod:8", "rat", "poly:mod:8")
 SUITES = ("core", "adjugate", "blocks", "nilpotency", "traces", "derivations")
+ALL_SUITE_RINGS = ("poly:int", "poly:rat", "poly:mod:1")
 FUZZ_ARGS = ("--seed", "20251", "--count", "10", "--size", "5")
 
 _INT = [[3, -1, 4, 1, -5],
@@ -39,6 +42,13 @@ _RAT = [[(1, 2), (-3, 7), (5, 1), (0, 1), (2, 3)],
         [(0, 1), (8, 13), (-7, 2), (4, 3), (-9, 7)],
         [(2, 11), (5, 3), (-1, 1), (3, 5), (-6, 13)]]
 
+# coefficient lists, constant term first: negative coefficients, zero
+# polynomials, a zero constant term and degrees 0 to 3
+_POLY = [[[3, -1], [0, 2, -5], [-4], [1, 0, 1]],
+         [[], [-7, 1], [2, -3, 0, 1], [5]],
+         [[-1, -1, -1], [6], [0, -2], [9, -8, 7]],
+         [[4, 0, -6], [-2, 5], [1], [-3, 3]]]
+
 INT_MATRIX = json.dumps({"ring": "int", "entries": _INT})
 RAT_MATRIX = json.dumps({
     "ring": "rat",
@@ -53,6 +63,9 @@ for _label, _m in (("int", INT_MATRIX), ("rat", RAT_MATRIX)):
     COMMANDS[f"adjugate-{_label}"] = ["adjugate", "--matrix", _m]
     COMMANDS[f"verify-all-{_label}"] = ["verify", "all", "--seed", "7",
                                         "--matrix", _m]
+POLY_MATRIX = json.dumps({"ring": "poly:int", "entries": _POLY})
+COMMANDS["charpoly-poly-int"] = ["charpoly", "--matrix", POLY_MATRIX]
+COMMANDS["adjugate-poly-int"] = ["adjugate", "--matrix", POLY_MATRIX]
 
 # Recorded from the code before the rational kernels ran on the integer
 # lift (see CHANGES.md); the lift must not move a byte.
@@ -130,6 +143,19 @@ FUZZ_DIGESTS = {
         "cc6f18d5377f80c9f447fcfb390db05d0a8f161c0d786d711a1879a2f92bfe11",
         "c737fd00109fa54f236d284be39417f29eb086d37b48ad469fce09539f23ce07"),
 }
+# Recorded from the code before the R[t] kernels ran on the Kronecker
+# lift (see CHANGES.md); that lift must not move a byte either.
+ALL_SUITE_DIGESTS = {
+    "poly:int": (
+        "6450c7343e46c5b78bbf57ac8dddf86dfac1c48d8a026bb5d0edfd129fa1713d",
+        "37e0027070affcadf054dec700718f971cb6679e1222dfa7b9e99de6dae56823"),
+    "poly:rat": (
+        "46462da7e06ca0053e4cfa0c4e08b1609b9be05bb5fcf35c7c1b291eee8bcd87",
+        "bc96d06b25773628bb786aadc71de480b16069f5e5aab6503288f975ec0e9b2e"),
+    "poly:mod:1": (
+        "8e3a9b858e87670acff3be0f25bd7778f587c35a064deeb2cfc1de483548b00c",
+        "9aad27d6ff4545bd650c245e87b1f6fc24c4f30fdd412fda8801305473f0c248"),
+}
 COMMAND_DIGESTS = {
     "charpoly-int":
         "d9e430d8350c833c798bafba2d7aeaf37d2e4487ef1a32341ec5d6feff01b7b2",
@@ -147,6 +173,10 @@ COMMAND_DIGESTS = {
         "334ba0367d9bb7bfcec10b0051c8a4c5b0e25f7a81b86509b0069b0974cb5945",
     "verify-all-rat":
         "b863df9532bd73ceaf17ba27c8d3d646f7378344035df770b02b8c9202d281af",
+    "charpoly-poly-int":
+        "23200cf772a43c78dbd52d75d988286e3fabf5ad25a7b5002fd79860541ff2fe",
+    "adjugate-poly-int":
+        "24b03430e0652ce31e69991730e92bb201b468528498d65fbeb36059981699c0",
 }
 
 
@@ -188,6 +218,12 @@ def test_fuzz_digest(ring, suite, tmp_path):
     assert (sha(stdout), sha(out)) == FUZZ_DIGESTS[ring, suite]
 
 
+@pytest.mark.parametrize("ring", list(ALL_SUITE_DIGESTS))
+def test_fuzz_all_digest(ring, tmp_path):
+    out, stdout = fuzz_bytes(ring, "all", tmp_path)
+    assert (sha(stdout), sha(out)) == ALL_SUITE_DIGESTS[ring]
+
+
 @pytest.mark.parametrize("name", list(COMMAND_DIGESTS))
 def test_command_digest(name):
     assert sha(command_bytes(COMMANDS[name])) == COMMAND_DIGESTS[name]
@@ -195,4 +231,5 @@ def test_command_digest(name):
 
 def test_every_ring_suite_and_command_is_pinned():
     assert set(FUZZ_DIGESTS) == {(r, s) for r in FUZZ_RINGS for s in SUITES}
+    assert set(ALL_SUITE_DIGESTS) == set(ALL_SUITE_RINGS)
     assert set(COMMAND_DIGESTS) == set(COMMANDS)
