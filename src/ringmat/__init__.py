@@ -41,7 +41,6 @@ from .rings import (
     RingMismatchError,
     ShapeError,
     axiom_spotcheck,
-    try_div_int,
 )
 from .serialize import matrix_from_json, parse_ring, ring_from_descriptor
 
@@ -58,8 +57,7 @@ __all__ = [
     "ddt", "derive_seed", "ent", "matrix_from_json", "parse_ring",
     "power_traces", "resolve_suite", "ring_from_descriptor", "run_suite",
     "sample_element", "sample_matrix", "scaled_ddt", "standard_derivations",
-    "stream", "summarize", "trace_cayley_hamilton_residual", "try_div_int",
-    "zero_derivation",
+    "stream", "summarize", "trace_cayley_hamilton_residual", "zero_derivation",
 ]
 
 # Engine names, by the submodule that defines them.

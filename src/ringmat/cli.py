@@ -31,6 +31,8 @@ from .rings import (
     QAlgebraRequiredError,
     RingMismatchError,
     ShapeError,
+    _parse_int,
+    decimal,
 )
 from .serialize import matrix_from_json, parse_ring
 
@@ -48,10 +50,16 @@ def _read_matrix_arg(text: str, ring):
         except OSError as exc:
             raise ParseError(f"matrix: cannot read {text!r}: {exc}") from None
     try:
-        obj = json.loads(raw)
+        obj = _loads(raw, "matrix")
     except json.JSONDecodeError as exc:
         raise ParseError(f"matrix: invalid JSON: {exc}") from None
     return matrix_from_json(obj, ring)
+
+
+def _loads(raw: str, where: str):
+    """json.loads with number literals read under rings.MAX_INT_DIGITS
+    instead of the interpreter's conversion limit."""
+    return json.loads(raw, parse_int=lambda s: _parse_int(s, where))
 
 
 def _indented(value, out: list, indent: str) -> None:
@@ -95,7 +103,7 @@ def _indented(value, out: list, indent: str) -> None:
     elif value is False:
         out.append("false")
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        out.append(decimal(value))
     else:
         out.append(json.dumps(value))
 
@@ -181,7 +189,7 @@ def _ring_arg(text: str):
     text = text.strip()
     if text.startswith("{"):
         try:
-            obj = json.loads(text)
+            obj = _loads(text, "ring")
         except json.JSONDecodeError as exc:
             raise ParseError(f"ring: invalid JSON: {exc}") from None
         return parse_ring(obj)

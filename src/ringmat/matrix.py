@@ -27,6 +27,39 @@ one exact division each:
 Both sides of each equation are the same rational number, and Fraction
 reduces it to the one canonical form, so the lift changes no output.
 
+Over R[t] with R one of ZZ, Z/m and QQ the kernels run on a Kronecker
+lift, also over ZZ.  Over QQ[t], _coefficients first clears every
+coefficient denominator at once, B = L*A over ZZ[t], and the three rules
+above give the results back (they use only that c_k, D_k and matmul are
+homogeneous of degree k, n-1-k and 1 in the entries).  Over (Z/m)[t] the
+residues in [0, m) are taken as integers.  Then each entry p becomes the
+one integer p(2**w), the ZZ kernel runs, and each result is read back as
+its balanced base 2**w digits, each in [-2**(w-1), 2**(w-1)): reduced
+mod m over Z/m, divided by the power of L over QQ.
+
+This is exact.  Every kernel is a polynomial in the entries with integer
+coefficients and no division, so it commutes with the ring maps
+Z[t] -> Z (t -> 2**w) and Z -> Z/m: packing, then running over ZZ, gives
+P(2**w) for the result P over Z[t].  Balanced digits recover P from
+P(2**w) as long as 2**(w-1) exceeds the absolute value of every
+coefficient of P, and a coefficient is at most the l1 norm of its
+polynomial.  The l1 norm is submultiplicative and subadditive, so with N
+the largest entry norm (N_A, N_B for two factors):
+
+  * matmul: an entry is a sum of k products, norm <= k * N_A * N_B.
+  * c_j: a sum over the C(n, j) principal j x j minors of j! signed
+    products each, norm <= n!/(n-j)! * N**j <= n! * (N + 1)**n.  An
+    entry of adj is an (n-1) x (n-1) minor, under the same bound.
+  * D_k with a caller-supplied c: along the Horner steps
+    D_(k-1) = D_k @ A + c_(n-k) * I the norm b of every entry obeys
+    b_(n-1) = 1 and b_(k-1) <= n * N * b_k + |c_(n-k)|, and w covers the
+    largest b.  A bound in n!, N and max |c_i| alone does not hold here:
+    with the all-ones 40 x 40 matrix and every c_i = 1, D_0 has entries
+    above 40! * 2**40.
+
+Intermediate values never need unpacking, so they may exceed 2**(w-1).
+Nested rings (R[t][u]) and any other base keep the Ring.dot route.
+
 Independent oracles, kept for identities and tests to compare against:
 det_subset_dp() is a dynamic program over column subsets, O(n**2 * 2**n);
 adjugate_cofactor() takes n**2 cofactors by that DP; det_leibniz() is the
@@ -42,12 +75,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import lcm
+from math import factorial, lcm
 
 from .poly import Polynomial, PolynomialRing
 from .rings import (
     ZZ,
     GuardError,
+    IntegerRing,
+    ModRing,
     RationalRing,
     Ring,
     RingMismatchError,
@@ -162,6 +197,11 @@ class Matrix:
         if isinstance(self.ring, RationalRing):
             (b1, l1), (b2, l2) = _lift(self), _lift(other)
             return _unlift(_product(b1, b2), self.ring, l1 * l2)
+        if _packs(self.ring):
+            (c1, l1), (c2, l2) = _coefficients(self), _coefficients(other)
+            w = _width(self.cols * _norm(c1) * _norm(c2))
+            product = _product(_pack(self, c1, w), _pack(other, c2, w))
+            return _unpack(product, self.ring, w, l1 * l2)
         return _product(self, other)
 
     def scale(self, value) -> "Matrix":
@@ -312,6 +352,11 @@ class Matrix:
         if isinstance(self.ring, RationalRing):
             b, scale = _lift(self)
             return _unlift(_adjugate(b), self.ring, scale ** (n - 1))
+        if _packs(self.ring):
+            coeffs, scale = _coefficients(self)
+            w = _width(_minor_bound(n, _norm(coeffs)))
+            return _unpack(_adjugate(_pack(self, coeffs, w)), self.ring, w,
+                           scale ** (n - 1))
         return _adjugate(self)
 
     def adjugate_cofactor(self) -> "Matrix":
@@ -395,6 +440,11 @@ def berkowitz(a: Matrix) -> list:
     if isinstance(R, RationalRing):
         b, scale = _lift(a)
         return [Fraction(c, scale ** k) for k, c in enumerate(berkowitz(b))]
+    if _packs(R):
+        coeffs, scale = _coefficients(a)
+        w = _width(_minor_bound(a.rows, _norm(coeffs)))
+        return [_unpack_value(c, R.base, w, scale ** k)
+                for k, c in enumerate(berkowitz(_pack(a, coeffs, w)))]
     dot, sub = R.dot, R.sub
     n = a.rows
     e = a._e
@@ -431,6 +481,20 @@ def adjugate_coefficients(a: Matrix, c) -> list:
         b, scale = _lift(a)
         ds = adjugate_coefficients(b, _lift_coefficients(c, scale))
         return [_unlift(d, a.ring, scale ** (n - 1 - k))
+                for k, d in enumerate(ds)]
+    if _packs(a.ring):
+        coeffs, scale = _coefficients(a)
+        lifted = _lift_polynomials(a.ring.base, c, scale)
+        # b bounds the l1 norm of every entry of D_(n-1) = I, D_(n-2), ...
+        step, b = n * _norm(coeffs), 1
+        bound = b
+        for ci in lifted[1:n]:
+            b = step * b + sum(map(abs, ci))
+            bound = max(bound, b)
+        w = _width(bound)
+        ds = adjugate_coefficients(_pack(a, coeffs, w),
+                                   [_horner(ci, w) for ci in lifted])
+        return [_unpack(d, a.ring, w, scale ** (n - 1 - k))
                 for k, d in enumerate(ds)]
     out = [Matrix.identity(a.ring, n)]
     for ci in c[1:n]:
@@ -476,6 +540,94 @@ def _lift_coefficients(c, scale: int) -> list:
         raise ValueError("c cannot be the characteristic polynomial of "
                          "the matrix: c_k * L**k is not an integer")
     return [v.numerator for v in out]
+
+
+def _packs(ring: Ring) -> bool:
+    """Whether matrices over ring run on the Kronecker lift: R[t] with R
+    one of ZZ, Z/m and QQ."""
+    return (isinstance(ring, PolynomialRing)
+            and isinstance(ring.base, (IntegerRing, ModRing, RationalRing)))
+
+
+def _coefficients(a: Matrix) -> tuple:
+    """(lists, L) for a matrix a over R[t]: the coefficient list of each
+    entry as integers, and the scale L they carry.
+
+    Over QQ[t], L is the lcm of the denominators of all coefficients (1
+    when there are none) and the lists are those of L * p; over ZZ[t] and
+    (Z/m)[t] they are the coefficients themselves (residues in [0, m))
+    and L = 1.
+    """
+    if isinstance(a.ring.base, RationalRing):
+        scale = lcm(*[v.denominator for p in a._e for v in p.coeffs])
+        return [[v.numerator * (scale // v.denominator) for v in p.coeffs]
+                for p in a._e], scale
+    return [p.coeffs for p in a._e], 1
+
+
+def _lift_polynomials(base: Ring, c, scale: int) -> list:
+    """[c_k * scale**k] as integer coefficient lists: the charpoly of
+    L*A from that of A over R[t]."""
+    if not isinstance(base, RationalRing):
+        return [p.coeffs for p in c]
+    out = [[v * scale ** k for v in p.coeffs] for k, p in enumerate(c)]
+    if any(v.denominator != 1 for p in out for v in p):
+        raise ValueError("c cannot be the characteristic polynomial of "
+                         "the matrix: c_k * L**k is not integral")
+    return [[v.numerator for v in p] for p in out]
+
+
+def _norm(lists) -> int:
+    """The largest l1 norm of the coefficient lists, 0 when there are none."""
+    return max([sum(map(abs, p)) for p in lists], default=0)
+
+
+def _minor_bound(n: int, norm: int) -> int:
+    """n! * (norm + 1)**n, which bounds the l1 norm of every c_k and of
+    every (n-1) x (n-1) minor of an n x n matrix with entry norms <= norm."""
+    return factorial(n) * (norm + 1) ** n
+
+
+def _width(bound: int) -> int:
+    """Bits w per coefficient with 2**(w-1) > bound, so that balanced base
+    2**w digits recover every coefficient of absolute value <= bound."""
+    return bound.bit_length() + 1
+
+
+def _horner(coeffs, w: int) -> int:
+    """p(2**w) for the coefficient list of p, constant term first."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << w) + c
+    return v
+
+
+def _pack(a: Matrix, lists, w: int) -> Matrix:
+    """The matrix over ZZ of the entries p(2**w), from a's coefficient lists."""
+    return Matrix(ZZ, a.rows, a.cols, [_horner(p, w) for p in lists])
+
+
+def _unpack_value(v: int, base: Ring, w: int, d: int) -> Polynomial:
+    """The polynomial over base whose coefficients are the balanced base
+    2**w digits of v, each divided by d (over QQ) or reduced (over Z/m)."""
+    half, mask, full = 1 << (w - 1), (1 << w) - 1, 1 << w
+    digits = []
+    while v:
+        x = v & mask
+        if x >= half:
+            x -= full
+        digits.append(x)
+        v = (v - x) >> w
+    if isinstance(base, RationalRing):
+        return Polynomial(base, [Fraction(x, d) for x in digits])
+    return Polynomial(base, list(map(base.from_int, digits)))
+
+
+def _unpack(m: Matrix, ring: Ring, w: int, d: int) -> Matrix:
+    """The matrix over ring (R[t]) unpacked from the ZZ matrix m."""
+    base = ring.base
+    return Matrix(ring, m.rows, m.cols,
+                  [_unpack_value(v, base, w, d) for v in m._e])
 
 
 def _plus_scalar(m: Matrix, value) -> Matrix:

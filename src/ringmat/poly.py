@@ -5,7 +5,16 @@ trimmed; the zero polynomial has an empty coefficient tuple and degree -1.
 PolynomialRing(R) turns polynomials over R into ring elements in their own
 right, so every matrix routine in this library works unchanged over R[t].
 That instantiation is exactly how characteristic matrices t*I - A are
-handled: no special-cased polynomial matrix code exists anywhere.
+handled.
+
+The L1 kernels (matmul, berkowitz, adjugate and the D_k recursion) skip
+this arithmetic when R is ZZ, Z/m or QQ: ringmat.matrix packs each entry
+p into the integer p(2**w) (Kronecker substitution, after clearing
+denominators over QQ), runs the integer kernels and unpacks the results,
+with w chosen so that no output coefficient overflows its w bits; the
+proof is in that module.  PolynomialRing.dot and the Polynomial
+operations here serve nested rings R[t][u], the oracles and the
+identities' own element arithmetic.
 """
 
 from __future__ import annotations

@@ -200,7 +200,10 @@ class IntegerRing(Ring):
         return {"kind": "int"}
 
     def element_to_json(self, a):
-        return str(a)
+        return decimal(a)
+
+    def format(self, a):
+        return decimal(a)
 
     def element_from_json(self, obj, where="element"):
         return _parse_int(obj, where)
@@ -262,7 +265,10 @@ class ModRing(Ring):
         return {"kind": "mod", "m": self.m}
 
     def element_to_json(self, a):
-        return str(a)
+        return decimal(a)
+
+    def format(self, a):
+        return decimal(a)
 
     def element_from_json(self, obj, where="element"):
         return _parse_int(obj, where) % self.m
@@ -274,10 +280,10 @@ class ModRing(Ring):
         return hash(("mod", self.m))
 
     def __repr__(self):
-        return f"ModRing({self.m})"
+        return f"ModRing({decimal(self.m)})"
 
     def __str__(self):
-        return f"mod {self.m}"
+        return f"mod {decimal(self.m)}"
 
 
 class RationalRing(Ring):
@@ -323,7 +329,13 @@ class RationalRing(Ring):
         return {"kind": "rat"}
 
     def element_to_json(self, a):
-        return {"num": str(a.numerator), "den": str(a.denominator)}
+        return {"num": decimal(a.numerator), "den": decimal(a.denominator)}
+
+    def format(self, a):
+        # str(a), without the interpreter's limit on its two integers
+        if a.denominator == 1:
+            return decimal(a.numerator)
+        return f"{decimal(a.numerator)}/{decimal(a.denominator)}"
 
     def element_from_json(self, obj, where="element"):
         if isinstance(obj, (str, int)):
@@ -353,6 +365,20 @@ ZZ = IntegerRing()
 QQ = RationalRing()
 
 
+# Integer literals longer than this many digits (sign excluded) are
+# refused with ParseError, so the CLI exits 2 on them.  Converting a
+# decimal string to an int and back takes time quadratic in its length,
+# which is why the interpreter refuses, by default, any conversion longer
+# than 4300 digits (sys.set_int_max_str_digits).  That limit would also
+# refuse every result longer than 4300 digits, so this library keeps its
+# own cap on what it reads instead, and converts in both directions
+# without the interpreter's limit: parse_decimal and decimal below.  At
+# the cap a literal converts in under 10 ms each way, and a fuzz
+# campaign over Z/m with a modulus that long spends about 0.1 s a case
+# on the division in each reduction mod m.
+MAX_INT_DIGITS = 20_000
+
+
 def _parse_int(obj, where: str) -> int:
     if isinstance(obj, bool):
         raise ParseError(f"{where}: expected an integer, got a boolean")
@@ -360,21 +386,42 @@ def _parse_int(obj, where: str) -> int:
         return obj
     if isinstance(obj, str):
         s = obj.strip()
+        digits = len(s) - (s[:1] in ("+", "-"))
+        if digits > MAX_INT_DIGITS:
+            raise ParseError(f"{where}: integer literal of {digits} digits "
+                             f"exceeds the cap of {MAX_INT_DIGITS}")
         try:
-            return int(s, 10)
+            return parse_decimal(s)
         except ValueError:
             raise ParseError(f"{where}: invalid integer literal {obj!r}") from None
     raise ParseError(f"{where}: expected an integer or decimal string")
 
 
-def int_embed(ring: Ring, k: int):
-    """Image of the integer k under the unique ring map into ring."""
-    return ring.from_int(k)
+def parse_decimal(s: str) -> int:
+    """int(s, 10), also for plain digit strings longer than the
+    interpreter's conversion limit: those are parsed in halves."""
+    try:
+        return int(s, 10)
+    except ValueError:
+        body = s[1:] if s[:1] in ("+", "-") else s
+        if len(body) < 2 or not (body.isascii() and body.isdigit()):
+            raise
+    k = len(body) // 2
+    v = parse_decimal(body[:-k]) * 10 ** k + parse_decimal(body[-k:])
+    return -v if s[0] == "-" else v
 
 
-def try_div_int(ring: Ring, a, k: int):
-    """Exact a / k on Q-algebras, None elsewhere.  See Ring.try_div_int."""
-    return ring.try_div_int(a, k)
+def decimal(v: int) -> str:
+    """str(v) for an int of any length: values longer than the
+    interpreter's conversion limit are split by a power of ten."""
+    try:
+        return str(v)
+    except ValueError:
+        pass
+    sign, v = ("-", -v) if v < 0 else ("", v)
+    k = v.bit_length() * 3 // 20          # about half of v's digits
+    hi, lo = divmod(v, 10 ** k)
+    return sign + decimal(hi) + decimal(lo).zfill(k)
 
 
 _AXIOMS = (

@@ -88,11 +88,7 @@ def parse_ring(text_or_obj, where: str = "ring") -> Ring:
     if text == "rat":
         return _nest(QQ, depth)
     if text.startswith("mod:"):
-        tail = text[4:]
-        try:
-            m = int(tail, 10)
-        except ValueError:
-            raise ParseError(f"{where}: bad modulus {tail!r}") from None
+        m = _parse_int(text[4:], f"{where} modulus")
         if m < 1:
             raise ParseError(f"{where}: modulus must be >= 1, got {m}")
         return _nest(ModRing(m), depth)

@@ -378,3 +378,54 @@ def test_sampling_depth_cap(capsys):
                              "int", "--matrix", '{"entries": [[[[["1"]]]]]}'],
                             capsys)
     assert code == 0 and "failed=0" in out
+
+
+def test_results_longer_than_4300_digits_print(capsys):
+    # det = (10**3000 - 1)**2 - 2 has 6000 digits, past the interpreter's
+    # 4300-digit conversion limit; it prints in full and reparses
+    from ringmat.rings import parse_decimal
+    big = "9" * 3000
+    m = json.dumps({"ring": "int", "entries": [[big, "1"], ["2", big]]})
+    code, out, err = run_main(["charpoly", "--matrix", m], capsys)
+    assert code == 0, err
+    c = json.loads(out)["c"]
+    assert c[2] == "9" * 2999 + "7" + "9" * 3000
+    assert parse_decimal(c[2]) == int(big) ** 2 - 2
+    assert c[1] == "-1" + "9" * 2999 + "8"
+    # a 5000-digit JSON number literal is read past the limit too
+    m = '{"ring": "int", "entries": [[-%s]]}' % ("7" * 5000)
+    code, out, err = run_main(["charpoly", "--matrix", m], capsys)
+    assert code == 0, err
+    assert json.loads(out)["c"] == ["1", "7" * 5000]
+    # and a 5000-digit modulus, which the ring descriptor prints as a number
+    m = '{"entries": [["3"]]}'
+    code, out, err = run_main(["charpoly", "--ring", "mod:" + "7" * 5000,
+                               "--matrix", m], capsys)
+    assert code == 0, err
+    payload = json.loads(out, parse_int=parse_decimal)
+    assert payload["ring"] == {"kind": "mod", "m": parse_decimal("7" * 5000)}
+    assert payload["c"] == ["1", "7" * 4999 + "4"]
+
+
+def test_integer_literals_over_the_cap_exit_2(capsys):
+    from ringmat.rings import MAX_INT_DIGITS
+    over = "1" * (MAX_INT_DIGITS + 1)
+    cases = [
+        ["charpoly", "--matrix", json.dumps({"ring": "int",
+                                             "entries": [[over]]})],
+        ["charpoly", "--matrix", json.dumps({"ring": "rat", "entries": [[
+            {"num": "1", "den": "-" + over}]]})],
+        ["adjugate", "--matrix", '{"ring": "int", "entries": [[%s]]}' % over],
+        ["adjugate", "--ring", "mod:" + over, "--matrix", A_JSON],
+        ["fuzz", "--ring", '{"kind": "mod", "m": %s}' % over, "--count", "0",
+         "--size", "1"],
+    ]
+    for argv in cases:
+        code, out, err = run_main(argv, capsys)
+        assert code == 2, argv[:2]
+        assert err.startswith("error:") and "exceeds the cap" in err
+        assert "Traceback" not in err and out == ""
+    # at the cap itself the literal is read
+    at = json.dumps({"ring": "int", "entries": [["-" + "1" * MAX_INT_DIGITS]]})
+    code, out, _ = run_main(["adjugate", "--matrix", at], capsys)
+    assert code == 0 and json.loads(out)["entries"] == [["1"]]

@@ -5,6 +5,7 @@ reports are only reproducible across reimplementations if the stream is
 bit-exact, so these vectors are load-bearing, not decoration.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,18 @@ def test_power_nilpotent_large_moduli():
     assert power_nilpotent(4 * q * (2 ** 61 - 1)) is None
     # a prime cofactor above PRIME_BOUND cannot be decided either
     assert power_nilpotent(4 * (2 ** 89 - 1)) is None
+    # nor a cofactor longer than 4096 bits, even a prime power
+    assert power_nilpotent(2 * q ** 68) == (2 * q, 67)     # 4068 bits
+    assert power_nilpotent(2 * q ** 69) is None            # 4127 bits
+
+
+def test_power_nilpotent_stays_fast_at_the_literal_cap():
+    # without the 4096-bit limit on the cofactor, a 5000-digit modulus
+    # took 22 s of integer roots, and the time grows with the cube of
+    # the length
+    start = time.perf_counter()
+    assert power_nilpotent(3 ** 5 * 7 * (10 ** 19990 - 1) // 9) is None
+    assert time.perf_counter() - start < 5
 
 
 def test_below_above_two_to_the_64():

@@ -1,6 +1,7 @@
 """Ring primitives: canonical values, integer embedding, division gates."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,10 @@ from ringmat.rings import (
     QAlgebraRequiredError,
     Ring,
     RingMismatchError,
+    MAX_INT_DIGITS,
     axiom_spotcheck,
-    int_embed,
-    try_div_int,
+    decimal,
+    parse_decimal,
 )
 
 Z1 = ModRing(1)
@@ -95,11 +97,11 @@ def test_pow_squares_and_multiplies():
 
 def test_try_div_int_never_divides_integers():
     # 4/2 would be exact, but Z is not a Q-algebra and must say so
-    assert try_div_int(ZZ, 4, 2) is None
-    assert try_div_int(Z8, 4, 2) is None
-    assert try_div_int(QQ, Fraction(1), 3) == Fraction(1, 3)
+    assert ZZ.try_div_int(4, 2) is None
+    assert Z8.try_div_int(4, 2) is None
+    assert QQ.try_div_int(Fraction(1), 3) == Fraction(1, 3)
     with pytest.raises(ValueError):
-        try_div_int(QQ, Fraction(1), 0)
+        QQ.try_div_int(Fraction(1), 0)
 
 
 def test_div_int_gate():
@@ -113,11 +115,11 @@ def test_div_int_gate():
 @given(st.integers(-50, 50), st.integers(-50, 50))
 def test_int_embed_is_a_ring_map(j, k):
     for ring in (ZZ, Z6, Z8, QQ, Z1):
-        assert int_embed(ring, j + k) == ring.add(int_embed(ring, j),
-                                                  int_embed(ring, k))
-        assert int_embed(ring, j * k) == ring.mul(int_embed(ring, j),
-                                                  int_embed(ring, k))
-    assert int_embed(Z8, 1) == Z8.one()
+        assert ring.from_int(j + k) == ring.add(ring.from_int(j),
+                                                ring.from_int(k))
+        assert ring.from_int(j * k) == ring.mul(ring.from_int(j),
+                                                ring.from_int(k))
+    assert Z8.from_int(1) == Z8.one()
 
 
 def _triples(ring, raw):
@@ -191,3 +193,35 @@ def test_rational_dot_is_reduced():
     assert got == Fraction(1, 3)
     assert (got.numerator, got.denominator) == (1, 3)
     assert QQ.dot([Fraction(1, 2)], [Fraction(-2)]) == Fraction(-1)
+
+
+@pytest.mark.parametrize("limit", [640, 4300, 0])
+def test_decimal_conversions_ignore_the_interpreter_limit(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        rng = random.Random(limit)
+        for digits in (1, 639, 641, 4300, 4301, 9000, 20001):
+            s = str(rng.randint(1, 9)) + "".join(
+                rng.choice("0123456789") for _ in range(digits - 1))
+            for text in (s, "-" + s, "+" + s):
+                v = parse_decimal(text)
+                assert decimal(v) == text.lstrip("+")
+                assert ZZ.element_to_json(v) == text.lstrip("+")
+            # leading zeros inside a split half stay digits
+            assert parse_decimal("1" + "0" * digits) == 10 ** digits
+            assert decimal(10 ** digits) == "1" + "0" * digits
+        assert QQ.format(Fraction(-(10 ** 5000), 3)) == "-1" + "0" * 5000 + "/3"
+        for bad in ("", "-", "1 2", "1" * 5000 + "x", "x" * 5000, "-+1" * 300):
+            with pytest.raises(ValueError):
+                parse_decimal(bad)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_parse_int_caps_literal_length():
+    assert ZZ.element_from_json(" -" + "7" * MAX_INT_DIGITS + " ") < 0
+    with pytest.raises(ParseError, match="exceeds the cap"):
+        ZZ.element_from_json("7" * (MAX_INT_DIGITS + 1))
+    with pytest.raises(ParseError, match="invalid integer literal"):
+        ZZ.element_from_json("7" * 5000 + "_")
