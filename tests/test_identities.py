@@ -10,11 +10,11 @@ failed report with a witness.
 
 import pytest
 
-from helpers import Z6, Z8, ZT, mat
+from helpers import RINGS8, Z6, Z8, ZT, corpus, mat
 from ringmat import identities as ids
 from ringmat.fuzz import sample_commuting, sample_nilpotent, stream
 from ringmat.identities import IndexSubset, compositions, multinomial, subset_pairs
-from ringmat.matrix import Matrix
+from ringmat.matrix import Matrix, char_matrix
 from ringmat.poly import PolynomialRing
 from ringmat.rings import (
     QQ,
@@ -395,3 +395,15 @@ class TestCostCaps:
         ok(ids.verify_frobenius_trace(Matrix.from_rows(R, [[R.t()]]), 251))
         gated(ids.verify_frobenius_trace(
             Matrix.from_rows(PolynomialRing(ZZ), [[1]]), 1000000000000000003))
+
+
+@pytest.mark.parametrize("label,ring", RINGS8)
+def test_trace_oracle_is_the_trace_of_the_cofactor_adjugate(label, ring):
+    # adj_trace and charpoly_derivative sum the n principal minors instead
+    # of building all n**2 cofactors: the same value, exactly
+    for i, a in enumerate(corpus(ring, f"trace-oracle-{label}", 12, 5)):
+        assert ids._adjugate_trace_oracle(a) == a.adjugate_cofactor().trace()
+        if i < 4:
+            t = char_matrix(a)
+            assert ids._adjugate_trace_oracle(t) == \
+                t.adjugate_cofactor().trace()
