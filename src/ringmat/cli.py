@@ -16,6 +16,7 @@ nested past the recursion limit), 3 shape or ring mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -143,7 +144,10 @@ def _add_check_opts(p) -> None:
                    help="prime for the Frobenius trace check")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, so every main() call parses independently."""
     parser = argparse.ArgumentParser(
         prog="ringmat",
         description="Exact matrix computations and identity verification "

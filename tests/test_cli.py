@@ -429,3 +429,39 @@ def test_integer_literals_over_the_cap_exit_2(capsys):
     at = json.dumps({"ring": "int", "entries": [["-" + "1" * MAX_INT_DIGITS]]})
     code, out, _ = run_main(["adjugate", "--matrix", at], capsys)
     assert code == 0 and json.loads(out)["entries"] == [["1"]]
+
+
+def test_one_parser_parses_every_call_independently(capsys, tmp_path):
+    # build_parser() is built once per process; alternating commands and
+    # flags must not leak values or defaults from one call to the next
+    assert cli.build_parser() is cli.build_parser()
+    mq = json.dumps({"ring": "rat", "entries": [[1, 2], [3, 4]]})
+    out_file = tmp_path / "adj.json"
+    runs = [
+        (["charpoly", "--matrix", mq, "--newton"], 0, "newton"),
+        (["charpoly", "--matrix", mq], 0, "direct"),
+        (["adjugate", "--matrix", A_JSON, "--out", str(out_file)], 0, None),
+        (["adjugate", "--matrix", A_JSON], 0, None),
+        (["verify", "adj_trace", "--matrix", A_JSON, "--seed", "7"], 0, None),
+        (["charpoly", "--matrix", A_JSON, "--bogus"], 2, None),
+        (["fuzz", "--ring", "int", "--suite", "core", "--count", "1",
+          "--size", "2"], 0, None),
+        (["fuzz", "--ring", "int"], 2, None),
+        (["charpoly", "--matrix", mq, "--newton"], 0, "newton"),
+    ]
+    for argv, want, method in runs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:       # argparse refuses bad arguments
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == want, argv
+        if want == 2:
+            assert err.startswith("usage:") and out == ""
+        elif method:
+            assert json.loads(out)["method"] == method
+        elif argv[0] == "adjugate":
+            # --out from the earlier call must not carry over
+            assert ("--out" in argv) == (out == "")
+    assert json.loads(out_file.read_text())["entries"] == [["4", "-2"],
+                                                           ["-3", "1"]]
