@@ -27,6 +27,7 @@ from .fuzz import (
     MAX_SAMPLE_DEPTH,
     SplitMix64,
     characteristic,
+    derive_seed,
     power_nilpotent,
     sample_commuting,
     sample_element,
@@ -724,8 +725,11 @@ def run_suite(names, *, ring=None, matrix=None, seed: int = 0,
             rng = stream(seed, name)
             reports.extend(matrix_fn(matrix, rng, params))
         else:
+            # stream(base_seed, case) is stream(seed, name, case) with the
+            # identity's fold done once instead of once per case
+            base_seed = derive_seed(seed, name)
             for case in range(count):
-                rng = stream(seed, name, case)
+                rng = stream(base_seed, case)
                 for rep in fuzz_fn(rng, ring, size, params, case):
                     rep.inputs["case"] = case
                     reports.append(rep)

@@ -71,6 +71,18 @@ def test_derive_seed_tokens_matter():
            [stream(9, "x", 0).next_u64() for _ in range(2)]
 
 
+def test_stream_from_a_folded_seed_is_the_same_stream():
+    # run_suite folds (seed, identity) once and draws stream(base, case)
+    # for each case: bit for bit the stream of (seed, identity, case)
+    for seed in (0, 1, 2**64 - 1, 2**70 + 5, -3):
+        for name in ("det_product", "cayley_hamilton", ""):
+            base = derive_seed(seed, name)
+            for case in (0, 1, 99, 2**64 + 1):
+                g, h = stream(seed, name, case), stream(base, case)
+                assert [g.next_u64() for _ in range(5)] == \
+                       [h.next_u64() for _ in range(5)]
+
+
 def test_split_streams_diverge():
     g = SplitMix64(5)
     child = g.split()
