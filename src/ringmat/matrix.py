@@ -11,54 +11,49 @@ divisors (Z/m, including the zero ring Z/1) and over nested R[t]:
   * adjugate(): the charpoly coefficients summed by Horner in A, one
     berkowitz() plus n - 2 matmuls, so O(n**4).
 
-Over the rationals every kernel runs on the integer lift instead of on
-Fractions.  _lift(A) returns (B, L) with L the lcm of the entry
-denominators and B = L*A, a matrix over ZZ.  The results come back by
-one exact division each:
-
-  * c_k(A) = c_k(B) / L**k, since det(t*I - B/L) = L**-n * det(L*t*I - B)
-    = sum_k c_k(B) * L**-k * t**(n-k).
-  * D_k(A) = D_k(B) / L**(n-1-k), since adj(M/L) = L**-(n-1) * adj(M) for
-    any n x n M, and adj(t*I - A) = L**-(n-1) * adj(L*t*I - B)
-    = sum_k t**k * L**(k-n+1) * D_k(B).  At k = 0 this is
-    adj(A) = adj(B) / L**(n-1).
-  * A1 @ A2 = (B1 @ B2) / (L1 * L2), by bilinearity.
-
-Both sides of each equation are the same rational number, and Fraction
-reduces it to the one canonical form, so the lift changes no output.
-
-Over R[t] with R one of ZZ, Z/m and QQ the kernels run on a Kronecker
-lift, also over ZZ.  Over QQ[t], _coefficients first clears every
-coefficient denominator at once, B = L*A over ZZ[t], and the three rules
-above give the results back (they use only that c_k, D_k and matmul are
-homogeneous of degree k, n-1-k and 1 in the entries).  Over (Z/m)[t] the
-residues in [0, m) are taken as integers.  Then each entry p becomes the
-one integer p(2**w), the ZZ kernel runs, and each result is read back as
-its balanced base 2**w digits, each in [-2**(w-1), 2**(w-1)): reduced
-mod m over Z/m, divided by the power of L over QQ.
+Over QQ and over every tower R[t_1]...[t_d] (t_1 innermost) with R one
+of ZZ, Z/m and QQ, each kernel runs over ZZ on one integer encoding of
+the ring (_encode, _decode).  Over a QQ base, B = L*A with L the lcm of
+all coefficient denominators, and one exact division per result undoes
+it: c_k(A) = c_k(B) / L**k, D_k(A) = D_k(B) / L**(n-1-k) (so
+adj(A) = adj(B) / L**(n-1)) and A1 @ A2 = (B1 @ B2) / (L1 * L2), as
+these are homogeneous of degree k, n-1-k and (1, 1) in the entries.
+Over Z/m the residues in [0, m) are taken as integers.  Then
+t_i -> x**(D_1*...*D_(i-1)) and x -> 2**w.  A result is read back as
+its balanced base 2**w digits, each in [-2**(w-1), 2**(w-1)), regrouped
+D_1, D_2, ... at a time, and reduced mod m or divided by the L power.
 
 This is exact.  Every kernel is a polynomial in the entries with integer
 coefficients and no division, so it commutes with the ring maps
-Z[t] -> Z (t -> 2**w) and Z -> Z/m: packing, then running over ZZ, gives
-P(2**w) for the result P over Z[t].  Balanced digits recover P from
-P(2**w) as long as 2**(w-1) exceeds the absolute value of every
-coefficient of P, and a coefficient is at most the l1 norm of its
-polynomial.  The l1 norm is submultiplicative and subadditive, so with N
-the largest entry norm (N_A, N_B for two factors):
+Z[t_1, ..., t_d] -> Z[x] -> Z above and Z -> Z/m.  The first map is
+injective on polynomials P with deg_(t_i) P < D_i for i < d: it sends
+t_1**e_1 ... t_d**e_d to x**e with e = e_1 + D_1*e_2 + D_1*D_2*e_3 + ...
+in mixed radix, so distinct monomials land on distinct powers of x.
+Balanced digits recover the coefficients from the value at 2**w while
+2**(w-1) exceeds each absolute value, and a coefficient is at most the
+l1 norm of its polynomial, which is submultiplicative and subadditive;
+a product adds t_i-degrees.  With N the largest entry norm and d_i the
+largest t_i-degree of an entry, w = bit_length(norm bound) + 1 and
+D_i = 1 + the t_i-degree bound, from:
 
-  * matmul: an entry is a sum of k products, norm <= k * N_A * N_B.
+  * matmul: a sum of k products, norm <= k * N_A * N_B and t_i-degree
+    <= d_A,i + d_B,i, taking N and d_i over each factor.
   * c_j: a sum over the C(n, j) principal j x j minors of j! signed
-    products each, norm <= n!/(n-j)! * N**j <= n! * (N + 1)**n.  An
-    entry of adj is an (n-1) x (n-1) minor, under the same bound.
-  * D_k with a caller-supplied c: along the Horner steps
-    D_(k-1) = D_k @ A + c_(n-k) * I the norm b of every entry obeys
-    b_(n-1) = 1 and b_(k-1) <= n * N * b_k + |c_(n-k)|, and w covers the
-    largest b.  A bound in n!, N and max |c_i| alone does not hold here:
-    with the all-ones 40 x 40 matrix and every c_i = 1, D_0 has entries
-    above 40! * 2**40.
+    products each, norm <= n!/(n-j)! * N**j <= n! * (N + 1)**n and
+    t_i-degree <= n * d_i.  An entry of adj is an (n-1) x (n-1) minor:
+    the same norm bound, t_i-degree <= (n-1) * d_i.
+  * D_k with a caller-supplied c: along D_(k-1) = D_k @ A + c_(n-k) * I
+    every entry's norm b and t_i-degree g_i obey b_(n-1) = 1,
+    g_(n-1) = 0, b_(k-1) <= n * N * b_k + |c_(n-k)| and
+    g_(k-1) <= max(g_k + d_i, deg_(t_i) c_(n-k)).  No bound in n!, N and
+    max |c_i| alone holds: with the all-ones 40 x 40 matrix and every
+    c_i = 1, D_0 has entries above 40! * 2**40.
 
-Intermediate values never need unpacking, so they may exceed 2**(w-1).
-Nested rings (R[t][u]) and any other base keep the Ring.dot route.
+Intermediate values are never decoded and may exceed both bounds.  A
+result takes D_1*...*D_d digit slots however sparse: c_1 of entries
+t_1 + ... + t_64 in a 64-deep tower takes 2**64.  Above MAX_SLOTS a
+tower keeps Ring.dot (PolynomialRing.dot stores only the terms there
+are); a flat R[t] wastes no slot.
 
 Independent oracles, kept for identities and tests to compare against:
 det_subset_dp() is a dynamic program over column subsets, O(n**2 * 2**n);
@@ -75,7 +70,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 from .poly import Polynomial, PolynomialRing
 from .rings import (
@@ -194,14 +189,13 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows} x {self.cols} by "
                 f"{other.rows} x {other.cols}")
-        if isinstance(self.ring, RationalRing):
-            (b1, l1), (b2, l2) = _lift(self), _lift(other)
-            return _unlift(_product(b1, b2), self.ring, l1 * l2)
-        if _packs(self.ring):
-            (c1, l1), (c2, l2) = _coefficients(self), _coefficients(other)
-            w = _width(self.cols * _norm(c1) * _norm(c2))
-            product = _product(_pack(self, c1, w), _pack(other, c2, w))
-            return _unpack(product, self.ring, w, l1 * l2)
+        n, k, m = self.rows, self.cols, other.cols
+        if (chain := _tower(self.ring)) and (lifted := _encode(
+                chain, (self._e, other._e), lambda x, y: (
+                    k * x[0] * y[0], [p + q for p, q in zip(x[1], y[1])]))):
+            (x, y), ctx = lifted
+            product = _product(Matrix(ZZ, n, k, x), Matrix(ZZ, k, m, y))
+            return Matrix(self.ring, n, m, _decode(product._e, ctx, 1))
         return _product(self, other)
 
     def scale(self, value) -> "Matrix":
@@ -215,15 +209,13 @@ class Matrix:
             raise ShapeError("matrix power requires a square matrix")
         if k < 0:
             raise ValueError("exponent must be nonnegative")
-        result = Matrix.identity(self.ring, self.rows)
-        base = self
+        result, base = Matrix.identity(self.ring, self.rows), self
         while k:
             if k & 1:
                 result = result @ base
-            base_needed = k >> 1
-            if base_needed:
+            k >>= 1
+            if k:
                 base = base @ base
-            k = base_needed
         return result
 
     def trace(self):
@@ -252,8 +244,7 @@ class Matrix:
         """
         if not self.is_square():
             raise ShapeError("determinant requires a square matrix")
-        n = self.rows
-        R = self.ring
+        n, R = self.rows, self.ring
         if n == 0:
             return R.one()
         e = self._e
@@ -286,10 +277,8 @@ class Matrix:
         return table.get((1 << n) - 1, zero)
 
     def det_leibniz(self):
-        """Signed permutation sum, a second determinant oracle.
-
-        Exponential in n and refused for n > 8.
-        """
+        """Signed permutation sum, a second determinant oracle; exponential
+        in n and refused for n > 8."""
         if not self.is_square():
             raise ShapeError("determinant requires a square matrix")
         n = self.rows
@@ -309,14 +298,9 @@ class Matrix:
         """Copy with row i and column j removed (1-based)."""
         self._bounds(i, self.rows, "row")
         self._bounds(j, self.cols, "column")
-        out = []
-        for r in range(self.rows):
-            if r == i - 1:
-                continue
-            for c in range(self.cols):
-                if c == j - 1:
-                    continue
-                out.append(self._e[r * self.cols + c])
+        m, e = self.cols, self._e
+        cols = [c for c in range(m) if c != j - 1]
+        out = [e[r * m + c] for r in range(self.rows) if r != i - 1 for c in cols]
         return Matrix(self.ring, self.rows - 1, self.cols - 1, out)
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
@@ -329,11 +313,8 @@ class Matrix:
             self._bounds(i, self.rows, "row")
         for j in col_idx:
             self._bounds(j, self.cols, "column")
-        out = [
-            self._e[(i - 1) * self.cols + (j - 1)]
-            for i in row_idx
-            for j in col_idx
-        ]
+        m, e = self.cols, self._e
+        out = [e[(i - 1) * m + (j - 1)] for i in row_idx for j in col_idx]
         return Matrix(self.ring, len(row_idx), len(col_idx), out)
 
     def adjugate(self) -> "Matrix":
@@ -341,7 +322,7 @@ class Matrix:
 
         Computed as adj(A) = (-1)**(n-1) * (c_0*A**(n-1) + ... + c_(n-1)*I)
         from the berkowitz() coefficients, never forming a cofactor; over
-        QQ as adj(B) / L**(n-1) on the integer lift B = L*A.  adj of any
+        QQ and polynomial towers on the integer encoding.  adj of any
         1 x 1 matrix is (1); adj of the 0 x 0 matrix is itself.
         """
         if not self.is_square():
@@ -349,22 +330,19 @@ class Matrix:
         n = self.rows
         if n == 0:
             return self
-        if isinstance(self.ring, RationalRing):
-            b, scale = _lift(self)
-            return _unlift(_adjugate(b), self.ring, scale ** (n - 1))
-        if _packs(self.ring):
-            coeffs, scale = _coefficients(self)
-            w = _width(_minor_bound(n, _norm(coeffs)))
-            return _unpack(_adjugate(_pack(self, coeffs, w)), self.ring, w,
-                           scale ** (n - 1))
+        if (chain := _tower(self.ring)) and (lifted := _encode(
+                chain, (self._e,), lambda x: (factorial(n) * (x[0] + 1) ** n,
+                                              [(n - 1) * g for g in x[1]]))):
+            (ints,), ctx = lifted
+            adj = _adjugate(Matrix(ZZ, n, n, ints))
+            return Matrix(self.ring, n, n, _decode(adj._e, ctx, n - 1))
         return _adjugate(self)
 
     def adjugate_cofactor(self) -> "Matrix":
         """Adjugate oracle: n**2 cofactors, each by det_subset_dp()."""
         if not self.is_square():
             raise ShapeError("adjugate requires a square matrix")
-        n = self.rows
-        R = self.ring
+        n, R = self.rows, self.ring
         out = []
         for i in range(1, n + 1):
             for j in range(1, n + 1):
@@ -397,15 +375,9 @@ class Matrix:
 
     def to_json(self) -> dict:
         R = self.ring
-        return {
-            "ring": R.descriptor(),
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [
-                [R.element_to_json(v) for v in self.row_list(i)]
-                for i in range(1, self.rows + 1)
-            ],
-        }
+        return {"ring": R.descriptor(), "rows": self.rows, "cols": self.cols,
+                "entries": [[R.element_to_json(v) for v in self.row_list(i)]
+                            for i in range(1, self.rows + 1)]}
 
 
 @lru_cache(maxsize=None)
@@ -413,12 +385,8 @@ def _signed_permutations(n: int):
     """All (permutation, sign) pairs of S_n, cached per n."""
     out = []
     for sigma in permutations(range(n)):
-        inversions = sum(
-            1
-            for i in range(n)
-            for j in range(i + 1, n)
-            if sigma[i] > sigma[j]
-        )
+        inversions = sum(sigma[i] > sigma[j]
+                         for i in range(n) for j in range(i + 1, n))
         out.append((sigma, -1 if inversions & 1 else 1))
     return tuple(out)
 
@@ -431,22 +399,19 @@ def berkowitz(a: Matrix) -> list:
     of the diagonal entry d.  The charpoly of the bordered block is the
     Toeplitz product of the charpoly of B with the column
     1, -d, -R C, -R B C, ..., -R B**(k-1) C.  About n**4/4 ring
-    multiplications, all inside Ring.dot, and no division.  Over QQ it
-    runs on the integer lift B = L*A and returns c_k(B) / L**k.
+    multiplications, all inside Ring.dot, and no division.  Over QQ and
+    polynomial towers it runs on the integer encoding.
     """
     if not a.is_square():
         raise ShapeError("characteristic polynomial requires a square matrix")
     R = a.ring
-    if isinstance(R, RationalRing):
-        b, scale = _lift(a)
-        return [Fraction(c, scale ** k) for k, c in enumerate(berkowitz(b))]
-    if _packs(R):
-        coeffs, scale = _coefficients(a)
-        w = _width(_minor_bound(a.rows, _norm(coeffs)))
-        return [_unpack_value(c, R.base, w, scale ** k)
-                for k, c in enumerate(berkowitz(_pack(a, coeffs, w)))]
-    dot, sub = R.dot, R.sub
     n = a.rows
+    if (chain := _tower(R)) and (lifted := _encode(
+            chain, (a._e,), lambda x: (
+                factorial(n) * (x[0] + 1) ** n, [n * g for g in x[1]]))):
+        (ints,), ctx = lifted
+        return _decode(berkowitz(Matrix(ZZ, n, n, ints)), ctx, None)
+    dot, sub = R.dot, R.sub
     e = a._e
     p = [R.one()]
     for k in range(n):
@@ -470,32 +435,39 @@ def adjugate_coefficients(a: Matrix, c) -> list:
 
     c is berkowitz(a).  Horner in a: D_(n-1) = I and
     D_(k-1) = D_k @ a + c_(n-k) * I, so D_0 = (-1)**(n-1) * adj(a).  The
-    first step is a itself, so this costs n - 2 matmuls.  Over QQ the
-    whole recursion runs on the integer lift B = L*A, with c_k(B) =
-    c_k * L**k, and D_k = D_k(B) / L**(n-1-k).
+    first step is a itself, so this costs n - 2 matmuls.  Over QQ and
+    polynomial towers the whole recursion runs on the integer encoding,
+    with c_k(B) = c_k * L**k for B = L*A.
     """
     n = a.rows
     if n == 0:
         return []
-    if isinstance(a.ring, RationalRing):
-        b, scale = _lift(a)
-        ds = adjugate_coefficients(b, _lift_coefficients(c, scale))
-        return [_unlift(d, a.ring, scale ** (n - 1 - k))
-                for k, d in enumerate(ds)]
-    if _packs(a.ring):
-        coeffs, scale = _coefficients(a)
-        lifted = _lift_polynomials(a.ring.base, c, scale)
-        # b bounds the l1 norm of every entry of D_(n-1) = I, D_(n-2), ...
-        step, b = n * _norm(coeffs), 1
-        bound = b
-        for ci in lifted[1:n]:
-            b = step * b + sum(map(abs, ci))
+    chain = _tower(a.ring)
+    if chain:
+        depth, rational = len(chain) - 1, isinstance(chain[-1], RationalRing)
+        trees, scale = _integers(chain, a._e)
+        # c_k * L**k, the charpoly of L*A if c is that of A, is integral
+        if rational and any(scale ** k % x.denominator for k, v in enumerate(c)
+                            for x in _leaves([v], depth)):
+            raise ValueError("c cannot be the characteristic polynomial of "
+                             "the matrix: c_k * L**k is not integral")
+        cs = [_tree(v, depth, scale ** k if rational else 0)
+              for k, v in enumerate(c)]
+        # b and g bound the l1 norm and the t_i-degrees of every entry of
+        # D_(n-1) = I, D_(n-2), ...; g only grows along the steps
+        norm, degrees = _measure(trees, depth)
+        b, bound, g = 1, 1, [0] * depth
+        for ci in cs[1:n]:
+            ci_norm, ci_degrees = _measure([ci], depth)
+            b = n * norm * b + ci_norm
             bound = max(bound, b)
-        w = _width(bound)
-        ds = adjugate_coefficients(_pack(a, coeffs, w),
-                                   [_horner(ci, w) for ci in lifted])
-        return [_unpack(d, a.ring, w, scale ** (n - 1 - k))
-                for k, d in enumerate(ds)]
+            g = [max(x + y, z) for x, y, z in zip(g, degrees, ci_degrees)]
+        ctx = _context(chain, scale, bound, g)
+        if ctx:
+            ds = adjugate_coefficients(Matrix(ZZ, n, n, _pack(trees, ctx[3])),
+                                       _pack(cs, ctx[3]))
+            return [Matrix(a.ring, n, n, _decode(d._e, ctx, n - 1 - k))
+                    for k, d in enumerate(ds)]
     out = [Matrix.identity(a.ring, n)]
     for ci in c[1:n]:
         out.append(_plus_scalar(a if len(out) == 1 else out[-1] @ a, ci))
@@ -505,8 +477,7 @@ def adjugate_coefficients(a: Matrix, c) -> list:
 
 def _product(a: Matrix, b: Matrix) -> Matrix:
     """a @ b over a's ring, one Ring.dot per entry; shapes already checked."""
-    R = a.ring
-    dot = R.dot
+    R, dot = a.ring, a.ring.dot
     n, k, m = a.rows, a.cols, b.cols
     ae, be = a._e, b._e
     rows = [ae[i * k:(i + 1) * k] for i in range(n)]
@@ -520,114 +491,151 @@ def _adjugate(a: Matrix) -> Matrix:
     return -adj if (a.rows - 1) & 1 else adj
 
 
-def _lift(a: Matrix) -> tuple:
-    """(B, L) for a matrix a over QQ: L is the lcm of the denominators of
-    the entries (1 when there are none) and B = L * a, a matrix over ZZ."""
-    scale = lcm(*[v.denominator for v in a._e])
-    return Matrix(ZZ, a.rows, a.cols,
-                  [v.numerator * (scale // v.denominator) for v in a._e]), scale
+# A tower's results take D_1*...*D_d digit slots each.  Measured on
+# sparse entries t_1 + ... + t_d, the packed kernels beat Ring.dot up to
+# 729 slots and lost by up to 1.22x at 1024, so above this they are off.
+MAX_SLOTS = 1000
 
 
-def _unlift(b: Matrix, ring: Ring, d: int) -> Matrix:
-    """b / d over ring (QQ) for an integer matrix b; Fraction reduces."""
-    return Matrix(ring, b.rows, b.cols, [Fraction(v, d) for v in b._e])
+def _tower(ring: Ring):
+    """[ring, ..., R] down to the base R of ring's polynomial rings if R is
+    QQ, or ZZ or Z/m under one at least; else None (no encoding)."""
+    chain = [ring]
+    while isinstance(ring, PolynomialRing):
+        ring = ring.base
+        chain.append(ring)
+    if isinstance(ring, RationalRing) or (
+            len(chain) > 1 and isinstance(ring, (IntegerRing, ModRing))):
+        return chain
 
 
-def _lift_coefficients(c, scale: int) -> list:
-    """[c_k * scale**k] as integers: the charpoly of B from that of A."""
-    out = [v * scale ** k for k, v in enumerate(c)]
-    if any(v.denominator != 1 for v in out):
-        raise ValueError("c cannot be the characteristic polynomial of "
-                         "the matrix: c_k * L**k is not an integer")
-    return [v.numerator for v in out]
+def _tree(v, depth: int, scale: int = 0):
+    """v as nested integer coefficient lists, depth deep, constant terms
+    first; over QQ each rational x becomes x * scale, an integer here."""
+    if depth > 1:
+        return [_tree(c, depth - 1, scale) for c in v.coeffs]
+    xs = v.coeffs if depth else (v,)
+    if scale:
+        xs = [x.numerator * (scale // x.denominator) for x in xs]
+    return xs if depth else xs[0]
 
 
-def _packs(ring: Ring) -> bool:
-    """Whether matrices over ring run on the Kronecker lift: R[t] with R
-    one of ZZ, Z/m and QQ."""
-    return (isinstance(ring, PolynomialRing)
-            and isinstance(ring.base, (IntegerRing, ModRing, RationalRing)))
+def _leaves(values, depth: int) -> list:
+    """The base scalars of the values, depth levels down."""
+    for _ in range(depth):
+        values = [c for v in values for c in v.coeffs]
+    return values
 
 
-def _coefficients(a: Matrix) -> tuple:
-    """(lists, L) for a matrix a over R[t]: the coefficient list of each
-    entry as integers, and the scale L they carry.
-
-    Over QQ[t], L is the lcm of the denominators of all coefficients (1
-    when there are none) and the lists are those of L * p; over ZZ[t] and
-    (Z/m)[t] they are the coefficients themselves (residues in [0, m))
-    and L = 1.
-    """
-    if isinstance(a.ring.base, RationalRing):
-        scale = lcm(*[v.denominator for p in a._e for v in p.coeffs])
-        return [[v.numerator * (scale // v.denominator) for v in p.coeffs]
-                for p in a._e], scale
-    return [p.coeffs for p in a._e], 1
+def _integers(chain, entries) -> tuple:
+    """(trees, L): the entries as integer trees.  Over a QQ base, L is the
+    lcm of all coefficient denominators (1 when there are none) and the
+    trees are those of L * v; otherwise L = 1."""
+    depth = len(chain) - 1
+    if not isinstance(chain[-1], RationalRing):
+        return [_tree(v, depth) if depth > 1 else v.coeffs
+                for v in entries], 1
+    scale = lcm(*[v.denominator for v in _leaves(entries, depth)])
+    if not depth:
+        return [v.numerator * (scale // v.denominator) for v in entries], scale
+    return [_tree(v, depth, scale) for v in entries], scale
 
 
-def _lift_polynomials(base: Ring, c, scale: int) -> list:
-    """[c_k * scale**k] as integer coefficient lists: the charpoly of
-    L*A from that of A over R[t]."""
-    if not isinstance(base, RationalRing):
-        return [p.coeffs for p in c]
-    out = [[v * scale ** k for v in p.coeffs] for k, p in enumerate(c)]
-    if any(v.denominator != 1 for p in out for v in p):
-        raise ValueError("c cannot be the characteristic polynomial of "
-                         "the matrix: c_k * L**k is not integral")
-    return [[v.numerator for v in p] for p in out]
+def _measure(trees, depth: int) -> tuple:
+    """(N, degrees): the trees' largest l1 norm and, for i = 1..depth,
+    largest t_i-degree (all 0 if none); depth 1 needs no degrees."""
+    if depth == 1:
+        return max([sum(map(abs, p)) for p in trees], default=0), [0]
+    degrees, level = [], trees
+    for _ in range(depth):
+        degrees.append(max(max(map(len, level), default=0) - 1, 0))
+        level = [c for t in level for c in t]
+    for _ in range(depth - 1):
+        trees = [[c for p in t for c in p] for t in trees]
+    norms = [sum(map(abs, t)) for t in trees] if depth else map(abs, trees)
+    return max(norms, default=0), degrees[::-1]
 
 
-def _norm(lists) -> int:
-    """The largest l1 norm of the coefficient lists, 0 when there are none."""
-    return max([sum(map(abs, p)) for p in lists], default=0)
+def _context(chain, scale: int, bound: int, degrees) -> tuple | None:
+    """(chain, L, w, shifts, levels) for results of norm <= bound and
+    t_i-degree <= degrees[i-1]: t_i -> 2**shifts[i-1], and levels pairs
+    each inner coefficient ring with its D_i.  None above MAX_SLOTS."""
+    w = bound.bit_length() + 1 if degrees else 0
+    shifts, levels = [w] if degrees else [], []
+    for i, g in enumerate(degrees[:-1], 1):
+        levels.append((chain[-i], g + 1))
+        shifts.append(shifts[-1] * (g + 1))
+    if levels and shifts[-1] // w * (degrees[-1] + 1) > MAX_SLOTS:
+        return None
+    return chain, scale, w, shifts, levels
 
 
-def _minor_bound(n: int, norm: int) -> int:
-    """n! * (norm + 1)**n, which bounds the l1 norm of every c_k and of
-    every (n-1) x (n-1) minor of an n x n matrix with entry norms <= norm."""
-    return factorial(n) * (norm + 1) ** n
+def _pack(trees, shifts) -> list:
+    """Each tree as one integer, with t_i -> 2**shifts[i-1]."""
+    if not shifts:
+        return trees
+    s, inner, out = shifts[-1], shifts[:-1], []
+    if inner:
+        trees = [_pack(t, inner) for t in trees]
+    for t in trees:
+        v = 0
+        for c in reversed(t):
+            v = (v << s) + c
+        out.append(v)
+    return out
 
 
-def _width(bound: int) -> int:
-    """Bits w per coefficient with 2**(w-1) > bound, so that balanced base
-    2**w digits recover every coefficient of absolute value <= bound."""
-    return bound.bit_length() + 1
+def _encode(chain, parts, fit) -> tuple | None:
+    """(ints, ctx): the entries of each part as integers, one list per
+    part, each part scaled by its own L, and what _decode needs.  fit maps
+    each part's largest entry norm and t_i-degrees to the kernel's bounds
+    on its results.  None above MAX_SLOTS slots."""
+    trees, scales = zip(*[_integers(chain, p) for p in parts])
+    if len(chain) == 1:
+        return trees, (chain, prod(scales), 0, [], [])
+    bounds = fit(*[_measure(t, len(chain) - 1) for t in trees])
+    ctx = _context(chain, prod(scales), *bounds)
+    return ctx and ([_pack(t, ctx[3]) for t in trees], ctx)
 
 
-def _horner(coeffs, w: int) -> int:
-    """p(2**w) for the coefficient list of p, constant term first."""
-    v = 0
-    for c in reversed(coeffs):
-        v = (v << w) + c
-    return v
-
-
-def _pack(a: Matrix, lists, w: int) -> Matrix:
-    """The matrix over ZZ of the entries p(2**w), from a's coefficient lists."""
-    return Matrix(ZZ, a.rows, a.cols, [_horner(p, w) for p in lists])
-
-
-def _unpack_value(v: int, base: Ring, w: int, d: int) -> Polynomial:
-    """The polynomial over base whose coefficients are the balanced base
-    2**w digits of v, each divided by d (over QQ) or reduced (over Z/m)."""
+def _decode(ints, ctx, power) -> list:
+    """The ring elements that ints encode, each divided by L**power (the
+    k-th by L**k when power is None, as c_k is): balanced base 2**w
+    digits, reduced mod m over Z/m, regrouped D_1, D_2, ... at a time."""
+    chain, scale, w, _, levels = ctx
+    if power is not None:
+        d = scale ** power
+    elif not w:
+        return [Fraction(v, scale ** k) for k, v in enumerate(ints)]
+    if not w:
+        return [Fraction(v, d) for v in ints]
+    base, outer = chain[-1], chain[1]
+    rational = isinstance(base, RationalRing)
+    leaf = base.from_int if isinstance(base, ModRing) else None
     half, mask, full = 1 << (w - 1), (1 << w) - 1, 1 << w
-    digits = []
-    while v:
-        x = v & mask
-        if x >= half:
-            x -= full
-        digits.append(x)
-        v = (v - x) >> w
-    if isinstance(base, RationalRing):
-        return Polynomial(base, [Fraction(x, d) for x in digits])
-    return Polynomial(base, list(map(base.from_int, digits)))
-
-
-def _unpack(m: Matrix, ring: Ring, w: int, d: int) -> Matrix:
-    """The matrix over ring (R[t]) unpacked from the ZZ matrix m."""
-    base = ring.base
-    return Matrix(ring, m.rows, m.cols,
-                  [_unpack_value(v, base, w, d) for v in m._e])
+    out, zero = [], None
+    for k, v in enumerate(ints):
+        if not v:                 # a short cut: many results are 0
+            zero = zero or Polynomial(outer)
+            out.append(zero)
+            continue
+        digits = []
+        while v:
+            x = v & mask
+            if x >= half:
+                x -= full
+            digits.append(x)
+            v = (v - x) >> w
+        if rational:
+            d = d if power is not None else scale ** k
+            digits = [Fraction(x, d) for x in digits]
+        elif leaf:
+            digits = list(map(leaf, digits))
+        for ring, size in levels:
+            digits = [Polynomial(ring, digits[j:j + size])
+                      for j in range(0, len(digits), size)]
+        out.append(Polynomial(outer, digits))
+    return out
 
 
 def _plus_scalar(m: Matrix, value) -> Matrix:
@@ -648,12 +656,9 @@ def block2x2(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
     if a.cols != c.cols or b.cols != d.cols:
         raise ShapeError("block columns do not conform")
     entries = []
-    for i in range(1, a.rows + 1):
-        entries.extend(a.row_list(i))
-        entries.extend(b.row_list(i))
-    for i in range(1, c.rows + 1):
-        entries.extend(c.row_list(i))
-        entries.extend(d.row_list(i))
+    for left, right in ((a, b), (c, d)):
+        for i in range(1, left.rows + 1):
+            entries.extend(left.row_list(i) + right.row_list(i))
     return Matrix(a.ring, a.rows + c.rows, a.cols + b.cols, entries)
 
 
@@ -671,8 +676,7 @@ def apply_poly(p: Polynomial, a: Matrix) -> Matrix:
     if p.ring != a.ring:
         raise RingMismatchError(
             f"polynomial over {p.ring} cannot act on a matrix over {a.ring}")
-    R = a.ring
-    n = a.rows
+    R, n = a.ring, a.rows
     if p.is_zero():
         return Matrix.zeros(R, n, n)
     coeffs = p.coeffs
@@ -690,11 +694,7 @@ def char_matrix(a: Matrix) -> Matrix:
     L = PolynomialRing(K)
     n = a.rows
     t = L.t()
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            v = Polynomial(K, (K.neg(a._e[i * n + j]),))
-            if i == j:
-                v = v + t
-            entries.append(v)
+    entries = [Polynomial(K, (K.neg(v),)) for v in a._e]
+    for d in range(0, n * n, n + 1):
+        entries[d] = entries[d] + t
     return Matrix(L, n, n, entries)

@@ -8,13 +8,18 @@ That instantiation is exactly how characteristic matrices t*I - A are
 handled.
 
 The L1 kernels (matmul, berkowitz, adjugate and the D_k recursion) skip
-this arithmetic when R is ZZ, Z/m or QQ: ringmat.matrix packs each entry
-p into the integer p(2**w) (Kronecker substitution, after clearing
-denominators over QQ), runs the integer kernels and unpacks the results,
-with w chosen so that no output coefficient overflows its w bits; the
-proof is in that module.  PolynomialRing.dot and the Polynomial
-operations here serve nested rings R[t][u], the oracles and the
-identities' own element arithmetic.
+this arithmetic over R[t] and over towers R[t][u]... when R is ZZ, Z/m
+or QQ: ringmat.matrix packs each entry into one integer (Kronecker
+substitution in several variables, t -> 2**w, u -> 2**(w*D), ..., after
+clearing denominators over QQ), runs the integer kernels and unpacks the
+results.  w is chosen so that no output coefficient overflows its w
+bits, and each stride D exceeds the output's degree in the variables
+below it; the proof is in that module.  A tower whose results would
+take more than matrix.MAX_SLOTS digit slots is not packed, because a
+dense packing of sparse multivariate results wastes that many slots.
+PolynomialRing.dot and the Polynomial operations here serve towers
+above the slot bound, the oracles and the identities' own element
+arithmetic.
 """
 
 from __future__ import annotations

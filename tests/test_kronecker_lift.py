@@ -18,7 +18,6 @@ from helpers import coefficient_matrices_oracle
 from ringmat.charpoly import charpoly, charpoly_newton
 from ringmat.matrix import (
     Matrix,
-    _packs,
     adjugate_coefficients,
     berkowitz,
     char_matrix,
@@ -106,13 +105,6 @@ def _charpoly_oracle(a):
     chi = char_matrix(a).det_subset_dp()
     n = a.rows
     return [chi.coeff(n - j) for j in range(n + 1)]
-
-
-def test_only_flat_polynomial_rings_pack():
-    for base in BASES.values():
-        assert _packs(PolynomialRing(base))
-        assert not _packs(base)
-    assert not _packs(PolynomialRing(PolynomialRing(ZZ)))
 
 
 @pytest.mark.parametrize("label,name,a", CASES, ids=IDS)

@@ -15,7 +15,13 @@ import pytest
 
 from helpers import coefficient_matrices_oracle
 from ringmat.charpoly import charpoly, charpoly_newton
-from ringmat.matrix import Matrix, _lift, adjugate_coefficients, berkowitz
+from ringmat.matrix import (
+    Matrix,
+    _encode,
+    _tower,
+    adjugate_coefficients,
+    berkowitz,
+)
 from ringmat.rings import QQ, ZZ, RationalRing
 
 # seven-digit primes: pairwise coprime, so L is their product
@@ -46,6 +52,12 @@ def _cases():
 
 
 CASES = _cases()
+
+
+def _lift(a: Matrix) -> tuple:
+    """(B, L) with B = L*a over ZZ: the integer encoding of QQ."""
+    (ints,), ctx = _encode(_tower(QQ), (a._e,), None)
+    return Matrix(ZZ, a.rows, a.cols, ints), ctx[1]
 
 
 def _fractions(m: Matrix) -> bool:
