@@ -7,12 +7,14 @@ seed, count and size, and pin both stdout (the summary line) and the
 --out report file; --suite all is pinned the same way over poly:int,
 poly:rat and poly:mod:1.  The command cases pin charpoly, charpoly
 --newton, adjugate and verify all on fixed integer and rational
-matrices, and charpoly and adjugate on a fixed poly:int matrix.  A kernel
+matrices, and charpoly and adjugate on a fixed poly:int matrix.  Further
+campaigns and verify runs pin sizes past the dimension clamps, n = 0 and
+n = 1 gates, n > 8 and the --k, --imax and --p parameters.  A kernel
 rewrite that changes a single output byte (a reordered report, a
 differently reduced fraction, a shifted random draw) fails here.
 
 To re-pin after an intended output change, print fresh digests with
-fuzz_bytes/command_bytes and sha below, and say why in CHANGES.md.
+campaign_bytes/command_bytes and sha below, and say why in CHANGES.md.
 """
 
 import contextlib
@@ -66,6 +68,42 @@ for _label, _m in (("int", INT_MATRIX), ("rat", RAT_MATRIX)):
 POLY_MATRIX = json.dumps({"ring": "poly:int", "entries": _POLY})
 COMMANDS["charpoly-poly-int"] = ["charpoly", "--matrix", POLY_MATRIX]
 COMMANDS["adjugate-poly-int"] = ["adjugate", "--matrix", POLY_MATRIX]
+
+# Paths the suite campaigns above do not separate: a size past the
+# dimension clamps, n = 0 gates, 1 x 1 inputs, n > 8 (det_oracle's gate,
+# jacobi's sampled subsets) and the --k, --imax and --p parameters.
+_NINE = [[(3 * i * i + 5 * j + i * j) % 19 - 9 for j in range(9)]
+         for i in range(9)]
+_PARAMS = ("--k", "2", "--imax", "3", "--p", "3")
+CAMPAIGNS = {
+    "core-size8-int": ["--ring", "int", "--suite", "core", "--size", "8",
+                       "--count", "4"],
+    "core-size8-rat": ["--ring", "rat", "--suite", "core", "--size", "8",
+                       "--count", "4"],
+    "all-size0-int": ["--ring", "int", "--suite", "all", "--size", "0",
+                      "--count", "5"],
+    "all-size1-mod8": ["--ring", "mod:8", "--suite", "all", "--size", "1",
+                       "--count", "5"],
+    "nilpotency-traces-mod9": ["--ring", "mod:9", "--suite",
+                               "nilpotency,traces", "--size", "4",
+                               "--count", "10", *_PARAMS],
+}
+for _args in CAMPAIGNS.values():
+    _args[:0] = ["fuzz", "--seed", "11"]
+for _label, _m in (
+        ("empty-int", {"ring": "int", "rows": 0, "cols": 0, "entries": []}),
+        ("1x1-mod8", {"ring": "mod:8", "entries": [["6"]]}),
+        ("poly-int", {"ring": "poly:int", "entries": _POLY})):
+    COMMANDS[f"verify-all-{_label}"] = ["verify", "all", "--seed", "7",
+                                        "--matrix", json.dumps(_m)]
+COMMANDS["verify-9x9-int"] = [
+    "verify", "det_oracle,adj_inverse,det_product,trace_cayley_hamilton,"
+    "jacobi,rank1_block,matrix_det_lemma", "--seed", "7",
+    "--matrix", json.dumps({"ring": "int", "entries": _NINE})]
+COMMANDS["verify-nilpotency-traces-mod9"] = [
+    "verify", "nilpotency,traces", "--seed", "7", *_PARAMS, "--matrix",
+    json.dumps({"ring": "mod:9", "entries": [[3, 1, 4], [0, 6, 2],
+                                             [0, 0, 3]]})]
 
 # Recorded from the code before the rational kernels ran on the integer
 # lift (see CHANGES.md); the lift must not move a byte.
@@ -177,6 +215,35 @@ COMMAND_DIGESTS = {
         "23200cf772a43c78dbd52d75d988286e3fabf5ad25a7b5002fd79860541ff2fe",
     "adjugate-poly-int":
         "24b03430e0652ce31e69991730e92bb201b468528498d65fbeb36059981699c0",
+    # recorded, like CAMPAIGN_DIGESTS, from the code before the identity
+    # drivers became one table (see CHANGES.md)
+    "verify-all-empty-int":
+        "57dbf29a14e8af2926a2aab0ba9c71ac8069518bd9e212cb9a9ee5074960e8e5",
+    "verify-all-1x1-mod8":
+        "da347e369e3737e2d42ac86fc1877cf1013e923d5f6d0ba5ef27cbece531e644",
+    "verify-all-poly-int":
+        "61b1cb98781e94a1a160b6d9b0ea1ddc508a1907afc2b441ea2e73b42cfb81e6",
+    "verify-9x9-int":
+        "80427f88b3d2a1f58432534f4e10d5b17c0dadaf978265f11e8bcd627b1c24e0",
+    "verify-nilpotency-traces-mod9":
+        "8ebdaa107432590e6e9fbf240c7a6eccf572f9905f93d5dd4119eed73a2aba36",
+}
+CAMPAIGN_DIGESTS = {
+    "core-size8-int": (
+        "02454b4b3d3e9e3028ff2d8bf6b87b705ac626165e75369f38f7af86406deab4",
+        "c43482a8457fab8fbe455efa6dea0984b5c59b981b02d772adceb62f4679ed03"),
+    "core-size8-rat": (
+        "7b2f184df1e2ff649f0b446af5ba5471f5a36eb5f44432dcc3374cc0564351c7",
+        "1876bbdf8c26e99c2f8f3a4c16822acaaf1cc1229bcfa262d077e206378c5d5b"),
+    "all-size0-int": (
+        "001142d123e792a028848a82e20455092313ce01c5969dec9a6f146ea6b63815",
+        "558c4a157d62dcf18ea6132e0b4df5fd217d6bbb0a8b0046d12926d0bdd4533a"),
+    "all-size1-mod8": (
+        "d2f56c6c4dfa43f495c2830642ee6a4c42d223c20e55690d0c88458919d3d6d4",
+        "c7e5df00ab3eec5c387c4a38c0b96b121c9f6f71905d2fe31ae8d2dbbcdac5e4"),
+    "nilpotency-traces-mod9": (
+        "66caac6f798f9b9672953a27f162c1dacc422bc751fd300541f22560f68d0231",
+        "0f2e56fd903cea5edc044a2a9b43fbdebb5643ae64d25a25043ebdf443075cc5"),
 }
 
 
@@ -191,13 +258,17 @@ def _run(argv) -> tuple:
     return code, buf.getvalue().encode()
 
 
-def fuzz_bytes(ring: str, suite: str, tmp_path) -> tuple:
+def campaign_bytes(argv, tmp_path) -> tuple:
     """(--out file bytes, stdout bytes) of one fuzz campaign."""
-    out = tmp_path / f"{ring.replace(':', '_')}-{suite}.json"
-    code, stdout = _run(["fuzz", "--ring", ring, "--suite", suite,
-                         *FUZZ_ARGS, "--out", str(out)])
+    out = tmp_path / "report.json"
+    code, stdout = _run([*argv, "--out", str(out)])
     assert code == 0, stdout
     return out.read_bytes(), stdout
+
+
+def fuzz_bytes(ring: str, suite: str, tmp_path) -> tuple:
+    return campaign_bytes(["fuzz", "--ring", ring, "--suite", suite,
+                           *FUZZ_ARGS], tmp_path)
 
 
 def command_bytes(argv) -> bytes:
@@ -224,6 +295,12 @@ def test_fuzz_all_digest(ring, tmp_path):
     assert (sha(stdout), sha(out)) == ALL_SUITE_DIGESTS[ring]
 
 
+@pytest.mark.parametrize("name", list(CAMPAIGN_DIGESTS))
+def test_campaign_digest(name, tmp_path):
+    out, stdout = campaign_bytes(CAMPAIGNS[name], tmp_path)
+    assert (sha(stdout), sha(out)) == CAMPAIGN_DIGESTS[name]
+
+
 @pytest.mark.parametrize("name", list(COMMAND_DIGESTS))
 def test_command_digest(name):
     assert sha(command_bytes(COMMANDS[name])) == COMMAND_DIGESTS[name]
@@ -233,3 +310,4 @@ def test_every_ring_suite_and_command_is_pinned():
     assert set(FUZZ_DIGESTS) == {(r, s) for r in FUZZ_RINGS for s in SUITES}
     assert set(ALL_SUITE_DIGESTS) == set(ALL_SUITE_RINGS)
     assert set(COMMAND_DIGESTS) == set(COMMANDS)
+    assert set(CAMPAIGN_DIGESTS) == set(CAMPAIGNS)
