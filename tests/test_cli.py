@@ -305,6 +305,25 @@ def test_oracle_identities_refuse_large_sizes(capsys):
         assert out == ""
 
 
+def test_unclamped_identities_refuse_sizes_above_16(capsys):
+    # det_product draws n up to --size; --size 400 used to run past 30 s
+    code, out, err = run_main(["fuzz", "--ring", "int", "--suite",
+                               "cayley_hamilton,det_product", "--size", "400",
+                               "--count", "3", "--seed", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+    assert "size > 16 is refused for det_product" in err
+    # with several caps exceeded, the smallest is named
+    for suite, cap in (("core", 8), ("blocks", 6), ("all", 6), ("traces", 16)):
+        code, out, err = run_main(["fuzz", "--ring", "int", "--suite", suite,
+                                   "--size", "17", "--count", "0"], capsys)
+        assert code == 2 and f"size > {cap} is refused" in err, suite
+    code, out, err = run_main(["fuzz", "--ring", "int", "--suite",
+                               "det_product", "--size", "16", "--count", "2"],
+                              capsys)
+    assert code == 0
+
+
 @pytest.mark.parametrize("payload", [
     [], {}, [[]], [{}], {"a": []}, "plain", "é \"quoted\" \\ \n\t\x00  ",
     0, -5, 10 ** 60, True, False, None, 1.5, float("inf"),

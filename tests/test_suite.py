@@ -1,10 +1,15 @@
-"""Suite resolution and the fuzz/single-matrix drivers."""
+"""Suite resolution, the identity table and its fuzz/single-matrix drivers."""
 
+import inspect
 import random
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import Z8, mat
+from ringmat import derivations, identities, suite
 from ringmat.fuzz import MAX_SAMPLE_DEPTH
 from ringmat.identities import MAX_IMAX, MAX_K, PRIME_BOUND
 from ringmat.matrix import Matrix
@@ -246,3 +251,75 @@ def test_frobenius_cost_guard_comes_before_any_work():
     reports = run_suite(("frobenius_trace",), ring=ModRing(PRIME_BOUND + 2),
                         seed=0, count=2, size=2)
     assert all(r.inputs["p"] == 2 for r in reports)
+
+
+def test_every_identity_has_one_consistent_row():
+    assert tuple(suite._TABLE) == IDENTITY_NAMES
+    generic = 0
+    for name, (clamp, least, shape, aux, gate, caps) in suite._TABLE.items():
+        verifier = suite._verifier(name)
+        assert callable(verifier), name
+        # the keywords the generic driver passes are the verifier's own
+        keys = [item.split(":")[0] for item in aux.split()]
+        assert set(keys) <= set(inspect.signature(verifier).parameters), name
+        assert all(item.split(":")[1] in "MSECRBPI" for item in aux.split())
+        if isinstance(shape, str):
+            generic += 1
+            assert shape in ("r", "s", "u") and least in (0, 1), name
+        else:
+            assert least is None and len(shape) == 2, name
+        assert gate is None or len(gate) == 3, name
+        # a fuzz case that draws n up to --size is capped; leibniz_chain
+        # draws no matrix at all
+        if clamp is None and name != "leibniz_chain":
+            assert caps[0] is not None, name
+    assert generic >= 20
+
+
+def _bullets(text, head):
+    return [b for b in text.split("\n- ") if b.startswith(head)]
+
+
+def test_readme_states_the_table_caps():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    guards = readme.split("Guards:", 1)[1].split("When a run exceeds", 1)[0]
+    for column, head, want in ((0, "`fuzz --size` above {} is refused", [6, 8, 16]),
+                               (1, "`verify` on a matrix with n above {}", [8])):
+        capped = {}
+        for name in IDENTITY_NAMES:
+            cap = suite._TABLE[name][5][column]
+            if cap is not None:
+                capped.setdefault(cap, set()).add(name)
+        assert sorted(capped) == want
+        for cap, names in capped.items():
+            (bullet,) = _bullets(guards, head.format(cap))
+            named = set(re.findall(r"`(\w+)`", bullet)) & set(IDENTITY_NAMES)
+            assert named == names, cap
+
+
+def test_every_verifier_call_is_visible_to_a_module_wrapper(monkeypatch):
+    # As bench/tracing.py does: replace each verify_* in every ringmat
+    # namespace that binds it.  A driver that kept the original function
+    # object would hide its calls from such a wrapper.
+    through = {}
+
+    def wrap(fn):
+        def wrapper(*args, **kwargs):
+            report = fn(*args, **kwargs)
+            through[id(report)] = report
+            return report
+        return wrapper
+
+    wrappers = {id(fn): wrap(fn) for module in (identities, derivations)
+                for attr, fn in vars(module).items()
+                if attr.startswith("verify_") and callable(fn)}
+    for modname, module in list(sys.modules.items()):
+        if modname == "ringmat" or modname.startswith("ringmat."):
+            for attr, value in list(vars(module).items()):
+                if id(value) in wrappers:
+                    monkeypatch.setattr(module, attr, wrappers[id(value)])
+    for kwargs in ({"ring": Z8, "count": 6, "size": 3}, {"matrix": A}):
+        through.clear()
+        reports = run_suite("all", seed=2, **kwargs)
+        assert len(reports) >= len(IDENTITY_NAMES)
+        assert [r.identity for r in reports if through.get(id(r)) is not r] == []
