@@ -8,8 +8,8 @@ are computed on first use by the Horner recursion
 
     D_(n-1) = I,        D_(k-1) = D_k @ A + c_(n-k) * I,
 
-another n - 2 matmuls.  The expensive routes, det and adjugate of
-t*I - A over the polynomial ring by the subset DP and by cofactors,
+from A alone: one more berkowitz() and n - 2 matmuls.  The subset-DP
+det and the cofactor adjugate of t*I - A over the polynomial ring
 remain in the identities and tests as independent oracles.
 
 Coefficients are indexed from the top: c_j is the coefficient of
@@ -36,7 +36,8 @@ class CharPolyData(FrozenRecord):
 
     chi is monic of degree n; c has length n + 1 with c[j] the coefficient
     of t**(n-j); D has length n with D[k] the coefficient matrix of t**k
-    in adj(t*I - A), computed from matrix (A) on first access.
+    in adj(t*I - A), computed from matrix (A) alone on first access, so
+    it never depends on c.
     """
 
     _fields = ("n", "chi", "c", "matrix")
@@ -46,7 +47,7 @@ class CharPolyData(FrozenRecord):
 
     @cached_property
     def D(self) -> tuple:
-        return tuple(adjugate_coefficients(self.matrix, self.c))
+        return tuple(adjugate_coefficients(self.matrix))
 
     def coefficient(self, j: int):
         """c_j, defined as zero for j outside 0..n."""

@@ -40,14 +40,14 @@ D_i = 1 + the t_i-degree bound, from:
     <= d_A,i + d_B,i, taking N and d_i over each factor.
   * c_j: a sum over the C(n, j) principal j x j minors of j! signed
     products each, norm <= n!/(n-j)! * N**j <= n! * (N + 1)**n and
-    t_i-degree <= n * d_i.  An entry of adj is an (n-1) x (n-1) minor:
-    the same norm bound, t_i-degree <= (n-1) * d_i.
-  * D_k with a caller-supplied c: along D_(k-1) = D_k @ A + c_(n-k) * I
-    every entry's norm b and t_i-degree g_i obey b_(n-1) = 1,
-    g_(n-1) = 0, b_(k-1) <= n * N * b_k + |c_(n-k)| and
-    g_(k-1) <= max(g_k + d_i, deg_(t_i) c_(n-k)).  No bound in n!, N and
-    max |c_i| alone holds: with the all-ones 40 x 40 matrix and every
-    c_i = 1, D_0 has entries above 40! * 2**40.
+    t_i-degree <= n * d_i.
+  * D_k: an entry of D_k is the t**k coefficient of an (n-1) x (n-1)
+    minor of t*I - A, a signed sum over k diagonal places that give t,
+    C(n-1, k) choices at most, and a matching of the other n-1-k rows to
+    columns, (n-1-k)! choices, of products of n-1-k entries of A.  So
+    its norm is <= (n-1)!/k! * N**(n-1-k) <= n! * (N + 1)**n and its
+    t_i-degree <= (n-1-k) * d_i <= (n-1) * d_i: the adjugate's bounds,
+    as adj = (-1)**(n-1) * D_0, hold for every D_k.
 
 Intermediate values are never decoded and may exceed both bounds.  A
 result takes D_1*...*D_d digit slots however sparse: c_1 of entries
@@ -331,8 +331,7 @@ class Matrix:
         if n == 0:
             return self
         if (chain := _tower(self.ring)) and (lifted := _encode(
-                chain, (self._e,), lambda x: (factorial(n) * (x[0] + 1) ** n,
-                                              [(n - 1) * g for g in x[1]]))):
+                chain, (self._e,), _adjugate_fit(n))):
             (ints,), ctx = lifted
             adj = _adjugate(Matrix(ZZ, n, n, ints))
             return Matrix(self.ring, n, n, _decode(adj._e, ctx, n - 1))
@@ -430,46 +429,26 @@ def berkowitz(a: Matrix) -> list:
     return p
 
 
-def adjugate_coefficients(a: Matrix, c) -> list:
+def adjugate_coefficients(a: Matrix) -> list:
     """[D_0, ..., D_(n-1)] with adj(t*I - a) = sum_k t**k * D_k.
 
-    c is berkowitz(a).  Horner in a: D_(n-1) = I and
+    Horner in a on c = berkowitz(a): D_(n-1) = I and
     D_(k-1) = D_k @ a + c_(n-k) * I, so D_0 = (-1)**(n-1) * adj(a).  The
     first step is a itself, so this costs n - 2 matmuls.  Over QQ and
-    polynomial towers the whole recursion runs on the integer encoding,
-    with c_k(B) = c_k * L**k for B = L*A.
+    polynomial towers it runs on the integer encoding, with the
+    adjugate's fit bounding every D_k.
     """
     n = a.rows
     if n == 0:
         return []
-    chain = _tower(a.ring)
-    if chain:
-        depth, rational = len(chain) - 1, isinstance(chain[-1], RationalRing)
-        trees, scale = _integers(chain, a._e)
-        # c_k * L**k, the charpoly of L*A if c is that of A, is integral
-        if rational and any(scale ** k % x.denominator for k, v in enumerate(c)
-                            for x in _leaves([v], depth)):
-            raise ValueError("c cannot be the characteristic polynomial of "
-                             "the matrix: c_k * L**k is not integral")
-        cs = [_tree(v, depth, scale ** k if rational else 0)
-              for k, v in enumerate(c)]
-        # b and g bound the l1 norm and the t_i-degrees of every entry of
-        # D_(n-1) = I, D_(n-2), ...; g only grows along the steps
-        norm, degrees = _measure(trees, depth)
-        b, bound, g = 1, 1, [0] * depth
-        for ci in cs[1:n]:
-            ci_norm, ci_degrees = _measure([ci], depth)
-            b = n * norm * b + ci_norm
-            bound = max(bound, b)
-            g = [max(x + y, z) for x, y, z in zip(g, degrees, ci_degrees)]
-        ctx = _context(chain, scale, bound, g)
-        if ctx:
-            ds = adjugate_coefficients(Matrix(ZZ, n, n, _pack(trees, ctx[3])),
-                                       _pack(cs, ctx[3]))
-            return [Matrix(a.ring, n, n, _decode(d._e, ctx, n - 1 - k))
-                    for k, d in enumerate(ds)]
+    if (chain := _tower(a.ring)) and (lifted := _encode(
+            chain, (a._e,), _adjugate_fit(n))):
+        (ints,), ctx = lifted
+        ds = adjugate_coefficients(Matrix(ZZ, n, n, ints))
+        return [Matrix(a.ring, n, n, _decode(d._e, ctx, n - 1 - k))
+                for k, d in enumerate(ds)]
     out = [Matrix.identity(a.ring, n)]
-    for ci in c[1:n]:
+    for ci in berkowitz(a)[1:n]:
         out.append(_plus_scalar(a if len(out) == 1 else out[-1] @ a, ci))
     out.reverse()
     return out
@@ -487,8 +466,14 @@ def _product(a: Matrix, b: Matrix) -> Matrix:
 
 def _adjugate(a: Matrix) -> Matrix:
     """adj(a) for a square a with n >= 1: D_0 times (-1)**(n-1)."""
-    adj = adjugate_coefficients(a, berkowitz(a))[0]
+    adj = adjugate_coefficients(a)[0]
     return -adj if (a.rows - 1) & 1 else adj
+
+
+def _adjugate_fit(n: int):
+    """The fit bounding adj and every D_k of an n x n matrix."""
+    return lambda x: (factorial(n) * (x[0] + 1) ** n,
+                      [(n - 1) * g for g in x[1]])
 
 
 # A tower's results take D_1*...*D_d digit slots each.  Measured on

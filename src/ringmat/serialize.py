@@ -28,7 +28,18 @@ def _check_depth(depth: int, where: str) -> None:
                          f"{MAX_RING_DEPTH} deep are refused")
 
 
-def _nest(ring: Ring, depth: int) -> Ring:
+def _base_ring(kind, depth: int, modulus, where: str, m_where: str):
+    """ZZ, QQ or Z/m (m parsed from modulus as m_where, refused below 1 as
+    where) for kind "int", "rat" or "mod", nested depth deep; else None."""
+    if kind == "mod":
+        m = _parse_int(modulus, m_where)
+        if m < 1:
+            raise ParseError(f"{where}: modulus must be >= 1, got {m}")
+        ring = ModRing(m)
+    elif kind in ("int", "rat"):
+        ring = ZZ if kind == "int" else QQ
+    else:
+        return None
     for _ in range(depth):
         ring = PolynomialRing(ring)
     return ring
@@ -53,18 +64,12 @@ def ring_from_descriptor(obj, where: str = "ring") -> Ring:
         _check_depth(depth, top)
         obj, where = obj["base"], f"{where}.base"
     kind = obj.get("kind")
-    if kind == "int":
-        return _nest(ZZ, depth)
-    if kind == "rat":
-        return _nest(QQ, depth)
-    if kind == "mod":
-        if "m" not in obj:
-            raise ParseError(f"{where}: modular descriptor needs \"m\"")
-        m = _parse_int(obj["m"], f"{where}.m")
-        if m < 1:
-            raise ParseError(f"{where}.m: modulus must be >= 1, got {m}")
-        return _nest(ModRing(m), depth)
-    raise ParseError(f"{where}: unknown ring kind {kind!r}")
+    if kind == "mod" and "m" not in obj:
+        raise ParseError(f"{where}: modular descriptor needs \"m\"")
+    ring = _base_ring(kind, depth, obj.get("m"), f"{where}.m", f"{where}.m")
+    if ring is None:
+        raise ParseError(f"{where}: unknown ring kind {kind!r}")
+    return ring
 
 
 def parse_ring(text_or_obj, where: str = "ring") -> Ring:
@@ -83,15 +88,11 @@ def parse_ring(text_or_obj, where: str = "ring") -> Ring:
         text = text[5:].strip()
         depth += 1
         _check_depth(depth, where)
-    if text == "int":
-        return _nest(ZZ, depth)
-    if text == "rat":
-        return _nest(QQ, depth)
-    if text.startswith("mod:"):
-        m = _parse_int(text[4:], f"{where} modulus")
-        if m < 1:
-            raise ParseError(f"{where}: modulus must be >= 1, got {m}")
-        return _nest(ModRing(m), depth)
+    kind, colon, modulus = text.partition(":")
+    # only "mod" takes a ":<m>" suffix
+    if (kind == "mod") == bool(colon) and (ring := _base_ring(
+            kind, depth, modulus, where, f"{where} modulus")):
+        return ring
     raise ParseError(
         f"{where}: unknown ring {text!r} (expected int, rat, mod:<m>, "
         f"or poly:<base>)")

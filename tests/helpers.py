@@ -12,6 +12,7 @@ the comparison worth having.
 from __future__ import annotations
 
 from ringmat.fuzz import sample_matrix, sample_singular, stream
+from ringmat.identities import compositions, multinomial
 from ringmat.matrix import Matrix, char_matrix
 from ringmat.poly import PolynomialRing
 from ringmat.rings import QQ, ZZ, ModRing
@@ -71,3 +72,14 @@ def coefficient_matrices_oracle(a: Matrix) -> list:
 
 def mat(ring, rows) -> Matrix:
     return Matrix.from_rows(ring, rows)
+
+
+def assert_multinomial_recurrence(m: int, n: int) -> None:
+    """For every composition of m >= 1 into n parts, multinomial(m, parts)
+    is the sum of multinomial(m - 1, q) over the q that lower one positive
+    part of parts by one."""
+    for parts in compositions(m, n):
+        lowered = [parts[:j] + (p - 1,) + parts[j + 1:]
+                   for j, p in enumerate(parts) if p]
+        assert multinomial(m, parts) == sum(
+            multinomial(m - 1, q) for q in lowered), (m, parts)

@@ -16,7 +16,15 @@ import time
 
 import pytest
 
-from helpers import RINGS5, Z6, Z8, ZT, corpus, mat
+from helpers import (
+    RINGS5,
+    Z6,
+    Z8,
+    ZT,
+    assert_multinomial_recurrence,
+    corpus,
+    mat,
+)
 from ringmat import identities as ids
 from ringmat.charpoly import (
     cayley_hamilton_residual,
@@ -260,7 +268,7 @@ def test_criterion_11_multinomial_traces():
                                        sample_matrix(rng, ring, n, n)))
     for m in range(1, 7):
         for n in range(5):
-            _ok(ids.verify_multinomial_recurrence(m, n))
+            assert_multinomial_recurrence(m, n)
     b.done("500 exhaustive m<=4 checks + 100 pairs + recurrence m<=6")
 
 

@@ -10,12 +10,11 @@ charpoly over Q[t], a triple-loop matmul and a plain Horner recursion.
 
 import random
 from fractions import Fraction
-from math import factorial
 
 import pytest
 
 from helpers import coefficient_matrices_oracle
-from ringmat.charpoly import charpoly, charpoly_newton
+from ringmat.charpoly import CharPolyData, charpoly, charpoly_newton
 from ringmat.matrix import (
     Matrix,
     adjugate_coefficients,
@@ -169,42 +168,43 @@ def test_results_are_canonical_polynomials():
 
 @pytest.mark.parametrize("label", ["int", "mod8", "mod2^61-1", "rat"])
 def test_coefficient_matrices_with_a_foreign_c(label):
+    # the D_k come from a alone: a hand-built record holding a foreign c
+    # still gets the plain Horner sum on berkowitz(a)
     base = BASES[label]
     ring = PolynomialRing(base)
     rng = random.Random(f"foreign-{label}")
     for n in (1, 2, 4, 6):
-        a = _matrix(rng, base, n, n)
+        a = _matrix(rng, base, n, n, digits=True)
+        want = _plain_horner(a, berkowitz(a))
+        assert adjugate_coefficients(a) == want
         c = [ring.one()] + [_poly(rng, base, digits=True) for _ in range(n)]
-        if base == QQ:
-            # integral after scaling by the lcm of a's denominators
-            c = [Polynomial(base, [Fraction(v.numerator) for v in p.coeffs])
-                 for p in c]
-        assert adjugate_coefficients(a, c) == _plain_horner(a, c)
+        data = CharPolyData(n=n, chi=Polynomial(ring, c[::-1]), c=tuple(c),
+                            matrix=a)
+        assert list(data.D) == want
 
 
 def test_coefficient_bound_follows_the_horner_steps():
-    # n!*(max(N, |c|) + 1)**n bounds no D_k here: A is the all-ones
-    # matrix and every c_i is 1, so D_0 has entries sum_k n**(k-1) for
-    # k = 1..n-1, above 40! * 2**40.  The width must come from the norm
-    # recursion along the Horner steps instead.
+    # adj(t*I - J) = t**(n-2) * ((t - n) * I + J) for the all-ones J, as
+    # J @ J = n * J: D_(n-1) = I, D_(n-2) = J - n * I, every other D_k 0
     n = 40
     ring = PolynomialRing(ZZ)
-    one = ring.one()
-    a = Matrix(ring, n, n, [one] * (n * n))
-    c = [one] * (n + 1)
-    d0 = adjugate_coefficients(a, c)[0]
-    want = sum(n ** (k - 1) for k in range(1, n))
-    assert want > factorial(n) * 2**n
-    assert d0.entry(1, 2) == ring.coerce(want)
-    assert d0.entry(1, 1) == ring.coerce(want + 1)
+    j = Matrix(ring, n, n, [ring.one()] * (n * n))
+    eye = Matrix.identity(ring, n)
+    want = [Matrix.zeros(ring, n, n)] * (n - 2) + [j - eye.scale(n), eye]
+    assert adjugate_coefficients(j) == want
 
 
-def test_coefficient_matrices_refuse_a_foreign_charpoly_over_qt():
-    ring = PolynomialRing(QQ)
-    a = Matrix.identity(ring, 2).scale(ring.coerce([Fraction(1, 2)]))
-    c = [ring.one(), ring.coerce([Fraction(1, 10**9)]), ring.zero()]
-    with pytest.raises(ValueError):
-        adjugate_coefficients(a, c)
+def test_adjugate_width_covers_the_factorial():
+    # A = diag(H, 1) with H the 8 x 8 Sylvester Hadamard matrix, so N = 1
+    # and adj(A) = diag(8**4 * H**-1, det H) = diag(512 * H, 4096): above
+    # (N + 1)**9 = 512, so the width needs the n! of the fit
+    ring = PolynomialRing(ZZ)
+    h = [[(-1) ** (i & j).bit_count() for j in range(8)] for i in range(8)]
+    a = Matrix.from_rows(ring, [r + [0] for r in h] + [[0] * 8 + [1]])
+    want = Matrix.from_rows(ring, [[512 * v for v in r] + [0] for r in h]
+                            + [[0] * 8 + [4096]])
+    assert a.adjugate() == want
+    assert adjugate_coefficients(a)[0] == want
 
 
 class _CountingRT(PolynomialRing):

@@ -198,20 +198,13 @@ def test_product_width_covers_the_inner_dimension():
 
 @pytest.mark.parametrize("label", ["int", "mod8", "mod2^61-1", "rat"])
 def test_coefficient_degrees_follow_the_horner_steps(label):
-    # a has degree 0 in every variable, so (n-1) * deg(a) = 0 bounds no
-    # D_k: their degrees come from c alone, through the degree recursion
-    base = BASES[label]
-    rings = _tower_of(base, 2)
-    R = rings[2]
+    # each Horner step multiplies by a, so D_k reaches t_i-degree
+    # (n-1-k) * deg_(t_i)(a): entries of degree 4 in both variables
+    rings = _tower_of(BASES[label], 2)
     rng = random.Random(f"horner-{label}")
     for n in (2, 3, 5):
-        a = _matrix(rng, rings, n, n, degree=0)
-        # c_i of degree 4 in both variables, integral over QQ
-        c = [R.one()] + [Polynomial(rings[1], [
-            Polynomial(base, [base.coerce(rng.randint(1, 10**30))
-                              for _ in range(5)]) for _ in range(5)])
-            for _ in range(n)]
-        assert adjugate_coefficients(a, c) == _plain_horner(a, c)
+        a = _matrix(rng, rings, n, n, top=10**30, degree=4)
+        assert adjugate_coefficients(a) == _plain_horner(a, berkowitz(a))
 
 
 class _Counting:

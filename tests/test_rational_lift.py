@@ -19,7 +19,6 @@ from ringmat.matrix import (
     Matrix,
     _encode,
     _tower,
-    adjugate_coefficients,
     berkowitz,
 )
 from ringmat.rings import QQ, ZZ, RationalRing
@@ -115,12 +114,6 @@ def test_coefficient_matrices_match_polynomial_oracle(label):
     got = charpoly(a).D
     assert list(got) == coefficient_matrices_oracle(a)
     assert all(_fractions(d) for d in got)
-
-
-def test_coefficient_matrices_refuse_a_foreign_charpoly():
-    a = CASES["small-den-n4"]
-    with pytest.raises(ValueError):
-        adjugate_coefficients(a, [Fraction(1), Fraction(1, 10**9), 0, 0, 0])
 
 
 @pytest.mark.parametrize("shape", [(3, 4, 2), (1, 1, 1), (2, 0, 3), (0, 2, 2),
