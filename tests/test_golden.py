@@ -9,7 +9,9 @@ poly:rat and poly:mod:1.  The command cases pin charpoly, charpoly
 --newton, adjugate and verify all on fixed integer and rational
 matrices, and charpoly and adjugate on a fixed poly:int matrix.  Further
 campaigns and verify runs pin sizes past the dimension clamps, n = 0 and
-n = 1 gates, n > 8 and the --k, --imax and --p parameters.  A kernel
+n = 1 gates, n > 8 and the --k, --imax and --p parameters.  The mutated
+cases run verify all and fuzz --suite all with RINGMAT_MUTATE naming
+every identity, so they pin which part each failing report names.  A kernel
 rewrite that changes a single output byte (a reordered report, a
 differently reduced fraction, a shifted random draw) fails here.
 
@@ -25,6 +27,8 @@ import json
 import pytest
 
 from ringmat.cli import main
+from ringmat.report import set_mutation
+from ringmat.suite import IDENTITY_NAMES
 
 FUZZ_RINGS = ("int", "mod:8", "rat", "poly:mod:8")
 SUITES = ("core", "adjugate", "blocks", "nilpotency", "traces", "derivations")
@@ -104,6 +108,23 @@ COMMANDS["verify-nilpotency-traces-mod9"] = [
     "verify", "nilpotency,traces", "--seed", "7", *_PARAMS, "--matrix",
     json.dumps({"ring": "mod:9", "entries": [[3, 1, 4], [0, 6, 2],
                                              [0, 0, 3]]})]
+
+# Run with every identity mutated.  The nilpotent matrix has A**3 = 0, so
+# its nilpotency clauses run at any --k and its almkvist clauses at --k 2.
+_MUTATED_INT = {"ring": "int", "entries": [[1, 2, 0], [3, -4, 5], [0, 1, 1]]}
+_NILPOTENT = {"ring": "rat", "entries": [[0, 2, 3], [0, 0, 5], [0, 0, 0]]}
+MUTATED_COMMANDS = {
+    f"verify-all-{label}-k{k}": ["verify", "all", "--k", str(k),
+                                 "--matrix", json.dumps(m)]
+    for label, m, k in (("int", _MUTATED_INT, 1),
+                        ("nilpotent-rat", _NILPOTENT, 1),
+                        ("nilpotent-rat", _NILPOTENT, 2))
+}
+MUTATED_CAMPAIGNS = {
+    f"all-size4-{ring}": ["fuzz", "--ring", ring, "--suite", "all",
+                          "--size", "4", "--count", "3", "--seed", "5"]
+    for ring in ("int", "poly:mod:8")
+}
 
 # Recorded from the code before the rational kernels ran on the integer
 # lift (see CHANGES.md); the lift must not move a byte.
@@ -246,6 +267,25 @@ CAMPAIGN_DIGESTS = {
         "0f2e56fd903cea5edc044a2a9b43fbdebb5643ae64d25a25043ebdf443075cc5"),
 }
 
+# Recorded from the code before the multi-part verifiers shared one
+# clause protocol (see CHANGES.md).
+MUTATED_COMMAND_DIGESTS = {
+    "verify-all-int-k1":
+        "420de1ea2c976dde2d343f40bd13df43194349d5f572c05c77519b0cd2d2eeaf",
+    "verify-all-nilpotent-rat-k1":
+        "5298f6c34f887c5c1fef2ffe68dc453ffe86f9e74315a8b17f6b60cd003bf2ef",
+    "verify-all-nilpotent-rat-k2":
+        "0a4fb0a9c347ed55fb0eb88c21d952746a370a0de94b97548a61bbc89316b1d5",
+}
+MUTATED_CAMPAIGN_DIGESTS = {
+    "all-size4-int": (
+        "43d6d3d9a68d5100a2b883084903d33c31ea9982a500bedca2dfd9c217f886bf",
+        "b4ea1101a6796c97af69be9604c5684054d5507c6658fd6ce8f449365b23e8fb"),
+    "all-size4-poly:mod:8": (
+        "43d6d3d9a68d5100a2b883084903d33c31ea9982a500bedca2dfd9c217f886bf",
+        "476f881bb5a810dd56ac5ab9775f3011e0fb4d6ec468e22fabe712215d48728f"),
+}
+
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -258,11 +298,11 @@ def _run(argv) -> tuple:
     return code, buf.getvalue().encode()
 
 
-def campaign_bytes(argv, tmp_path) -> tuple:
+def campaign_bytes(argv, tmp_path, expect: int = 0) -> tuple:
     """(--out file bytes, stdout bytes) of one fuzz campaign."""
     out = tmp_path / "report.json"
     code, stdout = _run([*argv, "--out", str(out)])
-    assert code == 0, stdout
+    assert code == expect, stdout
     return out.read_bytes(), stdout
 
 
@@ -271,15 +311,22 @@ def fuzz_bytes(ring: str, suite: str, tmp_path) -> tuple:
                            *FUZZ_ARGS], tmp_path)
 
 
-def command_bytes(argv) -> bytes:
+def command_bytes(argv, expect: int = 0) -> bytes:
     code, stdout = _run(argv)
-    assert code == 0, stdout
+    assert code == expect, stdout
     return stdout
 
 
 @pytest.fixture(autouse=True)
 def _no_mutation(monkeypatch):
     monkeypatch.delenv("RINGMAT_MUTATE", raising=False)
+
+
+@pytest.fixture
+def _mutate_all(monkeypatch):
+    monkeypatch.setenv("RINGMAT_MUTATE", ",".join(IDENTITY_NAMES))
+    yield
+    set_mutation(())
 
 
 @pytest.mark.parametrize("ring,suite", list(FUZZ_DIGESTS),
@@ -306,8 +353,24 @@ def test_command_digest(name):
     assert sha(command_bytes(COMMANDS[name])) == COMMAND_DIGESTS[name]
 
 
+@pytest.mark.usefixtures("_mutate_all")
+@pytest.mark.parametrize("name", list(MUTATED_COMMAND_DIGESTS))
+def test_mutated_command_digest(name):
+    stdout = command_bytes(MUTATED_COMMANDS[name], expect=1)
+    assert sha(stdout) == MUTATED_COMMAND_DIGESTS[name]
+
+
+@pytest.mark.usefixtures("_mutate_all")
+@pytest.mark.parametrize("name", list(MUTATED_CAMPAIGN_DIGESTS))
+def test_mutated_campaign_digest(name, tmp_path):
+    out, stdout = campaign_bytes(MUTATED_CAMPAIGNS[name], tmp_path, expect=1)
+    assert (sha(stdout), sha(out)) == MUTATED_CAMPAIGN_DIGESTS[name]
+
+
 def test_every_ring_suite_and_command_is_pinned():
     assert set(FUZZ_DIGESTS) == {(r, s) for r in FUZZ_RINGS for s in SUITES}
     assert set(ALL_SUITE_DIGESTS) == set(ALL_SUITE_RINGS)
     assert set(COMMAND_DIGESTS) == set(COMMANDS)
     assert set(CAMPAIGN_DIGESTS) == set(CAMPAIGNS)
+    assert set(MUTATED_COMMAND_DIGESTS) == set(MUTATED_COMMANDS)
+    assert set(MUTATED_CAMPAIGN_DIGESTS) == set(MUTATED_CAMPAIGNS)
