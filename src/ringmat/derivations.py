@@ -17,7 +17,7 @@ from __future__ import annotations
 from .matrix import Matrix
 from .poly import Polynomial, PolynomialRing
 from .record import FrozenRecord
-from .report import VerificationReport, make_report
+from .report import VerificationReport, first_failure, make_report
 from .rings import Ring, RingMismatchError, ShapeError
 
 
@@ -112,18 +112,11 @@ def verify_leibniz_chain(f: Derivation, elems) -> VerificationReport:
                 rest = L.mul(rest, v)
         collected = L.add(collected, L.mul(f(elems[k]), rest))
 
-    inputs = {
-        "derivation": f.describe(),
-        "ring": L.descriptor(),
-        "factors": [L.element_to_json(v) for v in elems],
-    }
-    diff = L.sub(lhs, ordered)
-    if not L.is_zero(diff):
-        return make_report("leibniz_chain", diff, ring=L, inputs=inputs,
-                           part="ordered_product_rule")
-    diff = L.sub(lhs, collected)
-    return make_report("leibniz_chain", diff, ring=L, inputs=inputs,
-                       part="collected_product_rule")
+    return first_failure("leibniz_chain", (
+        ("ordered_product_rule", L.sub(lhs, ordered), L),
+        ("collected_product_rule", L.sub(lhs, collected), L),
+    ), {"derivation": f.describe(), "ring": L.descriptor(),
+        "factors": [L.element_to_json(v) for v in elems]})
 
 
 def verify_derivation_det(f: Derivation, a: Matrix) -> VerificationReport:

@@ -13,6 +13,12 @@ precondition is the caller's responsibility (commuting factors) raise
 PreconditionError instead, so a bad call is never confused with a
 counterexample.
 
+An identity with several clauses (a family over k, both sides of a
+product, every row) lists them as (part, residual, ring) triples and
+returns report.first_failure of the list: a failing report names its
+first failing clause in inputs["failed_part"].  A (None, zero, ring)
+sentinel last clause lets the check pass without naming a part.
+
 Where both sides of an identity would otherwise run the same production
 kernel (Matrix.det, Matrix.adjugate and charpoly all derive from
 matrix.berkowitz), one side uses an oracle instead: det_subset_dp,
@@ -21,7 +27,7 @@ adjugate_cofactor or det_leibniz.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, factorial
 
 from .charpoly import (
@@ -35,7 +41,8 @@ from .charpoly import (
 from .matrix import Matrix, block2x2, char_matrix, ent
 from .poly import Polynomial, PolynomialRing, ring_depth
 from .record import FrozenRecord
-from .report import VerificationReport, hypothesis_not_met, make_report
+from .report import (VerificationReport, first_failure, hypothesis_not_met,
+                     make_report)
 from .rings import GuardError, PreconditionError, ShapeError
 
 TERM_GUARD = 100_000
@@ -185,18 +192,15 @@ def verify_trace_product(a: Matrix, b: Matrix) -> VerificationReport:
             f"need n x m against m x n, got {a.rows} x {a.cols} "
             f"and {b.rows} x {b.cols}")
     K = a.ring
-    inputs = {"matrix": a.to_json(), "matrix_b": b.to_json()}
     acc = K.zero()
     for i in range(1, a.rows + 1):
         for j in range(1, a.cols + 1):
             acc = K.add(acc, K.mul(a.entry(i, j), b.entry(j, i)))
-    diff = K.sub((a @ b).trace(), acc)
-    if not K.is_zero(diff):
-        return make_report("trace_product", diff, ring=K, inputs=inputs,
-                           part="entry_double_sum")
-    diff = K.sub((a @ b).trace(), (b @ a).trace())
-    return make_report("trace_product", diff, ring=K, inputs=inputs,
-                       part="cyclic_swap")
+    tr_ab = (a @ b).trace()
+    return first_failure("trace_product", (
+        ("entry_double_sum", K.sub(tr_ab, acc), K),
+        ("cyclic_swap", K.sub(tr_ab, (b @ a).trace()), K),
+    ), {"matrix": a.to_json(), "matrix_b": b.to_json()})
 
 
 def verify_laplace(a: Matrix) -> VerificationReport:
@@ -205,19 +209,19 @@ def verify_laplace(a: Matrix) -> VerificationReport:
     K = a.ring
     n = a.rows
     d = a.det()
-    inputs = {"matrix": a.to_json()}
-    for p in range(1, n + 1):
-        acc = K.zero()
-        for q in range(1, n + 1):
-            term = K.mul(a.entry(p, q), a.minor(p, q).det())
-            if (p + q) & 1:
-                term = K.neg(term)
-            acc = K.add(acc, term)
-        diff = K.sub(d, acc)
-        if not K.is_zero(diff):
-            return make_report("laplace", diff, ring=K, inputs=inputs,
-                               part=f"row_{p}")
-    return make_report("laplace", K.zero(), ring=K, inputs=inputs)
+
+    def rows():
+        for p in range(1, n + 1):
+            acc = K.zero()
+            for q in range(1, n + 1):
+                term = K.mul(a.entry(p, q), a.minor(p, q).det())
+                if (p + q) & 1:
+                    term = K.neg(term)
+                acc = K.add(acc, term)
+            yield f"row_{p}", K.sub(d, acc), K
+        yield None, K.zero(), K
+
+    return first_failure("laplace", rows(), {"matrix": a.to_json()})
 
 
 def verify_row_of_product(a: Matrix, b: Matrix) -> VerificationReport:
@@ -226,14 +230,11 @@ def verify_row_of_product(a: Matrix, b: Matrix) -> VerificationReport:
     if a.cols != b.rows:
         raise ShapeError("inner dimensions must agree")
     prod = a @ b
-    inputs = {"matrix": a.to_json(), "matrix_b": b.to_json()}
-    for j in range(1, a.rows + 1):
-        diff = prod.row(j) - (a.row(j) @ b)
-        if not diff.is_zero():
-            return make_report("row_of_product", diff, inputs=inputs,
-                               part=f"row_{j}")
-    return make_report("row_of_product", Matrix.zeros(a.ring, 1, b.cols),
-                       inputs=inputs)
+    rows = ((f"row_{j}", prod.row(j) - (a.row(j) @ b), None)
+            for j in range(1, a.rows + 1))
+    zero = Matrix.zeros(a.ring, 1, b.cols)
+    return first_failure("row_of_product", chain(rows, [(None, zero, None)]),
+                         {"matrix": a.to_json(), "matrix_b": b.to_json()})
 
 
 def verify_adj_inverse(a: Matrix) -> VerificationReport:
@@ -243,12 +244,10 @@ def verify_adj_inverse(a: Matrix) -> VerificationReport:
     n = a.rows
     adj = a.adjugate()
     target = Matrix.identity(K, n).scale(a.det())
-    inputs = {"matrix": a.to_json()}
-    diff = (a @ adj) - target
-    if not diff.is_zero():
-        return make_report("adj_inverse", diff, inputs=inputs, part="right")
-    return make_report("adj_inverse", (adj @ a) - target, inputs=inputs,
-                       part="left")
+    return first_failure("adj_inverse", (
+        ("right", (a @ adj) - target, None),
+        ("left", (adj @ a) - target, None),
+    ), {"matrix": a.to_json()})
 
 
 def verify_eval_zero_hom(a: Matrix) -> VerificationReport:
@@ -262,21 +261,13 @@ def verify_eval_zero_hom(a: Matrix) -> VerificationReport:
     K = a.ring
     # t*I + A is the characteristic matrix of -A
     tia = char_matrix(-a)
-
-    def eps(poly):
-        return poly.eval_zero()
-
-    inputs = {"matrix": a.to_json()}
-    diff = K.sub(eps(tia.det()), a.det_subset_dp())
-    if not K.is_zero(diff):
-        return make_report("eval_zero_hom", diff, ring=K, inputs=inputs,
-                           part="determinant")
-    diffm = tia.adjugate().map_entries(eps, K) - a.adjugate_cofactor()
-    if not diffm.is_zero():
-        return make_report("eval_zero_hom", diffm, inputs=inputs,
-                           part="adjugate")
-    return make_report("eval_zero_hom", tia.map_entries(eps, K) - a,
-                       inputs=inputs, part="entries")
+    eps = Polynomial.eval_zero
+    return first_failure("eval_zero_hom", (
+        ("determinant", K.sub(eps(tia.det()), a.det_subset_dp()), K),
+        ("adjugate",
+         tia.adjugate().map_entries(eps, K) - a.adjugate_cofactor(), None),
+        ("entries", tia.map_entries(eps, K) - a, None),
+    ), {"matrix": a.to_json()})
 
 
 def verify_det_affine_degree(a: Matrix, b: Matrix) -> VerificationReport:
@@ -295,16 +286,12 @@ def verify_det_affine_degree(a: Matrix, b: Matrix) -> VerificationReport:
         for av, bv in zip(a._e, b._e)
     ])
     p = pencil.det()
-    inputs = {"matrix": a.to_json(), "matrix_b": b.to_json()}
-    if p.degree > n:
-        return make_report("det_affine_degree", p.coeff(p.degree), ring=K,
-                           inputs=inputs, part="degree_bound")
-    diff = K.sub(p.coeff(0), b.det())
-    if not K.is_zero(diff):
-        return make_report("det_affine_degree", diff, ring=K, inputs=inputs,
-                           part="constant_term")
-    return make_report("det_affine_degree", K.sub(p.coeff(n), a.det()),
-                       ring=K, inputs=inputs, part="top_term")
+    # listed only when it fails, so a passing check tests no residual for it
+    bound = [("degree_bound", p.coeff(p.degree), K)] if p.degree > n else []
+    return first_failure("det_affine_degree", bound + [
+        ("constant_term", K.sub(p.coeff(0), b.det()), K),
+        ("top_term", K.sub(p.coeff(n), a.det()), K),
+    ], {"matrix": a.to_json(), "matrix_b": b.to_json()})
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +314,11 @@ def verify_trace_cayley_hamilton(a: Matrix, kmax: int | None = None) -> Verifica
         kmax = 2 * n + 1
     data = charpoly(a)
     tr = power_traces(a, kmax)
-    inputs = {"matrix": a.to_json(), "kmax": kmax}
-    for k in range(kmax + 1):
-        acc = trace_cayley_hamilton_sum(data, tr, k)
-        if not K.is_zero(acc):
-            return make_report("trace_cayley_hamilton", acc, ring=K,
-                               inputs=inputs, part=f"k_{k}")
-    return make_report("trace_cayley_hamilton", K.zero(), ring=K,
-                       inputs=inputs)
+    sums = ((f"k_{k}", trace_cayley_hamilton_sum(data, tr, k), K)
+            for k in range(kmax + 1))
+    return first_failure("trace_cayley_hamilton",
+                         chain(sums, [(None, K.zero(), K)]),
+                         {"matrix": a.to_json(), "kmax": kmax})
 
 
 def verify_newton_agreement(a: Matrix) -> VerificationReport:
@@ -349,14 +333,11 @@ def verify_newton_agreement(a: Matrix) -> VerificationReport:
     if not K.is_q_algebra:
         return hypothesis_not_met(
             "newton_agreement", f"ring {K} is not a Q-algebra", inputs)
-    direct = charpoly(a)
-    newton = charpoly_newton(a)
     L = PolynomialRing(K)
-    diff = L.sub(direct.chi, newton.chi)
-    if not L.is_zero(diff):
-        return make_report("newton_agreement", diff, ring=L, inputs=inputs,
-                           part="chi")
-    return make_report("newton_agreement", K.zero(), ring=K, inputs=inputs)
+    return first_failure("newton_agreement", (
+        ("chi", L.sub(charpoly(a).chi, charpoly_newton(a).chi), L),
+        (None, K.zero(), K),
+    ), inputs)
 
 
 def verify_adj_via_charpoly(a: Matrix) -> VerificationReport:
@@ -411,15 +392,14 @@ def verify_trace_of_D(a: Matrix) -> VerificationReport:
     K = a.ring
     n = a.rows
     data = charpoly(a)
-    inputs = {"matrix": a.to_json()}
-    for k in range(-1, n + 2):
-        lhs = data.coefficient_matrix(k).trace()
-        rhs = K.mul(K.from_int(k + 1), data.coefficient(n - k - 1))
-        diff = K.sub(lhs, rhs)
-        if not K.is_zero(diff):
-            return make_report("trace_of_D", diff, ring=K, inputs=inputs,
-                               part=f"k_{k}")
-    return make_report("trace_of_D", K.zero(), ring=K, inputs=inputs)
+
+    def traces():
+        for k in range(-1, n + 2):
+            rhs = K.mul(K.from_int(k + 1), data.coefficient(n - k - 1))
+            yield f"k_{k}", K.sub(data.coefficient_matrix(k).trace(), rhs), K
+        yield None, K.zero(), K
+
+    return first_failure("trace_of_D", traces(), {"matrix": a.to_json()})
 
 
 def verify_coefficient_family(a: Matrix) -> VerificationReport:
@@ -434,28 +414,24 @@ def verify_coefficient_family(a: Matrix) -> VerificationReport:
     K = a.ring
     n = a.rows
     data = charpoly(a)
+    c, D = data.coefficient, data.coefficient_matrix
     ident = Matrix.identity(K, n)
-    inputs = {"matrix": a.to_json()}
-    for k in range(n + 1):
-        lhs = ident.scale(data.coefficient(n - k))
-        rhs = data.coefficient_matrix(k - 1) - (a @ data.coefficient_matrix(k))
-        diff = lhs - rhs
-        if not diff.is_zero():
-            return make_report("coefficient_family", diff, inputs=inputs,
-                               part=f"difference_k_{k}")
-    for k in range(n + 1):
-        total = Matrix.zeros(K, n, n)
-        power = ident
-        for i in range(k + 1):
-            total = total + power.scale(data.coefficient(k - i))
-            if i < k:
-                power = power @ a
-        diff = total - data.coefficient_matrix(n - 1 - k)
-        if not diff.is_zero():
-            return make_report("coefficient_family", diff, inputs=inputs,
-                               part=f"summation_k_{k}")
-    return make_report("coefficient_family", Matrix.zeros(K, n, n),
-                       inputs=inputs)
+
+    def laws():
+        for k in range(n + 1):
+            rhs = D(k - 1) - (a @ D(k))
+            yield f"difference_k_{k}", ident.scale(c(n - k)) - rhs, None
+        powers = [ident]  # A**0 .. A**k, one matmul per k
+        for k in range(n + 1):
+            if k:
+                powers.append(powers[-1] @ a)
+            total = Matrix.zeros(K, n, n)
+            for i in range(k + 1):
+                total = total + powers[i].scale(c(k - i))
+            yield f"summation_k_{k}", total - D(n - 1 - k), None
+        yield None, Matrix.zeros(K, n, n), None
+
+    return first_failure("coefficient_family", laws(), {"matrix": a.to_json()})
 
 
 def verify_trace_coefficient(a: Matrix) -> VerificationReport:
@@ -493,20 +469,16 @@ def verify_adj_of_adj(a: Matrix) -> VerificationReport:
     _square(a, "iterated adjugate")
     K = a.ring
     n = a.rows
-    inputs = {"matrix": a.to_json()}
-    if n == 0:
-        return make_report("adj_of_adj", K.zero(), ring=K, inputs=inputs)
-    adj = a.adjugate()
-    d = a.det()
-    diff = K.sub(adj.det(), K.pow(d, n - 1))
-    if not K.is_zero(diff):
-        return make_report("adj_of_adj", diff, ring=K, inputs=inputs,
-                           part="det_of_adj")
+    clauses = []
+    if n >= 1:
+        adj, d = a.adjugate(), a.det()
+        clauses.append(("det_of_adj", K.sub(adj.det(), K.pow(d, n - 1)), K))
     if n >= 2:
-        diffm = adj.adjugate() - a.scale(K.pow(d, n - 2))
-        return make_report("adj_of_adj", diffm, inputs=inputs,
-                           part="adj_of_adj")
-    return make_report("adj_of_adj", K.zero(), ring=K, inputs=inputs)
+        clauses.append(
+            ("adj_of_adj", adj.adjugate() - a.scale(K.pow(d, n - 2)), None))
+    else:
+        clauses.append((None, K.zero(), K))
+    return first_failure("adj_of_adj", clauses, {"matrix": a.to_json()})
 
 
 def verify_adj_scalar(a: Matrix, lam) -> VerificationReport:
@@ -596,11 +568,6 @@ def verify_block_commute(a: Matrix, b: Matrix, c: Matrix,
     )
 
 
-def _is_identity_1x1(m: Matrix) -> bool:
-    return (m.rows, m.cols) == (1, 1) and m.ring.is_zero(
-        m.ring.sub(m.entry(1, 1), m.ring.one()))
-
-
 def _is_indicator(m: Matrix, i: int, j: int) -> bool:
     """True when m is zero except for a 1 in position (i, j)."""
     K = m.ring
@@ -631,39 +598,26 @@ def verify_rank1_block(a: Matrix, d: Matrix, p: Matrix, q: Matrix,
     if (v.rows, v.cols) != (1, m) or (u.rows, u.cols) != (1, n):
         raise ShapeError("v must be 1 x m and u must be 1 x n")
     K = a.ring
-    adj_a = a.adjugate()
-    adj_d = d.adjugate()
     lhs = block2x2(a, p @ v, q @ u, d).det()
-    rhs = K.sub(
-        K.mul(a.det(), d.det()),
-        K.mul(ent(u @ adj_a @ p), ent(v @ adj_d @ q)),
-    )
-    inputs = {
-        "matrix": a.to_json(), "matrix_d": d.to_json(),
-        "p": p.to_json(), "q": q.to_json(),
-        "v": v.to_json(), "u": u.to_json(),
-    }
-    diff = K.sub(lhs, rhs)
-    if not K.is_zero(diff):
-        return make_report("rank1_block", diff, ring=K, inputs=inputs,
-                           part="general")
-    if m == 1 and _is_identity_1x1(q) and _is_identity_1x1(v):
-        bordered = K.sub(K.mul(ent(d), a.det()), ent(u @ adj_a @ p))
-        diff = K.sub(lhs, bordered)
-        if not K.is_zero(diff):
-            return make_report("rank1_block", diff, ring=K, inputs=inputs,
-                               part="bordered")
+    det_a = a.det()
+    det_ad = K.mul(det_a, d.det())
+    uap = ent(u @ a.adjugate() @ p)
+    rhs = K.sub(det_ad, K.mul(uap, ent(v @ d.adjugate() @ q)))
+    clauses = [("general", K.sub(lhs, rhs), K)]
+    if m == 1 and _is_indicator(q, 1, 1) and _is_indicator(v, 1, 1):
+        bordered = K.sub(K.mul(ent(d), det_a), uap)
+        clauses.append(("bordered", K.sub(lhs, bordered), K))
     if (n >= 1 and m >= 1
             and _is_indicator(p, n, 1) and _is_indicator(v, 1, 1)
             and _is_indicator(q, 1, 1) and _is_indicator(u, 1, n)):
-        corner = K.sub(
-            K.mul(a.det(), d.det()),
-            K.mul(a.minor(n, n).det(), d.minor(1, 1).det()),
-        )
-        diff = K.sub(lhs, corner)
-        return make_report("rank1_block", diff, ring=K, inputs=inputs,
-                           part="corner_indicators")
-    return make_report("rank1_block", K.zero(), ring=K, inputs=inputs)
+        corner = K.sub(det_ad, K.mul(a.minor(n, n).det(),
+                                     d.minor(1, 1).det()))
+        clauses.append(("corner_indicators", K.sub(lhs, corner), K))
+    else:
+        clauses.append((None, K.zero(), K))
+    return first_failure("rank1_block", clauses, {
+        "matrix": a.to_json(), "matrix_d": d.to_json(), "p": p.to_json(),
+        "q": q.to_json(), "v": v.to_json(), "u": u.to_json()})
 
 
 def verify_matrix_det_lemma(a: Matrix, u: Matrix, v: Matrix) -> VerificationReport:
@@ -705,26 +659,16 @@ def verify_nilpotency_criterion(a: Matrix) -> VerificationReport:
                 f"Tr(A**{i}) = {K.format(tr[i])} is nonzero", inputs)
     nfact = K.from_int(factorial(n))
     an = a ** n
-    diffm = an.scale(nfact)
-    if not diffm.is_zero():
-        return make_report("nilpotency", diffm, inputs=inputs,
-                           part="factorial_power")
     L = PolynomialRing(K)
     chi = charpoly(a).chi
     tn = Polynomial(K, tuple([K.zero()] * n + [K.one()]))
-    diffp = L.sub(chi.scale(nfact), tn.scale(nfact))
-    if not L.is_zero(diffp):
-        return make_report("nilpotency", diffp, ring=L, inputs=inputs,
-                           part="factorial_charpoly")
+    clauses = [("factorial_power", an.scale(nfact), None),
+               ("factorial_charpoly",
+                L.sub(chi.scale(nfact), tn.scale(nfact)), L)]
     if K.is_q_algebra:
-        if not an.is_zero():
-            return make_report("nilpotency", an, inputs=inputs,
-                               part="power")
-        diffp = L.sub(chi, tn)
-        if not L.is_zero(diffp):
-            return make_report("nilpotency", diffp, ring=L, inputs=inputs,
-                               part="charpoly")
-    return make_report("nilpotency", K.zero(), ring=K, inputs=inputs)
+        clauses += [("power", an, None), ("charpoly", L.sub(chi, tn), L)]
+    clauses.append((None, K.zero(), K))
+    return first_failure("nilpotency", clauses, inputs)
 
 
 def verify_nilpotency_converse(a: Matrix, imax: int) -> VerificationReport:
@@ -743,11 +687,9 @@ def verify_nilpotency_converse(a: Matrix, imax: int) -> VerificationReport:
         return hypothesis_not_met(
             "nilpotency_converse", "chi_A is not t**n", inputs)
     tr = power_traces(a, imax)
-    for i in range(1, imax + 1):
-        if not K.is_zero(tr[i]):
-            return make_report("nilpotency_converse", tr[i], ring=K,
-                               inputs=inputs, part=f"trace_power_{i}")
-    return make_report("nilpotency_converse", K.zero(), ring=K, inputs=inputs)
+    traces = ((f"trace_power_{i}", tr[i], K) for i in range(1, imax + 1))
+    return first_failure("nilpotency_converse",
+                         chain(traces, [(None, K.zero(), K)]), inputs)
 
 
 def verify_almkvist(a: Matrix, k: int) -> VerificationReport:
@@ -767,14 +709,12 @@ def verify_almkvist(a: Matrix, k: int) -> VerificationReport:
         return hypothesis_not_met(
             "almkvist", f"A**{k + 1} is not the zero matrix", inputs)
     t = a.trace()
-    diff = K.pow(t, n * k + 1)
-    if not K.is_zero(diff):
-        return make_report("almkvist", diff, ring=K, inputs=inputs,
-                           part="vanishing_power")
     ratio = factorial(n * k) // factorial(k) ** n
     rhs = K.mul(K.from_int(ratio), K.pow(a.det(), k))
-    return make_report("almkvist", K.sub(K.pow(t, n * k), rhs), ring=K,
-                       inputs=inputs, part="closed_form")
+    return first_failure("almkvist", (
+        ("vanishing_power", K.pow(t, n * k + 1), K),
+        ("closed_form", K.sub(K.pow(t, n * k), rhs), K),
+    ), inputs)
 
 
 def verify_trace_multinomial(a: Matrix, m: int) -> VerificationReport:

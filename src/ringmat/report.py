@@ -80,10 +80,7 @@ def make_report(identity: str, residual, *, ring=None, inputs=None,
     inputs = dict(inputs) if inputs else {}
     if identity in _MUTATED:
         residual = _bump(residual, ring)
-    if ring is not None:
-        failed = not ring.is_zero(residual)
-    else:
-        failed = not residual.is_zero()
+    failed = not _is_zero(residual, ring)
     if failed and part is not None:
         inputs["failed_part"] = part
     return VerificationReport(
@@ -95,12 +92,37 @@ def make_report(identity: str, residual, *, ring=None, inputs=None,
     )
 
 
+def first_failure(identity: str, clauses, inputs=None) -> VerificationReport:
+    """Report a multi-part identity by its first failing clause.
+
+    clauses yields (part, residual, ring) in order, ring None for a Matrix
+    residual.  make_report builds the report from the first clause with a
+    nonzero residual, else from the last, so a failing report names its
+    part in inputs["failed_part"] and a mutated identity bumps its last
+    clause.  A (None, zero, ring) sentinel last clause passes unnamed.
+    The last clause is tested only inside make_report, so a passing check
+    tests each residual once; clause i is tested once clause i + 1 is
+    drawn, so a generator is drawn at most one clause past the reported one.
+    """
+    it = iter(clauses)
+    part, residual, ring = next(it)
+    for after in it:
+        if not _is_zero(residual, ring):
+            break
+        part, residual, ring = after
+    return make_report(identity, residual, ring=ring, inputs=inputs, part=part)
+
+
 def hypothesis_not_met(identity: str, reason: str, inputs=None) -> VerificationReport:
     inputs = dict(inputs) if inputs else {}
     inputs["reason"] = reason
     return VerificationReport(
         identity=identity, passed=True, hypothesis_met=False, inputs=inputs,
     )
+
+
+def _is_zero(residual, ring) -> bool:
+    return ring.is_zero(residual) if ring is not None else residual.is_zero()
 
 
 def _bump(residual, ring):
