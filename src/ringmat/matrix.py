@@ -433,8 +433,9 @@ def adjugate_coefficients(a: Matrix) -> list:
     """[D_0, ..., D_(n-1)] with adj(t*I - a) = sum_k t**k * D_k.
 
     Horner in a on c = berkowitz(a): D_(n-1) = I and
-    D_(k-1) = D_k @ a + c_(n-k) * I, so D_0 = (-1)**(n-1) * adj(a).  The
-    first step is a itself, so this costs n - 2 matmuls.  Over QQ and
+    D_(k-1) = a @ D_k + c_(n-k) * I, so D_0 = (-1)**(n-1) * adj(a); this
+    is D_k @ a + c_(n-k) * I, as D_k is a polynomial in a.  The first
+    step is a itself, so this costs n - 2 steps (_horner).  Over QQ and
     polynomial towers it runs on the integer encoding, with the
     adjugate's fit bounding every D_k.
     """
@@ -447,11 +448,7 @@ def adjugate_coefficients(a: Matrix) -> list:
         ds = adjugate_coefficients(Matrix(ZZ, n, n, ints))
         return [Matrix(a.ring, n, n, _decode(d._e, ctx, n - 1 - k))
                 for k, d in enumerate(ds)]
-    out = [Matrix.identity(a.ring, n)]
-    for ci in berkowitz(a)[1:n]:
-        out.append(_plus_scalar(a if len(out) == 1 else out[-1] @ a, ci))
-    out.reverse()
-    return out
+    return _horner(a, berkowitz(a)[:n], _adjugate_bound(n), every=True)[::-1]
 
 
 def _product(a: Matrix, b: Matrix) -> Matrix:
@@ -466,14 +463,78 @@ def _product(a: Matrix, b: Matrix) -> Matrix:
 
 def _adjugate(a: Matrix) -> Matrix:
     """adj(a) for a square a with n >= 1: D_0 times (-1)**(n-1)."""
-    adj = adjugate_coefficients(a)[0]
-    return -adj if (a.rows - 1) & 1 else adj
+    n = a.rows
+    return _horner(a, berkowitz(a)[:n], _adjugate_bound(n),
+                   negate=(n - 1) & 1)[0]
 
 
 def _adjugate_fit(n: int):
     """The fit bounding adj and every D_k of an n x n matrix."""
     return lambda x: (factorial(n) * (x[0] + 1) ** n,
                       [(n - 1) * g for g in x[1]])
+
+
+def _adjugate_bound(n: int):
+    """M -> a bound on every entry of every D_k of an n x n integer matrix
+    with entries at most M in absolute value: (n-1)! * max(M, 1)**(n-1)."""
+    return lambda m: factorial(n - 1) * max(m, 1) ** (n - 1)
+
+
+def _horner(a: Matrix, coeffs, fit, every=False, negate=False) -> list:
+    """[H_0, ..., H_d] if every, else [H_d] (negated if negate), where
+    H_0 = coeffs[0] * I and H_j = a @ H_(j-1) + coeffs[j] * I, so that
+    H_d = sum_j coeffs[j] * a**(d-j); fit(M) bounds every entry returned
+    when M bounds the entries of a.
+
+    H_1 = coeffs[0] * a + coeffs[1] * I needs no product.  With a packed
+    width w (_packed_width) each later step takes n row products a_i . P
+    over the rows P of H_(j-1), each packed as one integer with column k
+    at 2**(w*k), and adds coeffs[j] * 2**(w*i) to row i; the entries are
+    read (_digits) only from the states returned.  Otherwise each step
+    is H_(j-1) @ a, equal as H_(j-1) is a polynomial in a.
+    """
+    R, n = a.ring, a.rows
+    lead, zero = coeffs[0], R.zero()
+    h = Matrix(R, n, n, [lead if i == j else zero
+                         for i in range(n) for j in range(n)])
+    out = [h]
+    if len(coeffs) > 1:
+        h = a if lead == R.one() else a.scale(lead)
+        out.append(h := _plus_scalar(h, coeffs[1]))
+    if len(coeffs) > 2 and (w := _packed_width(a, fit)):
+        def read(packed, sign=1):
+            return Matrix(R, n, n, [x for v in packed
+                                    for x in _digits(sign * v, w, n)])
+        dot, e = R.dot, a._e
+        rows = [e[i:i + n] for i in range(0, n * n, n)]
+        shifts = range(0, n * w, w)
+        packed = _pack([h._e[i:i + n] for i in range(0, n * n, n)], [w])
+        for c in coeffs[2:]:
+            packed = [dot(r, packed) + (c << s) for r, s in zip(rows, shifts)]
+            if every:
+                out.append(read(packed))
+        return out if every else [read(packed, -1 if negate else 1)]
+    for c in coeffs[2:]:
+        h = _plus_scalar(h @ a, c)
+        if every:
+            out.append(h)
+    return out if every else [-h if negate else h]
+
+
+def _packed_width(a: Matrix, fit) -> int | None:
+    """The slot width w = bit_length(fit(M)) + 1, M the largest absolute
+    entry of a, when _horner packs: a over ZZ, n >= 4 and w <= MAX_WIDTH.
+    Else None, and _horner takes matmuls."""
+    if a.rows < 4 or not isinstance(a.ring, IntegerRing):
+        return None
+    w = fit(max(map(abs, a._e))).bit_length() + 1
+    return w if w <= MAX_WIDTH else None
+
+
+# The packed Horner's largest slot width in bits: every D_k read back
+# costs n rows of n digits, so the D_k stop gaining near here (the module
+# docstring's table), and adj(A) alone near 1000.
+MAX_WIDTH = 700
 
 
 # A tower's results take D_1*...*D_d digit slots each.  Measured on
@@ -597,20 +658,13 @@ def _decode(ints, ctx, power) -> list:
     base, outer = chain[-1], chain[1]
     rational = isinstance(base, RationalRing)
     leaf = base.from_int if isinstance(base, ModRing) else None
-    half, mask, full = 1 << (w - 1), (1 << w) - 1, 1 << w
     out, zero = [], None
     for k, v in enumerate(ints):
         if not v:                 # a short cut: many results are 0
             zero = zero or Polynomial(outer)
             out.append(zero)
             continue
-        digits = []
-        while v:
-            x = v & mask
-            if x >= half:
-                x -= full
-            digits.append(x)
-            v = (v - x) >> w
+        digits = _digits(v, w)
         if rational:
             d = d if power is not None else scale ** k
             digits = [Fraction(x, d) for x in digits]
@@ -621,6 +675,21 @@ def _decode(ints, ctx, power) -> list:
                       for j in range(0, len(digits), size)]
         out.append(Polynomial(outer, digits))
     return out
+
+
+def _digits(v: int, w: int, size: int = 0) -> list:
+    """The balanced base 2**w digits of v, each in [-2**(w-1), 2**(w-1)),
+    lowest first, padded with zeros to size."""
+    half, mask, full = 1 << (w - 1), (1 << w) - 1, 1 << w
+    digits = []
+    while v:
+        x = v & mask
+        if x >= half:
+            x -= full
+        digits.append(x)
+        v = (v - x) >> w
+    digits += [0] * (size - len(digits))
+    return digits
 
 
 def _plus_scalar(m: Matrix, value) -> Matrix:
@@ -655,20 +724,24 @@ def ent(m: Matrix):
 
 
 def apply_poly(p: Polynomial, a: Matrix) -> Matrix:
-    """p(a) for a square matrix a over the coefficient ring of p (Horner)."""
+    """p(a) for a square matrix a over the coefficient ring of p, by
+    _horner on the coefficients from the top."""
     if not a.is_square():
         raise ShapeError("polynomial evaluation requires a square matrix")
     if p.ring != a.ring:
         raise RingMismatchError(
             f"polynomial over {p.ring} cannot act on a matrix over {a.ring}")
-    R, n = a.ring, a.rows
+    n = a.rows
     if p.is_zero():
-        return Matrix.zeros(R, n, n)
-    coeffs = p.coeffs
-    result = Matrix.identity(R, n).scale(coeffs[-1])
-    for k in range(len(coeffs) - 2, -1, -1):
-        result = _plus_scalar(result @ a, coeffs[k])
-    return result
+        return Matrix.zeros(a.ring, n, n)
+    return _horner(a, p.coeffs[::-1], _poly_bound(p, n))[0]
+
+
+def _poly_bound(p: Polynomial, n: int):
+    """M -> a bound on every entry of p(a), a an n x n integer matrix with
+    entries at most M in absolute value: ||p||_1 * max(1, n*M)**deg p, as
+    |entry of a**k| <= (n*M)**k."""
+    return lambda m: sum(map(abs, p.coeffs)) * max(1, n * m) ** p.degree
 
 
 def char_matrix(a: Matrix) -> Matrix:

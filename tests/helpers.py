@@ -70,6 +70,30 @@ def coefficient_matrices_oracle(a: Matrix) -> list:
     return out
 
 
+def plain_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b by one ring add and mul per term, never packing."""
+    R = a.ring
+    out = []
+    for i in range(1, a.rows + 1):
+        for j in range(1, b.cols + 1):
+            acc = R.zero()
+            for t in range(1, a.cols + 1):
+                acc = R.add(acc, R.mul(a.entry(i, t), b.entry(t, j)))
+            out.append(acc)
+    return Matrix(R, a.rows, b.cols, out)
+
+
+def plain_horner(a: Matrix, c) -> list:
+    """[D_0, ..., D_(n-1)] by D_(n-1) = I, D_(k-1) = D_k @ a + c_(n-k) * I,
+    every product by plain_matmul; [] for n = 0."""
+    R, n = a.ring, a.rows
+    out = [Matrix.identity(R, n)] if n else []
+    for ci in c[1:n]:
+        step = plain_matmul(out[-1], a)
+        out.append(step + Matrix.identity(R, n).scale(ci))
+    return out[::-1]
+
+
 def mat(ring, rows) -> Matrix:
     return Matrix.from_rows(ring, rows)
 

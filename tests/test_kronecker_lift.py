@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import coefficient_matrices_oracle
+from helpers import coefficient_matrices_oracle, plain_horner, plain_matmul
 from ringmat.charpoly import CharPolyData, charpoly, charpoly_newton
 from ringmat.matrix import (
     Matrix,
@@ -76,29 +76,6 @@ CASES = [(label, name, a) for label, base in BASES.items()
 IDS = [f"{label}-{name}" for label, name, _ in CASES]
 
 
-def _plain_matmul(a, b):
-    """a @ b by one Polynomial add and mul per term."""
-    R = a.ring
-    out = []
-    for i in range(1, a.rows + 1):
-        for j in range(1, b.cols + 1):
-            acc = R.zero()
-            for t in range(1, a.cols + 1):
-                acc = R.add(acc, R.mul(a.entry(i, t), b.entry(t, j)))
-            out.append(acc)
-    return Matrix(R, a.rows, b.cols, out)
-
-
-def _plain_horner(a, c):
-    """D_(n-1) = I, D_(k-1) = D_k @ a + c_(n-k) * I, all in R[t]."""
-    R, n = a.ring, a.rows
-    out = [Matrix.identity(R, n)]
-    for ci in c[1:n]:
-        step = _plain_matmul(out[-1], a)
-        out.append(step + Matrix.identity(R, n).scale(ci))
-    return out[::-1]
-
-
 def _charpoly_oracle(a):
     """c_0..c_n of det(t*I - a) by the subset DP over R[t][u]."""
     chi = char_matrix(a).det_subset_dp()
@@ -125,7 +102,7 @@ def test_kernels_match_polynomial_oracles(label, name, a):
         assert data.D[0] == (-adj if (n - 1) & 1 else adj)
     if n <= 4:
         assert list(data.D) == coefficient_matrices_oracle(a)
-    assert a @ a == _plain_matmul(a, a)
+    assert a @ a == plain_matmul(a, a)
 
 
 @pytest.mark.parametrize("shape", [(3, 4, 2), (1, 1, 1), (2, 0, 3), (0, 2, 2),
@@ -139,7 +116,7 @@ def test_matmul_matches_triple_loop(shape, label):
         a = _matrix(rng, base, n, k, digits=digits)
         b = _matrix(rng, base, k, m, digits=digits)
         got = a @ b
-        assert got == _plain_matmul(a, b)
+        assert got == plain_matmul(a, b)
         assert (got.rows, got.cols) == (n, m)
 
 
@@ -175,7 +152,7 @@ def test_coefficient_matrices_with_a_foreign_c(label):
     rng = random.Random(f"foreign-{label}")
     for n in (1, 2, 4, 6):
         a = _matrix(rng, base, n, n, digits=True)
-        want = _plain_horner(a, berkowitz(a))
+        want = plain_horner(a, berkowitz(a))
         assert adjugate_coefficients(a) == want
         c = [ring.one()] + [_poly(rng, base, digits=True) for _ in range(n)]
         data = CharPolyData(n=n, chi=Polynomial(ring, c[::-1]), c=tuple(c),
@@ -243,4 +220,4 @@ def test_kernels_do_no_polynomial_arithmetic(label):
     plain = Matrix(PolynomialRing(base), 6, 6, a._e)
     assert values[0] == plain.det_subset_dp()
     assert values[3]._e == plain.adjugate_cofactor()._e
-    assert values[4]._e == _plain_matmul(plain, plain)._e
+    assert values[4]._e == plain_matmul(plain, plain)._e
