@@ -256,10 +256,12 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    """Run one command; RINGMAT_MUTATE holds for this call only, and the
+    mutation hook is back to its previous state on every return."""
     mutate = os.environ.get("RINGMAT_MUTATE", "")
-    report_mod.set_mutation(n for n in mutate.split(",") if n)
-    args = build_parser().parse_args(argv)
+    previous = report_mod.set_mutation(n for n in mutate.split(",") if n)
     try:
+        args = build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
     except (ParseError, GuardError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -272,6 +274,8 @@ def main(argv=None) -> int:
         sys.stderr.write("error: input nested too deeply "
                          "(recursion limit exceeded)\n")
         return 2
+    finally:
+        report_mod.set_mutation(previous)
 
 
 def entry() -> None:

@@ -16,14 +16,17 @@ from .record import Record
 _MUTATED: set[str] = set()
 
 
-def set_mutation(names) -> None:
+def set_mutation(names) -> frozenset:
     """Corrupt the named identities so their checks produce nonzero residuals.
 
-    Passing an empty iterable (or None) clears the hook.
+    Passing an empty iterable (or None) clears the hook.  Returns the
+    names it replaces, so a caller can put them back.
     """
+    previous = frozenset(_MUTATED)
     _MUTATED.clear()
     if names:
         _MUTATED.update(names)
+    return previous
 
 
 class VerificationReport(Record):

@@ -288,6 +288,31 @@ def test_recursion_error_maps_to_exit_2(capsys, monkeypatch):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_mutation_hook_ends_with_the_call(capsys, monkeypatch):
+    # RINGMAT_MUTATE corrupts the one main() call that read it; on every
+    # exit path the hook is back to what it was, so later library calls
+    # in the same process compute honestly
+    from ringmat.identities import verify_det_product
+    from ringmat.matrix import Matrix
+    from ringmat.report import _MUTATED, set_mutation
+    from ringmat.rings import ZZ
+    one = Matrix.from_rows(ZZ, [[3]])
+    monkeypatch.setenv("RINGMAT_MUTATE", "det_product")
+    non_square = json.dumps({"ring": "int", "entries": [[1, 2]]})
+    for argv, want in ((["charpoly", "--matrix", A_JSON], 0),
+                       (["charpoly", "--matrix", "{"], 2),
+                       (["adjugate", "--matrix", non_square], 3)):
+        assert run_main(argv, capsys)[0] == want
+        assert verify_det_product(one, one).passed, argv
+        assert not _MUTATED
+    set_mutation(["adj_inverse"])
+    try:
+        assert run_main(["charpoly", "--matrix", A_JSON], capsys)[0] == 0
+        assert _MUTATED == {"adj_inverse"}
+    finally:
+        set_mutation(())
+
+
 def test_oracle_identities_refuse_large_sizes(capsys):
     # the refusal comes before any work, so --count 0 is refused too
     for suite in ("adj_trace", "adj_via_charpoly", "core"):
