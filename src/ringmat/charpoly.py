@@ -6,9 +6,11 @@ A itself, with no division and no polynomial arithmetic.  The
 coefficient matrices D_0 .. D_(n-1) of adj(t*I - A) = sum_k t**k * D_k
 are computed on first use by the Horner recursion
 
-    D_(n-1) = I,        D_(k-1) = D_k @ A + c_(n-k) * I,
+    D_(n-1) = I,        D_(k-1) = A @ D_k + c_(n-k) * I,
 
-from A alone: one more berkowitz() and n - 2 matmuls.  The subset-DP
+from A alone: one more berkowitz() and n - 2 steps, each a matmul, or
+over ZZ n row products on packed rows (matrix.adjugate_coefficients);
+A @ D_k = D_k @ A as D_k is a polynomial in A.  The subset-DP
 det and the cofactor adjugate of t*I - A over the polynomial ring
 remain in the identities and tests as independent oracles.
 

@@ -9,7 +9,9 @@ divisors (Z/m, including the zero ring Z/1) and over nested R[t]:
     det(t*I - A), about n**4/4 ring multiplications.
   * det(): (-1)**n * c_n from berkowitz(), so O(n**4).
   * adjugate(): the charpoly coefficients summed by Horner in A, one
-    berkowitz() plus n - 2 matmuls, so O(n**4).
+    berkowitz() plus n - 2 steps H -> A @ H + c * I, so O(n**4).  Over
+    ZZ a step runs on packed rows (below); otherwise it is the matmul
+    H @ A, the same matrix as H is a polynomial in A.
 
 Over QQ and over every tower R[t_1]...[t_d] (t_1 innermost) with R one
 of ZZ, Z/m and QQ, each kernel runs over ZZ on one integer encoding of
@@ -54,6 +56,33 @@ result takes D_1*...*D_d digit slots however sparse: c_1 of entries
 t_1 + ... + t_64 in a 64-deep tower takes 2**64.  Above MAX_SLOTS a
 tower keeps Ring.dot (PolynomialRing.dot stores only the terms there
 are); a flat R[t] wastes no slot.
+
+Over ZZ itself, for n >= 4, the Horner steps of adjugate(),
+adjugate_coefficients() and apply_poly() run on the rows of H packed as
+one integer each, column j -> 2**(w*j) (_horner): row i of A @ H + c * I
+is the row product sum_k a_ik * P_k over the packed rows P_k, plus
+c * 2**(w*i), so a step takes n row products where a matmul takes n**2
+dot products.  Packing is linear, so this is exact, and balanced digits
+read a state back while 2**(w-1) exceeds its entries.  With M the
+largest |a_ij|, the D_k bound above at depth 0 (N = M) gives
+|D_k| <= (n-1)!/k! * M**(n-1-k) <= (n-1)! * max(M, 1)**(n-1) for every
+k, and an entry of p(A) is at most ||p||_1 * max(1, n*M)**deg p.  Every
+slot is sized for that bound, and only the states returned are read, so
+packing pays at small w and not at large.  Packed over matmul Horner
+time (median of 7 alternating pairs of CPU times, 2-vCPU VM):
+
+        w:     300   500   650   800  1000
+    adj n=4   0.83  0.86  0.94  0.91  1.02
+    adj n=8   0.55  0.69  0.74  0.82  0.93
+    adj n=12  0.49  0.61  0.69  0.80  0.88
+    D_k n=4   0.97  1.02  1.06  1.22  1.10
+    D_k n=8   0.74  0.89  0.91  1.02  1.13
+    D_k n=12  0.68  0.81  0.93  1.03  1.13
+
+At n = 3, one step, both read 1.01-1.20 at every w from 10 to 1000.  So
+the rows pack for n >= 4 and w <= MAX_WIDTH = 700 bits; otherwise, and
+over Z/m, the steps are matmuls.  QQ and the towers reach the packed
+rows through their integer encoding.
 
 Independent oracles, kept for identities and tests to compare against:
 det_subset_dp() is a dynamic program over column subsets, O(n**2 * 2**n);
@@ -503,8 +532,8 @@ def _horner(a: Matrix, coeffs, fit, every=False, negate=False) -> list:
         out.append(h := _plus_scalar(h, coeffs[1]))
     if len(coeffs) > 2 and (w := _packed_width(a, fit)):
         def read(packed, sign=1):
-            return Matrix(R, n, n, [x for v in packed
-                                    for x in _digits(sign * v, w, n)])
+            digits = _digits([sign * v for v in packed], w, n)
+            return Matrix(R, n, n, [x for row in digits for x in row])
         dot, e = R.dot, a._e
         rows = [e[i:i + n] for i in range(0, n * n, n)]
         shifts = range(0, n * w, w)
@@ -659,12 +688,11 @@ def _decode(ints, ctx, power) -> list:
     rational = isinstance(base, RationalRing)
     leaf = base.from_int if isinstance(base, ModRing) else None
     out, zero = [], None
-    for k, v in enumerate(ints):
-        if not v:                 # a short cut: many results are 0
+    for k, digits in enumerate(_digits(ints, w)):
+        if not digits:            # a short cut: many results are 0
             zero = zero or Polynomial(outer)
             out.append(zero)
             continue
-        digits = _digits(v, w)
         if rational:
             d = d if power is not None else scale ** k
             digits = [Fraction(x, d) for x in digits]
@@ -677,19 +705,23 @@ def _decode(ints, ctx, power) -> list:
     return out
 
 
-def _digits(v: int, w: int, size: int = 0) -> list:
-    """The balanced base 2**w digits of v, each in [-2**(w-1), 2**(w-1)),
-    lowest first, padded with zeros to size."""
+def _digits(values, w: int, size: int = 0) -> list:
+    """For each integer, its balanced base 2**w digits, each in
+    [-2**(w-1), 2**(w-1)), lowest first, padded with zeros to size."""
     half, mask, full = 1 << (w - 1), (1 << w) - 1, 1 << w
-    digits = []
-    while v:
-        x = v & mask
-        if x >= half:
-            x -= full
-        digits.append(x)
-        v = (v - x) >> w
-    digits += [0] * (size - len(digits))
-    return digits
+    out = []
+    for v in values:
+        digits = []
+        while v:
+            x = v & mask
+            if x >= half:
+                x -= full
+            digits.append(x)
+            v = (v - x) >> w
+        if size:
+            digits += [0] * (size - len(digits))
+        out.append(digits)
+    return out
 
 
 def _plus_scalar(m: Matrix, value) -> Matrix:

@@ -128,7 +128,7 @@ def _widest(n):
     lo, hi = 0, 2 ** MAX_WIDTH
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        w = (_adjugate_bound(n)(mid).bit_length() + 1)
+        w = _adjugate_bound(n)(mid).bit_length() + 1
         lo, hi = (mid, hi) if w <= MAX_WIDTH else (lo, mid)
     return lo
 
@@ -185,9 +185,10 @@ def test_packed_step_count(matmuls, monkeypatch):
     reads = [0]
     digits = matrix_mod._digits
 
-    def counted(*args):
-        reads[0] += 1
-        return digits(*args)
+    def counted(values, *args):
+        values = list(values)
+        reads[0] += len(values)
+        return digits(values, *args)
     monkeypatch.setattr(matrix_mod, "_digits", counted)
     n = 12
     rng = random.Random(12)
