@@ -257,11 +257,23 @@ class Matrix:
         return acc
 
     def det(self):
-        """Determinant as (-1)**n * c_n of berkowitz(); det of 0 x 0 is 1."""
+        """Determinant; det of 0 x 0 is 1.
+
+        Over ZZ, Bareiss elimination (_bareiss); over QQ and towers the
+        same on the integer encoding, at the fit of c_n.  Over Z/m and
+        towers above MAX_SLOTS, (-1)**n * c_n of berkowitz().
+        """
         if not self.is_square():
             raise ShapeError("determinant requires a square matrix")
+        n, R = self.rows, self.ring
+        if isinstance(R, IntegerRing):
+            return _bareiss(self._e, n)
+        if (chain := _tower(R)) and (lifted := _encode(
+                chain, (self._e,), _charpoly_fit(n))):
+            (ints,), ctx = lifted
+            return _decode([_bareiss(ints, n)], ctx, n)[0]
         c_n = berkowitz(self)[-1]
-        return self.ring.neg(c_n) if self.rows & 1 else c_n
+        return R.neg(c_n) if n & 1 else c_n
 
     def det_subset_dp(self):
         """Determinant oracle, independent of berkowitz(); O(n**2 * 2**n).
@@ -435,8 +447,7 @@ def berkowitz(a: Matrix) -> list:
     R = a.ring
     n = a.rows
     if (chain := _tower(R)) and (lifted := _encode(
-            chain, (a._e,), lambda x: (
-                factorial(n) * (x[0] + 1) ** n, [n * g for g in x[1]]))):
+            chain, (a._e,), _charpoly_fit(n))):
         (ints,), ctx = lifted
         return _decode(berkowitz(Matrix(ZZ, n, n, ints)), ctx, None)
     dot, sub = R.dot, R.sub
@@ -497,10 +508,48 @@ def _adjugate(a: Matrix) -> Matrix:
                    negate=(n - 1) & 1)[0]
 
 
+def _bareiss(entries, n: int) -> int:
+    """det of the n x n integer matrix with these row-major entries, by
+    Bareiss's fraction-free elimination (Math. Comp. 22, 1968).
+
+    Step k takes the first row at or below k with a nonzero entry in
+    column k as the pivot row (a swap flips the sign; none at all means
+    det = 0), and sets a_ij = (a_ij * p - a_ik * a_kj) / p' for i, j > k,
+    p = a_kk and p' the pivot before (1 at the first step).  Each
+    division is exact, (n-1)*n*(2n-1)/6 entry updates in all, and the
+    last a_(n-1)(n-1) is det up to the sign.
+    """
+    a = [list(entries[i * n:i * n + n]) for i in range(n)]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        for i in range(k, n):
+            if a[i][k]:
+                break
+        else:
+            return 0
+        if i != k:
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        top = a[k]
+        p = top[k]
+        for r in a[k + 1:]:
+            f = r[k]
+            for j in range(k + 1, n):
+                r[j] = (r[j] * p - f * top[j]) // prev
+        prev = p
+    return sign * a[-1][-1] if n else 1
+
+
+def _charpoly_fit(n: int):
+    """The fit bounding every c_k, det included, of an n x n matrix."""
+    return lambda x: (factorial(n) * (x[0] + 1) ** n, [n * g for g in x[1]])
+
+
 def _adjugate_fit(n: int):
-    """The fit bounding adj and every D_k of an n x n matrix."""
-    return lambda x: (factorial(n) * (x[0] + 1) ** n,
-                      [(n - 1) * g for g in x[1]])
+    """The fit bounding adj and every D_k of an n x n matrix: the entry
+    bound _adjugate_bound on the largest norm, t_i-degree (n-1) * d_i."""
+    bound = _adjugate_bound(n)
+    return lambda x: (bound(x[0]), [(n - 1) * g for g in x[1]])
 
 
 def _adjugate_bound(n: int):

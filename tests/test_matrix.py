@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ringmat.matrix as matrix_mod
 from helpers import RINGS8, Z1, Z6, Z8, ZT, corpus, mat
 from ringmat.charpoly import charpoly
 from ringmat.matrix import (
@@ -21,6 +22,7 @@ from ringmat.rings import (
     ZZ,
     GuardError,
     IntegerRing,
+    ModRing,
     Ring,
     RingMismatchError,
     ShapeError,
@@ -272,6 +274,22 @@ class _CountingZZ(IntegerRing):
         return a * b
 
 
+class _CountingMod(ModRing):
+    """Z/(2**61 - 1) with a mul counter and the generic Ring.dot.  det
+    over Z/m keeps berkowitz(), so its products count here; over Z
+    (_CountingZZ) det takes the elimination, which calls no Ring.mul."""
+
+    dot = Ring.dot
+
+    def __init__(self):
+        super().__init__(2**61 - 1)
+        self.muls = 0
+
+    def mul(self, a, b):
+        self.muls += 1
+        return a * b % self.m
+
+
 def _dense(ring, n):
     # no zero entries, so the zero-skipping dot saves little
     rng = random.Random(n)
@@ -280,14 +298,48 @@ def _dense(ring, n):
 
 def test_kernels_cost_polynomially_many_muls():
     n = 12
-    for kernel, ceiling in ((Matrix.det, n ** 4),
-                            (charpoly, n ** 4),
-                            (Matrix.adjugate, 2 * n ** 4),
-                            (lambda a: charpoly(a).D, 2 * n ** 4)):
-        ring = _CountingZZ()
+    for kernel, ceiling, counting in (
+            (Matrix.det, n ** 4, _CountingMod),
+            (charpoly, n ** 4, _CountingZZ),
+            (Matrix.adjugate, 2 * n ** 4, _CountingZZ),
+            (lambda a: charpoly(a).D, 2 * n ** 4, _CountingZZ)):
+        ring = counting()
         a = _dense(ring, n)
         kernel(a)
         assert 0 < ring.muls <= ceiling, (kernel, ring.muls)
+
+
+def test_det_over_zz_takes_n_cubed_entry_updates(monkeypatch):
+    # each Bareiss update ends in one exact division, and only updates
+    # divide: sum of (n-1-k)**2 over the steps k = 0..n-2
+    updates = [0]
+
+    class Counted(int):
+        def __mul__(self, other):
+            return Counted(int(self) * other)
+
+        __rmul__ = __mul__
+
+        def __sub__(self, other):
+            return Counted(int(self) - other)
+
+        def __floordiv__(self, other):
+            updates[0] += 1
+            return Counted(int(self) // other)
+
+    berkowitz_calls = [0]
+
+    def spy(a):
+        berkowitz_calls[0] += 1
+        return berkowitz(a)
+
+    monkeypatch.setattr(matrix_mod, "berkowitz", spy)
+    n = 12
+    plain = _dense(ZZ, n)
+    counted = Matrix(ZZ, n, n, map(Counted, plain._e))
+    assert counted.det() == plain.det_subset_dp()
+    assert berkowitz_calls[0] == 0
+    assert updates[0] == (n - 1) * n * (2 * n - 1) // 6 == 506
 
 
 def test_counting_ring_computes_the_same_values():
