@@ -1,13 +1,21 @@
 """Exact matrices over a commutative ring.
 
 Matrices are immutable, stored row-major, and carry their ring.  Every
-production kernel is division-free, so it is valid over rings with zero
-divisors (Z/m, including the zero ring Z/1) and over nested R[t]:
+production kernel divides only in Z, a domain, where each division is
+exact, and takes no division in any other ring, so it is valid over
+rings with zero divisors (Z/m, including the zero ring Z/1) and over
+nested R[t]:
 
   * matmul: n*k*m products, one Ring.dot per output entry.
   * berkowitz(): the Samuelson-Berkowitz characteristic polynomial
     det(t*I - A), about n**4/4 ring multiplications.
-  * det(): (-1)**n * c_n from berkowitz(), so O(n**4).
+  * det(): over ZZ, Bareiss's fraction-free elimination (_bareiss),
+    (n-1)*n*(2n-1)/6 entry updates with one exact division each, so
+    O(n**3); over QQ and the towers below the same on their integer
+    encoding.  Over Z/m, not a domain in general, towers above
+    MAX_SLOTS and integer entries wider than MAX_BAREISS_BITS, where
+    CPython's quadratic division costs more than the products it saves,
+    (-1)**n * c_n from berkowitz(), so O(n**4).
   * adjugate(): the charpoly coefficients summed by Horner in A, one
     berkowitz() plus n - 2 steps H -> A @ H + c * I, so O(n**4).  Over
     ZZ a step runs on packed rows (below); otherwise it is the matmul
@@ -26,7 +34,7 @@ its balanced base 2**w digits, each in [-2**(w-1), 2**(w-1)), regrouped
 D_1, D_2, ... at a time, and reduced mod m or divided by the L power.
 
 This is exact.  Every kernel is a polynomial in the entries with integer
-coefficients and no division, so it commutes with the ring maps
+coefficients, so it commutes with the ring maps
 Z[t_1, ..., t_d] -> Z[x] -> Z above and Z -> Z/m.  The first map is
 injective on polynomials P with deg_(t_i) P < D_i for i < d: it sends
 t_1**e_1 ... t_d**e_d to x**e with e = e_1 + D_1*e_2 + D_1*D_2*e_3 + ...
@@ -43,13 +51,28 @@ D_i = 1 + the t_i-degree bound, from:
   * c_j: a sum over the C(n, j) principal j x j minors of j! signed
     products each, norm <= n!/(n-j)! * N**j <= n! * (N + 1)**n and
     t_i-degree <= n * d_i.
+  * det: (-1)**n * c_n, so c_n's bounds (_charpoly_fit).
   * D_k: an entry of D_k is the t**k coefficient of an (n-1) x (n-1)
     minor of t*I - A, a signed sum over k diagonal places that give t,
     C(n-1, k) choices at most, and a matching of the other n-1-k rows to
     columns, (n-1-k)! choices, of products of n-1-k entries of A.  So
-    its norm is <= (n-1)!/k! * N**(n-1-k) <= n! * (N + 1)**n and its
-    t_i-degree <= (n-1-k) * d_i <= (n-1) * d_i: the adjugate's bounds,
-    as adj = (-1)**(n-1) * D_0, hold for every D_k.
+    its norm is <= (n-1)!/k! * N**(n-1-k) <= (n-1)! * max(N, 1)**(n-1)
+    (_adjugate_bound) and its t_i-degree <= (n-1-k) * d_i <=
+    (n-1) * d_i: the adjugate's bounds, as adj = (-1)**(n-1) * D_0,
+    hold for every D_k, and one fit (_adjugate_fit) serves them all.
+
+det() divides on the way, and exactly.  After step k of _bareiss (0
+first) the entry in row i and column j, both > k, is the (k+2) x (k+2)
+minor of the row-permuted matrix on rows 0..k, i and columns 0..k, j
+(Sylvester's identity), and the divisor is the pivot of step k-1, the
+(k+1) x (k+1) leading minor; so every division is exact in Z[a_ij], and
+as the lift is a ring map it is exact on the packed integers as well.
+Z being a domain, that alone makes the result det of the encoded
+matrix, which is the encoding of det.  Every pivot is a j x j minor, of norm
+<= j! * N**j <= n! * (N + 1)**n and t_i-degree <= n * d_i, within the
+c_n fit, so a packed pivot is 0 exactly when its minor is 0 as a
+polynomial: the elimination takes the pivots the polynomial matrix
+would.
 
 Intermediate values are never decoded and may exceed both bounds.  A
 result takes D_1*...*D_d digit slots however sparse: c_1 of entries
@@ -259,19 +282,19 @@ class Matrix:
     def det(self):
         """Determinant; det of 0 x 0 is 1.
 
-        Over ZZ, Bareiss elimination (_bareiss); over QQ and towers the
-        same on the integer encoding, at the fit of c_n.  Over Z/m and
-        towers above MAX_SLOTS, (-1)**n * c_n of berkowitz().
+        Over ZZ, _integer_det; over QQ and towers the same on the
+        integer encoding, at the fit of c_n.  Over Z/m and towers above
+        MAX_SLOTS, (-1)**n * c_n of berkowitz().
         """
         if not self.is_square():
             raise ShapeError("determinant requires a square matrix")
         n, R = self.rows, self.ring
         if isinstance(R, IntegerRing):
-            return _bareiss(self._e, n)
+            return _integer_det(self._e, n)
         if (chain := _tower(R)) and (lifted := _encode(
                 chain, (self._e,), _charpoly_fit(n))):
             (ints,), ctx = lifted
-            return _decode([_bareiss(ints, n)], ctx, n)[0]
+            return _decode([_integer_det(ints, n)], ctx, n)[0]
         c_n = berkowitz(self)[-1]
         return R.neg(c_n) if n & 1 else c_n
 
@@ -506,6 +529,25 @@ def _adjugate(a: Matrix) -> Matrix:
     n = a.rows
     return _horner(a, berkowitz(a)[:n], _adjugate_bound(n),
                    negate=(n - 1) & 1)[0]
+
+
+def _integer_det(entries, n: int) -> int:
+    """det of the n x n integer matrix with these row-major entries:
+    _bareiss while every entry has at most MAX_BAREISS_BITS bits, else
+    (-1)**n * c_n of berkowitz()."""
+    if n and max(max(entries), -min(entries)).bit_length() > MAX_BAREISS_BITS:
+        c_n = berkowitz(Matrix(ZZ, n, n, entries))[-1]
+        return -c_n if n & 1 else c_n
+    return _bareiss(entries, n)
+
+
+# The widest entry, in bits, on which det() eliminates.  CPython divides
+# in quadratic time but multiplies subquadratically above about 2100
+# bits, and _bareiss divides once per update on minors that grow with
+# each step.  Against berkowitz()'s c_n (median of 5 alternating
+# batches of CPU time, n = 2..8) it read 0.31-0.90 at 512 bits, 0.94-1.10
+# at 768-1536, and 1.1-1.5 at 8192-32768.
+MAX_BAREISS_BITS = 512
 
 
 def _bareiss(entries, n: int) -> int:

@@ -16,6 +16,7 @@ from helpers import RINGS8, Z1, Z8, ZT
 from ringmat.charpoly import charpoly
 from ringmat.fuzz import sample_matrix, stream
 from ringmat.matrix import (
+    MAX_BAREISS_BITS,
     MAX_SLOTS,
     Matrix,
     _adjugate_fit,
@@ -182,9 +183,9 @@ def _route_cases():
     yield "deep", 1, _sparse_deep_tower()
 
 
-@pytest.mark.parametrize("label,calls,a", list(_route_cases()),
-                         ids=[c[0] for c in _route_cases()])
-def test_det_routes_by_ring(monkeypatch, label, calls, a):
+@pytest.fixture
+def berkowitz_rings(monkeypatch):
+    """The rings of the berkowitz() calls made so far."""
     seen = []
 
     def spy(m):
@@ -192,8 +193,34 @@ def test_det_routes_by_ring(monkeypatch, label, calls, a):
         return berkowitz(m)
 
     monkeypatch.setattr(matrix_mod, "berkowitz", spy)
+    return seen
+
+
+@pytest.mark.parametrize("label,calls,a", list(_route_cases()),
+                         ids=[c[0] for c in _route_cases()])
+def test_det_routes_by_ring(berkowitz_rings, label, calls, a):
     assert a.det() == a.det_subset_dp()
-    assert len(seen) == calls, (label, seen)
+    assert len(berkowitz_rings) == calls, (label, berkowitz_rings)
+
+
+def test_wide_entries_take_berkowitz(berkowitz_rings):
+    # up to MAX_BAREISS_BITS bits det eliminates; one bit more and it
+    # takes c_n, over ZZ and on a tower's encoding alike
+    rng = random.Random("bits")
+    for bits, calls in ((MAX_BAREISS_BITS, 0), (MAX_BAREISS_BITS + 1, 1)):
+        for n in range(1, 6):
+            entries = [rng.randint(-9, 9) for _ in range(n * n)]
+            entries[rng.randrange(n * n)] = rng.choice((-1, 1)) * (2**bits - 1)
+            a = Matrix(ZZ, n, n, entries)
+            assert a.det() == a.det_subset_dp()
+            assert len(berkowitz_rings) == calls, (bits, n)
+            berkowitz_rings.clear()
+    # 3 x 3 over Q[t]: one 600-bit numerator packs wider than the bound
+    a = Matrix.from_rows(QT, [[Polynomial(QQ, [QQ.coerce(v) for v in row])
+                               for row in rows] for rows in (
+        [[2**600, 1], [3], [1, 0, 1]], [[5], [-1, 2], [7]], [[1], [1], [-4]])])
+    assert a.det() == a.det_subset_dp()
+    assert berkowitz_rings == [ZZ]
 
 
 def test_the_deep_case_is_above_the_slot_bound():
