@@ -68,9 +68,9 @@ minor of the row-permuted matrix on rows 0..k, i and columns 0..k, j
 (k+1) x (k+1) leading minor; so every division is exact in Z[a_ij], and
 as the lift is a ring map it is exact on the packed integers as well.
 Z being a domain, that alone makes the result det of the encoded
-matrix, which is the encoding of det.  Every pivot is a j x j minor, of norm
-<= j! * N**j <= n! * (N + 1)**n and t_i-degree <= n * d_i, within the
-c_n fit, so a packed pivot is 0 exactly when its minor is 0 as a
+matrix, which is the encoding of det.  Every pivot is a j x j minor, of
+norm <= j! * N**j <= n! * (N + 1)**n and t_i-degree <= n * d_i, within
+the c_n fit, so a packed pivot is 0 exactly when its minor is 0 as a
 polynomial: the elimination takes the pivots the polynomial matrix
 would.
 
@@ -544,9 +544,9 @@ def _integer_det(entries, n: int) -> int:
 # The widest entry, in bits, on which det() eliminates.  CPython divides
 # in quadratic time but multiplies subquadratically above about 2100
 # bits, and _bareiss divides once per update on minors that grow with
-# each step.  Against berkowitz()'s c_n (median of 5 alternating
-# batches of CPU time, n = 2..8) it read 0.31-0.90 at 512 bits, 0.94-1.10
-# at 768-1536, and 1.1-1.5 at 8192-32768.
+# each step.  Its CPU time over that of berkowitz()'s c_n (median of 5
+# alternating batches, n = 2..8, 2-vCPU VM, CPython 3.11) read
+# 0.31-0.90 at 512 bits, 0.94-1.10 at 768-1536 and 1.1-1.5 at 8192-32768.
 MAX_BAREISS_BITS = 512
 
 

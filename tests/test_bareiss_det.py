@@ -2,7 +2,8 @@
 
 Over ZZ, Matrix.det() runs _bareiss on the entries; over QQ and every
 tower that _encode accepts it runs _bareiss on the integer encoding at
-the fit of c_n.  Over bare Z/m and towers above MAX_SLOTS it keeps
+the fit of c_n.  Over bare Z/m, towers above MAX_SLOTS and integers
+(or encodings) with an entry wider than MAX_BAREISS_BITS it keeps
 (-1)**n * c_n of berkowitz().  The oracles are the column-subset DP and
 the Leibniz sum, and the pivots below are forced to zero on purpose.
 """
@@ -17,7 +18,6 @@ from ringmat.charpoly import charpoly
 from ringmat.fuzz import sample_matrix, stream
 from ringmat.matrix import (
     MAX_BAREISS_BITS,
-    MAX_SLOTS,
     Matrix,
     _adjugate_fit,
     _bareiss,
@@ -163,7 +163,8 @@ def test_small_cases_of_the_elimination():
 
 
 def _sparse_deep_tower():
-    # 2 x 2 over Z[t][u] with t- and u-degree 20: det takes 41 * 41 slots
+    # 2 x 2 over Z[t][u] with t- and u-degree 20: det would take 41 * 41
+    # slots, above MAX_SLOTS
     t = Polynomial(ZZ, [0] * 20 + [1])
     u = Polynomial(ZT, [ZT.zero()] * 20 + [ZT.one()])
     return Matrix(ZTU, 2, 2, [ZTU.add(u, Polynomial(ZT, [t])), ZTU.one(),
@@ -226,7 +227,6 @@ def test_wide_entries_take_berkowitz(berkowitz_rings):
 def test_the_deep_case_is_above_the_slot_bound():
     a = _sparse_deep_tower()
     assert _encode(_tower(a.ring), (a._e,), _charpoly_fit(2)) is None
-    assert 41 * 41 > MAX_SLOTS
 
 
 @pytest.mark.parametrize("ring", [ZT, ZTU, QT], ids=["poly", "poly-poly", "poly-rat"])
