@@ -129,14 +129,15 @@ def _is_zero(residual, ring) -> bool:
 
 
 def _bump(residual, ring):
-    # Add 1 somewhere so the corrupted check yields a genuine witness.
+    # Add 1 somewhere so the corrupted check yields a genuine witness; an
+    # empty matrix has nowhere to add it, so it grows to at least 1 x 1.
     if ring is not None:
         return ring.add(residual, ring.one())
-    if residual.rows == 0 or residual.cols == 0:
-        return residual
-    entries = list(residual._e)
-    entries[0] = residual.ring.add(entries[0], residual.ring.one())
-    return type(residual)(residual.ring, residual.rows, residual.cols, entries)
+    R = residual.ring
+    rows, cols = max(residual.rows, 1), max(residual.cols, 1)
+    entries = list(residual._e) or [R.zero()] * (rows * cols)
+    entries[0] = R.add(entries[0], R.one())
+    return type(residual)(R, rows, cols, entries)
 
 
 def summarize(reports) -> dict:

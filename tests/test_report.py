@@ -105,6 +105,20 @@ def test_mutation_bumps_the_last_clause(mutate):
     assert rep.inputs["failed_part"] == "a" and rep.residual == 4
 
 
+@pytest.mark.parametrize("rows,cols", [(0, 0), (2, 0), (0, 3)])
+def test_mutation_fails_an_empty_matrix_residual(mutate, rows, cols):
+    # an empty residual has no entry to bump, so the witness grows to
+    # at least one row and one column with a 1 in the first entry
+    empty = Matrix.zeros(ZZ, rows, cols)
+    assert first_failure("x", [("m", empty, None)]).passed
+    mutate(["x"])
+    rep = first_failure("x", [("m", empty, None)])
+    assert not rep.passed and rep.inputs["failed_part"] == "m"
+    size = (max(rows, 1), max(cols, 1))
+    assert (rep.residual.rows, rep.residual.cols) == size
+    assert rep.residual == Matrix(ZZ, *size, [1] + [0] * (size[0] * size[1] - 1))
+
+
 @pytest.mark.parametrize("module", [identities, derivations],
                          ids=["identities", "derivations"])
 def test_no_verifier_names_a_part_itself(module):
