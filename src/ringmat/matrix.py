@@ -44,22 +44,27 @@ Balanced digits recover the coefficients from the value at 2**w while
 l1 norm of its polynomial, which is submultiplicative and subadditive;
 a product adds t_i-degrees.  With N the largest entry norm and d_i the
 largest t_i-degree of an entry, w = bit_length(norm bound) + 1 and
-D_i = 1 + the t_i-degree bound, from:
+D_i = 1 + the t_i-degree bound.  A kernel's fit maps (N, degrees) to
+(norm bound, degree bounds), from:
 
-  * matmul: a sum of k products, norm <= k * N_A * N_B and t_i-degree
-    <= d_A,i + d_B,i, taking N and d_i over each factor.
+  * matmul (_matmul_fit): a sum of k products, norm <= k * N_A * N_B
+    and t_i-degree <= d_A,i + d_B,i, taking N and d_i over each factor.
   * c_j: a sum over the C(n, j) principal j x j minors of j! signed
-    products each, norm <= n!/(n-j)! * N**j <= n! * (N + 1)**n and
+    products each, norm <= n!/(n-j)! * N**j <= n! * max(N, 1)**n and
     t_i-degree <= n * d_i.
-  * det: (-1)**n * c_n, so c_n's bounds (_charpoly_fit).
+  * det: (-1)**n * c_n, so c_n's bounds.
   * D_k: an entry of D_k is the t**k coefficient of an (n-1) x (n-1)
     minor of t*I - A, a signed sum over k diagonal places that give t,
     C(n-1, k) choices at most, and a matching of the other n-1-k rows to
     columns, (n-1-k)! choices, of products of n-1-k entries of A.  So
     its norm is <= (n-1)!/k! * N**(n-1-k) <= (n-1)! * max(N, 1)**(n-1)
-    (_adjugate_bound) and its t_i-degree <= (n-1-k) * d_i <=
-    (n-1) * d_i: the adjugate's bounds, as adj = (-1)**(n-1) * D_0,
-    hold for every D_k, and one fit (_adjugate_fit) serves them all.
+    and its t_i-degree <= (n-1-k) * d_i <= (n-1) * d_i: the adjugate's
+    bounds, as adj = (-1)**(n-1) * D_0, hold for every D_k.
+
+So c_j and det (e = n) and adj and every D_k (e = n - 1) are signed
+sums of at most e! products of at most e entries, and one fit bounds
+them all, _minors_fit(e): norm <= e! * max(N, 1)**e, t_i-degree
+<= e * d_i.
 
 det() divides on the way, and exactly.  After step k of _bareiss (0
 first) the entry in row i and column j, both > k, is the (k+2) x (k+2)
@@ -69,8 +74,8 @@ minor of the row-permuted matrix on rows 0..k, i and columns 0..k, j
 as the lift is a ring map it is exact on the packed integers as well.
 Z being a domain, that alone makes the result det of the encoded
 matrix, which is the encoding of det.  Every pivot is a j x j minor, of
-norm <= j! * N**j <= n! * (N + 1)**n and t_i-degree <= n * d_i, within
-the c_n fit, so a packed pivot is 0 exactly when its minor is 0 as a
+norm <= j! * N**j <= n! * max(N, 1)**n and t_i-degree <= n * d_i, within
+_minors_fit(n), so a packed pivot is 0 exactly when its minor is 0 as a
 polynomial: the elimination takes the pivots the polynomial matrix
 would.
 
@@ -89,9 +94,10 @@ dot products.  Packing is linear, so this is exact, and balanced digits
 read a state back while 2**(w-1) exceeds its entries.  With M the
 largest |a_ij|, the D_k bound above at depth 0 (N = M) gives
 |D_k| <= (n-1)!/k! * M**(n-1-k) <= (n-1)! * max(M, 1)**(n-1) for every
-k, and an entry of p(A) is at most ||p||_1 * max(1, n*M)**deg p.  Every
-slot is sized for that bound, and only the states returned are read, so
-packing pays at small w and not at large.  Packed over matmul Horner
+k (_minors_fit(n - 1)), and an entry of p(A) is at most
+||p||_1 * max(1, n*M)**deg p (_poly_fit).  Every slot is sized for
+that bound, and only the states returned are read, so packing pays at
+small w and not at large.  Packed over matmul Horner
 time (median of 7 alternating pairs of CPU times, 2-vCPU VM):
 
         w:     300   500   650   800  1000
@@ -242,9 +248,7 @@ class Matrix:
                 f"cannot multiply {self.rows} x {self.cols} by "
                 f"{other.rows} x {other.cols}")
         n, k, m = self.rows, self.cols, other.cols
-        if (chain := _tower(self.ring)) and (lifted := _encode(
-                chain, (self._e, other._e), lambda x, y: (
-                    k * x[0] * y[0], [p + q for p, q in zip(x[1], y[1])]))):
+        if lifted := _encode(self.ring, (self._e, other._e), _matmul_fit(k)):
             (x, y), ctx = lifted
             product = _product(Matrix(ZZ, n, k, x), Matrix(ZZ, k, m, y))
             return Matrix(self.ring, n, m, _decode(product._e, ctx, 1))
@@ -283,16 +287,15 @@ class Matrix:
         """Determinant; det of 0 x 0 is 1.
 
         Over ZZ, _integer_det; over QQ and towers the same on the
-        integer encoding, at the fit of c_n.  Over Z/m and towers above
-        MAX_SLOTS, (-1)**n * c_n of berkowitz().
+        integer encoding, at c_n's fit _minors_fit(n).  Over Z/m and
+        towers above MAX_SLOTS, (-1)**n * c_n of berkowitz().
         """
         if not self.is_square():
             raise ShapeError("determinant requires a square matrix")
         n, R = self.rows, self.ring
         if isinstance(R, IntegerRing):
             return _integer_det(self._e, n)
-        if (chain := _tower(R)) and (lifted := _encode(
-                chain, (self._e,), _charpoly_fit(n))):
+        if lifted := _encode(R, (self._e,), _minors_fit(n)):
             (ints,), ctx = lifted
             return _decode([_integer_det(ints, n)], ctx, n)[0]
         c_n = berkowitz(self)[-1]
@@ -391,15 +394,7 @@ class Matrix:
         """
         if not self.is_square():
             raise ShapeError("adjugate requires a square matrix")
-        n = self.rows
-        if n == 0:
-            return self
-        if (chain := _tower(self.ring)) and (lifted := _encode(
-                chain, (self._e,), _adjugate_fit(n))):
-            (ints,), ctx = lifted
-            adj = _adjugate(Matrix(ZZ, n, n, ints))
-            return Matrix(self.ring, n, n, _decode(adj._e, ctx, n - 1))
-        return _adjugate(self)
+        return _adjugates(self, every=False)[0] if self.rows else self
 
     def adjugate_cofactor(self) -> "Matrix":
         """Adjugate oracle: n**2 cofactors, each by det_subset_dp()."""
@@ -469,8 +464,7 @@ def berkowitz(a: Matrix) -> list:
         raise ShapeError("characteristic polynomial requires a square matrix")
     R = a.ring
     n = a.rows
-    if (chain := _tower(R)) and (lifted := _encode(
-            chain, (a._e,), _charpoly_fit(n))):
+    if lifted := _encode(R, (a._e,), _minors_fit(n)):
         (ints,), ctx = lifted
         return _decode(berkowitz(Matrix(ZZ, n, n, ints)), ctx, None)
     dot, sub = R.dot, R.sub
@@ -499,19 +493,24 @@ def adjugate_coefficients(a: Matrix) -> list:
     D_(k-1) = a @ D_k + c_(n-k) * I, so D_0 = (-1)**(n-1) * adj(a); this
     is D_k @ a + c_(n-k) * I, as D_k is a polynomial in a.  The first
     step is a itself, so this costs n - 2 steps (_horner).  Over QQ and
-    polynomial towers it runs on the integer encoding, with the
-    adjugate's fit bounding every D_k.
+    polynomial towers it runs on the integer encoding.
     """
+    return _adjugates(a, every=True) if a.rows else []
+
+
+def _adjugates(a: Matrix, every: bool) -> list:
+    """[D_0, ..., D_(n-1)] of a square a with n >= 1 if every, else
+    [adj(a)] = [(-1)**(n-1) * D_0]; over QQ and polynomial towers on the
+    integer encoding, where _minors_fit(n - 1) bounds every D_k and D_k
+    decodes at L**(n-1-k), adj as D_0."""
     n = a.rows
-    if n == 0:
-        return []
-    if (chain := _tower(a.ring)) and (lifted := _encode(
-            chain, (a._e,), _adjugate_fit(n))):
+    if lifted := _encode(a.ring, (a._e,), _minors_fit(n - 1)):
         (ints,), ctx = lifted
-        ds = adjugate_coefficients(Matrix(ZZ, n, n, ints))
+        ds = _adjugates(Matrix(ZZ, n, n, ints), every)
         return [Matrix(a.ring, n, n, _decode(d._e, ctx, n - 1 - k))
                 for k, d in enumerate(ds)]
-    return _horner(a, berkowitz(a)[:n], _adjugate_bound(n), every=True)[::-1]
+    return _horner(a, berkowitz(a)[:n], _minors_fit(n - 1), every,
+                   negate=not every and (n - 1) & 1)[::-1]
 
 
 def _product(a: Matrix, b: Matrix) -> Matrix:
@@ -522,13 +521,6 @@ def _product(a: Matrix, b: Matrix) -> Matrix:
     rows = [ae[i * k:(i + 1) * k] for i in range(n)]
     cols = [be[j::m] for j in range(m)]
     return Matrix(R, n, m, [dot(row, col) for row in rows for col in cols])
-
-
-def _adjugate(a: Matrix) -> Matrix:
-    """adj(a) for a square a with n >= 1: D_0 times (-1)**(n-1)."""
-    n = a.rows
-    return _horner(a, berkowitz(a)[:n], _adjugate_bound(n),
-                   negate=(n - 1) & 1)[0]
 
 
 def _integer_det(entries, n: int) -> int:
@@ -582,29 +574,35 @@ def _bareiss(entries, n: int) -> int:
     return sign * a[-1][-1] if n else 1
 
 
-def _charpoly_fit(n: int):
-    """The fit bounding every c_k, det included, of an n x n matrix."""
-    return lambda x: (factorial(n) * (x[0] + 1) ** n, [n * g for g in x[1]])
+def _minors_fit(e: int):
+    """The fit (N, degrees) -> (bound, degrees) of a signed sum of at most
+    e! products of at most e entries each: norm <= e! * max(N, 1)**e,
+    t_i-degree <= e * d_i.  It bounds c_k and det of an n x n matrix at
+    e = n, and every entry of adj and of every D_k at e = n - 1."""
+    return lambda m, degrees: (factorial(e) * max(m, 1) ** e,
+                               [e * g for g in degrees])
 
 
-def _adjugate_fit(n: int):
-    """The fit bounding adj and every D_k of an n x n matrix: the entry
-    bound _adjugate_bound on the largest norm, t_i-degree (n-1) * d_i."""
-    bound = _adjugate_bound(n)
-    return lambda x: (bound(x[0]), [(n - 1) * g for g in x[1]])
+def _matmul_fit(k: int):
+    """The fit of a sum of k products of one entry of each factor, which
+    _encode measures as one: N the product of the factors' norms and d_i
+    the sum of their t_i-degrees."""
+    return lambda m, degrees: (k * m, degrees)
 
 
-def _adjugate_bound(n: int):
-    """M -> a bound on every entry of every D_k of an n x n integer matrix
-    with entries at most M in absolute value: (n-1)! * max(M, 1)**(n-1)."""
-    return lambda m: factorial(n - 1) * max(m, 1) ** (n - 1)
+def _poly_fit(p: Polynomial, n: int):
+    """The fit of an entry of p(a), a an n x n matrix over ZZ, the one
+    ring whose p(a) packs, so degrees is empty: ||p||_1 * max(1, n*M)**deg p,
+    as |entry of a**k| <= (n*M)**k."""
+    return lambda m, degrees: (
+        sum(map(abs, p.coeffs)) * max(1, n * m) ** p.degree, degrees)
 
 
 def _horner(a: Matrix, coeffs, fit, every=False, negate=False) -> list:
     """[H_0, ..., H_d] if every, else [H_d] (negated if negate), where
     H_0 = coeffs[0] * I and H_j = a @ H_(j-1) + coeffs[j] * I, so that
-    H_d = sum_j coeffs[j] * a**(d-j); fit(M) bounds every entry returned
-    when M bounds the entries of a.
+    H_d = sum_j coeffs[j] * a**(d-j); fit(M, [])[0] bounds every entry
+    returned when M bounds the entries of a.
 
     H_1 = coeffs[0] * a + coeffs[1] * I needs no product.  With a packed
     width w (_packed_width) each later step takes n row products a_i . P
@@ -642,12 +640,12 @@ def _horner(a: Matrix, coeffs, fit, every=False, negate=False) -> list:
 
 
 def _packed_width(a: Matrix, fit) -> int | None:
-    """The slot width w = bit_length(fit(M)) + 1, M the largest absolute
-    entry of a, when _horner packs: a over ZZ, n >= 4 and w <= MAX_WIDTH.
-    Else None, and _horner takes matmuls."""
+    """The slot width w = bit_length(bound) + 1, with bound = fit(M, [])[0]
+    and M the largest absolute entry of a, when _horner packs: a over ZZ,
+    n >= 4 and w <= MAX_WIDTH.  Else None, and _horner takes matmuls."""
     if a.rows < 4 or not isinstance(a.ring, IntegerRing):
         return None
-    w = fit(max(map(abs, a._e))).bit_length() + 1
+    w = fit(max(map(abs, a._e)), [])[0].bit_length() + 1
     return w if w <= MAX_WIDTH else None
 
 
@@ -751,16 +749,22 @@ def _pack(trees, shifts) -> list:
     return out
 
 
-def _encode(chain, parts, fit) -> tuple | None:
+def _encode(ring: Ring, parts, fit) -> tuple | None:
     """(ints, ctx): the entries of each part as integers, one list per
-    part, each part scaled by its own L, and what _decode needs.  fit maps
-    each part's largest entry norm and t_i-degrees to the kernel's bounds
-    on its results.  None above MAX_SLOTS slots."""
+    part, each part scaled by its own L, and what _decode needs.  fit
+    maps (N, degrees) to the kernel's bounds on its results, with N the
+    product of the parts' largest entry norms and degrees the sums of
+    their largest t_i-degrees.  None if ring has no encoding (_tower) or
+    above MAX_SLOTS slots."""
+    chain = _tower(ring)
+    if not chain:
+        return None
     trees, scales = zip(*[_integers(chain, p) for p in parts])
     if len(chain) == 1:
         return trees, (chain, prod(scales), 0, [], [])
-    bounds = fit(*[_measure(t, len(chain) - 1) for t in trees])
-    ctx = _context(chain, prod(scales), *bounds)
+    norms, degrees = zip(*[_measure(t, len(chain) - 1) for t in trees])
+    ctx = _context(chain, prod(scales),
+                   *fit(prod(norms), [sum(g) for g in zip(*degrees)]))
     return ctx and ([_pack(t, ctx[3]) for t in trees], ctx)
 
 
@@ -769,12 +773,9 @@ def _decode(ints, ctx, power) -> list:
     k-th by L**k when power is None, as c_k is): balanced base 2**w
     digits, reduced mod m over Z/m, regrouped D_1, D_2, ... at a time."""
     chain, scale, w, _, levels = ctx
-    if power is not None:
-        d = scale ** power
-    elif not w:
-        return [Fraction(v, scale ** k) for k, v in enumerate(ints)]
+    d = None if power is None else scale ** power
     if not w:
-        return [Fraction(v, d) for v in ints]
+        return [Fraction(v, d or scale ** k) for k, v in enumerate(ints)]
     base, outer = chain[-1], chain[1]
     rational = isinstance(base, RationalRing)
     leaf = base.from_int if isinstance(base, ModRing) else None
@@ -785,8 +786,8 @@ def _decode(ints, ctx, power) -> list:
             out.append(zero)
             continue
         if rational:
-            d = d if power is not None else scale ** k
-            digits = [Fraction(x, d) for x in digits]
+            den = d or scale ** k
+            digits = [Fraction(x, den) for x in digits]
         elif leaf:
             digits = list(map(leaf, digits))
         for ring, size in levels:
@@ -857,14 +858,7 @@ def apply_poly(p: Polynomial, a: Matrix) -> Matrix:
     n = a.rows
     if p.is_zero():
         return Matrix.zeros(a.ring, n, n)
-    return _horner(a, p.coeffs[::-1], _poly_bound(p, n))[0]
-
-
-def _poly_bound(p: Polynomial, n: int):
-    """M -> a bound on every entry of p(a), a an n x n integer matrix with
-    entries at most M in absolute value: ||p||_1 * max(1, n*M)**deg p, as
-    |entry of a**k| <= (n*M)**k."""
-    return lambda m: sum(map(abs, p.coeffs)) * max(1, n * m) ** p.degree
+    return _horner(a, p.coeffs[::-1], _poly_fit(p, n))[0]
 
 
 def char_matrix(a: Matrix) -> Matrix:

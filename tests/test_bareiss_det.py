@@ -19,11 +19,9 @@ from ringmat.fuzz import sample_matrix, stream
 from ringmat.matrix import (
     MAX_BAREISS_BITS,
     Matrix,
-    _adjugate_fit,
     _bareiss,
-    _charpoly_fit,
     _encode,
-    _tower,
+    _minors_fit,
     berkowitz,
 )
 from ringmat.poly import Polynomial, PolynomialRing
@@ -226,19 +224,20 @@ def test_wide_entries_take_berkowitz(berkowitz_rings):
 
 def test_the_deep_case_is_above_the_slot_bound():
     a = _sparse_deep_tower()
-    assert _encode(_tower(a.ring), (a._e,), _charpoly_fit(2)) is None
+    assert _encode(a.ring, (a._e,), _minors_fit(2)) is None
 
 
 @pytest.mark.parametrize("ring", [ZT, ZTU, QT], ids=["poly", "poly-poly", "poly-rat"])
 def test_det_width_is_not_a_bit_too_short(ring):
-    # [[N, -N], [N, N]] with N = 2**k has det 2 * N**2 = 2**(2k+1),
-    # which needs every bit of the width the c_n fit 2 * (N + 1)**2
-    # gives; one bit less wraps it
+    # [[N, -N], [N, N]] with N = 2**k has det = c_2 = 2 * N**2 =
+    # 2**(2k+1), which meets the c_n fit 2! * N**2 and so needs every
+    # bit of its width; one bit less wraps it
     for k in (3, 10, 40):
         big = 2 ** k
         a = Matrix.from_rows(ring, [[_const(ring, big), _const(ring, -big)],
                                     [_const(ring, big), _const(ring, big)]])
         assert a.det() == _const(ring, 2 * big * big)
+        assert charpoly(a).c[2] == _const(ring, 2 * big * big)
 
 
 def _const(ring, v):
@@ -247,11 +246,17 @@ def _const(ring, v):
 
 def test_adjugate_width_of_a_mod8_tower():
     # 4 x 4 over (Z/8)[t], every entry 7 + 7t: norm 14 as integers, so
-    # the adjugate's slots hold 3! * 14**3 = 16464 in w = 16 bits
+    # the adjugate's slots hold 3! * 14**3 = 16464 in w = 16 bits, and
+    # those of c_n and det 4! * 14**4 = 921984 in w = 21, where
+    # 4! * (14 + 1)**4 took 22
     a = Matrix(Z8T, 4, 4, [Polynomial(Z8, [7, 7])] * 16)
-    _, ctx = _encode(_tower(Z8T), (a._e,), _adjugate_fit(4))
+    _, ctx = _encode(Z8T, (a._e,), _minors_fit(3))
     assert ctx[2] == 16
     assert a.adjugate() == a.adjugate_cofactor()
+    _, ctx = _encode(Z8T, (a._e,), _minors_fit(4))
+    assert ctx[2] == 21
+    assert a.det() == a.det_subset_dp()
+    assert charpoly(a).c[4] == a.det_subset_dp()
 
 
 @pytest.mark.parametrize("ring", [ZT, ZTU, QT], ids=["poly", "poly-poly", "poly-rat"])
@@ -269,3 +274,12 @@ def test_adjugate_width_is_not_a_bit_too_short(ring):
         d = charpoly(a).D
         assert d[0] == -want
         assert d[1] == Matrix.identity(ring, 2)
+        # D_0 above holds -N, which balanced digits read back a bit
+        # short; at n = 3, D_0 = adj, and [[1, 0, 0], [0, N, -N],
+        # [0, N, N]] has adj_11 = 2 * N**2, the bound 2! * N**2 itself
+        c = [_const(ring, v) for v in (0, 1, big, -big)]
+        b = Matrix.from_rows(ring, [[c[1], c[0], c[0]], [c[0], c[2], c[3]],
+                                    [c[0], c[2], c[2]]])
+        d = charpoly(b).D
+        assert d[0].entry(1, 1) == _const(ring, 2 * big * big)
+        assert d[0] == b.adjugate_cofactor()

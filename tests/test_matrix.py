@@ -1,6 +1,8 @@
 """Matrix arithmetic, division-free determinants, adjugates, submatrices."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -347,3 +349,27 @@ def test_counting_ring_computes_the_same_values():
     b = _dense(ZZ, 6)
     assert a.det() == b.det() == b.det_subset_dp()
     assert a.adjugate()._e == b.adjugate()._e
+
+
+def _callers(name: str) -> set:
+    """The functions of matrix.py that call name, methods as Class.method
+    and statements outside every function as "<module>"."""
+    found = set()
+    for node in ast.parse(Path(matrix_mod.__file__).read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            scopes = [(f"{node.name}.{f.name}", f) for f in node.body
+                      if isinstance(f, ast.FunctionDef)]
+        else:
+            scopes = [(getattr(node, "name", "<module>"), node)]
+        found |= {label for label, scope in scopes for c in ast.walk(scope)
+                  if isinstance(c, ast.Call)
+                  and getattr(c.func, "id", None) == name}
+    return found
+
+
+def test_one_lift_entry_point_and_one_home_for_the_bounds():
+    # every kernel reaches the integer encoding through _encode alone,
+    # and every result bound is a fit: (N, degrees) -> (bound, degrees)
+    assert _callers("_tower") == {"_encode"}
+    factorials = _callers("factorial")
+    assert factorials and all(f.endswith("_fit") for f in factorials)

@@ -20,8 +20,9 @@ from ringmat.matrix import (
     MAX_SLOTS,
     Matrix,
     _context,
+    _encode,
+    _minors_fit,
     _product,
-    _tower,
     adjugate_coefficients,
     berkowitz,
     char_matrix,
@@ -101,18 +102,23 @@ def _plain_horner(a, c):
 
 
 def test_towers_over_zz_zmod_qq_encode():
-    # ZZ and Z/m need no encoding; QQ and every tower over the three do
+    # ZZ and Z/m need no encoding; QQ and every tower over the three do,
+    # down the chain of coefficient rings
+    def chain(ring):
+        lifted = _encode(ring, ((ring.one(),),), _minors_fit(1))
+        return lifted and lifted[1][0]
+
     for base in BASES.values():
-        assert bool(_tower(base)) == (base == QQ)
+        assert bool(chain(base)) == (base == QQ)
         for depth in (1, 2, 3, 64):
             rings = _tower_of(base, depth)
-            assert _tower(rings[-1]) == rings[::-1]
+            assert chain(rings[-1]) == rings[::-1]
 
 
 def test_width_and_strides_are_the_least_that_decode():
     # 2**(w-1) > bound >= 2**(w-2), and t_i -> 2**(w * D_1 * ... * D_(i-1))
     # with D_i one more than the t_i-degree bound
-    chain = _tower(_tower_of(ZZ, 3)[-1])
+    chain = _tower_of(ZZ, 3)[::-1]
     for bound in (1, 2, 3, 7, 8, 2**64 - 1, 2**64):
         _, _, w, shifts, levels = _context(chain, 1, bound, [3, 5, 2])
         assert 2 ** (w - 2) <= bound < 2 ** (w - 1)

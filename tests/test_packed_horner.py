@@ -19,9 +19,9 @@ from ringmat.charpoly import cayley_hamilton_residual
 from ringmat.matrix import (
     MAX_WIDTH,
     Matrix,
-    _adjugate_bound,
+    _minors_fit,
     _packed_width,
-    _poly_bound,
+    _poly_fit,
     adjugate_coefficients,
     apply_poly,
     berkowitz,
@@ -68,7 +68,7 @@ def matmuls(monkeypatch):
 
 
 def _packs(a):
-    return _packed_width(a, _adjugate_bound(a.rows)) is not None
+    return _packed_width(a, _minors_fit(a.rows - 1)) is not None
 
 
 @pytest.mark.parametrize("n,name,a", CASES, ids=IDS)
@@ -100,8 +100,8 @@ def test_width_is_the_least_that_decodes():
         for m in (0, 1, 2, 9, 2**20 - 1, 2**20):
             a = Matrix(ZZ, n, n, [m] + [0] * (n * n - 1))
             bound = factorial(n - 1) * max(m, 1) ** (n - 1)
-            assert _adjugate_bound(n)(m) == bound
-            w = _packed_width(a, _adjugate_bound(n))
+            assert _minors_fit(n - 1)(m, [])[0] == bound
+            w = _packed_width(a, _minors_fit(n - 1))
             assert w == bound.bit_length() + 1
             assert 2 ** (w - 2) <= bound < 2 ** (w - 1)
 
@@ -116,7 +116,7 @@ def test_an_adjugate_entry_in_the_top_bit_decodes(k):
     a = Matrix.from_rows(ZZ, [[m * v for v in r] + [0] for r in b]
                          + [[0, 0, 0, 1]])
     adj = a.adjugate()
-    w = _packed_width(a, _adjugate_bound(4))
+    w = _packed_width(a, _minors_fit(3))
     assert adj.entry(4, 4) == 4 * m**3 == 2 ** (w - 2)
     assert adj == a.adjugate_cofactor()
     assert adjugate_coefficients(a) == plain_horner(a, berkowitz(a))
@@ -128,7 +128,7 @@ def _widest(n):
     lo, hi = 0, 2 ** MAX_WIDTH
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        w = _adjugate_bound(n)(mid).bit_length() + 1
+        w = _minors_fit(n - 1)(mid, [])[0].bit_length() + 1
         lo, hi = (mid, hi) if w <= MAX_WIDTH else (lo, mid)
     return lo
 
@@ -140,9 +140,10 @@ def test_route_switches_at_max_width(n, matmuls):
     for top, packed in ((m, True), (m + 1, False)):
         a = Matrix(ZZ, n, n, [top] + [rng.randint(-top, top)
                                       for _ in range(n * n - 1)])
-        w = _packed_width(a, _adjugate_bound(n))
+        w = _packed_width(a, _minors_fit(n - 1))
         assert (w is not None) == packed
-        assert packed == (_adjugate_bound(n)(top).bit_length() < MAX_WIDTH)
+        bound, _ = _minors_fit(n - 1)(top, [])
+        assert packed == (bound.bit_length() < MAX_WIDTH)
         matmuls[0] = 0
         want = plain_horner(a, berkowitz(a))
         assert adjugate_coefficients(a) == want
@@ -152,13 +153,13 @@ def test_route_switches_at_max_width(n, matmuls):
 def test_small_and_non_integer_matrices_keep_matmuls():
     rng = random.Random(2)
     for n in (0, 1, 2, 3):
-        assert _packed_width(_random(rng, n, 9), _adjugate_bound(n)) is None
+        assert _packed_width(_random(rng, n, 9), _minors_fit(n - 1)) is None
     for ring in (ModRing(8), ModRing(1), QQ):
         a = Matrix(ring, 4, 4, [ring.coerce(rng.randint(0, 7))
                                 for _ in range(16)])
-        assert _packed_width(a, _adjugate_bound(4)) is None
+        assert _packed_width(a, _minors_fit(3)) is None
     a = Matrix(ZZ, 4, 4, [9] + [1] * 15)
-    assert _packed_width(a, _adjugate_bound(4)) == (6 * 9**3).bit_length() + 1
+    assert _packed_width(a, _minors_fit(3)) == (6 * 9**3).bit_length() + 1
 
 
 class _CountingZZ(IntegerRing):
@@ -227,7 +228,7 @@ def test_apply_poly_matches_plain_powers(n, matmuls):
             p = Polynomial(ZZ, coeffs)
             matmuls[0] = 0
             got = apply_poly(p, a)
-            packs = _packed_width(a, _poly_bound(p, n)) is not None
+            packs = _packed_width(a, _poly_fit(p, n)) is not None
             assert matmuls[0] == (0 if packs else max(degree - 1, 0))
             assert got == _power_sum(p, a)
         assert cayley_hamilton_residual(a).is_zero()
@@ -238,11 +239,11 @@ def test_poly_width_bounds_every_power():
     # ||p||_1 * max(1, n*M)**deg p, and |entry of a**k| <= (n*M)**k is
     # reached up to the factor n by the all-M matrix
     p = Polynomial(ZZ, [3, -1, 0, 2])
-    assert _poly_bound(p, 4)(5) == 6 * 20**3
-    assert _poly_bound(p, 4)(0) == 6
+    assert _poly_fit(p, 4)(5, []) == (6 * 20**3, [])
+    assert _poly_fit(p, 4)(0, []) == (6, [])
     n, m = 4, 7
     a = Matrix(ZZ, n, n, [m] * (n * n))
     cube = apply_poly(Polynomial(ZZ, [0, 0, 0, 1]), a)
     assert cube == Matrix(ZZ, n, n, [n * n * m**3] * (n * n))
-    assert _packed_width(a, _poly_bound(p, n)) == (
+    assert _packed_width(a, _poly_fit(p, n)) == (
         (6 * (n * m) ** 3).bit_length() + 1)

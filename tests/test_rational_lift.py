@@ -18,7 +18,6 @@ from ringmat.charpoly import charpoly, charpoly_newton
 from ringmat.matrix import (
     Matrix,
     _encode,
-    _tower,
     berkowitz,
 )
 from ringmat.rings import QQ, ZZ, RationalRing
@@ -55,7 +54,7 @@ CASES = _cases()
 
 def _lift(a: Matrix) -> tuple:
     """(B, L) with B = L*a over ZZ: the integer encoding of QQ."""
-    (ints,), ctx = _encode(_tower(QQ), (a._e,), None)
+    (ints,), ctx = _encode(QQ, (a._e,), None)
     return Matrix(ZZ, a.rows, a.cols, ints), ctx[1]
 
 
