@@ -20,11 +20,14 @@ division-free except charpoly_newton, which resolves the trace recursion
 
     k * c_k = -(Tr(A) * c_(k-1) + Tr(A**2) * c_(k-2) + ... + Tr(A**k) * c_0)
 
-and is therefore restricted to rings that divide exactly by integers.
+by multiplying the sum with the ring's own image of -1/k, and is
+therefore restricted to Q-algebras (rings whose coerce accepts
+Fraction(1, k) for every positive k).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 
 from .matrix import Matrix, adjugate_coefficients, apply_poly, berkowitz
@@ -94,9 +97,10 @@ def charpoly(a: Matrix) -> CharPolyData:
 def charpoly_newton(a: Matrix) -> CharPolyData:
     """Characteristic polynomial via the trace recursion.
 
-    Requires the ring to divide exactly by positive integers; raises
-    QAlgebraRequiredError otherwise.  Agrees with charpoly() wherever both
-    are defined.
+    c_k = (-1/k) * sum_(i=1..k) Tr(A**i) * c_(k-i), with -1/k the ring's
+    image of Fraction(-1, k).  Requires a Q-algebra; raises
+    QAlgebraRequiredError otherwise.  Agrees with charpoly() wherever
+    both are defined.
     """
     _require_square(a)
     K = a.ring
@@ -111,7 +115,7 @@ def charpoly_newton(a: Matrix) -> CharPolyData:
         acc = K.zero()
         for i in range(1, k + 1):
             acc = K.add(acc, K.mul(tr[i], c[k - i]))
-        c.append(K.neg(K.div_int(acc, k)))
+        c.append(K.mul(K.coerce(Fraction(-1, k)), acc))
     return _assemble(a, c)
 
 

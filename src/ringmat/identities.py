@@ -421,9 +421,9 @@ def verify_coefficient_family(a: Matrix) -> VerificationReport:
         for k in range(n + 1):
             rhs = D(k - 1) - (a @ D(k))
             yield f"difference_k_{k}", ident.scale(c(n - k)) - rhs, None
-        powers = [ident]  # A**0 .. A**k, one matmul per k
+        powers = [ident, a]  # A**0 .. A**k, one matmul per k >= 2
         for k in range(n + 1):
-            if k:
+            if k >= 2:
                 powers.append(powers[-1] @ a)
             total = Matrix.zeros(K, n, n)
             for i in range(k + 1):
@@ -651,14 +651,16 @@ def verify_nilpotency_criterion(a: Matrix) -> VerificationReport:
     K = a.ring
     n = a.rows
     inputs = {"matrix": a.to_json()}
-    tr = power_traces(a, n)
+    an = a          # A**i after step i; at n = 0 the 0 x 0 A is A**0
     for i in range(1, n + 1):
-        if not K.is_zero(tr[i]):
+        if i > 1:
+            an = an @ a
+        tr = an.trace()
+        if not K.is_zero(tr):
             return hypothesis_not_met(
-                "nilpotency",
-                f"Tr(A**{i}) = {K.format(tr[i])} is nonzero", inputs)
+                "nilpotency", f"Tr(A**{i}) = {K.format(tr)} is nonzero",
+                inputs)
     nfact = K.from_int(factorial(n))
-    an = a ** n
     L = PolynomialRing(K)
     chi = charpoly(a).chi
     tn = Polynomial(K, tuple([K.zero()] * n + [K.one()]))
@@ -733,8 +735,8 @@ def verify_trace_multinomial(a: Matrix, m: int) -> VerificationReport:
         raise GuardError(
             f"{comb(m + n - 1, n - 1)} terms exceed the guard of {TERM_GUARD}")
     inputs = {"matrix": a.to_json(), "m": m}
-    powers = [Matrix.identity(K, n)]
-    for _ in range(m):
+    powers = [Matrix.identity(K, n), a]  # A**0 .. A**m (A**1 even at m = 0)
+    for _ in range(2, m + 1):
         powers.append(powers[-1] @ a)
     acc = K.zero()
     for parts in compositions(m, n):

@@ -723,9 +723,10 @@ def _measure(trees, depth: int) -> tuple:
 def _context(chain, scale: int, bound: int, degrees) -> tuple | None:
     """(chain, L, w, shifts, levels) for results of norm <= bound and
     t_i-degree <= degrees[i-1]: t_i -> 2**shifts[i-1], and levels pairs
-    each inner coefficient ring with its D_i.  None above MAX_SLOTS."""
-    w = bound.bit_length() + 1 if degrees else 0
-    shifts, levels = [w] if degrees else [], []
+    each inner coefficient ring with its D_i.  None above MAX_SLOTS.
+    degrees is never empty: a tower has at least one variable."""
+    w = bound.bit_length() + 1
+    shifts, levels = [w], []
     for i, g in enumerate(degrees[:-1], 1):
         levels.append((chain[-i], g + 1))
         shifts.append(shifts[-1] * (g + 1))
@@ -735,9 +736,8 @@ def _context(chain, scale: int, bound: int, degrees) -> tuple | None:
 
 
 def _pack(trees, shifts) -> list:
-    """Each tree as one integer, with t_i -> 2**shifts[i-1]."""
-    if not shifts:
-        return trees
+    """Each tree as one integer, with t_i -> 2**shifts[i-1] (at least one
+    shift)."""
     s, inner, out = shifts[-1], shifts[:-1], []
     if inner:
         trees = [_pack(t, inner) for t in trees]

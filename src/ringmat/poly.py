@@ -148,8 +148,8 @@ class Polynomial:
 class PolynomialRing(Ring):
     """R[t] as a Ring whose elements are Polynomial values over R.
 
-    A Q-algebra exactly when the base is: integer division acts on each
-    coefficient.
+    A Q-algebra exactly when the base is: coerce takes Fraction(1, k) to
+    the constant polynomial 1/k through the base.
     """
 
     def __init__(self, base: Ring):
@@ -204,10 +204,6 @@ class PolynomialRing(Ring):
 
     def is_zero(self, a):
         return not a.coeffs
-
-    def _div_int(self, a, k):
-        base = self.base
-        return Polynomial(base, [base.div_int(c, k) for c in a.coeffs])
 
     def coerce(self, v):
         if isinstance(v, Polynomial):

@@ -21,6 +21,11 @@ def set_mutation(names) -> frozenset:
 
     Passing an empty iterable (or None) clears the hook.  Returns the
     names it replaces, so a caller can put them back.
+
+    A mutated check adds the ring's 1 to its residual.  Over the zero
+    ring Z/1 (and towers over it) 1 = 0, so the hook cannot make any
+    check fail there: a fully mutated campaign over mod:1 still reports
+    failed=0.
     """
     previous = frozenset(_MUTATED)
     _MUTATED.clear()

@@ -12,9 +12,11 @@ Equality of elements is structural equality of canonical values, so == on
 the raw values is always the right test.  Rings compare equal when they
 describe the same domain, and every ring knows its JSON descriptor.
 
-A ring may declare itself a Q-algebra, meaning division by any positive
-integer is exact and well defined.  Rationals qualify, as do polynomial
-rings over a qualifying base.  Integers and mod-m rings never divide, even
+A ring may declare itself a Q-algebra (is_q_algebra), meaning every
+positive integer k is a unit: the ring's coerce accepts Fraction(1, k)
+and gives its image, so dividing by k is a product with that image.
+Rationals qualify, as do polynomial rings over a qualifying base.  Rings
+have no division method: integers and mod-m rings never divide, even
 when a particular quotient happens to exist.
 
 Rationals have no dot kernel of their own, because the matrix kernels
@@ -49,7 +51,8 @@ class ShapeError(RingError):
 
 
 class QAlgebraRequiredError(RingError):
-    """Exact division by an integer was requested on a ring without it."""
+    """A route that divides by integers was asked of a ring that is not a
+    Q-algebra."""
 
 
 class PreconditionError(RingError):
@@ -119,28 +122,6 @@ class Ring:
             base = self.mul(base, base)
             k >>= 1
         return result
-
-    def try_div_int(self, a, k: int):
-        """a / k when this ring divides by positive integers, else None.
-
-        Never divides opportunistically: integers and mod-m return None
-        even when k happens to divide a.
-        """
-        if k < 1:
-            raise ValueError("divisor must be a positive integer")
-        if not self.is_q_algebra:
-            return None
-        return self._div_int(a, k)
-
-    def div_int(self, a, k: int):
-        out = self.try_div_int(a, k)
-        if out is None:
-            raise QAlgebraRequiredError(
-                f"ring {self} does not support division by integers")
-        return out
-
-    def _div_int(self, a, k: int):
-        raise NotImplementedError
 
     def coerce(self, v):
         """Canonical value for v, raising RingMismatchError if v is foreign."""
@@ -314,9 +295,6 @@ class RationalRing(Ring):
 
     def is_zero(self, a):
         return a == 0
-
-    def _div_int(self, a, k):
-        return a / k
 
     def coerce(self, v):
         if isinstance(v, Fraction):

@@ -131,16 +131,14 @@ def matrix_from_json(obj, ring: Ring | None = None,
         if rows and declared != cols:
             raise ParseError(f"{where}.cols: declared {declared}, "
                              f"entries have {cols}")
-    data = []
+    data = []   # element_from_json gives canonical values: no coerce
     for i, row in enumerate(entries):
         if len(row) != cols:
             raise ParseError(f"{where}.entries[{i}]: expected {cols} "
                              f"entries, got {len(row)}")
-        data.append([ring.element_from_json(cell, f"{where}.entries[{i}][{j}]")
-                     for j, cell in enumerate(row)])
-    if rows == 0:
-        return Matrix(ring, 0, cols, ())
-    return Matrix.from_rows(ring, data)
+        data.extend(ring.element_from_json(cell, f"{where}.entries[{i}][{j}]")
+                    for j, cell in enumerate(row))
+    return Matrix(ring, rows, cols, data)
 
 
 def polynomial_from_json(obj, ring: Ring, where: str = "poly") -> Polynomial:

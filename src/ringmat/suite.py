@@ -372,7 +372,8 @@ def _cap_guard(names, n: int, what: str, column: int) -> None:
 
 
 def _check_params(params) -> None:
-    """Refuse an out-of-range imax, k or p before any work."""
+    """Refuse an out-of-range imax, k or p (p must be a prime below
+    PRIME_BOUND) before any work."""
     imax, k, p = params.get("imax"), params.get("k"), params.get("p")
     if imax is not None:
         if imax < 1:
@@ -382,9 +383,12 @@ def _check_params(params) -> None:
         if k < 0:
             raise ValueError(f"k must be nonnegative, got {k}")
         ids.check_cap("k", k, ids.MAX_K)
-    if p is not None and p >= ids.PRIME_BOUND:
-        raise GuardError(f"p = {p} is refused: primality is decided only "
-                         f"below {ids.PRIME_BOUND}")
+    if p is not None:
+        if p >= ids.PRIME_BOUND:
+            raise GuardError(f"p = {p} is refused: primality is decided "
+                             f"only below {ids.PRIME_BOUND}")
+        if not ids._is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
 
 
 def _frobenius_guard(names, ring, params) -> None:

@@ -1,5 +1,7 @@
 """Characteristic polynomial, its coefficients, and the D_k expansion."""
 
+from fractions import Fraction
+
 import pytest
 
 from helpers import (
@@ -20,7 +22,8 @@ from ringmat.charpoly import (
     power_traces,
     trace_cayley_hamilton_residual,
 )
-from ringmat.matrix import Matrix, berkowitz, char_matrix
+from ringmat.matrix import Matrix, _encode, _matmul_fit, berkowitz, char_matrix
+from ringmat.poly import Polynomial, PolynomialRing
 from ringmat.rings import QQ, ZZ, QAlgebraRequiredError, ShapeError
 
 
@@ -101,6 +104,38 @@ def test_newton_agrees_with_direct_over_Q():
         assert left.chi == right.chi
         assert left.c == right.c
         assert left.D == right.D
+
+
+QT = PolynomialRing(QQ)
+QTU = PolynomialRing(QT)
+
+
+def _sparse_rational_tower():
+    # 2 x 2 over Q[t][u] with t- and u-degree 20: A @ A alone would take
+    # 41 * 41 slots, so every product runs on Ring.dot
+    t = Polynomial(QQ, [QQ.zero()] * 20 + [Fraction(1, 3)])
+    u = Polynomial(QT, [QT.zero()] * 20 + [QT.coerce(Fraction(-5, 2))])
+    return Matrix(QTU, 2, 2, [QTU.add(u, Polynomial(QT, [t])), QTU.one(),
+                              QTU.coerce(Fraction(7, 4)), u])
+
+
+def test_newton_agrees_with_direct_over_Q_towers():
+    # c_k is the sum times the ring's own -1/k, a constant of Q[t] or
+    # Q[t][u], on the lifted kernels and above MAX_SLOTS alike
+    deep = _sparse_rational_tower()
+    assert _encode(QTU, (deep._e, deep._e), _matmul_fit(2)) is None
+    cases = (corpus(QT, "newton-qt", 12, 4) + corpus(QTU, "newton-qtu", 6, 3)
+             + [deep])
+    for a in cases:
+        left, right = charpoly(a), charpoly_newton(a)
+        assert left.c == right.c and left.chi == right.chi, a
+        if a.rows <= 3:
+            assert list(left.c) == _subset_dp_coefficients(a)
+
+
+def _subset_dp_coefficients(a):
+    chi = char_matrix(a).det_subset_dp()
+    return [chi.coeff(a.rows - j) for j in range(a.rows + 1)]
 
 
 def test_newton_requires_q_algebra():

@@ -397,13 +397,19 @@ def test_cost_caps_exit_2_at_once(capsys):
     above = str(3317044064679887385961981)
     for extra, why in ((["--k", "100000000"], "exceeds the cap of 256"),
                        (["--imax", "1001"], "exceeds the cap of 1000"),
-                       (["--p", above], "decided only below")):
+                       (["--p", above], "decided only below"),
+                       (["--p", "4"], "p must be prime"),
+                       (["--p", "1"], "p must be prime")):
         for argv in (["verify", "almkvist", "--matrix", A_JSON],
                      ["fuzz", "--ring", "int", "--suite", "almkvist",
                       "--size", "3", "--count", "0"]):
             code, out, err = run_main(argv + extra, capsys)
             assert code == 2, argv + extra
             assert err.startswith("error:") and why in err and out == ""
+    # a composite p is refused before any identity runs, not after
+    code, out, err = run_main(["verify", "all", "--matrix", A_JSON,
+                               "--p", "4"], capsys)
+    assert code == 2 and "p must be prime" in err and out == ""
 
 
 def test_sampling_depth_cap(capsys):

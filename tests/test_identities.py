@@ -223,6 +223,35 @@ class TestNilpotencyAndTraces:
         rep = gated(ids.verify_nilpotency_criterion(mat(Z8, [[2]])))
         assert "2" in str(rep.inputs.get("reason"))
 
+    def test_each_power_is_built_once(self, monkeypatch):
+        # nilpotency: the trace loop's last power is A**n, so no second
+        # a ** n, and the loop stops at the first nonzero trace, the one
+        # reported; the power lists start at A, not at I @ A
+        products = []
+        matmul = Matrix.__matmul__
+
+        def spy(x, y):
+            products.append(x.rows)
+            return matmul(x, y)
+
+        monkeypatch.setattr(Matrix, "__matmul__", spy)
+        strict = Matrix(ZZ, 5, 5, [j - i if j > i else 0
+                                   for i in range(5) for j in range(5)])
+        ok(ids.verify_nilpotency_criterion(strict))
+        assert len(products) == 4
+        products.clear()
+        rep = gated(ids.verify_nilpotency_criterion(
+            Matrix(ZZ, 5, 5, [1] * 25)))
+        assert products == [] and "Tr(A**1) = 5" in rep.inputs["reason"]
+        products.clear()
+        ok(ids.verify_trace_multinomial(A, 4))
+        assert len(products) == 3       # A**2, A**3, A**4
+        products.clear()
+        ok(ids.verify_coefficient_family(
+            Matrix(ZZ, 5, 5, [(3 * i + j) % 7 - 3 for i in range(5)
+                              for j in range(5)])))
+        assert len(products) == 6 + 4   # A @ D_k for k = 0..5, A**2..A**5
+
     def test_nilpotency_converse(self):
         n = mat(ZZ, [[0, 3], [0, 0]])
         ok(ids.verify_nilpotency_converse(n, 5))

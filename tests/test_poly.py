@@ -119,14 +119,6 @@ def test_nested_polynomial_rings():
     assert PolynomialRing(QQ).is_q_algebra is True
 
 
-def test_div_int_per_coefficient():
-    R = PolynomialRing(QQ)
-    q = R.coerce([1, 3])
-    half = R.div_int(q, 2)
-    assert half.coeffs == (QQ.coerce(1) / 2, QQ.coerce(3) / 2)
-    assert PolynomialRing(ZZ).try_div_int(ZT.one(), 2) is None
-
-
 coeff_lists = st.lists(st.integers(-9, 9), max_size=6)
 
 

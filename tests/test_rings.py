@@ -1,4 +1,4 @@
-"""Ring primitives: canonical values, integer embedding, division gates."""
+"""Ring primitives: canonical values, integer embedding, no division."""
 
 import random
 import sys
@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import Z6, Z8
+from ringmat.poly import PolynomialRing
 from ringmat.rings import (
     QQ,
     ZZ,
     ModRing,
     ParseError,
-    QAlgebraRequiredError,
     Ring,
     RingMismatchError,
     MAX_INT_DIGITS,
@@ -95,21 +95,19 @@ def test_pow_squares_and_multiplies():
         ZZ.pow(2, -1)
 
 
-def test_try_div_int_never_divides_integers():
-    # 4/2 would be exact, but Z is not a Q-algebra and must say so
-    assert ZZ.try_div_int(4, 2) is None
-    assert Z8.try_div_int(4, 2) is None
-    assert QQ.try_div_int(Fraction(1), 3) == Fraction(1, 3)
-    with pytest.raises(ValueError):
-        QQ.try_div_int(Fraction(1), 0)
+def _ring_classes(cls=Ring):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _ring_classes(sub)
 
 
-def test_div_int_gate():
-    with pytest.raises(QAlgebraRequiredError):
-        ZZ.div_int(4, 2)
-    with pytest.raises(QAlgebraRequiredError):
-        Z6.div_int(3, 3)
-    assert QQ.div_int(Fraction(5), 2) == Fraction(5, 2)
+def test_no_ring_divides():
+    # a Q-algebra divides by k as a product with coerce(Fraction(1, k));
+    # the protocol has no division method, and no ring class adds one
+    classes = [c for c in _ring_classes() if c.__module__.startswith("ringmat")]
+    assert {Ring, type(ZZ), type(Z8), type(QQ), PolynomialRing} <= set(classes)
+    for cls in classes:
+        assert not [name for name in vars(cls) if "div" in name], cls
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50))

@@ -227,7 +227,10 @@ def test_parameter_caps_come_before_any_work():
             ({"k": -1}, ValueError, "k must be nonnegative"),
             ({"imax": MAX_IMAX + 1}, GuardError, "imax = 1001"),
             ({"imax": 0}, ValueError, "imax must be at least 1"),
-            ({"p": PRIME_BOUND}, GuardError, "decided only below")):
+            ({"p": PRIME_BOUND}, GuardError, "decided only below"),
+            ({"p": 4}, ValueError, "p must be prime, got 4"),
+            ({"p": 1}, ValueError, "p must be prime, got 1"),
+            ({"p": -3}, ValueError, "p must be prime, got -3")):
         with pytest.raises(error, match=why):
             run_suite(("det_product",), ring=ZZ, seed=0, count=0, size=1,
                       params=params)
