@@ -33,7 +33,7 @@ from functools import cached_property
 from .matrix import Matrix, adjugate_coefficients, apply_poly, berkowitz
 from .poly import Polynomial
 from .record import FrozenRecord
-from .rings import QAlgebraRequiredError, ShapeError
+from .rings import QAlgebraRequiredError
 
 
 class CharPolyData(FrozenRecord):
@@ -76,13 +76,6 @@ class CharPolyData(FrozenRecord):
         }
 
 
-def _require_square(a: Matrix) -> None:
-    if not a.is_square():
-        raise ShapeError(
-            f"characteristic polynomial requires a square matrix, "
-            f"got {a.rows} x {a.cols}")
-
-
 def _assemble(a: Matrix, c) -> CharPolyData:
     return CharPolyData(n=a.rows, chi=Polynomial(a.ring, c[::-1]),
                         c=tuple(c), matrix=a)
@@ -90,7 +83,6 @@ def _assemble(a: Matrix, c) -> CharPolyData:
 
 def charpoly(a: Matrix) -> CharPolyData:
     """Characteristic polynomial of a square matrix, division-free."""
-    _require_square(a)
     return _assemble(a, berkowitz(a))
 
 
@@ -102,7 +94,7 @@ def charpoly_newton(a: Matrix) -> CharPolyData:
     QAlgebraRequiredError otherwise.  Agrees with charpoly() wherever
     both are defined.
     """
-    _require_square(a)
+    a.require_square("characteristic polynomial")
     K = a.ring
     if not K.is_q_algebra:
         raise QAlgebraRequiredError(
@@ -121,7 +113,7 @@ def charpoly_newton(a: Matrix) -> CharPolyData:
 
 def power_traces(a: Matrix, imax: int) -> list:
     """[_, Tr(A), Tr(A**2), ..., Tr(A**imax)] (index 0 unused)."""
-    _require_square(a)
+    a.require_square("power traces")
     K = a.ring
     out = [K.zero()]
     p = None
@@ -137,7 +129,6 @@ def adjugate_via_charpoly(a: Matrix) -> Matrix:
     This formula is the production route of Matrix.adjugate(), so this is
     that call; Matrix.adjugate_cofactor() is the independent oracle.
     """
-    _require_square(a)
     return a.adjugate()
 
 
@@ -155,7 +146,6 @@ def trace_cayley_hamilton_residual(a: Matrix, k: int) -> object:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    _require_square(a)
     return trace_cayley_hamilton_sum(charpoly(a), power_traces(a, k), k)
 
 

@@ -38,8 +38,11 @@ from .rings import (
 from .serialize import matrix_from_json, parse_ring
 
 
-def _read_matrix_arg(text: str, ring):
-    """--matrix accepts a file path, "-" for stdin, or inline JSON."""
+def _read_matrix(args):
+    """The --matrix input, over the --ring override if one is given.
+    --matrix accepts a file path, "-" for stdin, or inline JSON."""
+    ring = _ring_arg(args.ring) if args.ring else None
+    text = args.matrix
     if text == "-":
         raw = sys.stdin.read()
     elif text.lstrip().startswith("{"):
@@ -50,17 +53,17 @@ def _read_matrix_arg(text: str, ring):
                 raw = fh.read()
         except OSError as exc:
             raise ParseError(f"matrix: cannot read {text!r}: {exc}") from None
-    try:
-        obj = _loads(raw, "matrix")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"matrix: invalid JSON: {exc}") from None
-    return matrix_from_json(obj, ring)
+    return matrix_from_json(_loads(raw, "matrix"), ring)
 
 
 def _loads(raw: str, where: str):
     """json.loads with number literals read under rings.MAX_INT_DIGITS
-    instead of the interpreter's conversion limit."""
-    return json.loads(raw, parse_int=lambda s: _parse_int(s, where))
+    instead of the interpreter's conversion limit; invalid JSON is a
+    ParseError naming where."""
+    try:
+        return json.loads(raw, parse_int=lambda s: _parse_int(s, where))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: invalid JSON: {exc}") from None
 
 
 def _indented(value, out: list, indent: str) -> None:
@@ -191,18 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _ring_arg(text: str):
     text = text.strip()
-    if text.startswith("{"):
-        try:
-            obj = _loads(text, "ring")
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"ring: invalid JSON: {exc}") from None
-        return parse_ring(obj)
-    return parse_ring(text)
+    return parse_ring(_loads(text, "ring") if text.startswith("{") else text)
 
 
 def _cmd_charpoly(args) -> int:
-    ring = _ring_arg(args.ring) if args.ring else None
-    a = _read_matrix_arg(args.matrix, ring)
+    a = _read_matrix(args)
     use_newton = args.newton and a.ring.is_q_algebra
     data = charpoly_newton(a) if use_newton else charpoly(a)
     payload = {"ring": a.ring.descriptor(), "n": a.rows,
@@ -213,9 +209,7 @@ def _cmd_charpoly(args) -> int:
 
 
 def _cmd_adjugate(args) -> int:
-    ring = _ring_arg(args.ring) if args.ring else None
-    a = _read_matrix_arg(args.matrix, ring)
-    _emit(a.adjugate().to_json(), args.out)
+    _emit(_read_matrix(args).adjugate().to_json(), args.out)
     return 0
 
 
@@ -230,10 +224,8 @@ def _finish_reports(reports, out_path: str | None) -> int:
 
 def _cmd_verify(args) -> int:
     from .suite import resolve_suite, run_suite
-    names = resolve_suite(args.suite)
-    ring = _ring_arg(args.ring) if args.ring else None
-    a = _read_matrix_arg(args.matrix, ring)
-    reports = run_suite(names, matrix=a, seed=args.seed,
+    names = resolve_suite(args.suite)     # before the matrix is read
+    reports = run_suite(names, matrix=_read_matrix(args), seed=args.seed,
                         params=_params(args))
     return _finish_reports(reports, args.out)
 

@@ -18,7 +18,7 @@ from .matrix import Matrix
 from .poly import Polynomial, PolynomialRing
 from .record import FrozenRecord
 from .report import VerificationReport, first_failure, make_report
-from .rings import Ring, RingMismatchError, ShapeError
+from .rings import Ring, RingMismatchError
 
 
 class Derivation(FrozenRecord):
@@ -73,13 +73,13 @@ def scaled_ddt(algebra: PolynomialRing, g: Polynomial) -> Derivation:
                       fn=lambda v: g * v.derivative(), g=g)
 
 
-def standard_derivations(algebra: Ring, g: Polynomial | None = None) -> list:
+def standard_derivations(algebra: Ring) -> list:
     """The stock derivations on algebra: zero always, and on polynomial
-    rings also d/dt plus g*d/dt (g defaults to t)."""
+    rings also d/dt plus t*d/dt."""
     out = [zero_derivation(algebra)]
     if isinstance(algebra, PolynomialRing):
         out.append(ddt(algebra))
-        out.append(scaled_ddt(algebra, g if g is not None else algebra.t()))
+        out.append(scaled_ddt(algebra, algebra.t()))
     return out
 
 
@@ -121,14 +121,11 @@ def verify_leibniz_chain(f: Derivation, elems) -> VerificationReport:
 
 def verify_derivation_det(f: Derivation, a: Matrix) -> VerificationReport:
     """f(det A) = Tr(f[A] @ adj A), exactly."""
-    if not a.is_square():
-        raise ShapeError("the determinant formula needs a square matrix")
+    a.require_square("determinant formula")
+    image = f.matrix_image(a)
     L = f.algebra
-    if a.ring != L:
-        raise RingMismatchError(
-            f"derivation on {L} cannot act on a matrix over {a.ring}")
     lhs = f(a.det())
-    rhs = (f.matrix_image(a) @ a.adjugate()).trace()
+    rhs = (image @ a.adjugate()).trace()
     return make_report(
         "derivation_det", L.sub(lhs, rhs), ring=L,
         inputs={"derivation": f.describe(), "matrix": a.to_json()},
@@ -137,22 +134,16 @@ def verify_derivation_det(f: Derivation, a: Matrix) -> VerificationReport:
 
 def verify_derivation_det_rows(f: Derivation, a: Matrix) -> VerificationReport:
     """f(det A) = sum over rows k of det(A with row k replaced by f(row k))."""
-    if not a.is_square():
-        raise ShapeError("the determinant formula needs a square matrix")
+    a.require_square("determinant formula")
+    image = f.matrix_image(a)
     L = f.algebra
-    if a.ring != L:
-        raise RingMismatchError(
-            f"derivation on {L} cannot act on a matrix over {a.ring}")
     lhs = f(a.det())
     n = a.rows
     rhs = L.zero()
     for k in range(1, n + 1):
         entries = []
         for i in range(1, n + 1):
-            row = a.row_list(i)
-            if i == k:
-                row = [f(v) for v in row]
-            entries.extend(row)
+            entries.extend((image if i == k else a).row_list(i))
         rhs = L.add(rhs, Matrix(L, n, n, entries).det())
     return make_report(
         "derivation_det_rows", L.sub(lhs, rhs), ring=L,

@@ -154,8 +154,7 @@ def sample_matrix(rng: SplitMix64, ring: Ring, rows: int, cols: int,
     ])
 
 
-def sample_singular(rng: SplitMix64, ring: Ring, n: int,
-                    poly_degree: int = 1) -> Matrix:
+def sample_singular(rng: SplitMix64, ring: Ring, n: int) -> Matrix:
     """A square matrix with determinant zero over any commutative ring.
 
     For n >= 2 the second row is a copy of the first; n = 1 gives (0).
@@ -165,28 +164,27 @@ def sample_singular(rng: SplitMix64, ring: Ring, n: int,
         raise ValueError("no singular 0 x 0 matrix exists")
     if n == 1:
         return Matrix.zeros(ring, 1, 1)
-    a = sample_matrix(rng, ring, n, n, poly_degree)
+    a = sample_matrix(rng, ring, n, n)
     entries = list(a._e)
     entries[n:2 * n] = entries[0:n]
     return Matrix(ring, n, n, entries)
 
 
-def sample_strict_upper(rng: SplitMix64, ring: Ring, n: int, dist: int = 1,
-                        poly_degree: int = 1) -> Matrix:
+def sample_strict_upper(rng: SplitMix64, ring: Ring, n: int,
+                        dist: int = 1) -> Matrix:
     """Entries only where column - row >= dist, hence nilpotent."""
     zero = ring.zero()
     entries = []
     for i in range(n):
         for j in range(n):
             if j - i >= dist:
-                entries.append(sample_element(rng, ring, poly_degree))
+                entries.append(sample_element(rng, ring))
             else:
                 entries.append(zero)
     return Matrix(ring, n, n, entries)
 
 
-def sample_nilpotent(rng: SplitMix64, ring: Ring, n: int, k: int,
-                     poly_degree: int = 1) -> Matrix:
+def sample_nilpotent(rng: SplitMix64, ring: Ring, n: int, k: int) -> Matrix:
     """A matrix with A**(k+1) = 0: banded strictly upper triangular.
 
     Entries sit at distance >= ceil(n / (k+1)) above the diagonal, so the
@@ -197,15 +195,13 @@ def sample_nilpotent(rng: SplitMix64, ring: Ring, n: int, k: int,
     if n == 0:
         return Matrix(ring, 0, 0, ())
     dist = -(-n // (k + 1))
-    return sample_strict_upper(rng, ring, n, dist, poly_degree)
+    return sample_strict_upper(rng, ring, n, dist)
 
 
-def sample_commuting(rng: SplitMix64, a: Matrix, poly_degree: int = 1) -> Matrix:
+def sample_commuting(rng: SplitMix64, a: Matrix) -> Matrix:
     """A matrix that provably commutes with a: a random polynomial in a."""
     ring = a.ring
-    p = Polynomial(ring, [
-        sample_element(rng, ring, poly_degree) for _ in range(3)
-    ])
+    p = Polynomial(ring, [sample_element(rng, ring) for _ in range(3)])
     return apply_poly(p, a)
 
 

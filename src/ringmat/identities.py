@@ -130,14 +130,20 @@ def compositions(m: int, n: int):
             yield (first,) + rest
 
 
-def _square(a: Matrix, what: str) -> None:
-    if not a.is_square():
-        raise ShapeError(f"{what} requires a square matrix, got {a.rows} x {a.cols}")
-
-
 def _same_ring(*ms) -> None:
     for m in ms[1:]:
         ms[0]._check_ring(m)
+
+
+def _square_family(what: str, *ms) -> None:
+    """Require n x n matrices over one ring for one n: each square
+    (ShapeError), then one ring (RingMismatchError), then one n."""
+    for m in ms:
+        m.require_square(what)
+    _same_ring(*ms)
+    if any(m.rows != ms[0].rows for m in ms):
+        raise ShapeError(f"{what} requires matrices of one size, got "
+                         + ", ".join(f"{m.rows} x {m.cols}" for m in ms))
 
 
 def check_cap(name: str, value: int, cap: int) -> None:
@@ -146,13 +152,29 @@ def check_cap(name: str, value: int, cap: int) -> None:
         raise GuardError(f"{name} = {value} exceeds the cap of {cap}")
 
 
+def check_imax(imax: int) -> None:
+    """Refuse an imax (the converse check's last power) below 1 with
+    ValueError or above MAX_IMAX with GuardError."""
+    if imax < 1:
+        raise ValueError(f"imax must be at least 1, got {imax}")
+    check_cap("imax", imax, MAX_IMAX)
+
+
+def check_k(k: int) -> None:
+    """Refuse a k (Almkvist's nilpotency order) below 0 with ValueError
+    or above MAX_K with GuardError."""
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    check_cap("k", k, MAX_K)
+
+
 # ---------------------------------------------------------------------------
 # determinant and trace basics
 
 
 def verify_det_oracle(a: Matrix) -> VerificationReport:
     """Production determinant against the naive permutation sum (n <= 8)."""
-    _square(a, "det cross-check")
+    a.require_square("det cross-check")
     K = a.ring
     return make_report(
         "det_oracle", K.sub(a.det(), a.det_leibniz()), ring=K,
@@ -162,9 +184,7 @@ def verify_det_oracle(a: Matrix) -> VerificationReport:
 
 def verify_det_product(a: Matrix, b: Matrix) -> VerificationReport:
     """det(A @ B) = det(A) * det(B)."""
-    _square(a, "det product")
-    _square(b, "det product")
-    _same_ring(a, b)
+    _square_family("det product", a, b)
     K = a.ring
     return make_report(
         "det_product", K.sub((a @ b).det(), K.mul(a.det(), b.det())), ring=K,
@@ -174,7 +194,7 @@ def verify_det_product(a: Matrix, b: Matrix) -> VerificationReport:
 
 def verify_det_scalar(a: Matrix, lam) -> VerificationReport:
     """det(lam * A) = lam**n * det(A)."""
-    _square(a, "scaled determinant")
+    a.require_square("scaled determinant")
     K = a.ring
     lam = K.coerce(lam)
     diff = K.sub(a.scale(lam).det(), K.mul(K.pow(lam, a.rows), a.det()))
@@ -205,7 +225,7 @@ def verify_trace_product(a: Matrix, b: Matrix) -> VerificationReport:
 
 def verify_laplace(a: Matrix) -> VerificationReport:
     """Cofactor expansion of det(A) along every row."""
-    _square(a, "Laplace expansion")
+    a.require_square("Laplace expansion")
     K = a.ring
     n = a.rows
     d = a.det()
@@ -239,7 +259,7 @@ def verify_row_of_product(a: Matrix, b: Matrix) -> VerificationReport:
 
 def verify_adj_inverse(a: Matrix) -> VerificationReport:
     """A @ adj(A) = adj(A) @ A = det(A) * I."""
-    _square(a, "adjugate law")
+    a.require_square("adjugate law")
     K = a.ring
     n = a.rows
     adj = a.adjugate()
@@ -257,7 +277,7 @@ def verify_eval_zero_hom(a: Matrix) -> VerificationReport:
     using the evaluation map of the polynomial ring.  The K side uses the
     subset-DP and cofactor oracles, so the two sides take different routes.
     """
-    _square(a, "evaluation check")
+    a.require_square("evaluation check")
     K = a.ring
     # t*I + A is the characteristic matrix of -A
     tia = char_matrix(-a)
@@ -272,11 +292,7 @@ def verify_eval_zero_hom(a: Matrix) -> VerificationReport:
 
 def verify_det_affine_degree(a: Matrix, b: Matrix) -> VerificationReport:
     """det(t*A + B) has degree <= n, constant term det(B), top term det(A)."""
-    _square(a, "affine pencil")
-    _square(b, "affine pencil")
-    _same_ring(a, b)
-    if a.rows != b.rows:
-        raise ShapeError("pencil matrices must have equal size")
+    _square_family("affine pencil", a, b)
     K = a.ring
     L = PolynomialRing(K)
     n = a.rows
@@ -300,14 +316,14 @@ def verify_det_affine_degree(a: Matrix, b: Matrix) -> VerificationReport:
 
 def verify_cayley_hamilton(a: Matrix) -> VerificationReport:
     """chi_A(A) = 0."""
-    _square(a, "Cayley-Hamilton")
+    a.require_square("Cayley-Hamilton")
     return make_report("cayley_hamilton", cayley_hamilton_residual(a),
                        inputs={"matrix": a.to_json()})
 
 
 def verify_trace_cayley_hamilton(a: Matrix, kmax: int | None = None) -> VerificationReport:
     """k*c_k + sum_i Tr(A**i)*c_(k-i) = 0 for k = 0 .. kmax (default 2n+1)."""
-    _square(a, "trace recursion")
+    a.require_square("trace recursion")
     K = a.ring
     n = a.rows
     if kmax is None:
@@ -327,7 +343,7 @@ def verify_newton_agreement(a: Matrix) -> VerificationReport:
     chi is built from c, and D depends on A alone, so chi is all the two
     records can disagree on.
     """
-    _square(a, "trace-recursion agreement")
+    a.require_square("trace-recursion agreement")
     K = a.ring
     inputs = {"matrix": a.to_json()}
     if not K.is_q_algebra:
@@ -342,7 +358,7 @@ def verify_newton_agreement(a: Matrix) -> VerificationReport:
 
 def verify_adj_via_charpoly(a: Matrix) -> VerificationReport:
     """The coefficient-polynomial route to adj(A) against the cofactor oracle."""
-    _square(a, "adjugate comparison")
+    a.require_square("adjugate comparison")
     return make_report(
         "adj_via_charpoly", adjugate_via_charpoly(a) - a.adjugate_cofactor(),
         inputs={"matrix": a.to_json()},
@@ -362,7 +378,7 @@ def _adjugate_trace_oracle(a: Matrix):
 
 def verify_charpoly_derivative(a: Matrix) -> VerificationReport:
     """d/dt chi_A = Tr(adj(t*I - A)), as polynomials."""
-    _square(a, "characteristic derivative")
+    a.require_square("characteristic derivative")
     K = a.ring
     L = PolynomialRing(K)
     diff = L.sub(charpoly(a).chi.derivative(),
@@ -373,7 +389,7 @@ def verify_charpoly_derivative(a: Matrix) -> VerificationReport:
 
 def verify_adj_trace(a: Matrix) -> VerificationReport:
     """Tr(adj A) = (-1)**(n-1) * c_(n-1) (the coefficient of t**1 in chi_A)."""
-    _square(a, "adjugate trace")
+    a.require_square("adjugate trace")
     K = a.ring
     n = a.rows
     data = charpoly(a)
@@ -388,7 +404,7 @@ def verify_adj_trace(a: Matrix) -> VerificationReport:
 
 def verify_trace_of_D(a: Matrix) -> VerificationReport:
     """Tr(D_k) = (k+1) * c_(n-k-1) for every k, including out-of-range zeros."""
-    _square(a, "adjugate coefficient traces")
+    a.require_square("adjugate coefficient traces")
     K = a.ring
     n = a.rows
     data = charpoly(a)
@@ -410,7 +426,7 @@ def verify_coefficient_family(a: Matrix) -> VerificationReport:
     sum_(i=0..k) c_(k-i) * A**i = D_(n-1-k) for k = 0..n (at k = n this
     is Cayley-Hamilton again, with a zero right side).
     """
-    _square(a, "coefficient family")
+    a.require_square("coefficient family")
     K = a.ring
     n = a.rows
     data = charpoly(a)
@@ -436,7 +452,7 @@ def verify_coefficient_family(a: Matrix) -> VerificationReport:
 
 def verify_trace_coefficient(a: Matrix) -> VerificationReport:
     """c_1 = -Tr(A), i.e. the coefficient of t**(n-1) in chi_A."""
-    _square(a, "trace coefficient")
+    a.require_square("trace coefficient")
     K = a.ring
     data = charpoly(a)
     diff = K.add(data.coefficient(1), a.trace())
@@ -450,11 +466,7 @@ def verify_trace_coefficient(a: Matrix) -> VerificationReport:
 
 def verify_adj_product(a: Matrix, b: Matrix) -> VerificationReport:
     """adj(A @ B) = adj(B) @ adj(A) (order reverses)."""
-    _square(a, "adjugate of product")
-    _square(b, "adjugate of product")
-    _same_ring(a, b)
-    if a.rows != b.rows:
-        raise ShapeError("factors must have equal size")
+    _square_family("adjugate of product", a, b)
     diff = (a @ b).adjugate() - (b.adjugate() @ a.adjugate())
     return make_report("adj_product", diff,
                        inputs={"matrix": a.to_json(), "matrix_b": b.to_json()})
@@ -466,7 +478,7 @@ def verify_adj_of_adj(a: Matrix) -> VerificationReport:
     The determinant half applies for n >= 1, the adjugate half for n >= 2;
     a 0 x 0 input passes vacuously.
     """
-    _square(a, "iterated adjugate")
+    a.require_square("iterated adjugate")
     K = a.ring
     n = a.rows
     clauses = []
@@ -483,7 +495,7 @@ def verify_adj_of_adj(a: Matrix) -> VerificationReport:
 
 def verify_adj_scalar(a: Matrix, lam) -> VerificationReport:
     """adj(lam * A) = lam**(n-1) * adj(A), n >= 1."""
-    _square(a, "scaled adjugate")
+    a.require_square("scaled adjugate")
     if a.rows == 0:
         raise ShapeError("scaled-adjugate law requires n >= 1")
     K = a.ring
@@ -504,7 +516,7 @@ def verify_jacobi(a: Matrix, p: IndexSubset, q: IndexSubset) -> VerificationRepo
             * det(A[complement(Q), complement(P)])
     Note the complements swap sides.
     """
-    _square(a, "complementary minors")
+    a.require_square("complementary minors")
     n = a.rows
     if p.n != n or q.n != n:
         raise ShapeError(f"subsets are over 1..{p.n} and 1..{q.n}, matrix has n = {n}")
@@ -533,11 +545,7 @@ def verify_jacobi(a: Matrix, p: IndexSubset, q: IndexSubset) -> VerificationRepo
 
 def verify_commute_swap(a: Matrix, b: Matrix, s: Matrix) -> VerificationReport:
     """If A and B commute then det(A @ S + B) = det(S @ A + B) for any S."""
-    for m in (a, b, s):
-        _square(m, "commuting swap")
-    _same_ring(a, b, s)
-    if not (a.rows == b.rows == s.rows):
-        raise ShapeError("all three matrices must have equal size")
+    _square_family("commuting swap", a, b, s)
     if not ((a @ b) - (b @ a)).is_zero():
         raise PreconditionError("A and B do not commute; the law is not claimed")
     K = a.ring
@@ -552,11 +560,7 @@ def verify_commute_swap(a: Matrix, b: Matrix, s: Matrix) -> VerificationReport:
 def verify_block_commute(a: Matrix, b: Matrix, c: Matrix,
                          d: Matrix) -> VerificationReport:
     """If A and C commute then det([[A, B], [C, D]]) = det(A @ D - C @ B)."""
-    for m in (a, b, c, d):
-        _square(m, "commuting block determinant")
-    _same_ring(a, b, c, d)
-    if not (a.rows == b.rows == c.rows == d.rows):
-        raise ShapeError("all four blocks must be n x n for one n")
+    _square_family("commuting block determinant", a, b, c, d)
     if not ((a @ c) - (c @ a)).is_zero():
         raise PreconditionError("A and C do not commute; the law is not claimed")
     K = a.ring
@@ -589,8 +593,8 @@ def verify_rank1_block(a: Matrix, d: Matrix, p: Matrix, q: Matrix,
     are the corner indicator vectors the complementary-minor corollary
     det(A)*det(D) - det(A minor n,n)*det(D minor 1,1) is checked too.
     """
-    _square(a, "rank-one block")
-    _square(d, "rank-one block")
+    a.require_square("rank-one block")
+    d.require_square("rank-one block")
     _same_ring(a, d, p, q, v, u)
     n, m = a.rows, d.rows
     if (p.rows, p.cols) != (n, 1) or (q.rows, q.cols) != (m, 1):
@@ -622,7 +626,7 @@ def verify_rank1_block(a: Matrix, d: Matrix, p: Matrix, q: Matrix,
 
 def verify_matrix_det_lemma(a: Matrix, u: Matrix, v: Matrix) -> VerificationReport:
     """det(A + u@v) = det(A) + ent(v@adj(A)@u) for a column u and row v."""
-    _square(a, "rank-one update")
+    a.require_square("rank-one update")
     _same_ring(a, u, v)
     n = a.rows
     if (u.rows, u.cols) != (n, 1) or (v.rows, v.cols) != (1, n):
@@ -647,7 +651,7 @@ def verify_nilpotency_criterion(a: Matrix) -> VerificationReport:
     n! * A**n = 0 and n! * chi_A = n! * t**n always; over a Q-algebra also
     A**n = 0 and chi_A = t**n on the nose.
     """
-    _square(a, "nilpotency criterion")
+    a.require_square("nilpotency criterion")
     K = a.ring
     n = a.rows
     inputs = {"matrix": a.to_json()}
@@ -675,10 +679,8 @@ def verify_nilpotency_criterion(a: Matrix) -> VerificationReport:
 
 def verify_nilpotency_converse(a: Matrix, imax: int) -> VerificationReport:
     """If chi_A = t**n then Tr(A**i) = 0 for every positive i (checked to imax)."""
-    _square(a, "nilpotency converse")
-    if imax < 1:
-        raise ValueError("imax must be at least 1")
-    check_cap("imax", imax, MAX_IMAX)
+    a.require_square("nilpotency converse")
+    check_imax(imax)
     K = a.ring
     n = a.rows
     inputs = {"matrix": a.to_json(), "imax": imax}
@@ -700,10 +702,8 @@ def verify_almkvist(a: Matrix, k: int) -> VerificationReport:
     Hypothesis: A**(k+1) = 0.  Then Tr(A)**(n*k+1) = 0 and
     Tr(A)**(n*k) = ((n*k)! / (k!)**n) * det(A)**k, both exactly.
     """
-    _square(a, "nilpotent trace powers")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    check_cap("k", k, MAX_K)
+    a.require_square("nilpotent trace powers")
+    check_k(k)
     K = a.ring
     n = a.rows
     inputs = {"matrix": a.to_json(), "k": k}
@@ -726,7 +726,7 @@ def verify_trace_multinomial(a: Matrix, m: int) -> VerificationReport:
     coefficient times det of the matrix whose row j is row j of A**(i_j).
     The number of terms is C(m+n-1, n-1), guarded at 10**5.
     """
-    _square(a, "trace multinomial")
+    a.require_square("trace multinomial")
     if m < 0:
         raise ValueError("m must be nonnegative")
     K = a.ring
@@ -751,11 +751,7 @@ def verify_trace_multinomial(a: Matrix, m: int) -> VerificationReport:
 
 def verify_row_replacement(a: Matrix, b: Matrix) -> VerificationReport:
     """Sum over j of det(B with row j replaced by row j of B@A) = Tr(A)*det(B)."""
-    _square(a, "row replacement")
-    _square(b, "row replacement")
-    _same_ring(a, b)
-    if a.rows != b.rows:
-        raise ShapeError("A and B must have equal size")
+    _square_family("row replacement", a, b)
     K = a.ring
     n = a.rows
     ba = b @ a
@@ -814,7 +810,7 @@ def frobenius_cost_guard(K, p: int) -> None:
 
 def verify_frobenius_trace(a: Matrix, p: int) -> VerificationReport:
     """Tr(A**p) = Tr(A)**p when the prime p vanishes in the ring."""
-    _square(a, "Frobenius trace")
+    a.require_square("Frobenius trace")
     if not _is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     K = a.ring

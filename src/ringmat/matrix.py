@@ -208,6 +208,13 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    def require_square(self, what: str) -> None:
+        """Raise ShapeError unless the matrix is square; what names the
+        operation that needs it, as the message's subject."""
+        if self.rows != self.cols:
+            raise ShapeError(f"{what} requires a square matrix, "
+                             f"got {self.rows} x {self.cols}")
+
     def is_zero(self) -> bool:
         R = self.ring
         return all(R.is_zero(v) for v in self._e)
@@ -261,8 +268,7 @@ class Matrix:
         return Matrix(R, self.rows, self.cols, [R.mul(value, a) for a in self._e])
 
     def __pow__(self, k: int) -> "Matrix":
-        if not self.is_square():
-            raise ShapeError("matrix power requires a square matrix")
+        self.require_square("matrix power")
         if k < 0:
             raise ValueError("exponent must be nonnegative")
         result, base = Matrix.identity(self.ring, self.rows), self
@@ -275,8 +281,7 @@ class Matrix:
         return result
 
     def trace(self):
-        if not self.is_square():
-            raise ShapeError("trace requires a square matrix")
+        self.require_square("trace")
         R = self.ring
         acc = R.zero()
         for i in range(self.rows):
@@ -290,8 +295,7 @@ class Matrix:
         integer encoding, at c_n's fit _minors_fit(n).  Over Z/m and
         towers above MAX_SLOTS, (-1)**n * c_n of berkowitz().
         """
-        if not self.is_square():
-            raise ShapeError("determinant requires a square matrix")
+        self.require_square("determinant")
         n, R = self.rows, self.ring
         if isinstance(R, IntegerRing):
             return _integer_det(self._e, n)
@@ -309,8 +313,7 @@ class Matrix:
         submatrix on rows 1..r and columns S, built by Laplace expansion
         along the last row.  det of the 0 x 0 matrix is 1.
         """
-        if not self.is_square():
-            raise ShapeError("determinant requires a square matrix")
+        self.require_square("determinant")
         n, R = self.rows, self.ring
         if n == 0:
             return R.one()
@@ -346,8 +349,7 @@ class Matrix:
     def det_leibniz(self):
         """Signed permutation sum, a second determinant oracle; exponential
         in n and refused for n > 8."""
-        if not self.is_square():
-            raise ShapeError("determinant requires a square matrix")
+        self.require_square("determinant")
         n = self.rows
         if n > 8:
             raise GuardError(f"det_leibniz is limited to n <= 8, got n = {n}")
@@ -392,14 +394,12 @@ class Matrix:
         QQ and polynomial towers on the integer encoding.  adj of any
         1 x 1 matrix is (1); adj of the 0 x 0 matrix is itself.
         """
-        if not self.is_square():
-            raise ShapeError("adjugate requires a square matrix")
+        self.require_square("adjugate")
         return _adjugates(self, every=False)[0] if self.rows else self
 
     def adjugate_cofactor(self) -> "Matrix":
         """Adjugate oracle: n**2 cofactors, each by det_subset_dp()."""
-        if not self.is_square():
-            raise ShapeError("adjugate requires a square matrix")
+        self.require_square("adjugate")
         n, R = self.rows, self.ring
         out = []
         for i in range(1, n + 1):
@@ -460,8 +460,7 @@ def berkowitz(a: Matrix) -> list:
     multiplications, all inside Ring.dot, and no division.  Over QQ and
     polynomial towers it runs on the integer encoding.
     """
-    if not a.is_square():
-        raise ShapeError("characteristic polynomial requires a square matrix")
+    a.require_square("characteristic polynomial")
     R = a.ring
     n = a.rows
     if lifted := _encode(R, (a._e,), _minors_fit(n)):
@@ -707,7 +706,8 @@ def _integers(chain, entries) -> tuple:
 
 def _measure(trees, depth: int) -> tuple:
     """(N, degrees): the trees' largest l1 norm and, for i = 1..depth,
-    largest t_i-degree (all 0 if none); depth 1 needs no degrees."""
+    largest t_i-degree (all 0 if none).  depth >= 1, as _encode measures
+    towers only; depth 1 needs no degrees."""
     if depth == 1:
         return max([sum(map(abs, p)) for p in trees], default=0), [0]
     degrees, level = [], trees
@@ -716,8 +716,7 @@ def _measure(trees, depth: int) -> tuple:
         level = [c for t in level for c in t]
     for _ in range(depth - 1):
         trees = [[c for p in t for c in p] for t in trees]
-    norms = [sum(map(abs, t)) for t in trees] if depth else map(abs, trees)
-    return max(norms, default=0), degrees[::-1]
+    return max([sum(map(abs, t)) for t in trees], default=0), degrees[::-1]
 
 
 def _context(chain, scale: int, bound: int, degrees) -> tuple | None:
@@ -850,8 +849,7 @@ def ent(m: Matrix):
 def apply_poly(p: Polynomial, a: Matrix) -> Matrix:
     """p(a) for a square matrix a over the coefficient ring of p, by
     _horner on the coefficients from the top."""
-    if not a.is_square():
-        raise ShapeError("polynomial evaluation requires a square matrix")
+    a.require_square("polynomial evaluation")
     if p.ring != a.ring:
         raise RingMismatchError(
             f"polynomial over {p.ring} cannot act on a matrix over {a.ring}")
@@ -863,8 +861,7 @@ def apply_poly(p: Polynomial, a: Matrix) -> Matrix:
 
 def char_matrix(a: Matrix) -> Matrix:
     """t*I - a over the polynomial ring of a's ring."""
-    if not a.is_square():
-        raise ShapeError("characteristic matrix requires a square matrix")
+    a.require_square("characteristic matrix")
     K = a.ring
     L = PolynomialRing(K)
     n = a.rows

@@ -376,13 +376,9 @@ def _check_params(params) -> None:
     PRIME_BOUND) before any work."""
     imax, k, p = params.get("imax"), params.get("k"), params.get("p")
     if imax is not None:
-        if imax < 1:
-            raise ValueError(f"imax must be at least 1, got {imax}")
-        ids.check_cap("imax", imax, ids.MAX_IMAX)
+        ids.check_imax(imax)
     if k is not None:
-        if k < 0:
-            raise ValueError(f"k must be nonnegative, got {k}")
-        ids.check_cap("k", k, ids.MAX_K)
+        ids.check_k(k)
     if p is not None:
         if p >= ids.PRIME_BOUND:
             raise GuardError(f"p = {p} is refused: primality is decided "

@@ -373,3 +373,50 @@ def test_one_lift_entry_point_and_one_home_for_the_bounds():
     assert _callers("_tower") == {"_encode"}
     factorials = _callers("factorial")
     assert factorials and all(f.endswith("_fit") for f in factorials)
+
+
+def _square_checks(path: Path) -> set:
+    """The scopes of a module (as in _callers) that build a "requires a
+    square matrix" message, or raise under an if that tests is_square()
+    or compares one matrix's rows with its cols."""
+
+    def same_matrix_rows_cols(node):
+        if not isinstance(node, ast.Compare) or len(node.comparators) != 1:
+            return False
+        sides = (node.left, node.comparators[0])
+        return (all(isinstance(s, ast.Attribute) for s in sides)
+                and {s.attr for s in sides} == {"rows", "cols"}
+                and ast.dump(sides[0].value) == ast.dump(sides[1].value))
+
+    def checks_square(test):
+        return any(getattr(c, "attr", None) == "is_square"
+                   or same_matrix_rows_cols(c) for c in ast.walk(test))
+
+    found = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            scopes = [(f"{node.name}.{f.name}", f) for f in node.body
+                      if isinstance(f, ast.FunctionDef)]
+        else:
+            scopes = [(getattr(node, "name", "<module>"), node)]
+        for label, scope in scopes:
+            for c in ast.walk(scope):
+                if (isinstance(c, ast.Constant) and isinstance(c.value, str)
+                        and "requires a square matrix" in c.value) or (
+                        isinstance(c, ast.If) and checks_square(c.test)
+                        and any(isinstance(r, ast.Raise)
+                                for s in c.body for r in ast.walk(s))):
+                    found.add(f"{path.name}:{label}")
+    return found
+
+
+def test_one_square_check():
+    # Matrix.require_square is the one place that refuses a non-square
+    # matrix; every other layer calls it
+    package = Path(matrix_mod.__file__).parent
+    found = set().union(*map(_square_checks, sorted(package.glob("*.py"))))
+    assert found == {"matrix.py:Matrix.require_square"}
+    with pytest.raises(ShapeError,
+                       match=r"^trace requires a square matrix, got 2 x 3$"):
+        Matrix.zeros(ZZ, 2, 3).require_square("trace")
+    Matrix.zeros(ZZ, 0, 0).require_square("trace")
