@@ -8,15 +8,19 @@ are computed on first use by the Horner recursion
 
     D_(n-1) = I,        D_(k-1) = A @ D_k + c_(n-k) * I,
 
-from A alone: one more berkowitz() and n - 2 steps, each a matmul, or
-over ZZ n row products on packed rows (matrix.adjugate_coefficients);
-A @ D_k = D_k @ A as D_k is a polynomial in A.  The subset-DP
-det and the cofactor adjugate of t*I - A over the polynomial ring
-remain in the identities and tests as independent oracles.
+from A alone in n - 2 steps (matrix.adjugate_coefficients); A @ D_k =
+D_k @ A as D_k is a polynomial in A.  Over ZZ, QQ and every tower with
+an integer encoding the chain takes each c_j itself, by the trace
+recursion below with an exact division in Z, and over ZZ a step is n
+row products on packed rows; over Z/m one more berkowitz() gives c and
+each step is a matmul.  The subset-DP det and the cofactor adjugate of
+t*I - A over the polynomial ring remain in the identities and tests as
+independent oracles.
 
 Coefficients are indexed from the top: c_j is the coefficient of
-t**(n-j), so c_0 = 1 and c_n = (-1)**n * det(A).  Everything here is
-division-free except charpoly_newton, which resolves the trace recursion
+t**(n-j), so c_0 = 1 and c_n = (-1)**n * det(A).  Apart from exact
+divisions in Z inside the integer kernels, nothing here divides except
+charpoly_newton, which resolves the trace recursion
 
     k * c_k = -(Tr(A) * c_(k-1) + Tr(A**2) * c_(k-2) + ... + Tr(A**k) * c_0)
 
@@ -42,7 +46,8 @@ class CharPolyData(FrozenRecord):
     chi is monic of degree n; c has length n + 1 with c[j] the coefficient
     of t**(n-j); D has length n with D[k] the coefficient matrix of t**k
     in adj(t*I - A), computed from matrix (A) alone on first access, so
-    it never depends on c.
+    it never depends on c.  Over ZZ, QQ and the encodable towers that
+    takes no berkowitz(); over Z/m it takes one more.
     """
 
     _fields = ("n", "chi", "c", "matrix")
@@ -127,7 +132,9 @@ def adjugate_via_charpoly(a: Matrix) -> Matrix:
     """adj(A) = (-1)**(n-1) * (c_(n-1)*I + c_(n-2)*A + ... + c_0*A**(n-1)).
 
     This formula is the production route of Matrix.adjugate(), so this is
-    that call; Matrix.adjugate_cofactor() is the independent oracle.
+    that call, which over ZZ, QQ and the encodable towers takes the c_j
+    by the trace recursion rather than from charpoly();
+    Matrix.adjugate_cofactor() is the independent oracle.
     """
     return a.adjugate()
 

@@ -16,10 +16,12 @@ nested R[t]:
     MAX_SLOTS and integer entries wider than MAX_BAREISS_BITS, where
     CPython's quadratic division costs more than the products it saves,
     (-1)**n * c_n from berkowitz(), so O(n**4).
-  * adjugate(): the charpoly coefficients summed by Horner in A, one
-    berkowitz() plus n - 2 steps H -> A @ H + c * I, so O(n**4).  Over
-    ZZ a step runs on packed rows (below); otherwise it is the matmul
-    H @ A, the same matrix as H is a polynomial in A.
+  * adjugate(): the charpoly coefficients summed by Horner in A, n - 2
+    steps H -> A @ H + c * I, so O(n**4).  Over ZZ each c_j comes out of
+    the chain itself by the trace Cayley-Hamilton theorem (below), with
+    no berkowitz(), and a step runs on packed rows (below).  Over Z/m
+    and towers above MAX_SLOTS, one berkowitz() gives the c_j and a step
+    is the matmul H @ A, the same matrix as H is a polynomial in A.
 
 Over QQ and over every tower R[t_1]...[t_d] (t_1 innermost) with R one
 of ZZ, Z/m and QQ, each kernel runs over ZZ on one integer encoding of
@@ -64,7 +66,9 @@ D_i = 1 + the t_i-degree bound.  A kernel's fit maps (N, degrees) to
 So c_j and det (e = n) and adj and every D_k (e = n - 1) are signed
 sums of at most e! products of at most e entries, and one fit bounds
 them all, _minors_fit(e): norm <= e! * max(N, 1)**e, t_i-degree
-<= e * d_i.
+<= e * d_i.  Only the results are decoded, so the lift of adj and the
+D_k is sized by _minors_fit(n - 1) although the c_j taken on the way
+are wider; the packed slots over ZZ below have their own fits.
 
 det() divides on the way, and exactly.  After step k of _bareiss (0
 first) the entry in row i and column j, both > k, is the (k+2) x (k+2)
@@ -85,20 +89,35 @@ t_1 + ... + t_64 in a 64-deep tower takes 2**64.  Above MAX_SLOTS a
 tower keeps Ring.dot (PolynomialRing.dot stores only the terms there
 are); a flat R[t] wastes no slot.
 
+Over ZZ, adjugate() and adjugate_coefficients() call no berkowitz().
+Their chain H_0 = I, H_j = A @ H_(j-1) + c_j * I has H_j = D_(n-1-j),
+and A @ H_(j-1) = sum_(i<j) c_i * A**(j-i), so the paper's theorem
+j*c_j + sum_(i=1..j) Tr(A**i)*c_(j-i) = 0 reads
+j * c_j = -tr(A @ H_(j-1)) (Faddeev-LeVerrier): each step forms
+A @ H_(j-1), divides its trace by j, exactly as Z has no torsion, and
+adds c_j * I.  QQ and the towers run this on their integer encoding,
+a ring map into Z, so there too each division is exact.  Bare Z/m,
+where j may be a zero divisor, and towers above MAX_SLOTS have no such
+kernel and keep berkowitz().
+
 Over ZZ itself, for n >= 4, the Horner steps of adjugate(),
 adjugate_coefficients() and apply_poly() run on the rows of H packed as
 one integer each, column j -> 2**(w*j) (_horner): row i of A @ H + c * I
 is the row product sum_k a_ik * P_k over the packed rows P_k, plus
 c * 2**(w*i), so a step takes n row products where a matmul takes n**2
 dot products.  Packing is linear, so this is exact, and balanced digits
-read a state back while 2**(w-1) exceeds its entries.  With M the
-largest |a_ij|, the D_k bound above at depth 0 (N = M) gives
+read a slot back while 2**(w-1) exceeds its value.  With M the largest
+|a_ij|, the D_k bound above at depth 0 (N = M) gives
 |D_k| <= (n-1)!/k! * M**(n-1-k) <= (n-1)! * max(M, 1)**(n-1) for every
-k (_minors_fit(n - 1)), and an entry of p(A) is at most
-||p||_1 * max(1, n*M)**deg p (_poly_fit).  Every slot is sized for
-that bound, and only the states returned are read, so packing pays at
-small w and not at large.  Packed over matmul Horner
-time (median of 7 alternating pairs of CPU times, 2-vCPU VM):
+k, and |c_j| <= n!/(n-j)! * M**j.  Before c_j is added a diagonal slot
+of A @ H_(j-1) holds (H_j)_ii - c_j, for j <= n - 1 at most
+(n-1)! * M**(n-1) + n! * M**(n-1) = (n+1) * (n-1)! * max(M, 1)**(n-1)
+(_trace_fit(n)), the slot bound of adj and the D_k.  An entry of p(A)
+is at most ||p||_1 * max(1, n*M)**deg p (_poly_fit).  Every slot is
+sized for its bound, and only the states returned and the diagonals
+are read, so packing pays at small w and not at large.  Packed over
+matmul Horner time (median of 7 alternating pairs of CPU times, 2-vCPU
+VM; c_j from berkowitz()):
 
         w:     300   500   650   800  1000
     adj n=4   0.83  0.86  0.94  0.91  1.02
@@ -390,9 +409,10 @@ class Matrix:
         """Adjugate (classical adjoint): entry (i, j) is the (j, i) cofactor.
 
         Computed as adj(A) = (-1)**(n-1) * (c_0*A**(n-1) + ... + c_(n-1)*I)
-        from the berkowitz() coefficients, never forming a cofactor; over
-        QQ and polynomial towers on the integer encoding.  adj of any
-        1 x 1 matrix is (1); adj of the 0 x 0 matrix is itself.
+        by Horner, never forming a cofactor.  Over ZZ, and over QQ and
+        polynomial towers on the integer encoding, the c_j come from the
+        trace recursion on the way; over Z/m from berkowitz().  adj of
+        any 1 x 1 matrix is (1); adj of the 0 x 0 matrix is itself.
         """
         self.require_square("adjugate")
         return _adjugates(self, every=False)[0] if self.rows else self
@@ -488,11 +508,13 @@ def berkowitz(a: Matrix) -> list:
 def adjugate_coefficients(a: Matrix) -> list:
     """[D_0, ..., D_(n-1)] with adj(t*I - a) = sum_k t**k * D_k.
 
-    Horner in a on c = berkowitz(a): D_(n-1) = I and
+    Horner in a on the charpoly coefficients c: D_(n-1) = I and
     D_(k-1) = a @ D_k + c_(n-k) * I, so D_0 = (-1)**(n-1) * adj(a); this
     is D_k @ a + c_(n-k) * I, as D_k is a polynomial in a.  The first
-    step is a itself, so this costs n - 2 steps (_horner).  Over QQ and
-    polynomial towers it runs on the integer encoding.
+    step is a itself, so this costs n - 2 steps (_horner).  Over ZZ each
+    c_j is -tr(a @ D_(n-j)) / j, taken on the way, and over QQ and
+    polynomial towers the same runs on the integer encoding; over Z/m,
+    c = berkowitz(a).
     """
     return _adjugates(a, every=True) if a.rows else []
 
@@ -501,14 +523,19 @@ def _adjugates(a: Matrix, every: bool) -> list:
     """[D_0, ..., D_(n-1)] of a square a with n >= 1 if every, else
     [adj(a)] = [(-1)**(n-1) * D_0]; over QQ and polynomial towers on the
     integer encoding, where _minors_fit(n - 1) bounds every D_k and D_k
-    decodes at L**(n-1-k), adj as D_0."""
+    decodes at L**(n-1-k), adj as D_0.  Over ZZ _horner takes the c_j
+    by the trace recursion; else from berkowitz()."""
     n = a.rows
     if lifted := _encode(a.ring, (a._e,), _minors_fit(n - 1)):
         (ints,), ctx = lifted
         ds = _adjugates(Matrix(ZZ, n, n, ints), every)
         return [Matrix(a.ring, n, n, _decode(d._e, ctx, n - 1 - k))
                 for k, d in enumerate(ds)]
-    return _horner(a, berkowitz(a)[:n], _minors_fit(n - 1), every,
+    if isinstance(a.ring, IntegerRing):
+        coeffs, fit = None, _trace_fit(n)
+    else:           # bare Z/m, or a tower above MAX_SLOTS: never packs
+        coeffs, fit = berkowitz(a)[:n], _minors_fit(n - 1)
+    return _horner(a, coeffs, fit, every,
                    negate=not every and (n - 1) & 1)[::-1]
 
 
@@ -582,6 +609,16 @@ def _minors_fit(e: int):
                                [e * g for g in degrees])
 
 
+def _trace_fit(n: int):
+    """The slot fit of the traced Horner steps (_horner with coeffs None)
+    on an n x n matrix over ZZ: before c_j is added, a diagonal slot of
+    a @ H_(j-1) holds (H_j)_ii - c_j, and for j <= n - 1 that is at most
+    (n-1)! * M**(n-1) + n! * M**(n-1) = (n+1) * (n-1)! * max(M, 1)**(n-1),
+    above _minors_fit(n - 1), which bounds every other slot."""
+    return lambda m, degrees: (
+        (n + 1) * factorial(n - 1) * max(m, 1) ** (n - 1), degrees)
+
+
 def _matmul_fit(k: int):
     """The fit of a sum of k products of one entry of each factor, which
     _encode measures as one: N the product of the factors' norms and d_i
@@ -600,39 +637,67 @@ def _poly_fit(p: Polynomial, n: int):
 def _horner(a: Matrix, coeffs, fit, every=False, negate=False) -> list:
     """[H_0, ..., H_d] if every, else [H_d] (negated if negate), where
     H_0 = coeffs[0] * I and H_j = a @ H_(j-1) + coeffs[j] * I, so that
-    H_d = sum_j coeffs[j] * a**(d-j); fit(M, [])[0] bounds every entry
-    returned when M bounds the entries of a.
+    H_d = sum_j coeffs[j] * a**(d-j); fit(M, [])[0] bounds every slot
+    when M bounds the entries of a.
+
+    coeffs None, for a over ZZ only, stands for c_0, ..., c_(n-1) of the
+    characteristic polynomial of a, each taken on the way by the trace
+    Cayley-Hamilton theorem: c_0 = 1 and j * c_j = -tr(a @ H_(j-1)), an
+    exact division in Z.  Then H_j = D_(n-1-j) and fit is _trace_fit(n).
 
     H_1 = coeffs[0] * a + coeffs[1] * I needs no product.  With a packed
     width w (_packed_width) each later step takes n row products a_i . P
     over the rows P of H_(j-1), each packed as one integer with column k
-    at 2**(w*k), and adds coeffs[j] * 2**(w*i) to row i; the entries are
-    read (_digits) only from the states returned.  Otherwise each step
-    is H_(j-1) @ a, equal as H_(j-1) is a polynomial in a.
+    at 2**(w*k), reads c_j off their diagonal slots if coeffs is None,
+    and adds c_j * 2**(w*i) to row i; the other entries are read
+    (_digits) only from the states returned.  Otherwise each step is
+    H_(j-1) @ a, equal as H_(j-1) is a polynomial in a.
     """
     R, n = a.ring, a.rows
-    lead, zero = coeffs[0], R.zero()
+    traced = coeffs is None
+    d = n - 1 if traced else len(coeffs) - 1
+    lead, zero = R.one() if traced else coeffs[0], R.zero()
     h = Matrix(R, n, n, [lead if i == j else zero
                          for i in range(n) for j in range(n)])
     out = [h]
-    if len(coeffs) > 1:
+    if d >= 1:
         h = a if lead == R.one() else a.scale(lead)
-        out.append(h := _plus_scalar(h, coeffs[1]))
-    if len(coeffs) > 2 and (w := _packed_width(a, fit)):
+        c = -sum(a._e[::n + 1]) if traced else coeffs[1]
+        out.append(h := _plus_scalar(h, c))
+    if d >= 2 and (w := _packed_width(a, fit)):
         def read(packed, sign=1):
             digits = _digits([sign * v for v in packed], w, n)
             return Matrix(R, n, n, [x for row in digits for x in row])
+
+        def trace(packed):
+            # slot i of row i: the balanced slots below it sum to less
+            # than 2**(s-1) in absolute value, so P_i / 2**s rounds them off
+            t = 0
+            for s, p in zip(shifts, packed):
+                x = (((p >> (s - 1)) + 1) >> 1 if s else p) & mask
+                t += x - full if x >= half else x
+            return t
         dot, e = R.dot, a._e
         rows = [e[i:i + n] for i in range(0, n * n, n)]
         shifts = range(0, n * w, w)
+        half, mask, full = 1 << (w - 1), (1 << w) - 1, 1 << w
         packed = _pack([h._e[i:i + n] for i in range(0, n * n, n)], [w])
-        for c in coeffs[2:]:
-            packed = [dot(r, packed) + (c << s) for r, s in zip(rows, shifts)]
+        for j in range(2, d + 1):
+            if traced:
+                packed = [dot(r, packed) for r in rows]
+                c = -trace(packed) // j
+                packed = [p + (c << s) for p, s in zip(packed, shifts)]
+            else:
+                c = coeffs[j]
+                packed = [dot(r, packed) + (c << s)
+                          for r, s in zip(rows, shifts)]
             if every:
                 out.append(read(packed))
         return out if every else [read(packed, -1 if negate else 1)]
-    for c in coeffs[2:]:
-        h = _plus_scalar(h @ a, c)
+    for j in range(2, d + 1):
+        h = h @ a
+        c = -sum(h._e[::n + 1]) // j if traced else coeffs[j]
+        h = _plus_scalar(h, c)
         if every:
             out.append(h)
     return out if every else [-h if negate else h]

@@ -144,6 +144,7 @@ def _fz_jacobi(name, rng, ring, size, params, case):
 
 
 def _on_jacobi(name, a, rng, params):
+    a.require_square("complementary minors")    # n = 0 draws no pair
     if a.rows <= 4:
         return [ids.verify_jacobi(a, p, q) for p, q in subset_pairs(a.rows)]
     return [_jacobi_case(rng, a) for _ in range(20)]
@@ -461,7 +462,10 @@ def run_suite(names, *, ring=None, matrix=None, seed: int = 0,
         fuzz_fn, matrix_fn = ((_fuzz_case, _check) if isinstance(shape, str)
                               else shape)
         if matrix is not None:
-            if gate and not gate[0] <= matrix.rows <= gate[1]:
+            # only a square matrix meets the gate: a non-square one
+            # fails its shape check below
+            if (gate and matrix.is_square()
+                    and not gate[0] <= matrix.rows <= gate[1]):
                 reports.append(hypothesis_not_met(
                     name, gate[2], {"matrix": matrix.to_json()}))
             else:

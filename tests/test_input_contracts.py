@@ -123,6 +123,9 @@ _TABLE = [
 
 _NON_SQUARE = json.dumps({"ring": "int", "entries": [[1, 2]]})
 _SQUARE = json.dumps({"ring": "int", "entries": [[1, 2], [3, 4]]})
+# non-square and outside the identity's n gate: the shape check still fires
+_EMPTY_ROWS = json.dumps({"ring": "int", "rows": 0, "cols": 3, "entries": []})
+_TALL = json.dumps({"ring": "int", "entries": [[1, 2]] * 9})
 
 # (label, argv, stdin, exit code)
 _CLI = [
@@ -130,6 +133,8 @@ _CLI = [
     ("stdin_invalid_json", ["charpoly", "--matrix", "-"], "{", 2),
     ("stdin_verify_non_square", ["verify", "det_product", "--matrix", "-"],
      _NON_SQUARE, 3),
+    ("verify_gated_0x3", ["verify", "jacobi", "--matrix", _EMPTY_ROWS], "", 3),
+    ("verify_gated_9x2", ["verify", "det_oracle", "--matrix", _TALL], "", 3),
     ("ring_invalid_json",
      ["charpoly", "--matrix", _SQUARE, "--ring", "{"], "", 2),
 ]

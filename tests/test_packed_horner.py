@@ -5,7 +5,9 @@ H_j = A @ H_(j-1) + c_j * I on rows packed as one integer each, column j
 at 2**(w*j), whenever the slot width w is at most MAX_WIDTH; otherwise,
 and at n <= 3, they take matmuls.  The oracles are the cofactor
 adjugate, the Horner recursion D_(k-1) = D_k @ A + c_(n-k) * I by plain
-triple-loop products, and sums of plain powers.
+triple-loop products, and sums of plain powers.  adj(A) and the D_k take
+each c_j on the way by the trace recursion, so their slots are sized by
+_trace_fit(n); p(A) takes _poly_fit.
 """
 
 import random
@@ -22,6 +24,7 @@ from ringmat.matrix import (
     _minors_fit,
     _packed_width,
     _poly_fit,
+    _trace_fit,
     adjugate_coefficients,
     apply_poly,
     berkowitz,
@@ -68,7 +71,7 @@ def matmuls(monkeypatch):
 
 
 def _packs(a):
-    return _packed_width(a, _minors_fit(a.rows - 1)) is not None
+    return _packed_width(a, _trace_fit(a.rows)) is not None
 
 
 @pytest.mark.parametrize("n,name,a", CASES, ids=IDS)
@@ -94,14 +97,15 @@ def test_both_routes_are_covered():
 
 
 def test_width_is_the_least_that_decodes():
-    # w = bit_length((n-1)! * max(M, 1)**(n-1)) + 1, so 2**(w-1) exceeds
-    # the bound on every D_k and 2**(w-2) does not
+    # w = bit_length((n+1) * (n-1)! * max(M, 1)**(n-1)) + 1, so 2**(w-1)
+    # exceeds the bound on every D_k and on every diagonal slot of
+    # A @ H_(j-1) before c_j is added, and 2**(w-2) does not
     for n in (4, 7, 12):
         for m in (0, 1, 2, 9, 2**20 - 1, 2**20):
             a = Matrix(ZZ, n, n, [m] + [0] * (n * n - 1))
-            bound = factorial(n - 1) * max(m, 1) ** (n - 1)
-            assert _minors_fit(n - 1)(m, [])[0] == bound
-            w = _packed_width(a, _minors_fit(n - 1))
+            bound = (n + 1) * factorial(n - 1) * max(m, 1) ** (n - 1)
+            assert _trace_fit(n)(m, [])[0] == bound
+            w = _packed_width(a, _trace_fit(n))
             assert w == bound.bit_length() + 1
             assert 2 ** (w - 2) <= bound < 2 ** (w - 1)
 
@@ -128,7 +132,7 @@ def _widest(n):
     lo, hi = 0, 2 ** MAX_WIDTH
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        w = _minors_fit(n - 1)(mid, [])[0].bit_length() + 1
+        w = _trace_fit(n)(mid, [])[0].bit_length() + 1
         lo, hi = (mid, hi) if w <= MAX_WIDTH else (lo, mid)
     return lo
 
@@ -140,9 +144,9 @@ def test_route_switches_at_max_width(n, matmuls):
     for top, packed in ((m, True), (m + 1, False)):
         a = Matrix(ZZ, n, n, [top] + [rng.randint(-top, top)
                                       for _ in range(n * n - 1)])
-        w = _packed_width(a, _minors_fit(n - 1))
+        w = _packed_width(a, _trace_fit(n))
         assert (w is not None) == packed
-        bound, _ = _minors_fit(n - 1)(top, [])
+        bound, _ = _trace_fit(n)(top, [])
         assert packed == (bound.bit_length() < MAX_WIDTH)
         matmuls[0] = 0
         want = plain_horner(a, berkowitz(a))
@@ -179,8 +183,8 @@ class _CountingZZ(IntegerRing):
 
 
 def test_packed_step_count(matmuls, monkeypatch):
-    # past berkowitz, adj and the D_k take n - 2 steps of n row products,
-    # n muls each on entries with no zero, and no matmul; digits are read
+    # adj and the D_k take n - 2 steps of n row products, n muls each on
+    # entries with no zero, no matmul and no berkowitz; digits are read
     # once per row of D_0 for adj, and of D_0..D_(n-3) for the D_k, as
     # D_(n-1) = I and D_(n-2) = A + c_1 * I are never packed
     reads = [0]
@@ -194,16 +198,13 @@ def test_packed_step_count(matmuls, monkeypatch):
     n = 12
     rng = random.Random(12)
     entries = [rng.randint(1, 9) for _ in range(n * n)]
-    ring = _CountingZZ()
-    berkowitz(Matrix(ring, n, n, entries))
-    base = (ring.muls, ring.dots)
+    monkeypatch.setattr(matrix_mod, "berkowitz", None)
     for kernel, rows in ((Matrix.adjugate, n),
                          (adjugate_coefficients, n * (n - 2))):
         ring = _CountingZZ()
         reads[0] = 0
         kernel(Matrix(ring, n, n, entries))
-        assert (ring.muls - base[0], ring.dots - base[1]) == (
-            (n - 2) * n * n, (n - 2) * n)
+        assert (ring.muls, ring.dots) == ((n - 2) * n * n, (n - 2) * n)
         assert reads[0] == rows
     assert matmuls[0] == 0
 
