@@ -113,8 +113,9 @@ def test_width_is_the_least_that_decodes():
 @pytest.mark.parametrize("k", [0, 1, 5, 64, 200])
 def test_an_adjugate_entry_in_the_top_bit_decodes(k):
     # with M = 2**k, adj(A)[4][4] = det(M * B) = 4 * M**3 = 2**(w-2) for
-    # the bound 3! * M**3, so a slot one bit narrower would read it as a
-    # negative digit
+    # the D_k bound 3! * M**3, so a slot one bit narrower would read it
+    # as a negative digit; the packed slots over ZZ are wider still
+    # (_trace_fit), as they also hold (H_j)_ii - c_j
     m = 2**k
     b = [[1, 1, 1], [1, -1, 1], [1, 1, -1]]
     a = Matrix.from_rows(ZZ, [[m * v for v in r] + [0] for r in b]
