@@ -1,10 +1,15 @@
 """Characteristic polynomials, adjugates, and their exact invariants.
 
-charpoly(A) computes chi_A = det(t*I - A) with the Samuelson-Berkowitz
-algorithm (matrix.berkowitz): O(n**4) ring operations over the ring of
-A itself, with no division and no polynomial arithmetic.  The
-coefficient matrices D_0 .. D_(n-1) of adj(t*I - A) = sum_k t**k * D_k
-are computed on first use by the Horner recursion
+charpoly(A) computes chi_A = det(t*I - A) by matrix.charpoly_coefficients.
+Over ZZ its coefficients are the balanced base 2**W digits of the one
+integer det(2**W * I - A), which Bareiss's elimination takes in O(n**3)
+while n*W stays narrow, and QQ and every tower with an integer encoding
+run the same on that encoding; wider, and over Z/m, it is the
+Samuelson-Berkowitz algorithm (matrix.berkowitz), O(n**4) ring
+operations over the ring of A itself.  Neither does polynomial
+arithmetic, and neither divides outside Z.  The coefficient matrices
+D_0 .. D_(n-1) of adj(t*I - A) = sum_k t**k * D_k are computed on first
+use by the Horner recursion
 
     D_(n-1) = I,        D_(k-1) = A @ D_k + c_(n-k) * I,
 
@@ -34,7 +39,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .matrix import Matrix, adjugate_coefficients, apply_poly, berkowitz
+from .matrix import (Matrix, adjugate_coefficients, apply_poly,
+                     charpoly_coefficients)
 from .poly import Polynomial
 from .record import FrozenRecord
 from .rings import QAlgebraRequiredError
@@ -87,8 +93,11 @@ def _assemble(a: Matrix, c) -> CharPolyData:
 
 
 def charpoly(a: Matrix) -> CharPolyData:
-    """Characteristic polynomial of a square matrix, division-free."""
-    return _assemble(a, berkowitz(a))
+    """Characteristic polynomial of a square matrix, with no division
+    outside Z: over ZZ, QQ and the encodable towers by one Bareiss
+    elimination of 2**W * I - A where n*W is narrow, else, and over Z/m,
+    by Samuelson-Berkowitz (matrix.charpoly_coefficients)."""
+    return _assemble(a, charpoly_coefficients(a))
 
 
 def charpoly_newton(a: Matrix) -> CharPolyData:

@@ -19,10 +19,24 @@ returns report.first_failure of the list: a failing report names its
 first failing clause in inputs["failed_part"].  A (None, zero, ring)
 sentinel last clause lets the check pass without naming a part.
 
-Where both sides of an identity would otherwise run the same production
-kernel (Matrix.det, Matrix.adjugate and charpoly all derive from
-matrix.berkowitz), one side uses an oracle instead: det_subset_dp,
-adjugate_cofactor or det_leibniz.
+The production kernels take separate routes (matrix.py).  Over ZZ, and
+over QQ and the encodable towers on their integer encoding:
+Matrix.det is Bareiss's elimination of A (_bareiss); the charpoly
+coefficients c_j are the base 2**W digits of the same elimination run
+on 2**W * I - A; Matrix.adjugate and the D_k are the Horner chain in A
+that reads its own c_j off traces (the trace Cayley-Hamilton recursion).
+Bare Z/m and towers above MAX_SLOTS take every c_j, those of det and
+of the adjugate included, from matrix.berkowitz, and so do det and the
+c_j over ZZ when the elimination would be too wide.  So the two sides
+of an identity can share a kernel, or, over Z/m, all derive from one
+Berkowitz pass, and a fault there could cancel out.  Such identities
+take one side from an oracle that shares no recurrence with any
+production route: det_subset_dp, adjugate_cofactor or det_leibniz.
+The others compare
+different routes: trace_cayley_hamilton checks eliminated c_k against
+power traces from plain matmuls, cayley_hamilton evaluates chi_A at A
+by Horner, and trace_of_D and coefficient_family set the c_j against
+D_k from the trace chain, which takes its own c_j over ZZ.
 """
 
 from __future__ import annotations

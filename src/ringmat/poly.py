@@ -7,7 +7,7 @@ right, so every matrix routine in this library works unchanged over R[t].
 That instantiation is exactly how characteristic matrices t*I - A are
 handled.
 
-The L1 kernels (matmul, berkowitz, adjugate and the D_k recursion) skip
+The L1 kernels (matmul, det, charpoly, adjugate and the D_k recursion) skip
 this arithmetic over R[t] and over towers R[t][u]... when R is ZZ, Z/m
 or QQ: ringmat.matrix packs each entry into one integer (Kronecker
 substitution in several variables, t -> 2**w, u -> 2**(w*D), ..., after

@@ -12,7 +12,6 @@ import random
 
 import pytest
 
-import ringmat.matrix as matrix_mod
 from helpers import RINGS8, Z1, Z8, ZT
 from ringmat.charpoly import charpoly
 from ringmat.fuzz import sample_matrix, stream
@@ -180,19 +179,6 @@ def _route_cases():
     yield "mod8", 1, sample_matrix(rng, Z8, 5, 5)
     yield "mod1", 1, sample_matrix(rng, Z1, 5, 5)
     yield "deep", 1, _sparse_deep_tower()
-
-
-@pytest.fixture
-def berkowitz_rings(monkeypatch):
-    """The rings of the berkowitz() calls made so far."""
-    seen = []
-
-    def spy(m):
-        seen.append(m.ring)
-        return berkowitz(m)
-
-    monkeypatch.setattr(matrix_mod, "berkowitz", spy)
-    return seen
 
 
 @pytest.mark.parametrize("label,calls,a", list(_route_cases()),

@@ -277,9 +277,10 @@ class _CountingZZ(IntegerRing):
 
 
 class _CountingMod(ModRing):
-    """Z/(2**61 - 1) with a mul counter and the generic Ring.dot.  det
-    over Z/m keeps berkowitz(), so its products count here; over Z
-    (_CountingZZ) det takes the elimination, which calls no Ring.mul."""
+    """Z/(2**61 - 1) with a mul counter and the generic Ring.dot.  det and
+    charpoly over Z/m keep berkowitz(), so its products count here; over
+    Z (_CountingZZ) both take the elimination, which calls no Ring.mul
+    (its entry updates are counted below)."""
 
     dot = Ring.dot
 
@@ -302,7 +303,7 @@ def test_kernels_cost_polynomially_many_muls():
     n = 12
     for kernel, ceiling, counting in (
             (Matrix.det, n ** 4, _CountingMod),
-            (charpoly, n ** 4, _CountingZZ),
+            (charpoly, n ** 4, _CountingMod),
             (Matrix.adjugate, 2 * n ** 4, _CountingZZ),
             (lambda a: charpoly(a).D, 2 * n ** 4, _CountingZZ)):
         ring = counting()
@@ -311,9 +312,10 @@ def test_kernels_cost_polynomially_many_muls():
         assert 0 < ring.muls <= ceiling, (kernel, ring.muls)
 
 
-def test_det_over_zz_takes_n_cubed_entry_updates(monkeypatch):
-    # each Bareiss update ends in one exact division, and only updates
-    # divide: sum of (n-1-k)**2 over the steps k = 0..n-2
+def _division_counter():
+    """(Counted, updates): an int subclass that stays one through the
+    products, differences, sums and negations of _bareiss and of
+    2**W * I - A, and adds 1 to updates[0] at each floor division."""
     updates = [0]
 
     class Counted(int):
@@ -322,26 +324,49 @@ def test_det_over_zz_takes_n_cubed_entry_updates(monkeypatch):
 
         __rmul__ = __mul__
 
+        def __add__(self, other):
+            return Counted(int(self) + other)
+
+        __radd__ = __add__
+
         def __sub__(self, other):
             return Counted(int(self) - other)
+
+        def __neg__(self):
+            return Counted(-int(self))
 
         def __floordiv__(self, other):
             updates[0] += 1
             return Counted(int(self) // other)
 
-    berkowitz_calls = [0]
+    return Counted, updates
 
-    def spy(a):
-        berkowitz_calls[0] += 1
-        return berkowitz(a)
 
-    monkeypatch.setattr(matrix_mod, "berkowitz", spy)
+def test_det_over_zz_takes_n_cubed_entry_updates(berkowitz_rings):
+    # each Bareiss update ends in one exact division, and only updates
+    # divide: sum of (n-1-k)**2 over the steps k = 0..n-2
+    Counted, updates = _division_counter()
     n = 12
     plain = _dense(ZZ, n)
     counted = Matrix(ZZ, n, n, map(Counted, plain._e))
     assert counted.det() == plain.det_subset_dp()
-    assert berkowitz_calls[0] == 0
+    assert berkowitz_rings == []
     assert updates[0] == (n - 1) * n * (2 * n - 1) // 6 == 506
+
+
+def test_charpoly_over_zz_takes_n_cubed_entry_updates(berkowitz_rings):
+    # below MAX_CHARPOLY_BITS charpoly is one Bareiss pass over
+    # 2**W * I - A, whose leading minors are never 0: no swap, no early
+    # stop, so every update runs (n = 10, entries 1..9: n * W = 550)
+    Counted, updates = _division_counter()
+    n = 10
+    plain = _dense(ZZ, n)
+    want = berkowitz(plain)
+    berkowitz_rings.clear()
+    counted = Matrix(ZZ, n, n, map(Counted, plain._e))
+    assert charpoly(counted).c == tuple(want)
+    assert berkowitz_rings == []
+    assert updates[0] == (n - 1) * n * (2 * n - 1) // 6 == 285
 
 
 def test_counting_ring_computes_the_same_values():
@@ -371,6 +396,9 @@ def test_one_lift_entry_point_and_one_home_for_the_bounds():
     # every kernel reaches the integer encoding through _encode alone,
     # and every result bound is a fit: (N, degrees) -> (bound, degrees)
     assert _callers("_tower") == {"_encode"}
+    # and only the kernel entries lift: berkowitz() runs on its own ring
+    assert _callers("_encode") == {"Matrix.__matmul__", "Matrix.det",
+                                   "charpoly_coefficients", "_adjugates"}
     factorials = _callers("factorial")
     assert factorials and all(f.endswith("_fit") for f in factorials)
 
