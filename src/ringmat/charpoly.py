@@ -2,9 +2,10 @@
 
 charpoly(A) computes chi_A = det(t*I - A) by matrix.charpoly_coefficients.
 Over ZZ its coefficients are the balanced base 2**W digits of the one
-integer det(2**W * I - A), which Bareiss's elimination takes in O(n**3)
-while n*W stays narrow, and QQ and every tower with an integer encoding
-run the same on that encoding; wider, and over Z/m, it is the
+integer det(2**W * I - A), W sized by Hadamard's bound on the rows of
+A, which Bareiss's elimination takes in O(n**3) while n*W stays narrow,
+and QQ and every tower with an integer encoding run the same on that
+encoding; wider, and over Z/m, it is the
 Samuelson-Berkowitz algorithm (matrix.berkowitz), O(n**4) ring
 operations over the ring of A itself.  Neither does polynomial
 arithmetic, and neither divides outside Z.  The coefficient matrices
@@ -95,8 +96,9 @@ def _assemble(a: Matrix, c) -> CharPolyData:
 def charpoly(a: Matrix) -> CharPolyData:
     """Characteristic polynomial of a square matrix, with no division
     outside Z: over ZZ, QQ and the encodable towers by one Bareiss
-    elimination of 2**W * I - A where n*W is narrow, else, and over Z/m,
-    by Samuelson-Berkowitz (matrix.charpoly_coefficients)."""
+    elimination of 2**W * I - A, W from Hadamard's bound on the rows,
+    where n*W is narrow, else, and over Z/m, by Samuelson-Berkowitz
+    (matrix.charpoly_coefficients)."""
     return _assemble(a, charpoly_coefficients(a))
 
 

@@ -9,10 +9,11 @@ nested R[t]:
   * matmul: n*k*m products, one Ring.dot per output entry.
   * charpoly_coefficients(): the c_j of det(t*I - A).  Over ZZ, the
     balanced base 2**W digits of det(2**W * I - A) by _bareiss (below),
-    O(n**3), while n*W <= MAX_CHARPOLY_BITS; over QQ and the towers
-    below the same on their integer encoding.  Otherwise, and over Z/m
-    and towers above MAX_SLOTS, berkowitz(): Samuelson-Berkowitz over
-    the ring itself, about n**4/4 ring multiplications.
+    O(n**3), with W from Hadamard's bound on the rows, while n*W <=
+    MAX_CHARPOLY_BITS; over QQ and the towers below the same on their
+    integer encoding.  Otherwise, and over Z/m and towers above
+    MAX_SLOTS, berkowitz(): Samuelson-Berkowitz over the ring itself,
+    about n**4/4 ring multiplications.
   * det(): over ZZ, Bareiss's fraction-free elimination (_bareiss),
     (n-1)*n*(2n-1)/6 entry updates with one exact division each, so
     O(n**3); over QQ and the towers below the same on their integer
@@ -91,14 +92,22 @@ charpoly_coefficients() over ZZ is the same substitution with one
 variable and no digit regrouping.  det(t*I - A) = sum_j c_j * t**(n-j)
 is a polynomial in t and the entries with integer coefficients, so its
 value at t = 2**W is det(2**W * I - A), an integer matrix that _bareiss
-takes exactly.  With M the largest |a_ij|, c's bound above at depth 0
-gives |c_j| <= n! * max(M, 1)**n, and W = bit_length(that) + 1 puts
-every c_j in [-2**(W-1), 2**(W-1)), so the n + 1 balanced base 2**W
-digits of det(2**W * I - A), lowest first, are c_n, ..., c_0, and
-c_0 = 1 makes the top one nonzero.  Eliminating 2**W * I - A divides
-minors up to n*W bits wide, so this route is taken only while n*W <=
-MAX_CHARPOLY_BITS (the table there); a lifted QQ or tower matrix,
-whose packed entries are wide, crosses it sooner.
+takes exactly.  W is read off the rows (_hadamard_factors).  With r_i
+the euclidean norm of row i of A, c_j = (-1)**j * sum_(|S|=j) det A[S, S],
+and Hadamard's inequality (Bull. Sci. Math. 1893) bounds |det A[S, S]|
+by the product of its rows' norms, each at most r_i.  So with e_j the
+j-th elementary symmetric polynomial, |c_j| <= e_j(r) <= sum_k e_k(r)
+= prod_i (1 + r_i) <= B = prod_i (1 + ceil(r_i)), and W =
+bit_length(B) + 1 puts every c_j in [-2**(W-1), 2**(W-1)): the n + 1
+balanced base 2**W digits of det(2**W * I - A), lowest first, are c_n,
+..., c_0, and c_0 = 1 makes the top one nonzero; B >= 1 gives W >= 2.
+The bound holds for any integer matrix, a lifted QQ or tower one
+included, and it is read from the matrix rather than from its largest
+entry M: W is about 44 bits for a 10 x 10 matrix with entries in
+[-9, 9], where n! * max(M, 1)**n takes 55.  Eliminating 2**W * I - A
+divides minors up to n*W bits wide, so this route is taken only while
+n*W <= MAX_CHARPOLY_BITS (the table there); a lifted QQ or tower
+matrix, whose packed entries are wide, crosses it sooner.
 
 Intermediate values are never decoded and may exceed both bounds.  A
 result takes D_1*...*D_d digit slots however sparse: c_1 of entries
@@ -163,8 +172,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from math import factorial, lcm, prod
+from itertools import islice, permutations
+from math import factorial, isqrt, lcm, prod
+from operator import mul
 
 from .poly import Polynomial, PolynomialRing
 from .rings import (
@@ -637,12 +647,16 @@ def _bareiss(entries, n: int) -> int:
 def _integer_charpoly(entries, n: int) -> list:
     """[c_0, ..., c_n] of the n x n integer matrix A with these row-major
     entries: the balanced base 2**W digits of det(2**W * I - A) by
-    _bareiss, W = bit_length(bound) + 1 with bound from c's fit
-    _minors_fit(n), while n * W <= MAX_CHARPOLY_BITS; else berkowitz()."""
-    m = max(max(entries), -min(entries)) if n else 0
-    w = _minors_fit(n)(m, [])[0].bit_length() + 1
-    if n * w > MAX_CHARPOLY_BITS:
-        return berkowitz(Matrix(ZZ, n, n, entries))
+    _bareiss, W = bit_length(B) + 1 with B the product of the
+    _hadamard_factors, while n * W <= MAX_CHARPOLY_BITS; else
+    berkowitz(), as soon as a partial product of the factors, each >= 1,
+    puts n * W above the gate."""
+    bound = 1
+    for factor in _hadamard_factors(entries, n):
+        bound *= factor
+        if n * (bound.bit_length() + 1) > MAX_CHARPOLY_BITS:
+            return berkowitz(Matrix(ZZ, n, n, entries))
+    w = bound.bit_length() + 1
     shifted = [-v for v in entries]
     for d in range(0, n * n, n + 1):
         shifted[d] += 1 << w
@@ -652,20 +666,33 @@ def _integer_charpoly(entries, n: int) -> list:
 # The widest n * W, in bits, at which _integer_charpoly eliminates.  The
 # determinant of 2**W * I - A is n * W bits wide, so _bareiss divides
 # minors that grow to that width.  Its CPU time over that of berkowitz()
-# (median of 7 alternating batches of 30 matrices, entries uniform in
-# [-M, M] for M = 1, 9, 10**3 and 10**6 and a few between, every result
-# equal, 2-vCPU VM, CPython 3.11):
+# (median of 7 alternating batches of 30 matrices, W from
+# _hadamard_factors, every result equal, 2-vCPU VM, CPython 3.11), on
+# entries uniform in [-M, M] (n = 2..14, M from 1 to 10**14) and on
+# lifted rationals (n = 6..10, num in [-9, 9], den in [1, 5..12]):
 #
-#     n * W (bits)            ratio
-#     6-84 (n = 2)            0.83-0.88
-#     24-800 (n = 4..14)      0.43-0.79
-#     816-1056                0.85-1.00
-#     1148-4438               1.05-5.30
+#     n * W (bits)     entries in [-M, M]     lifted rationals
+#     6-84             0.75-0.86 (n = 2)
+#     15-910           0.43-0.82              0.59-0.94
+#     970-1022         0.73-1.02
+#     1078-1180        0.92-1.07              0.93-0.99
+#     1176-1274        0.98-1.25
+#     1274-1342        1.04-1.19
+#     1380-2200        1.27-1.92              1.14-1.40
 #
-# A 10 x 10 matrix with entries in [-9, 9] sits at 550 (0.66); an 8 x 8
-# one with entries up to 22680, as the lift makes of rationals with
-# denominators up to 9, at 1056 (1.00), so it keeps berkowitz().
-MAX_CHARPOLY_BITS = 800
+# A 10 x 10 matrix with entries in [-9, 9] sits near 440; an 8 x 8 one
+# lifted from num in [-9, 9] and den in [1, 9] near 880.
+MAX_CHARPOLY_BITS = 1000
+
+
+def _hadamard_factors(entries, n: int):
+    """1 + ceil(||row_i||_2) for each row i of the n x n integer matrix
+    with these row-major entries, lazily, with ceil(sqrt(s)) =
+    isqrt(s - 1) + 1 on the row's exact sum of squares s.  Their product
+    B >= 1 bounds every |c_j| (the module docstring)."""
+    squares = iter(map(mul, entries, entries))
+    for s in map(sum, zip(*[squares] * n)):
+        yield isqrt(s - 1) + 2 if s else 1
 
 
 def _minors_fit(e: int):
@@ -805,15 +832,13 @@ def _tower(ring: Ring):
         return chain
 
 
-def _tree(v, depth: int, scale: int = 0):
-    """v as nested integer coefficient lists, depth deep, constant terms
-    first; over QQ each rational x becomes x * scale, an integer here."""
+def _tree(v, depth: int, leaves=None):
+    """v as nested coefficient lists, depth >= 1 deep, constant terms
+    first, with its own base scalars or, if leaves is an iterator, the
+    next ones it yields in their place."""
     if depth > 1:
-        return [_tree(c, depth - 1, scale) for c in v.coeffs]
-    xs = v.coeffs if depth else (v,)
-    if scale:
-        xs = [x.numerator * (scale // x.denominator) for x in xs]
-    return xs if depth else xs[0]
+        return [_tree(c, depth - 1, leaves) for c in v.coeffs]
+    return v.coeffs if leaves is None else list(islice(leaves, len(v.coeffs)))
 
 
 def _leaves(values, depth: int) -> list:
@@ -826,15 +851,18 @@ def _leaves(values, depth: int) -> list:
 def _integers(chain, entries) -> tuple:
     """(trees, L): the entries as integer trees.  Over a QQ base, L is the
     lcm of all coefficient denominators (1 when there are none) and the
-    trees are those of L * v; otherwise L = 1."""
+    trees are those of L * v, each rational read once; otherwise L = 1."""
     depth = len(chain) - 1
     if not isinstance(chain[-1], RationalRing):
         return [_tree(v, depth) if depth > 1 else v.coeffs
                 for v in entries], 1
-    scale = lcm(*[v.denominator for v in _leaves(entries, depth)])
+    ratios = [x.as_integer_ratio() for x in _leaves(entries, depth)]
+    scale = lcm(*[d for _, d in ratios])
+    ints = [p * (scale // d) for p, d in ratios]
     if not depth:
-        return [v.numerator * (scale // v.denominator) for v in entries], scale
-    return [_tree(v, depth, scale) for v in entries], scale
+        return ints, scale
+    leaves = iter(ints)
+    return [_tree(v, depth, leaves) for v in entries], scale
 
 
 def _measure(trees, depth: int) -> tuple:

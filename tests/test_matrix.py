@@ -357,7 +357,7 @@ def test_det_over_zz_takes_n_cubed_entry_updates(berkowitz_rings):
 def test_charpoly_over_zz_takes_n_cubed_entry_updates(berkowitz_rings):
     # below MAX_CHARPOLY_BITS charpoly is one Bareiss pass over
     # 2**W * I - A, whose leading minors are never 0: no swap, no early
-    # stop, so every update runs (n = 10, entries 1..9: n * W = 550)
+    # stop, so every update runs (n = 10, entries 1..9: n * W = 440)
     Counted, updates = _division_counter()
     n = 10
     plain = _dense(ZZ, n)
