@@ -21,12 +21,20 @@ nested R[t]:
     MAX_SLOTS and integer entries wider than MAX_BAREISS_BITS, where
     CPython's quadratic division costs more than the products it saves,
     (-1)**n * c_n from berkowitz(), so O(n**4).
-  * adjugate(): the charpoly coefficients summed by Horner in A, n - 2
-    steps H -> A @ H + c * I, so O(n**4).  Over ZZ each c_j comes out of
-    the chain itself by the trace Cayley-Hamilton theorem (below), with
-    no berkowitz(), and a step runs on packed rows (below).  Over Z/m
-    and towers above MAX_SLOTS, one berkowitz() gives the c_j and a step
-    is the matmul H @ A, the same matrix as H is a polynomial in A.
+  * adjugate(): over ZZ with n >= 3, fraction-free Gauss-Jordan
+    elimination of [A | I] (_bareiss with a right-hand side, below),
+    each row of I packed as one integer, n*(n-1) packed row updates and
+    (n-1)*n*(n-1)/2 entry updates with one exact division each, so
+    O(n**3), while the adj slot width is at most MAX_JORDAN_BITS; over
+    QQ and the towers below the same on their integer encoding.
+    Otherwise, and as the fallback when some column k < n - 1 has no
+    pivot: the charpoly coefficients summed by Horner in A, n - 2 steps
+    H -> A @ H + c * I, so O(n**4).  Over ZZ each c_j comes out of that
+    chain itself by the trace Cayley-Hamilton theorem (below), with no
+    berkowitz(), and a step runs on packed rows (below).  Over Z/m and
+    towers above MAX_SLOTS, one berkowitz() gives the c_j and a step is
+    the matmul H @ A, the same matrix as H is a polynomial in A.  The
+    D_k (adjugate_coefficients) always take the chain.
 
 Over QQ and over every tower R[t_1]...[t_d] (t_1 innermost) with R one
 of ZZ, Z/m and QQ, each kernel runs over ZZ on one integer encoding of
@@ -87,6 +95,31 @@ norm <= j! * N**j <= n! * max(N, 1)**n and t_i-degree <= n * d_i, within
 _minors_fit(n), so a packed pivot is 0 exactly when its minor is 0 as a
 polynomial: the elimination takes the pivots the polynomial matrix
 would.
+
+adjugate() over ZZ runs the same pass as Gauss-Jordan on [A | I]: step
+k also updates the rows above k, and with them row i of the right-hand
+side, packed as b_i = sum_j x_ij * 2**(w*j).  After step k every slot
+is a minor of the row-permuted [A | I], (k+2) x (k+2) in the rows below
+k (as above) and (k+1) x (k+1) in the rows at or above it (Cramer's
+rule), and before the division by the pivot of step k-1 it is that
+pivot times such a minor (Sylvester), so the pivot divides every slot.
+Packing is Z-linear, so it divides b_i exactly and the quotient packs
+the slot quotients, even where a slot has outgrown w and carried into
+its neighbour: only the final slots are read.  After the last step row
+i holds det(PA) * ((PA)**-1 @ P)_i = sign * adj(A)_i, with P the row
+swaps and sign = det P, as the rows of I were swapped with those of A;
+_bareiss negates them if sign < 0.  That last step needs no pivot search:
+its p = a_(n-1)(n-1) only multiplies, the division being by the pivot
+before, so p = 0, a singular A, is taken as it is: each update is an
+identity between minors that holds at every A whose earlier pivots are
+nonzero.  Only a column k < n - 1 with no pivot falls back, to the trace
+chain; that happens exactly when the first k + 1 columns of A are
+linearly dependent.  So every A of rank <= n - 2 falls back (adj = 0),
+and one of rank n - 1, a duplicated row included, does not whenever its
+first n - 1 columns are independent.  An adj entry is bounded by
+_minors_fit(n - 1), so w = bit_length(its bound) + 1 reads it back as
+a balanced digit, and the pass runs while w <= MAX_JORDAN_BITS (the
+table there).
 
 charpoly_coefficients() over ZZ is the same substitution with one
 variable and no digit regrouping.  det(t*I - A) = sum_j c_j * t**(n-j)
@@ -435,11 +468,15 @@ class Matrix:
     def adjugate(self) -> "Matrix":
         """Adjugate (classical adjoint): entry (i, j) is the (j, i) cofactor.
 
-        Computed as adj(A) = (-1)**(n-1) * (c_0*A**(n-1) + ... + c_(n-1)*I)
-        by Horner, never forming a cofactor.  Over ZZ, and over QQ and
-        polynomial towers on the integer encoding, the c_j come from the
-        trace recursion on the way; over Z/m from berkowitz().  adj of
-        any 1 x 1 matrix is (1); adj of the 0 x 0 matrix is itself.
+        Over ZZ with n >= 3, and over QQ and polynomial towers on the
+        integer encoding, by fraction-free Gauss-Jordan elimination of
+        [A | I] on packed rows (_jordan_adjugate) while the slots are at
+        most MAX_JORDAN_BITS wide.  Otherwise, or if the elimination
+        finds no pivot before its last column, as
+        adj(A) = (-1)**(n-1) * (c_0*A**(n-1) + ... + c_(n-1)*I) by
+        Horner, the c_j from the trace recursion on the way, or over
+        Z/m from berkowitz().  Neither forms a cofactor.  adj of any
+        1 x 1 matrix is (1); adj of the 0 x 0 matrix is itself.
         """
         self.require_square("adjugate")
         return _adjugates(self, every=False)[0] if self.rows else self
@@ -567,8 +604,9 @@ def _adjugates(a: Matrix, every: bool) -> list:
     """[D_0, ..., D_(n-1)] of a square a with n >= 1 if every, else
     [adj(a)] = [(-1)**(n-1) * D_0]; over QQ and polynomial towers on the
     integer encoding, where _minors_fit(n - 1) bounds every D_k and D_k
-    decodes at L**(n-1-k), adj as D_0.  Over ZZ _horner takes the c_j
-    by the trace recursion; else from berkowitz()."""
+    decodes at L**(n-1-k), adj as D_0.  Over ZZ adj(a) for n >= 3 comes
+    from _jordan_adjugate where it applies; otherwise _horner takes the
+    c_j by the trace recursion, and off ZZ from berkowitz()."""
     n = a.rows
     if lifted := _encode(a.ring, (a._e,), _minors_fit(n - 1)):
         (ints,), ctx = lifted
@@ -576,6 +614,8 @@ def _adjugates(a: Matrix, every: bool) -> list:
         return [Matrix(a.ring, n, n, _decode(d._e, ctx, n - 1 - k))
                 for k, d in enumerate(ds)]
     if isinstance(a.ring, IntegerRing):
+        if not every and n >= 3 and (adj := _jordan_adjugate(a)):
+            return [adj]
         coeffs, fit = None, _trace_fit(n)
     else:           # bare Z/m, or a tower above MAX_SLOTS: never packs
         coeffs, fit = berkowitz(a)[:n], _minors_fit(n - 1)
@@ -612,8 +652,8 @@ def _integer_det(entries, n: int) -> int:
 MAX_BAREISS_BITS = 512
 
 
-def _bareiss(entries, n: int) -> int:
-    """det of the n x n integer matrix with these row-major entries, by
+def _bareiss(entries, n: int, rhs=None) -> int | None:
+    """det of the n x n integer matrix A with these row-major entries, by
     Bareiss's fraction-free elimination (Math. Comp. 22, 1968).
 
     Step k takes the first row at or below k with a nonzero entry in
@@ -622,26 +662,87 @@ def _bareiss(entries, n: int) -> int:
     p = a_kk and p' the pivot before (1 at the first step).  Each
     division is exact, (n-1)*n*(2n-1)/6 entry updates in all, and the
     last a_(n-1)(n-1) is det up to the sign.
+
+    With rhs, a list of n integers b_i (a right-hand side B, one integer
+    per row, such as a packed row), the pass is Gauss-Jordan on [A | B]:
+    step k updates every row i != k, those above k too, and b_i with it,
+    b_i = (b_i * p - a_ik * b_k) / p'.  A last step k = n - 1 takes
+    p = a_(n-1)(n-1) as it stands, 0 included, with no search, as there
+    p only multiplies.  On return rhs holds the rows of adj(A) @ B, after
+    n*(n-1) updates of a b_i and (n-1)*n*(n-1)/2 entry updates, each with
+    one exact division (the module docstring).  A column k < n - 1 with
+    no pivot returns 0 without rhs and None with it.
     """
     a = [list(entries[i * n:i * n + n]) for i in range(n)]
+    jordan = rhs is not None
     sign, prev = 1, 1
-    for k in range(n - 1):
+    for k in range(n if jordan else n - 1):
         for i in range(k, n):
-            if a[i][k]:
+            if a[i][k] or k == n - 1:
                 break
         else:
-            return 0
+            return None if jordan else 0
         if i != k:
             a[k], a[i] = a[i], a[k]
+            if jordan:
+                rhs[k], rhs[i] = rhs[i], rhs[k]
             sign = -sign
         top = a[k]
         p = top[k]
-        for r in a[k + 1:]:
+        for r in a[:k] + a[k + 1:] if jordan else a[k + 1:]:
             f = r[k]
             for j in range(k + 1, n):
                 r[j] = (r[j] * p - f * top[j]) // prev
+        if jordan:      # column k is as it was, as the updates start at k+1
+            b = rhs[k]
+            for i, r in enumerate(a):
+                if i != k:
+                    rhs[i] = (rhs[i] * p - r[k] * b) // prev
         prev = p
+    if jordan and sign < 0:
+        rhs[:] = [-b for b in rhs]
     return sign * a[-1][-1] if n else 1
+
+
+def _jordan_adjugate(a: Matrix) -> Matrix | None:
+    """adj(a) for a square a over ZZ by _bareiss on [a | I], row i of I
+    packed as 2**(w*i) with w = bit_length(_minors_fit(n - 1) bound) + 1,
+    while w <= MAX_JORDAN_BITS; None above it, or when some column
+    k < n - 1 has no pivot."""
+    n, e = a.rows, a._e
+    w = _minors_fit(n - 1)(max(map(abs, e)), [])[0].bit_length() + 1
+    if w > MAX_JORDAN_BITS:
+        return None
+    rows = [1 << s for s in range(0, n * w, w)]
+    if _bareiss(e, n, rows) is None:
+        return None
+    return Matrix(a.ring, n, n, [x for r in _digits(rows, w, n) for x in r])
+
+
+# The widest adj slot w, in bits, at which adjugate() over ZZ eliminates
+# (_jordan_adjugate) rather than running the trace chain.  The packed
+# rows are n*w bits wide, and each of the n*(n-1) updates of one divides
+# it in time quadratic in that width, where a chain step only multiplies
+# it by small entries.  Elimination's CPU time over the chain's (median
+# of 7-11 alternating batches, every result equal, 2-vCPU VM, CPython
+# 3.11), on entries uniform in [-M, M] (n = 3..16, M up to 10**20), on
+# lifted rationals (n = 3..10, num in [-9, 9], den in [1, 2..200]) and on
+# Z[t] and (Z/8)[t] (n = 3..8, degree 1-2, coefficients up to 99):
+#
+#     w (bits)     entries in [-M, M]   lifted rationals   Z[t], (Z/8)[t]
+#     8-64         0.55-0.93            0.68-0.90          0.77-0.98
+#     65-150       0.57-0.94            0.72-0.95          0.83-0.97
+#     151-200      0.72-0.99            0.88-0.95          0.88-0.96
+#     201-260      0.84-1.08                               0.98-1.10
+#     261-500      0.90-1.22            0.97-1.03          0.89-1.22
+#     500-1600     0.66-1.81            1.15-1.55          1.11-1.40
+#
+# A run beside other load read 1.01-1.16 at w = 175-200 and up to 1.34
+# at 225-250, and one batch of only two 10 x 10 matrices 1.21 at 199.
+# Above MAX_WIDTH the chain takes matmuls, hence the low 0.66.  A
+# 10 x 10 matrix with entries in [-9, 9] takes w = 48; an 8 x 8 one
+# lifted from num in [-9, 9] and den in [1, 9] about 100.
+MAX_JORDAN_BITS = 200
 
 
 def _integer_charpoly(entries, n: int) -> list:

@@ -17,3 +17,18 @@ def berkowitz_rings(monkeypatch):
 
     monkeypatch.setattr(matrix_mod, "berkowitz", spy)
     return rings
+
+
+@pytest.fixture
+def horners(monkeypatch):
+    """The number of matrix._horner chains run so far: 0 after an
+    adjugate() at n >= 1 means it eliminated."""
+    calls = [0]
+    horner = matrix_mod._horner
+
+    def spy(*args, **kwargs):
+        calls[0] += 1
+        return horner(*args, **kwargs)
+
+    monkeypatch.setattr(matrix_mod, "_horner", spy)
+    return calls

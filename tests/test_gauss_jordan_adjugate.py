@@ -1,0 +1,234 @@
+"""adj(A) over ZZ by fraction-free Gauss-Jordan on [A | I].
+
+Over ZZ with n >= 3, Matrix.adjugate() runs _bareiss on A with the rows
+of I packed as one integer each, column j at 2**(w*j), while
+w <= MAX_JORDAN_BITS; QQ and every tower that _encode accepts reach it
+through the lift.  The last step takes its pivot as it stands, 0
+included, and only a column k < n - 1 with no pivot falls back to the
+trace chain (_horner), as does every n <= 2.  The oracles are the
+cofactor adjugate (n <= 8) and the plain Horner sum on the berkowitz()
+coefficients (every n), whose products are plain triple loops.
+"""
+
+import random
+
+import pytest
+
+from helpers import Z1, Z8, ZT, plain_horner, plain_matmul
+from ringmat.fuzz import sample_matrix, sample_singular, stream
+from ringmat.matrix import (
+    MAX_JORDAN_BITS,
+    Matrix,
+    _bareiss,
+    _encode,
+    _minors_fit,
+    berkowitz,
+)
+from ringmat.poly import PolynomialRing
+from ringmat.rings import QQ, ZZ
+
+LIFTED = {
+    "rat": QQ,
+    "poly": ZT,
+    "poly-poly": PolynomialRing(ZT),
+    "poly-mod8": PolynomialRing(Z8),
+    "poly-mod1": PolynomialRing(Z1),
+}
+
+
+def _check(a):
+    """a.adjugate() against both oracles; returns it."""
+    n = a.rows
+    adj = a.adjugate()
+    if n:
+        d_0 = plain_horner(a, berkowitz(a))[0]
+        assert adj == (-d_0 if (n - 1) & 1 else d_0)
+    if n <= 8:
+        assert adj == a.adjugate_cofactor()
+    return adj
+
+
+def _int(rows):
+    return Matrix.from_rows(ZZ, rows)
+
+
+def _random(rng, n, top=9):
+    return [[rng.randint(-top, top) for _ in range(n)] for _ in range(n)]
+
+
+def _invertible(rng, n, top=9):
+    while not (a := _int(_random(rng, n, top))).det():
+        pass
+    return a
+
+
+def _upper(rng, n):
+    """Upper triangular with a nonzero diagonal: every pivot is nonzero."""
+    return [[rng.choice([v for v in range(-9, 10) if v]) if j == i
+             else rng.randint(-9, 9) if j > i else 0
+             for j in range(n)] for i in range(n)]
+
+
+def _width(a):
+    """The adj slot width w of a's integer encoding (a itself over ZZ)."""
+    n = a.rows
+    lifted = _encode(a.ring, (a._e,), _minors_fit(n - 1))
+    ints = lifted[0][0] if lifted else a._e
+    return _minors_fit(n - 1)(max(map(abs, ints)), [])[0].bit_length() + 1
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_every_size_matches_the_oracles(n, horners):
+    # n >= 3 eliminates, n = 1, 2 take the chain, n = 0 is returned as is
+    rng = random.Random(f"jordan-{n}")
+    for _ in range(3 if n <= 8 else 1):
+        a = _invertible(rng, n)
+        horners[0] = 0
+        _check(a)
+        assert horners[0] == (0 if n >= 3 or n == 0 else 1), n
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_row_swaps_set_the_sign(n, horners):
+    # rows k and n - 1 of an upper triangular U exchanged: step k meets a
+    # zero pivot, finds its row at n - 1 (the rows between are 0 in column
+    # k) and swaps once, so an odd swap count must still read adj(A) and
+    # not -adj(A); rotating the rows by s places takes even and odd counts
+    rng = random.Random(f"jordan-swap-{n}")
+    for k in range(n - 1):
+        u = _upper(rng, n)
+        swapped = [list(r) for r in u]
+        swapped[k], swapped[n - 1] = swapped[n - 1], swapped[k]
+        a = _int(swapped)
+        assert a.det() == -_int(u).det() != 0
+        horners[0] = 0
+        adj = _check(a)
+        assert horners[0] == 0
+        assert plain_matmul(a, adj) == Matrix.identity(ZZ, n).scale(a.det())
+    for shift in range(1, n):
+        u = _upper(rng, n)
+        horners[0] = 0
+        _check(_int(u[shift:] + u[:shift]))
+        assert horners[0] == 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8, 10, 12])
+def test_a_duplicated_row_takes_no_fallback(n, horners):
+    # rank n - 1: the last pivot is 0, and the last step divides by the
+    # pivot before, so the pass ends without a search; adj(A) != 0
+    for i in range(4):
+        rng = stream(18, "jordan-singular", n, i)
+        a = sample_singular(rng, ZZ, n)
+        horners[0] = 0
+        adj = _check(a)
+        assert a.det() == 0 and not adj.is_zero()
+        assert horners[0] == 0
+    rng = random.Random(f"jordan-sum-{n}")
+    rows = _random(rng, n)[:n - 1]
+    rows.append([sum(c) for c in zip(*rows)])   # the last row a sum
+    horners[0] = 0
+    _check(_int(rows))
+    assert horners[0] == 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
+def test_a_zero_first_column_falls_back(n, horners):
+    rng = random.Random(f"jordan-column-{n}")
+    rows = _random(rng, n)
+    for r in rows:
+        r[0] = 0
+    horners[0] = 0
+    _check(_int(rows))
+    assert horners[0] == 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 9, 12])
+def test_rank_at_most_n_minus_2_has_zero_adjugate(n, horners):
+    # the first n - 1 columns are dependent, so some column k < n - 1 has
+    # no pivot and the chain gives adj = 0
+    rng = random.Random(f"jordan-rank-{n}")
+    for rank in range(n - 1):
+        low = Matrix(ZZ, n, rank, [rng.randint(-9, 9)
+                                   for _ in range(n * rank)])
+        high = Matrix(ZZ, rank, n, [rng.randint(-9, 9)
+                                    for _ in range(rank * n)])
+        horners[0] = 0
+        adj = _check(plain_matmul(low, high))
+        assert adj.is_zero()
+        assert horners[0] == 1
+
+
+@pytest.mark.parametrize("label", LIFTED)
+def test_lifted_rings_match_the_oracles(label, horners):
+    ring = LIFTED[label]
+    eliminated = 0
+    for n in range(7):
+        for i in range(4):
+            rng = stream(18, "jordan-lift", label, n, i)
+            a = (sample_singular(rng, ring, n) if i == 3 and n
+                 else sample_matrix(rng, ring, n, n))
+            horners[0] = 0
+            _check(a)
+            if n >= 3 and horners[0] == 0:
+                eliminated += 1
+    # (Z/1)[t] lifts every entry to 0, a zero first column
+    assert (eliminated == 0) == (label == "poly-mod1"), eliminated
+
+
+def _widest(n):
+    """The largest M whose n x n adj slots fit MAX_JORDAN_BITS."""
+    lo, hi = 0, 2 ** MAX_JORDAN_BITS
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        w = _minors_fit(n - 1)(mid, [])[0].bit_length() + 1
+        lo, hi = (mid, hi) if w <= MAX_JORDAN_BITS else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8, 11])
+def test_the_gate_switches_the_route(n, horners):
+    rng = random.Random(f"jordan-gate-{n}")
+    m = _widest(n)
+    for top, eliminates in ((m, True), (m + 1, False)):
+        rows = _random(rng, n, top)
+        rows[0][0] = top
+        a = _int(rows)
+        assert (_width(a) <= MAX_JORDAN_BITS) == eliminates
+        horners[0] = 0
+        _check(a)
+        assert (horners[0] == 0) == eliminates
+
+
+def test_the_gate_reads_the_lifted_width(horners):
+    # Q and Z[t] eliminate on their integer encoding while its adj slots
+    # fit, and take the chain above
+    rng = random.Random("jordan-gate-lift")
+    for ring, narrow, wide in (
+            (QQ, lambda: QQ.coerce(rng.randint(-9, 9)),
+             lambda: QQ.coerce(rng.randint(-9, 9)) / rng.randint(1, 10**6)),
+            (ZT, lambda: ZT.coerce(rng.randint(-9, 9)),
+             lambda: ZT.coerce(rng.randint(-10**12, 10**12)) + ZT.t())):
+        for draw, eliminates in ((narrow, True), (wide, False)):
+            a = Matrix(ring, 5, 5, [draw() for _ in range(25)])
+            assert (_width(a) <= MAX_JORDAN_BITS) == eliminates
+            horners[0] = 0
+            _check(a)
+            assert (horners[0] == 0) == eliminates
+
+
+def test_bareiss_with_a_right_hand_side():
+    # any integer right-hand side b comes back as adj(A) @ b, with
+    # det(A) returned; a column with no pivot before the last gives None
+    rng = random.Random("jordan-rhs")
+    for n in range(1, 8):
+        for _ in range(5):
+            a = _int(_random(rng, n))
+            b = [rng.randint(-99, 99) for _ in range(n)]
+            rhs = list(b)
+            assert _bareiss(a._e, n, rhs) == a.det()
+            adj = a.adjugate_cofactor()
+            assert rhs == [sum(x * y for x, y in zip(adj.row_list(i), b))
+                           for i in range(1, n + 1)]
+    assert _bareiss((0, 1, 0, 1), 2, [1, 2]) is None
+    rhs = [1, 2]                 # a last pivot of 0 is no early stop
+    assert _bareiss((1, 1, 1, 1), 2, rhs) == 0 and rhs == [-1, 1]

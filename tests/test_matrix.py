@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ringmat.matrix as matrix_mod
-from helpers import RINGS8, Z1, Z6, Z8, ZT, corpus, mat
+from helpers import RINGS8, Z1, Z6, Z8, ZT, corpus, mat, plain_horner
 from ringmat.charpoly import charpoly
 from ringmat.matrix import (
     Matrix,
@@ -300,11 +300,13 @@ def _dense(ring, n):
 
 
 def test_kernels_cost_polynomially_many_muls():
+    # over Z, adjugate() eliminates and calls no Ring.mul (its updates
+    # are counted below); over Z/m it keeps berkowitz() and Horner
     n = 12
     for kernel, ceiling, counting in (
             (Matrix.det, n ** 4, _CountingMod),
             (charpoly, n ** 4, _CountingMod),
-            (Matrix.adjugate, 2 * n ** 4, _CountingZZ),
+            (Matrix.adjugate, 2 * n ** 4, _CountingMod),
             (lambda a: charpoly(a).D, 2 * n ** 4, _CountingZZ)):
         ring = counting()
         a = _dense(ring, n)
@@ -352,6 +354,21 @@ def test_det_over_zz_takes_n_cubed_entry_updates(berkowitz_rings):
     assert counted.det() == plain.det_subset_dp()
     assert berkowitz_rings == []
     assert updates[0] == (n - 1) * n * (2 * n - 1) // 6 == 506
+
+
+def test_adjugate_over_zz_takes_n_cubed_updates(berkowitz_rings):
+    # Gauss-Jordan on [A | I]: each of the n steps updates the n - 1 other
+    # packed rows of I and, at step k, n - 1 - k entries of each of
+    # those rows of A, every update with one exact division; no Ring.mul
+    Counted, updates = _division_counter()
+    n = 12
+    ring = _CountingZZ()
+    plain = _dense(ZZ, n)
+    adj = Matrix(ring, n, n, map(Counted, plain._e)).adjugate()
+    assert berkowitz_rings == [] and ring.muls == 0
+    assert updates[0] == n * (n - 1) + (n - 1) * n * (n - 1) // 2 == 858
+    d_0 = plain_horner(plain, berkowitz(plain))[0]
+    assert adj._e == (-d_0 if (n - 1) & 1 else d_0)._e
 
 
 def test_charpoly_over_zz_takes_n_cubed_entry_updates(berkowitz_rings):

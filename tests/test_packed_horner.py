@@ -1,6 +1,7 @@
 """The packed Horner over ZZ against oracles that never pack.
 
-Over ZZ with n >= 4, adj(A), the D_k and p(A) run their Horner steps
+Over ZZ with n >= 4, the D_k, p(A) and adj(A) where it does not
+eliminate (test_gauss_jordan_adjugate.py) run their Horner steps
 H_j = A @ H_(j-1) + c_j * I on rows packed as one integer each, column j
 at 2**(w*j), whenever the slot width w is at most MAX_WIDTH; otherwise,
 and at n <= 3, they take matmuls.  The oracles are the cofactor
@@ -19,6 +20,7 @@ import ringmat.matrix as matrix_mod
 from helpers import plain_horner, plain_matmul
 from ringmat.charpoly import cayley_hamilton_residual
 from ringmat.matrix import (
+    MAX_JORDAN_BITS,
     MAX_WIDTH,
     Matrix,
     _minors_fit,
@@ -75,19 +77,23 @@ def _packs(a):
 
 
 @pytest.mark.parametrize("n,name,a", CASES, ids=IDS)
-def test_adjugate_and_coefficients_match_the_oracles(n, name, a, matmuls):
+def test_adjugate_and_coefficients_match_the_oracles(n, name, a, matmuls,
+                                                    horners):
     ds = adjugate_coefficients(a)
     assert ds == plain_horner(a, berkowitz(a))
+    horners[0] = 0
     adj = a.adjugate()
+    chained = horners[0] == 1     # else it eliminated, with no matmul
     if n:
         assert ds[0] == (-adj if (n - 1) & 1 else adj)
     # the cofactor DP is exponential: every n for one kind, n <= 8 else
     if n <= 8 or name == "small":
         assert adj == a.adjugate_cofactor()
     assert a @ adj == Matrix.identity(ZZ, n).scale(a.det())
-    # the generic route takes n - 2 matmuls for each of the two calls, the
-    # packed one none; one more is the check above
-    assert matmuls[0] == 1 + (0 if _packs(a) else 2 * max(n - 2, 0))
+    # the generic route takes n - 2 matmuls for each of the two calls
+    # that run the chain, the packed one none; one more is the check above
+    steps = 0 if _packs(a) else max(n - 2, 0)
+    assert matmuls[0] == 1 + steps + (steps if chained else 0)
 
 
 def test_both_routes_are_covered():
@@ -187,7 +193,9 @@ def test_packed_step_count(matmuls, monkeypatch):
     # adj and the D_k take n - 2 steps of n row products, n muls each on
     # entries with no zero, no matmul and no berkowitz; digits are read
     # once per row of D_0 for adj, and of D_0..D_(n-3) for the D_k, as
-    # D_(n-1) = I and D_(n-2) = A + c_1 * I are never packed
+    # D_(n-1) = I and D_(n-2) = A + c_1 * I are never packed.  The entries
+    # put adj's slots above MAX_JORDAN_BITS, so adjugate() takes the chain,
+    # and the chain's within MAX_WIDTH, so it packs
     reads = [0]
     digits = matrix_mod._digits
 
@@ -198,7 +206,10 @@ def test_packed_step_count(matmuls, monkeypatch):
     monkeypatch.setattr(matrix_mod, "_digits", counted)
     n = 12
     rng = random.Random(12)
-    entries = [rng.randint(1, 9) for _ in range(n * n)]
+    entries = [rng.randint(1, 9) << 30 for _ in range(n * n)]
+    top = max(entries)
+    assert _minors_fit(n - 1)(top, [])[0].bit_length() + 1 > MAX_JORDAN_BITS
+    assert _trace_fit(n)(top, [])[0].bit_length() + 1 <= MAX_WIDTH
     monkeypatch.setattr(matrix_mod, "berkowitz", None)
     for kernel, rows in ((Matrix.adjugate, n),
                          (adjugate_coefficients, n * (n - 2))):
