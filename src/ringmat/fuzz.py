@@ -96,34 +96,12 @@ class SplitMix64:
             if v < limit:
                 return v % n
 
-    def below_each(self, n: int, count: int) -> list:
-        """count uniform integers in [0, n): the values, and the state
-        after them, of count calls to below(n), with the generator
-        inlined for n <= 2**64.  Where next_u64 is overridden or wrapped,
-        every draw goes through it instead, so it still sees each one."""
-        if n <= 1 or n > 1 << 64 or type(self).next_u64 is not _NEXT_U64:
-            return [self.below(n) for _ in range(count)]
-        limit = (1 << 64) - ((1 << 64) % n)
-        s, out = self._state, []
-        while len(out) < count:
-            s = (s + _GOLDEN) & _MASK
-            z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-            z ^= z >> 31
-            if z < limit:
-                out.append(z % n)
-        self._state = s
-        return out
-
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], inclusive."""
         return lo + self.below(hi - lo + 1)
 
     def split(self) -> "SplitMix64":
         return SplitMix64(self.next_u64())
-
-
-_NEXT_U64 = SplitMix64.next_u64
 
 
 def fnv1a64(text: str) -> int:
@@ -170,30 +148,10 @@ def sample_element(rng: SplitMix64, ring: Ring, poly_degree: int = 1):
 
 def sample_matrix(rng: SplitMix64, ring: Ring, rows: int, cols: int,
                   poly_degree: int = 1) -> Matrix:
-    """rows * cols entries drawn in row-major order, the same values and
-    generator state as one sample_element per entry."""
-    return Matrix(ring, rows, cols,
-                  _sample_each(rng, ring, rows * cols, poly_degree))
-
-
-def _sample_each(rng: SplitMix64, ring: Ring, count: int,
-                 poly_degree: int) -> list:
-    """count entries from sample_element's distribution, drawn at once:
-    base scalars by below_each, in the order sample_element takes them."""
-    if isinstance(ring, IntegerRing):
-        return [v - 9 for v in rng.below_each(19, count)]
-    if isinstance(ring, ModRing):
-        return rng.below_each(ring.m, count)
-    if isinstance(ring, RationalRing):
-        small = [v - 5 if v < 5 else v - 4
-                 for v in rng.below_each(10, 2 * count)]
-        return list(map(Fraction, small[::2], small[1::2]))
-    if isinstance(ring, PolynomialRing):
-        k = poly_degree + 1
-        coeffs = _sample_each(rng, ring.base, k * count, poly_degree)
-        return [Polynomial(ring.base, coeffs[i:i + k])
-                for i in range(0, k * count, k)]
-    return [sample_element(rng, ring, poly_degree) for _ in range(count)]
+    return Matrix(ring, rows, cols, [
+        sample_element(rng, ring, poly_degree)
+        for _ in range(rows * cols)
+    ])
 
 
 def sample_singular(rng: SplitMix64, ring: Ring, n: int) -> Matrix:

@@ -737,9 +737,12 @@ def _jordan_adjugate(a: Matrix) -> Matrix | None:
 #     261-500      0.90-1.22            0.97-1.03          0.89-1.22
 #     500-1600     0.66-1.81            1.15-1.55          1.11-1.40
 #
-# A run beside other load read 1.01-1.16 at w = 175-200 and up to 1.34
-# at 225-250, and one batch of only two 10 x 10 matrices 1.21 at 199.
-# Above MAX_WIDTH the chain takes matmuls, hence the low 0.66.  A
+# The 175-200 band is within noise: a run beside other load read
+# 1.01-1.16 there (n = 8..12) and up to 1.34 at 225-250, and one batch
+# of only two 10 x 10 matrices 1.21 at 199.  Where the chain's trace
+# slots pass MAX_WIDTH it takes matmuls, and there elimination wins
+# (0.66-0.89 at n = 12 and 16, w = 640-1038), yet this gate, keyed on
+# w alone, sends those inputs to the chain.  A
 # 10 x 10 matrix with entries in [-9, 9] takes w = 48; an 8 x 8 one
 # lifted from num in [-9, 9] and den in [1, 9] about 100.
 MAX_JORDAN_BITS = 200

@@ -228,41 +228,3 @@ def test_below_above_two_to_the_64():
         assert all(0 <= v < n for v in draws) and len(set(draws)) == 50
     a = sample_matrix(stream(1, "wide"), ModRing(2 ** 89 - 1), 2, 2)
     assert all(0 <= v < 2 ** 89 - 1 for v in a._e)
-
-
-BATCH_RINGS = [ZZ, QQ, Z8, ModRing(1), ModRing(2**61 - 1), ModRing(2**64),
-               ModRing(2**64 + 1), ZT, PolynomialRing(Z8),
-               PolynomialRing(PolynomialRing(QQ)), PolynomialRing(ModRing(1))]
-
-
-@pytest.mark.parametrize("ring", BATCH_RINGS, ids=str)
-def test_sample_matrix_draws_as_sample_element_does(ring):
-    # one batch of draws gives the entries, and leaves the generator in
-    # the state, of one sample_element per entry in row-major order
-    for rows, cols in ((0, 0), (1, 1), (2, 5), (5, 5)):
-        for degree in (0, 1, 2):
-            batched, single = stream(8, "batch", rows, degree), \
-                stream(8, "batch", rows, degree)
-            a = sample_matrix(batched, ring, rows, cols, degree)
-            b = [sample_element(single, ring, degree)
-                 for _ in range(rows * cols)]
-            assert a == Matrix(ring, rows, cols, b)
-            assert batched.next_u64() == single.next_u64()
-
-
-def test_below_each_goes_through_an_overridden_next_u64():
-    # a generator whose next_u64 is overridden sees every draw, rejected
-    # ones included (a bound of 3 * 2**62 rejects a quarter of them): the
-    # state has taken one step per call, as many as the inlined batch
-    class Counting(SplitMix64):
-        __slots__ = ("calls",)
-
-        def next_u64(self):
-            self.calls += 1
-            return super().next_u64()
-    counting, plain = Counting(5), SplitMix64(5)
-    counting.calls = 0
-    assert counting.below_each(3 << 62, 40) == plain.below_each(3 << 62, 40)
-    assert counting.calls > 40
-    assert counting._state == plain._state == (
-        5 + counting.calls * 0x9E3779B97F4A7C15) % 2**64
