@@ -21,20 +21,21 @@ nested R[t]:
     MAX_SLOTS and integer entries wider than MAX_BAREISS_BITS, where
     CPython's quadratic division costs more than the products it saves,
     (-1)**n * c_n from berkowitz(), so O(n**4).
-  * adjugate(): over ZZ with n >= 3, fraction-free Gauss-Jordan
-    elimination of [A | I] (_bareiss with a right-hand side, below),
-    each row of I packed as one integer, n*(n-1) packed row updates and
-    (n-1)*n*(n-1)/2 entry updates with one exact division each, so
-    O(n**3), while the adj slot width is at most MAX_JORDAN_BITS; over
-    QQ and the towers below the same on their integer encoding.
-    Otherwise, and as the fallback when some column k < n - 1 has no
-    pivot: the charpoly coefficients summed by Horner in A, n - 2 steps
-    H -> A @ H + c * I, so O(n**4).  Over ZZ each c_j comes out of that
-    chain itself by the trace Cayley-Hamilton theorem (below), with no
-    berkowitz(), and a step runs on packed rows (below).  Over Z/m and
-    towers above MAX_SLOTS, one berkowitz() gives the c_j and a step is
-    the matmul H @ A, the same matrix as H is a polynomial in A.  The
-    D_k (adjugate_coefficients) always take the chain.
+  * adjugate(): over ZZ with n >= 3, det's fraction-free elimination
+    of [A | I] and back-substitution (_bareiss with a right-hand side,
+    below), each row of I packed as one integer: det's entry updates,
+    n*(n-1)/2 packed row updates and n - 1 packed back-substitution
+    rows, with one exact division each, so O(n**3), while the adj slot
+    width is at most MAX_SOLVE_BITS; over QQ and the towers below the
+    same on their integer encoding.  Otherwise, and as the fallback when
+    some column k < n - 1 has no pivot: the charpoly coefficients summed
+    by Horner in A, n - 2 steps H -> A @ H + c * I, so O(n**4).  Over ZZ
+    each c_j comes out of that chain itself by the trace Cayley-Hamilton
+    theorem (below), with no berkowitz(), and a step runs on packed rows
+    (below).  Over Z/m and towers above MAX_SLOTS, one berkowitz() gives
+    the c_j and a step is the matmul H @ A, the same matrix as H is a
+    polynomial in A.  The D_k (adjugate_coefficients) always take the
+    chain.
 
 Over QQ and over every tower R[t_1]...[t_d] (t_1 innermost) with R one
 of ZZ, Z/m and QQ, each kernel runs over ZZ on one integer encoding of
@@ -96,29 +97,33 @@ _minors_fit(n), so a packed pivot is 0 exactly when its minor is 0 as a
 polynomial: the elimination takes the pivots the polynomial matrix
 would.
 
-adjugate() over ZZ runs the same pass as Gauss-Jordan on [A | I]: step
-k also updates the rows above k, and with them row i of the right-hand
-side, packed as b_i = sum_j x_ij * 2**(w*j).  After step k every slot
-is a minor of the row-permuted [A | I], (k+2) x (k+2) in the rows below
-k (as above) and (k+1) x (k+1) in the rows at or above it (Cramer's
-rule), and before the division by the pivot of step k-1 it is that
-pivot times such a minor (Sylvester), so the pivot divides every slot.
-Packing is Z-linear, so it divides b_i exactly and the quotient packs
-the slot quotients, even where a slot has outgrown w and carried into
-its neighbour: only the final slots are read.  After the last step row
-i holds det(PA) * ((PA)**-1 @ P)_i = sign * adj(A)_i, with P the row
-swaps and sign = det P, as the rows of I were swapped with those of A;
-_bareiss negates them if sign < 0.  That last step needs no pivot search:
-its p = a_(n-1)(n-1) only multiplies, the division being by the pivot
-before, so p = 0, a singular A, is taken as it is: each update is an
-identity between minors that holds at every A whose earlier pivots are
-nonzero.  Only a column k < n - 1 with no pivot falls back, to the trace
-chain; that happens exactly when the first k + 1 columns of A are
+adjugate() over ZZ runs det's pass on [A | I], row i of the right-hand
+side packed as b_i = sum_j x_ij * 2**(w*j), and then back-substitutes.
+Let P be the row swaps the pass makes and sign = det P.  Every slot of
+b_i is updated as an entry of row i is, so after the pass it is, as
+above, the (i+1) x (i+1) minor of [PA | P] on rows 0..i, columns
+0..i-1 and that slot's column of P, and a_ij (j >= i) the one with
+column j; the divisions are exact (Sylvester).  So a_ii is the pivot of
+step i, and d = a_(n-1)(n-1) = det(PA).  X = adj(PA) @ P = sign * adj(A)
+solves PA @ X = d * P.  Each step replaces a row by p/p' times itself
+less a multiple of the pivot row, p and p' nonzero, so row i of the
+eliminated [A | I] is a rational combination of the rows of [PA | P],
+and X satisfies a_ii * X_i = d * b_i - sum_(j>i) a_ij * X_j.  For
+i <= n - 2, a_ii is a pivot the search found nonzero, so this gives X_i
+by one exact division.  X_(n-1) = b_(n-1): by Laplace along the last
+column both are det(PA) with that column replaced by a column of P, an
+identity with no division, so it holds at d = 0 too, and d only
+multiplies: a singular A needs no special case.  Packing is Z-linear,
+so each packed division is exact and its quotient packs the slot
+quotients, even where a slot has outgrown w and carried into its
+neighbour: only the final slots are read.  _bareiss negates the rows
+if sign < 0.  Only a column k < n - 1 with no pivot falls back, to the
+trace chain; that happens exactly when the first k + 1 columns of A are
 linearly dependent.  So every A of rank <= n - 2 falls back (adj = 0),
 and one of rank n - 1, a duplicated row included, does not whenever its
 first n - 1 columns are independent.  An adj entry is bounded by
 _minors_fit(n - 1), so w = bit_length(its bound) + 1 reads it back as
-a balanced digit, and the pass runs while w <= MAX_JORDAN_BITS (the
+a balanced digit, and the pass runs while w <= MAX_SOLVE_BITS (the
 table there).
 
 charpoly_coefficients() over ZZ is the same substitution with one
@@ -469,10 +474,11 @@ class Matrix:
         """Adjugate (classical adjoint): entry (i, j) is the (j, i) cofactor.
 
         Over ZZ with n >= 3, and over QQ and polynomial towers on the
-        integer encoding, by fraction-free Gauss-Jordan elimination of
-        [A | I] on packed rows (_jordan_adjugate) while the slots are at
-        most MAX_JORDAN_BITS wide.  Otherwise, or if the elimination
-        finds no pivot before its last column, as
+        integer encoding, by solving A @ X = det(A) * I: fraction-free
+        elimination of [A | I] on packed rows and back-substitution
+        (_solved_adjugate), while the slots are at most MAX_SOLVE_BITS
+        wide.  Otherwise, or if the elimination finds no pivot before
+        its last column, as
         adj(A) = (-1)**(n-1) * (c_0*A**(n-1) + ... + c_(n-1)*I) by
         Horner, the c_j from the trace recursion on the way, or over
         Z/m from berkowitz().  Neither forms a cofactor.  adj of any
@@ -605,8 +611,9 @@ def _adjugates(a: Matrix, every: bool) -> list:
     [adj(a)] = [(-1)**(n-1) * D_0]; over QQ and polynomial towers on the
     integer encoding, where _minors_fit(n - 1) bounds every D_k and D_k
     decodes at L**(n-1-k), adj as D_0.  Over ZZ adj(a) for n >= 3 comes
-    from _jordan_adjugate where it applies; otherwise _horner takes the
-    c_j by the trace recursion, and off ZZ from berkowitz()."""
+    from _solved_adjugate (elimination and back-substitution) where it
+    applies; otherwise _horner takes the c_j by the trace recursion, and
+    off ZZ from berkowitz()."""
     n = a.rows
     if lifted := _encode(a.ring, (a._e,), _minors_fit(n - 1)):
         (ints,), ctx = lifted
@@ -614,7 +621,7 @@ def _adjugates(a: Matrix, every: bool) -> list:
         return [Matrix(a.ring, n, n, _decode(d._e, ctx, n - 1 - k))
                 for k, d in enumerate(ds)]
     if isinstance(a.ring, IntegerRing):
-        if not every and n >= 3 and (adj := _jordan_adjugate(a)):
+        if not every and n >= 3 and (adj := _solved_adjugate(a)):
             return [adj]
         coeffs, fit = None, _trace_fit(n)
     else:           # bare Z/m, or a tower above MAX_SLOTS: never packs
@@ -664,54 +671,64 @@ def _bareiss(entries, n: int, rhs=None) -> int | None:
     last a_(n-1)(n-1) is det up to the sign.
 
     With rhs, a list of n integers b_i (a right-hand side B, one integer
-    per row, such as a packed row), the pass is Gauss-Jordan on [A | B]:
-    step k updates every row i != k, those above k too, and b_i with it,
-    b_i = (b_i * p - a_ik * b_k) / p'.  A last step k = n - 1 takes
-    p = a_(n-1)(n-1) as it stands, 0 included, with no search, as there
-    p only multiplies.  On return rhs holds the rows of adj(A) @ B, after
-    n*(n-1) updates of a b_i and (n-1)*n*(n-1)/2 entry updates, each with
-    one exact division (the module docstring).  A column k < n - 1 with
-    no pivot returns 0 without rhs and None with it.
+    per row, such as a packed row), each step also updates the b_i below
+    the pivot, b_i = (b_i * p - a_ik * b_k) / p', swapping them with the
+    rows of A.  Back-substitution then solves A @ X = det(A) * B with
+    d = a_(n-1)(n-1): X_(n-1) = b_(n-1), and for i = n-2 down to 0,
+    X_i = (d * b_i - sum_(j>i) a_ij * X_j) / a_ii, a_ii being the pivot
+    of step i.  On return rhs holds the rows of adj(A) @ B (the rows are
+    negated after an odd number of swaps), after n*(n-1)/2 updates of a
+    b_i, the entry updates above and n - 1 back-substitution rows, each
+    with one exact division (the module docstring).  d = 0, a singular
+    A, needs no special case.  A column k < n - 1 with no pivot returns
+    0 without rhs and None with it.
     """
     a = [list(entries[i * n:i * n + n]) for i in range(n)]
-    jordan = rhs is not None
     sign, prev = 1, 1
-    for k in range(n if jordan else n - 1):
+    for k in range(n - 1):
         for i in range(k, n):
-            if a[i][k] or k == n - 1:
+            if a[i][k]:
                 break
         else:
-            return None if jordan else 0
+            return 0 if rhs is None else None
         if i != k:
             a[k], a[i] = a[i], a[k]
-            if jordan:
+            if rhs is not None:
                 rhs[k], rhs[i] = rhs[i], rhs[k]
             sign = -sign
         top = a[k]
         p = top[k]
-        for r in a[:k] + a[k + 1:] if jordan else a[k + 1:]:
+        for r in a[k + 1:]:
             f = r[k]
             for j in range(k + 1, n):
                 r[j] = (r[j] * p - f * top[j]) // prev
-        if jordan:      # column k is as it was, as the updates start at k+1
+        if rhs is not None:     # column k is as it was: updates start at k+1
             b = rhs[k]
-            for i, r in enumerate(a):
-                if i != k:
-                    rhs[i] = (rhs[i] * p - r[k] * b) // prev
+            for i in range(k + 1, n):
+                rhs[i] = (rhs[i] * p - a[i][k] * b) // prev
         prev = p
-    if jordan and sign < 0:
-        rhs[:] = [-b for b in rhs]
-    return sign * a[-1][-1] if n else 1
+    if not n:
+        return 1
+    d = a[-1][-1]
+    if rhs is not None:
+        for i in range(n - 2, -1, -1):
+            r = a[i]
+            s = sum(map(mul, r[i + 1:], rhs[i + 1:]))
+            rhs[i] = (d * rhs[i] - s) // r[i]
+        if sign < 0:
+            rhs[:] = [-b for b in rhs]
+    return sign * d
 
 
-def _jordan_adjugate(a: Matrix) -> Matrix | None:
-    """adj(a) for a square a over ZZ by _bareiss on [a | I], row i of I
-    packed as 2**(w*i) with w = bit_length(_minors_fit(n - 1) bound) + 1,
-    while w <= MAX_JORDAN_BITS; None above it, or when some column
-    k < n - 1 has no pivot."""
+def _solved_adjugate(a: Matrix) -> Matrix | None:
+    """adj(a) for a square a over ZZ as the solution X of
+    a @ X = det(a) * I, by _bareiss on [a | I] with back-substitution,
+    row i of I packed as 2**(w*i) with w = bit_length(_minors_fit(n - 1)
+    bound) + 1, while w <= MAX_SOLVE_BITS; None above it, or when some
+    column k < n - 1 has no pivot."""
     n, e = a.rows, a._e
     w = _minors_fit(n - 1)(max(map(abs, e)), [])[0].bit_length() + 1
-    if w > MAX_JORDAN_BITS:
+    if w > MAX_SOLVE_BITS:
         return None
     rows = [1 << s for s in range(0, n * w, w)]
     if _bareiss(e, n, rows) is None:
@@ -720,32 +737,33 @@ def _jordan_adjugate(a: Matrix) -> Matrix | None:
 
 
 # The widest adj slot w, in bits, at which adjugate() over ZZ eliminates
-# (_jordan_adjugate) rather than running the trace chain.  The packed
-# rows are n*w bits wide, and each of the n*(n-1) updates of one divides
-# it in time quadratic in that width, where a chain step only multiplies
-# it by small entries.  Elimination's CPU time over the chain's (median
-# of 7-11 alternating batches, every result equal, 2-vCPU VM, CPython
-# 3.11), on entries uniform in [-M, M] (n = 3..16, M up to 10**20), on
-# lifted rationals (n = 3..10, num in [-9, 9], den in [1, 2..200]) and on
-# Z[t] and (Z/8)[t] (n = 3..8, degree 1-2, coefficients up to 99):
+# (_solved_adjugate) rather than running the trace chain.  The packed
+# rows are n*w bits wide, and each of the n*(n-1)/2 forward updates and
+# n - 1 back-substitution rows divides one in time quadratic in that
+# width, where a chain step only multiplies it by small entries.
+# Elimination's CPU time over the chain's (median of 9-11 alternating
+# batches of about 20 ms, every result equal, 2-vCPU VM, CPython 3.11),
+# on entries uniform in [-M, M] (n = 3..16, w up to 3300), on lifted
+# rationals (n = 3..10, num in [-9, 9], den in [1, 2..10**4]) and on
+# Z[t] and (Z/8)[t] (n = 3..8, degree 1-2, coefficients up to 10**4):
 #
 #     w (bits)     entries in [-M, M]   lifted rationals   Z[t], (Z/8)[t]
-#     8-64         0.55-0.93            0.68-0.90          0.77-0.98
-#     65-150       0.57-0.94            0.72-0.95          0.83-0.97
-#     151-200      0.72-0.99            0.88-0.95          0.88-0.96
-#     201-260      0.84-1.08                               0.98-1.10
-#     261-500      0.90-1.22            0.97-1.03          0.89-1.22
-#     500-1600     0.66-1.81            1.15-1.55          1.11-1.40
+#     7-64         0.37-0.85            0.62-0.99          0.76-1.03
+#     65-200       0.42-0.95            0.68-1.05          0.83-1.11
+#     201-300      0.53-1.03            0.86-0.89          0.81-0.95
+#     301-500      0.56-1.28            0.89-1.04          0.87-0.98
+#     501-1000     0.40-2.08            0.80-0.95          0.87-1.07
+#     1001-6100    0.88-2.26            0.98-1.59          1.00-1.08
 #
-# The 175-200 band is within noise: a run beside other load read
-# 1.01-1.16 there (n = 8..12) and up to 1.34 at 225-250, and one batch
-# of only two 10 x 10 matrices 1.21 at 199.  Where the chain's trace
-# slots pass MAX_WIDTH it takes matmuls, and there elimination wins
-# (0.66-0.89 at n = 12 and 16, w = 640-1038), yet this gate, keyed on
-# w alone, sends those inputs to the chain.  A
-# 10 x 10 matrix with entries in [-9, 9] takes w = 48; an 8 x 8 one
-# lifted from num in [-9, 9] and den in [1, 9] about 100.
-MAX_JORDAN_BITS = 200
+# n = 3 sets the gate: it read 0.92-0.98 up to w = 275, 0.95-1.04 at
+# 250-350, within noise, and 1.12-2.08 at 400-1000, as its chain is one
+# matmul; n = 4 read 0.86-0.95 up to 450 and 1.16-1.32 at 800-1000.  At
+# n >= 6 elimination still wins well past the gate (0.40-0.99 up to
+# w = 1000, 0.88-0.89 at n = 10 and 12 with w = 1500) and loses wider
+# (1.18-2.26 at 1500-3300), so a gate on w alone misprices the wide
+# end.  A 10 x 10 matrix with entries in [-9, 9] takes w = 48; an
+# 8 x 8 one lifted from num in [-9, 9] and den in [1, 9] about 110.
+MAX_SOLVE_BITS = 300
 
 
 def _integer_charpoly(entries, n: int) -> list:

@@ -1,10 +1,11 @@
-"""adj(A) over ZZ by fraction-free Gauss-Jordan on [A | I].
+"""adj(A) over ZZ by forward Bareiss on [A | I] and back-substitution.
 
 Over ZZ with n >= 3, Matrix.adjugate() runs _bareiss on A with the rows
 of I packed as one integer each, column j at 2**(w*j), while
-w <= MAX_JORDAN_BITS; QQ and every tower that _encode accepts reach it
-through the lift.  The last step takes its pivot as it stands, 0
-included, and only a column k < n - 1 with no pivot falls back to the
+w <= MAX_SOLVE_BITS; QQ and every tower that _encode accepts reach it
+through the lift.  The forward pass stops before its last column, so a
+last pivot of 0 needs no search, and back-substitution divides by the
+earlier pivots only; a column k < n - 1 with no pivot falls back to the
 trace chain (_horner), as does every n <= 2.  The oracles are the
 cofactor adjugate (n <= 8) and the plain Horner sum on the berkowitz()
 coefficients (every n), whose products are plain triple loops.
@@ -13,11 +14,13 @@ coefficients (every n), whose products are plain triple loops.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ringmat.matrix as matrix_mod
 from helpers import Z1, Z8, ZT, plain_horner, plain_matmul
 from ringmat.fuzz import sample_matrix, sample_singular, stream
 from ringmat.matrix import (
-    MAX_JORDAN_BITS,
+    MAX_SOLVE_BITS,
     Matrix,
     _bareiss,
     _encode,
@@ -114,8 +117,8 @@ def test_row_swaps_set_the_sign(n, horners):
 
 @pytest.mark.parametrize("n", [3, 4, 6, 8, 10, 12])
 def test_a_duplicated_row_takes_no_fallback(n, horners):
-    # rank n - 1: the last pivot is 0, and the last step divides by the
-    # pivot before, so the pass ends without a search; adj(A) != 0
+    # rank n - 1: the last pivot is 0, which the forward pass never
+    # searches for and back-substitution never divides by; adj(A) != 0
     for i in range(4):
         rng = stream(18, "jordan-singular", n, i)
         a = sample_singular(rng, ZZ, n)
@@ -176,12 +179,12 @@ def test_lifted_rings_match_the_oracles(label, horners):
 
 
 def _widest(n):
-    """The largest M whose n x n adj slots fit MAX_JORDAN_BITS."""
-    lo, hi = 0, 2 ** MAX_JORDAN_BITS
+    """The largest M whose n x n adj slots fit MAX_SOLVE_BITS."""
+    lo, hi = 0, 2 ** MAX_SOLVE_BITS
     while hi - lo > 1:
         mid = (lo + hi) // 2
         w = _minors_fit(n - 1)(mid, [])[0].bit_length() + 1
-        lo, hi = (mid, hi) if w <= MAX_JORDAN_BITS else (lo, mid)
+        lo, hi = (mid, hi) if w <= MAX_SOLVE_BITS else (lo, mid)
     return lo
 
 
@@ -193,7 +196,7 @@ def test_the_gate_switches_the_route(n, horners):
         rows = _random(rng, n, top)
         rows[0][0] = top
         a = _int(rows)
-        assert (_width(a) <= MAX_JORDAN_BITS) == eliminates
+        assert (_width(a) <= MAX_SOLVE_BITS) == eliminates
         horners[0] = 0
         _check(a)
         assert (horners[0] == 0) == eliminates
@@ -210,7 +213,7 @@ def test_the_gate_reads_the_lifted_width(horners):
              lambda: ZT.coerce(rng.randint(-10**12, 10**12)) + ZT.t())):
         for draw, eliminates in ((narrow, True), (wide, False)):
             a = Matrix(ring, 5, 5, [draw() for _ in range(25)])
-            assert (_width(a) <= MAX_JORDAN_BITS) == eliminates
+            assert (_width(a) <= MAX_SOLVE_BITS) == eliminates
             horners[0] = 0
             _check(a)
             assert (horners[0] == 0) == eliminates
@@ -232,3 +235,62 @@ def test_bareiss_with_a_right_hand_side():
     assert _bareiss((0, 1, 0, 1), 2, [1, 2]) is None
     rhs = [1, 2]                 # a last pivot of 0 is no early stop
     assert _bareiss((1, 1, 1, 1), 2, rhs) == 0 and rhs == [-1, 1]
+
+
+def test_bareiss_with_a_last_pivot_of_0():
+    # the last row a combination of the others: d = a_(n-1)(n-1) = 0, so
+    # back-substitution runs with d * b_i = 0 and still gives adj(A) @ b
+    rng = random.Random("jordan-last-pivot")
+    for n in range(4, 9):
+        rows = _random(rng, n)[:n - 1]
+        mix = [rng.randint(-3, 3) for _ in range(n - 1)]
+        rows.append([sum(c * r[j] for c, r in zip(mix, rows))
+                     for j in range(n)])
+        a = _int(rows)
+        b = [rng.randint(-99, 99) for _ in range(n)]
+        rhs = list(b)
+        assert _bareiss(a._e, n, rhs) == 0
+        adj = a.adjugate_cofactor()
+        assert not adj.is_zero()
+        assert rhs == [sum(x * y for x, y in zip(adj.row_list(i), b))
+                       for i in range(1, n + 1)]
+
+
+@st.composite
+def _wide_matrices(draw):
+    """n x n integer matrices, n <= 8, entries up to 2**64: random, with a
+    duplicated row, or with a last row that combines the others."""
+    n = draw(st.integers(1, 8))
+    entry = st.integers(-2**64, 2**64)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    kind = draw(st.sampled_from(("random", "duplicated", "combined")))
+    if kind == "duplicated" and n >= 2:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        rows[j] = list(rows[i])
+    elif kind == "combined":
+        mix = draw(st.lists(st.integers(-3, 3), min_size=n - 1,
+                            max_size=n - 1))
+        rows[-1] = [sum(c * r[j] for c, r in zip(mix, rows))
+                    for j in range(n)]
+    return _int(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_matrices())
+def test_wide_and_singular_draws_match_the_oracles(a):
+    n = a.rows
+    if n <= 6:
+        want = a.adjugate_cofactor()
+    else:
+        d_0 = plain_horner(a, berkowitz(a))[0]
+        want = -d_0 if (n - 1) & 1 else d_0
+    assert a.adjugate() == want
+    # eliminated past the gate too; it falls back exactly when the first
+    # n - 1 columns are dependent, that is when adj's last row is 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix_mod, "MAX_SOLVE_BITS", _width(a))
+        adj = matrix_mod._solved_adjugate(a)
+    assert (adj is None) == (not any(want.row_list(n)))
+    assert adj is None or adj == want

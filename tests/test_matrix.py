@@ -357,16 +357,18 @@ def test_det_over_zz_takes_n_cubed_entry_updates(berkowitz_rings):
 
 
 def test_adjugate_over_zz_takes_n_cubed_updates(berkowitz_rings):
-    # Gauss-Jordan on [A | I]: each of the n steps updates the n - 1 other
-    # packed rows of I and, at step k, n - 1 - k entries of each of
-    # those rows of A, every update with one exact division; no Ring.mul
+    # forward Bareiss on [A | I]: det's entry updates, and at step k the
+    # n - 1 - k packed rows of I below the pivot; then back-substitution
+    # divides each of the packed rows 0..n-2 once; every update with one
+    # exact division; no Ring.mul
     Counted, updates = _division_counter()
     n = 12
     ring = _CountingZZ()
     plain = _dense(ZZ, n)
     adj = Matrix(ring, n, n, map(Counted, plain._e)).adjugate()
     assert berkowitz_rings == [] and ring.muls == 0
-    assert updates[0] == n * (n - 1) + (n - 1) * n * (n - 1) // 2 == 858
+    assert updates[0] == ((n - 1) * n * (2 * n - 1) // 6 + n * (n - 1) // 2
+                          + n - 1) == 583
     d_0 = plain_horner(plain, berkowitz(plain))[0]
     assert adj._e == (-d_0 if (n - 1) & 1 else d_0)._e
 

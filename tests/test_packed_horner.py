@@ -20,7 +20,7 @@ import ringmat.matrix as matrix_mod
 from helpers import plain_horner, plain_matmul
 from ringmat.charpoly import cayley_hamilton_residual
 from ringmat.matrix import (
-    MAX_JORDAN_BITS,
+    MAX_SOLVE_BITS,
     MAX_WIDTH,
     Matrix,
     _minors_fit,
@@ -194,7 +194,7 @@ def test_packed_step_count(matmuls, monkeypatch):
     # entries with no zero, no matmul and no berkowitz; digits are read
     # once per row of D_0 for adj, and of D_0..D_(n-3) for the D_k, as
     # D_(n-1) = I and D_(n-2) = A + c_1 * I are never packed.  The entries
-    # put adj's slots above MAX_JORDAN_BITS, so adjugate() takes the chain,
+    # put adj's slots above MAX_SOLVE_BITS, so adjugate() takes the chain,
     # and the chain's within MAX_WIDTH, so it packs
     reads = [0]
     digits = matrix_mod._digits
@@ -208,7 +208,7 @@ def test_packed_step_count(matmuls, monkeypatch):
     rng = random.Random(12)
     entries = [rng.randint(1, 9) << 30 for _ in range(n * n)]
     top = max(entries)
-    assert _minors_fit(n - 1)(top, [])[0].bit_length() + 1 > MAX_JORDAN_BITS
+    assert _minors_fit(n - 1)(top, [])[0].bit_length() + 1 > MAX_SOLVE_BITS
     assert _trace_fit(n)(top, [])[0].bit_length() + 1 <= MAX_WIDTH
     monkeypatch.setattr(matrix_mod, "berkowitz", None)
     for kernel, rows in ((Matrix.adjugate, n),
