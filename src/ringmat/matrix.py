@@ -11,13 +11,13 @@ nested R[t]:
     balanced base 2**W digits of det(2**W * I - A) by _bareiss (below),
     O(n**3), with W from Hadamard's bound on the rows, while n*W <=
     MAX_CHARPOLY_BITS; over QQ and the towers below the same on their
-    integer encoding.  Otherwise, and over Z/m and towers above
+    row-scaled integer encoding.  Otherwise, and over Z/m and towers above
     MAX_SLOTS, berkowitz(): Samuelson-Berkowitz over the ring itself,
     about n**4/4 ring multiplications.
   * det(): over ZZ, Bareiss's fraction-free elimination (_bareiss),
     (n-1)*n*(2n-1)/6 entry updates with one exact division each, so
-    O(n**3); over QQ and the towers below the same on their integer
-    encoding.  Over Z/m, not a domain in general, towers above
+    O(n**3); over QQ and the towers below the same on their row-scaled
+    integer encoding.  Over Z/m, not a domain in general, towers above
     MAX_SLOTS and integer entries wider than MAX_BAREISS_BITS, where
     CPython's quadratic division costs more than the products it saves,
     (-1)**n * c_n from berkowitz(), so O(n**4).
@@ -27,7 +27,8 @@ nested R[t]:
     n*(n-1)/2 packed row updates and n - 1 packed back-substitution
     rows, with one exact division each, so O(n**3), while the adj slot
     width is at most MAX_SOLVE_BITS; over QQ and the towers below the
-    same on their integer encoding.  Otherwise, and as the fallback when
+    same on their row-scaled integer encoding, with the row scales in
+    place of I.  Otherwise, and as the fallback when
     some column k < n - 1 has no pivot: the charpoly coefficients summed
     by Horner in A, n - 2 steps H -> A @ H + c * I, so O(n**4).  Over ZZ
     each c_j comes out of that chain itself by the trace Cayley-Hamilton
@@ -38,16 +39,35 @@ nested R[t]:
     chain.
 
 Over QQ and over every tower R[t_1]...[t_d] (t_1 innermost) with R one
-of ZZ, Z/m and QQ, each kernel runs over ZZ on one integer encoding of
-the ring (_encode, _decode).  Over a QQ base, B = L*A with L the lcm of
-all coefficient denominators, and one exact division per result undoes
-it: c_k(A) = c_k(B) / L**k, D_k(A) = D_k(B) / L**(n-1-k) (so
-adj(A) = adj(B) / L**(n-1)) and A1 @ A2 = (B1 @ B2) / (L1 * L2), as
-these are homogeneous of degree k, n-1-k and (1, 1) in the entries.
+of ZZ, Z/m and QQ, each kernel runs over ZZ on an integer encoding of
+the ring (_encode, _decode).  Over a QQ base the denominators are
+cleared first, and one exact division per result undoes that:
+
+  * det, charpoly and adj clear them row by row: B = D*A with
+    D = diag(r_1, ..., r_n), r_i the lcm of row i's coefficient
+    denominators (1 when there are none), and d = det D = prod r_i.
+    Below n = ROW_SCALE_MIN_N every r_i is the lcm L of all of them,
+    where n lcms cost more than narrower rows save (the table there);
+    any r_i that clear row i would do.  Then det(A) = det(B) / d.  det(x*D - B) = d * det(x*I - A), so its
+    coefficients are the d * c_j(A), integers: d * c_j(A) is
+    (-1)**j * sum_(|S|=j) prod_(i not in S) r_i * det B[S, S].  And
+    adj(A) = adj(D**-1 @ B) = adj(B) @ adj(D**-1) = (adj(B) @ D) / d,
+    as adj(D**-1) = det(D**-1) * D.  Over Z, and towers over ZZ and
+    Z/m, D = I.
+  * matmul, p(A) (by matmuls) and the D_k keep one scale per part,
+    B = L*A with L the lcm of all its coefficient denominators:
+    D_k(A) = D_k(B) / L**(n-1-k) and A1 @ A2 = (B1 @ B2) / (L1 * L2), as
+    these are homogeneous of degree n-1-k and (1, 1) in the entries.
+
+A row's denominators need fewer bits than all of them: 8 x 8 matrices
+with num in [-9, 9] and den in [1, 9] have log2 r_i about 7.0 on
+average where log2 L is about 11.3, which takes the median n*W of
+charpoly below from 888 to 632 bits and the adj slot from 115 to 79.
 Over Z/m the residues in [0, m) are taken as integers.  Then
 t_i -> x**(D_1*...*D_(i-1)) and x -> 2**w.  A result is read back as
 its balanced base 2**w digits, each in [-2**(w-1), 2**(w-1)), regrouped
-D_1, D_2, ... at a time, and reduced mod m or divided by the L power.
+D_1, D_2, ... at a time, and reduced mod m or divided by d or the L
+power.
 
 This is exact.  Every kernel is a polynomial in the entries with integer
 coefficients, so it commutes with the ring maps
@@ -60,15 +80,20 @@ Balanced digits recover the coefficients from the value at 2**w while
 l1 norm of its polynomial, which is submultiplicative and subadditive;
 a product adds t_i-degrees.  With N the largest entry norm and d_i the
 largest t_i-degree of an entry, w = bit_length(norm bound) + 1 and
-D_i = 1 + the t_i-degree bound.  A kernel's fit maps (N, degrees) to
-(norm bound, degree bounds), from:
+D_i = 1 + the t_i-degree bound.  A kernel's fit maps (N, degrees, R),
+R the largest row scale r_i (1 where there are none), to (norm bound,
+degree bounds), from:
 
   * matmul (_matmul_fit): a sum of k products, norm <= k * N_A * N_B
     and t_i-degree <= d_A,i + d_B,i, taking N and d_i over each factor.
-  * c_j: a sum over the C(n, j) principal j x j minors of j! signed
-    products each, norm <= n!/(n-j)! * N**j <= n! * max(N, 1)**n and
+  * d * c_j: a sum over the C(n, j) principal j x j minors of B of j!
+    signed products each, times n - j row scales, norm
+    <= n!/(n-j)! * R**(n-j) * N**j <= n! * max(N, R, 1)**n and
     t_i-degree <= n * d_i.
-  * det: (-1)**n * c_n, so c_n's bounds.
+  * det: det B = (-1)**n * d * c_n, so c_n's bounds.
+  * adj(B) @ D (_adjugate_fit): an entry of adj(B), bounded as D_0
+    below, times one r_j: norm <= (n-1)! * max(N, 1)**(n-1) * R and
+    t_i-degree <= (n-1) * d_i.
   * D_k: an entry of D_k is the t**k coefficient of an (n-1) x (n-1)
     minor of t*I - A, a signed sum over k diagonal places that give t,
     C(n-1, k) choices at most, and a matching of the other n-1-k rows to
@@ -77,12 +102,13 @@ D_i = 1 + the t_i-degree bound.  A kernel's fit maps (N, degrees) to
     and its t_i-degree <= (n-1-k) * d_i <= (n-1) * d_i: the adjugate's
     bounds, as adj = (-1)**(n-1) * D_0, hold for every D_k.
 
-So c_j and det (e = n) and adj and every D_k (e = n - 1) are signed
-sums of at most e! products of at most e entries, and one fit bounds
-them all, _minors_fit(e): norm <= e! * max(N, 1)**e, t_i-degree
-<= e * d_i.  Only the results are decoded, so the lift of adj and the
-D_k is sized by _minors_fit(n - 1) although the c_j taken on the way
-are wider; the packed slots over ZZ below have their own fits.
+So d * c_j and det (e = n) and every D_k (e = n - 1, R = 1) are signed
+sums of at most e! products of at most e entries or row scales, and one
+fit bounds them all, _minors_fit(e): norm <= e! * max(N, R, 1)**e,
+t_i-degree <= e * d_i.  Only the results are decoded, so the lift of
+adj and the D_k is sized by _adjugate_fit(n) and _minors_fit(n - 1)
+although the c_j taken on the way are wider; the packed slots over ZZ
+below have their own fits.
 
 det() divides on the way, and exactly.  After step k of _bareiss (0
 first) the entry in row i and column j, both > k, is the (k+2) x (k+2)
@@ -97,23 +123,25 @@ _minors_fit(n), so a packed pivot is 0 exactly when its minor is 0 as a
 polynomial: the elimination takes the pivots the polynomial matrix
 would.
 
-adjugate() over ZZ runs det's pass on [A | I], row i of the right-hand
-side packed as b_i = sum_j x_ij * 2**(w*j), and then back-substitutes.
-Let P be the row swaps the pass makes and sign = det P.  Every slot of
-b_i is updated as an entry of row i is, so after the pass it is, as
-above, the (i+1) x (i+1) minor of [PA | P] on rows 0..i, columns
-0..i-1 and that slot's column of P, and a_ij (j >= i) the one with
-column j; the divisions are exact (Sylvester).  So a_ii is the pivot of
-step i, and d = a_(n-1)(n-1) = det(PA).  X = adj(PA) @ P = sign * adj(A)
-solves PA @ X = d * P.  Each step replaces a row by p/p' times itself
-less a multiple of the pivot row, p and p' nonzero, so row i of the
-eliminated [A | I] is a rational combination of the rows of [PA | P],
-and X satisfies a_ii * X_i = d * b_i - sum_(j>i) a_ij * X_j.  For
-i <= n - 2, a_ii is a pivot the search found nonzero, so this gives X_i
-by one exact division.  X_(n-1) = b_(n-1): by Laplace along the last
-column both are det(PA) with that column replaced by a column of P, an
-identity with no division, so it holds at d = 0 too, and d only
-multiplies: a singular A needs no special case.  Packing is Z-linear,
+adjugate() over ZZ runs det's pass on [A | D], D = diag(r_i) the row
+scales (I over ZZ itself), row i of the right-hand side packed as
+b_i = sum_j x_ij * 2**(w*j), first r_i * 2**(w*i), and then
+back-substitutes.  Let P be the row swaps the pass makes and
+sign = det P.  Every slot of b_i is updated as an entry of row i is, so
+after the pass it is, as above, the (i+1) x (i+1) minor of [PA | PD] on
+rows 0..i, columns 0..i-1 and that slot's column of PD, and a_ij
+(j >= i) the one with column j; the divisions are exact (Sylvester).
+So a_ii is the pivot of step i, and d = a_(n-1)(n-1) = det(PA).
+X = adj(PA) @ PD = sign * adj(A) @ D solves PA @ X = d * PD.  Each step
+replaces a row by p/p' times itself less a multiple of the pivot row, p
+and p' nonzero, so row i of the eliminated [A | D] is a rational
+combination of the rows of [PA | PD], and X satisfies
+a_ii * X_i = d * b_i - sum_(j>i) a_ij * X_j.  For i <= n - 2, a_ii is a
+pivot the search found nonzero, so this gives X_i by one exact
+division.  X_(n-1) = b_(n-1): by Laplace along the last column both are
+det(PA) with that column replaced by a column of PD, an identity with no
+division, so it holds at d = 0 too, and d only multiplies: a singular A
+needs no special case.  Packing is Z-linear,
 so each packed division is exact and its quotient packs the slot
 quotients, even where a slot has outgrown w and carried into its
 neighbour: only the final slots are read.  _bareiss negates the rows
@@ -121,31 +149,42 @@ if sign < 0.  Only a column k < n - 1 with no pivot falls back, to the
 trace chain; that happens exactly when the first k + 1 columns of A are
 linearly dependent.  So every A of rank <= n - 2 falls back (adj = 0),
 and one of rank n - 1, a duplicated row included, does not whenever its
-first n - 1 columns are independent.  An adj entry is bounded by
-_minors_fit(n - 1), so w = bit_length(its bound) + 1 reads it back as
-a balanced digit, and the pass runs while w <= MAX_SOLVE_BITS (the
-table there).
+first n - 1 columns are independent; the chain's adj(A) is then
+multiplied by D column by column.  An entry of adj(A) @ D is r_j times
+an (n-1) x (n-1) minor of A, whose rows are rows of A less one entry,
+so by Hadamard's inequality (below) it is at most r_j times the product
+of the other n - 1 rows' euclidean norms: at most ceil(sqrt(P)) *
+max r_i, P the product of the n - 1 largest squared row norms (one
+integer square root).  w = bit_length(that) + 1 reads it back as a
+balanced digit, and the pass runs while w <= MAX_SOLVE_BITS (the table
+there).
 
 charpoly_coefficients() over ZZ is the same substitution with one
-variable and no digit regrouping.  det(t*I - A) = sum_j c_j * t**(n-j)
-is a polynomial in t and the entries with integer coefficients, so its
-value at t = 2**W is det(2**W * I - A), an integer matrix that _bareiss
-takes exactly.  W is read off the rows (_hadamard_factors).  With r_i
-the euclidean norm of row i of A, c_j = (-1)**j * sum_(|S|=j) det A[S, S],
-and Hadamard's inequality (Bull. Sci. Math. 1893) bounds |det A[S, S]|
-by the product of its rows' norms, each at most r_i.  So with e_j the
-j-th elementary symmetric polynomial, |c_j| <= e_j(r) <= sum_k e_k(r)
-= prod_i (1 + r_i) <= B = prod_i (1 + ceil(r_i)), and W =
-bit_length(B) + 1 puts every c_j in [-2**(W-1), 2**(W-1)): the n + 1
-balanced base 2**W digits of det(2**W * I - A), lowest first, are c_n,
-..., c_0, and c_0 = 1 makes the top one nonzero; B >= 1 gives W >= 2.
-The bound holds for any integer matrix, a lifted QQ or tower one
-included, and it is read from the matrix rather than from its largest
-entry M: W is about 44 bits for a 10 x 10 matrix with entries in
-[-9, 9], where n! * max(M, 1)**n takes 55.  Eliminating 2**W * I - A
-divides minors up to n*W bits wide, so this route is taken only while
+variable and no digit regrouping.  For an integer A and D = diag(r_i)
+its row scales (D = I over ZZ itself), det(t*D - A) =
+sum_j d * c_j * t**(n-j), d = det D and c_j those of D**-1 @ A, is a
+polynomial in t and the entries with integer coefficients, so its value
+at t = 2**W is det(2**W * D - A), an integer matrix that _bareiss takes
+exactly.  W is read off the rows (_hadamard_factors).  With rho_i the
+euclidean norm of row i of A,
+d * c_j = (-1)**j * sum_(|S|=j) prod_(i not in S) r_i * det A[S, S], and
+Hadamard's inequality (Bull. Sci. Math. 1893) bounds |det A[S, S]| by
+the product of its rows' norms, each at most rho_i.  Expanding the
+product row by row, |d * c_j| <= sum_(|S|=j) prod_(i not in S) r_i *
+prod_(i in S) rho_i <= prod_i (r_i + rho_i) <= B =
+prod_i (r_i + ceil(rho_i)), and W = bit_length(B) + 1 puts every
+d * c_j in [-2**(W-1), 2**(W-1)): the n + 1 balanced base 2**W digits of
+det(2**W * D - A), lowest first, are d * c_n, ..., d * c_0, and
+d * c_0 = d >= 1 makes the top one nonzero; B >= 1 gives W >= 2.  The
+bound holds for any integer matrix, a lifted QQ or tower one included,
+and it is read from the matrix rather than from its largest entry M: W
+is about 44 bits for a 10 x 10 matrix with entries in [-9, 9], where
+n! * max(M, 1)**n takes 55.  Eliminating 2**W * D - A divides minors up
+to n*W bits wide, so this route is taken only while
 n*W <= MAX_CHARPOLY_BITS (the table there); a lifted QQ or tower
-matrix, whose packed entries are wide, crosses it sooner.
+matrix, whose packed entries are wide, crosses it sooner.  Above it,
+berkowitz() runs on L * D**-1 @ A, L = lcm(r_i), whose c_j are L**j
+times those of D**-1 @ A, so d * c_j = d * (its c_j) / L**j exactly.
 
 Intermediate values are never decoded and may exceed both bounds.  A
 result takes D_1*...*D_d digit slots however sparse: c_1 of entries
@@ -210,9 +249,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import accumulate, islice, permutations, repeat
 from math import factorial, isqrt, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from .poly import Polynomial, PolynomialRing
 from .rings import (
@@ -342,7 +381,8 @@ class Matrix:
         if lifted := _encode(self.ring, (self._e, other._e), _matmul_fit(k)):
             (x, y), ctx = lifted
             product = _product(Matrix(ZZ, n, k, x), Matrix(ZZ, k, m, y))
-            return Matrix(self.ring, n, m, _decode(product._e, ctx, 1))
+            return Matrix(self.ring, n, m,
+                          _decode(product._e, ctx, prod(ctx[1])))
         return _product(self, other)
 
     def scale(self, value) -> "Matrix":
@@ -376,16 +416,17 @@ class Matrix:
         """Determinant; det of 0 x 0 is 1.
 
         Over ZZ, _integer_det; over QQ and towers the same on the
-        integer encoding, at c_n's fit _minors_fit(n).  Over Z/m and
-        towers above MAX_SLOTS, (-1)**n * c_n of berkowitz().
+        row-scaled integer encoding B = D*A, at c_n's fit _minors_fit(n),
+        divided by det D.  Over Z/m and towers above MAX_SLOTS,
+        (-1)**n * c_n of berkowitz().
         """
         self.require_square("determinant")
         n, R = self.rows, self.ring
         if isinstance(R, IntegerRing):
             return _integer_det(self._e, n)
-        if lifted := _encode(R, (self._e,), _minors_fit(n)):
+        if lifted := _encode(R, (self._e,), _minors_fit(n), n):
             (ints,), ctx = lifted
-            return _decode([_integer_det(ints, n)], ctx, n)[0]
+            return _decode([_integer_det(ints, n)], ctx, prod(ctx[1]))[0]
         c_n = berkowitz(self)[-1]
         return R.neg(c_n) if n & 1 else c_n
 
@@ -543,16 +584,17 @@ def charpoly_coefficients(a: Matrix) -> list:
     """[c_0, ..., c_n] with det(t*I - a) = sum_j c_j * t**(n-j); c_0 = 1.
 
     Over ZZ, _integer_charpoly; over QQ and towers the same on the
-    integer encoding, at c's fit _minors_fit(n).  Over Z/m and towers
-    above MAX_SLOTS, berkowitz().
+    row-scaled integer encoding B = D*A, at the fit _minors_fit(n) of
+    det(x*D - B), divided by det D.  Over Z/m and towers above
+    MAX_SLOTS, berkowitz().
     """
     a.require_square("characteristic polynomial")
     n, R = a.rows, a.ring
     if isinstance(R, IntegerRing):
         return _integer_charpoly(a._e, n)
-    if lifted := _encode(R, (a._e,), _minors_fit(n)):
+    if lifted := _encode(R, (a._e,), _minors_fit(n), n):
         (ints,), ctx = lifted
-        return _decode(_integer_charpoly(ints, n), ctx, None)
+        return _decode(_integer_charpoly(ints, n, ctx[1]), ctx, prod(ctx[1]))
     return berkowitz(a)
 
 
@@ -608,21 +650,28 @@ def adjugate_coefficients(a: Matrix) -> list:
 
 def _adjugates(a: Matrix, every: bool) -> list:
     """[D_0, ..., D_(n-1)] of a square a with n >= 1 if every, else
-    [adj(a)] = [(-1)**(n-1) * D_0]; over QQ and polynomial towers on the
-    integer encoding, where _minors_fit(n - 1) bounds every D_k and D_k
-    decodes at L**(n-1-k), adj as D_0.  Over ZZ adj(a) for n >= 3 comes
-    from _solved_adjugate (elimination and back-substitution) where it
-    applies; otherwise _horner takes the c_j by the trace recursion, and
-    off ZZ from berkowitz()."""
+    [adj(a)] = [(-1)**(n-1) * D_0].  Over QQ and polynomial towers the
+    D_k run on the integer encoding B = L*A, where _minors_fit(n - 1)
+    bounds every D_k and D_k decodes at L**(n-1-k); adj(a) runs on the
+    row-scaled one B = D*A as adj(B) @ D (_scaled_adjugate), bounded by
+    _adjugate_fit(n), and decodes at det D.  Over ZZ adj(a) is
+    _scaled_adjugate at D = I; the D_k take the c_j in _horner by the
+    trace recursion, and off ZZ from berkowitz()."""
     n = a.rows
-    if lifted := _encode(a.ring, (a._e,), _minors_fit(n - 1)):
+    if every:
+        if lifted := _encode(a.ring, (a._e,), _minors_fit(n - 1)):
+            (ints,), ctx = lifted
+            ds = _adjugates(Matrix(ZZ, n, n, ints), every)
+            return [Matrix(a.ring, n, n,
+                           _decode(d._e, ctx, prod(ctx[1]) ** (n - 1 - k)))
+                    for k, d in enumerate(ds)]
+    elif lifted := _encode(a.ring, (a._e,), _adjugate_fit(n), n):
         (ints,), ctx = lifted
-        ds = _adjugates(Matrix(ZZ, n, n, ints), every)
-        return [Matrix(a.ring, n, n, _decode(d._e, ctx, n - 1 - k))
-                for k, d in enumerate(ds)]
+        x = _scaled_adjugate(Matrix(ZZ, n, n, ints), ctx[1])
+        return [Matrix(a.ring, n, n, _decode(x._e, ctx, prod(ctx[1])))]
     if isinstance(a.ring, IntegerRing):
-        if not every and n >= 3 and (adj := _solved_adjugate(a)):
-            return [adj]
+        if not every:
+            return [_scaled_adjugate(a)]
         coeffs, fit = None, _trace_fit(n)
     else:           # bare Z/m, or a tower above MAX_SLOTS: never packs
         coeffs, fit = berkowitz(a)[:n], _minors_fit(n - 1)
@@ -720,110 +769,162 @@ def _bareiss(entries, n: int, rhs=None) -> int | None:
     return sign * d
 
 
-def _solved_adjugate(a: Matrix) -> Matrix | None:
-    """adj(a) for a square a over ZZ as the solution X of
-    a @ X = det(a) * I, by _bareiss on [a | I] with back-substitution,
-    row i of I packed as 2**(w*i) with w = bit_length(_minors_fit(n - 1)
-    bound) + 1, while w <= MAX_SOLVE_BITS; None above it, or when some
-    column k < n - 1 has no pivot."""
+def _scaled_adjugate(a: Matrix, scales=()) -> Matrix:
+    """adj(a) @ D for a square a over ZZ with n >= 1, D the diagonal of
+    the positive integers scales (D = I if there are none):
+    _solved_adjugate for n >= 3 where it applies, else the trace chain
+    (_horner) with column j times r_j."""
+    n = a.rows
+    if n >= 3 and (x := _solved_adjugate(a, scales)):
+        return x
+    adj = _horner(a, None, _trace_fit(n), negate=(n - 1) & 1)[0]
+    if scales:
+        adj = Matrix(ZZ, n, n, list(map(mul, adj._e, scales * n)))
+    return adj
+
+
+def _solved_adjugate(a: Matrix, scales=()) -> Matrix | None:
+    """X = adj(a) @ D for a square a over ZZ, D the diagonal of the
+    positive integers scales (D = I if there are none), as the solution
+    of a @ X = det(a) * D, by _bareiss on [a | D] with back-substitution,
+    row i of D packed as r_i * 2**(w*i); None when w > MAX_SOLVE_BITS or
+    some column k < n - 1 has no pivot.  w = bit_length(bound) + 1 with
+    bound = ceil(sqrt(P)) * max r_i, P the product of the n - 1 largest
+    squared row norms: an entry of X is r_j times an (n-1) x (n-1) minor
+    of a, whose rows are rows of a less one entry (Hadamard's
+    inequality)."""
     n, e = a.rows, a._e
-    w = _minors_fit(n - 1)(max(map(abs, e)), [])[0].bit_length() + 1
+    squares = iter(map(mul, e, e))
+    top = prod(sorted(map(sum, zip(*[squares] * n)))[1:])
+    w = ((isqrt(top - 1) + 1 if top else 0)
+         * max(scales, default=1)).bit_length() + 1
     if w > MAX_SOLVE_BITS:
         return None
-    rows = [1 << s for s in range(0, n * w, w)]
+    shifts = range(0, n * w, w)
+    rows = ([r << s for r, s in zip(scales, shifts)] if scales
+            else [1 << s for s in shifts])
     if _bareiss(e, n, rows) is None:
         return None
     return Matrix(a.ring, n, n, [x for r in _digits(rows, w, n) for x in r])
 
 
 # The widest adj slot w, in bits, at which adjugate() over ZZ eliminates
-# (_solved_adjugate) rather than running the trace chain.  The packed
-# rows are n*w bits wide, and each of the n*(n-1)/2 forward updates and
-# n - 1 back-substitution rows divides one in time quadratic in that
-# width, where a chain step only multiplies it by small entries.
+# (_solved_adjugate) rather than running the trace chain; w is sized
+# from the rows (_solved_adjugate: Hadamard's bound times max r_i).
+# The packed rows are n*w bits wide, and each of the n*(n-1)/2 forward
+# updates and n - 1 back-substitution rows divides one in time quadratic
+# in that width, where a chain step only multiplies it by small entries.
 # Elimination's CPU time over the chain's (median of 9-11 alternating
 # batches of about 20 ms, every result equal, 2-vCPU VM, CPython 3.11),
-# on entries uniform in [-M, M] (n = 3..16, w up to 3300), on lifted
-# rationals (n = 3..10, num in [-9, 9], den in [1, 2..10**4]) and on
+# on entries uniform in [-M, M] (n = 3..16, w up to 2900), on lifted
+# rationals (n = 3..10, num in [-9, 9], den in [1, 9..10**40]) and on
 # Z[t] and (Z/8)[t] (n = 3..8, degree 1-2, coefficients up to 10**4):
 #
 #     w (bits)     entries in [-M, M]   lifted rationals   Z[t], (Z/8)[t]
-#     7-64         0.37-0.85            0.62-0.99          0.76-1.03
-#     65-200       0.42-0.95            0.68-1.05          0.83-1.11
-#     201-300      0.53-1.03            0.86-0.89          0.81-0.95
-#     301-500      0.56-1.28            0.89-1.04          0.87-0.98
-#     501-1000     0.40-2.08            0.80-0.95          0.87-1.07
-#     1001-6100    0.88-2.26            0.98-1.59          1.00-1.08
+#     7-64         0.43-0.82            0.59-0.94          0.80-0.94
+#     65-200       0.41-0.84            0.69-0.92          0.84-0.91
+#     201-300      0.66-0.95            0.83-0.88          -
+#     301-400      0.57-1.03            0.81-0.90          0.84-1.04
+#     401-600      0.65-1.22            0.90-1.05          0.94
+#     601-1000     0.55-1.11            0.84-1.12          0.83-1.02
+#     1001-2900    0.64-1.36            -                  1.26
 #
-# n = 3 sets the gate: it read 0.92-0.98 up to w = 275, 0.95-1.04 at
-# 250-350, within noise, and 1.12-2.08 at 400-1000, as its chain is one
-# matmul; n = 4 read 0.86-0.95 up to 450 and 1.16-1.32 at 800-1000.  At
-# n >= 6 elimination still wins well past the gate (0.40-0.99 up to
-# w = 1000, 0.88-0.89 at n = 10 and 12 with w = 1500) and loses wider
-# (1.18-2.26 at 1500-3300), so a gate on w alone misprices the wide
-# end.  A 10 x 10 matrix with entries in [-9, 9] takes w = 48; an
-# 8 x 8 one lifted from num in [-9, 9] and den in [1, 9] about 110.
+# n = 3 sets the gate, as its chain is one matmul: 0.90-0.95 at
+# w = 241-271, 0.98 at 301, 0.98-1.00 at 331, 1.03-1.06 at 361-401 and
+# 1.09-1.22 at 481-533; lifted rationals at n = 3 read 1.02-1.12 at
+# w = 383-934.  n = 4 reads 0.84-0.90 up to 500 and 1.00-1.02 at 722.  At
+# n >= 6 elimination still wins well past the gate (0.55-0.89 up to
+# w = 1500) and loses wider (1.15-1.36 at 1866-2934), so a gate on w
+# alone misprices the wide end.  A 10 x 10 matrix with entries in
+# [-9, 9] takes w = 40; an 8 x 8 one of num in [-9, 9] and den in
+# [1, 9], lifted row by row, about 79 (115 with one L for all rows).
 MAX_SOLVE_BITS = 300
 
 
-def _integer_charpoly(entries, n: int) -> list:
-    """[c_0, ..., c_n] of the n x n integer matrix A with these row-major
-    entries: the balanced base 2**W digits of det(2**W * I - A) by
-    _bareiss, W = bit_length(B) + 1 with B the product of the
-    _hadamard_factors, while n * W <= MAX_CHARPOLY_BITS; else
-    berkowitz(), as soon as a partial product of the factors, each >= 1,
-    puts n * W above the gate."""
+def _integer_charpoly(entries, n: int, scales=()) -> list:
+    """[d*c_0, ..., d*c_n] for the n x n integer matrix B with these
+    row-major entries and D the diagonal of the positive integers
+    scales (D = I if there are none), d = det D and c_j those of
+    D**-1 @ B: the coefficients of det(x*D - B), lowest last, which are
+    integers.  They are the balanced base 2**W digits of
+    det(2**W * D - B) by _bareiss,
+    W = bit_length(prod_i (r_i + ceil(||row_i||_2))) + 1 (from the
+    _hadamard_factors), while n * W <= MAX_CHARPOLY_BITS; else, as soon
+    as a partial product puts n * W above the gate, berkowitz() on
+    L * D**-1 @ B, L = lcm(r_i), whose c_j are L**j times those wanted."""
+    factors = _hadamard_factors(entries, n)
+    if scales:          # r_i + ceil(||row_i||_2)
+        factors = map(add, factors, [r - 1 for r in scales])
     bound = 1
-    for factor in _hadamard_factors(entries, n):
+    for factor in factors:
         bound *= factor
         if n * (bound.bit_length() + 1) > MAX_CHARPOLY_BITS:
-            return berkowitz(Matrix(ZZ, n, n, entries))
+            top, d = lcm(*scales), prod(scales)
+            rows = zip(scales or repeat(1), range(0, n * n, n))
+            lifted = [v * (top // s) for s, i in rows for v in entries[i:i + n]]
+            c = berkowitz(Matrix(ZZ, n, n, lifted))
+            return [x * d // top ** j for j, x in enumerate(c)]
     w = bound.bit_length() + 1
     shifted = [-v for v in entries]
-    for d in range(0, n * n, n + 1):
-        shifted[d] += 1 << w
+    diagonal = [r << w for r in scales] if scales else [1 << w] * n
+    for i, x in zip(range(0, n * n, n + 1), diagonal):
+        shifted[i] += x
     return _digits([_bareiss(shifted, n)], w)[0][::-1]
 
 
 # The widest n * W, in bits, at which _integer_charpoly eliminates.  The
-# determinant of 2**W * I - A is n * W bits wide, so _bareiss divides
+# determinant of 2**W * D - A is n * W bits wide, so _bareiss divides
 # minors that grow to that width.  Its CPU time over that of berkowitz()
-# (median of 7 alternating batches of 30 matrices, W from
-# _hadamard_factors, every result equal, 2-vCPU VM, CPython 3.11), on
-# entries uniform in [-M, M] (n = 2..14, M from 1 to 10**14) and on
-# lifted rationals (n = 6..10, num in [-9, 9], den in [1, 5..12]):
+# (median of 9 alternating batches of about 20 ms, W from the row scales
+# and _hadamard_factors, every result equal, 2-vCPU VM, CPython 3.11), on
+# entries uniform in [-M, M] (n = 2..14, M from 1 to 10**14), on
+# rationals lifted row by row (n = 4..10, num in [-9, 9], den in
+# [1, 9..10**4]) and on Z[t] and (Z/8)[t] (n = 3..6, degree 1-2):
 #
-#     n * W (bits)     entries in [-M, M]     lifted rationals
-#     6-84             0.75-0.86 (n = 2)
-#     15-910           0.43-0.82              0.59-0.94
-#     970-1022         0.73-1.02
-#     1078-1180        0.92-1.07              0.93-0.99
-#     1176-1274        0.98-1.25
-#     1274-1342        1.04-1.19
-#     1380-2200        1.27-1.92              1.14-1.40
+#     n * W (bits)     entries in [-M, M]   lifted rationals   Z[t], (Z/8)[t]
+#     4-500            0.40-0.66            0.65-0.69          0.72-0.82
+#     501-1000         0.57-0.79            0.69-0.71          0.82-0.85
+#     1001-1200        0.90                 0.91-0.94          -
+#     1201-1400        0.90-1.05            -                  0.88-1.00
+#     1401-2000        1.20-1.30            1.11               0.99
+#     2001-2600        1.69-1.76            0.92               -
 #
-# A 10 x 10 matrix with entries in [-9, 9] sits near 440; an 8 x 8 one
-# lifted from num in [-9, 9] and den in [1, 9] near 880.
+# No family crosses parity below about 1300, and integers cross it
+# there (1.05 at n = 8 and n * W = 1328), as before the row scales.  A
+# 10 x 10 matrix with entries in [-9, 9] sits near 440; an 8 x 8 one of
+# num in [-9, 9] and den in [1, 9], lifted row by row, near 630 (880
+# with one L for all rows).
 MAX_CHARPOLY_BITS = 1000
 
 
 def _hadamard_factors(entries, n: int):
     """1 + ceil(||row_i||_2) for each row i of the n x n integer matrix
     with these row-major entries, lazily, with ceil(sqrt(s)) =
-    isqrt(s - 1) + 1 on the row's exact sum of squares s.  Their product
-    B >= 1 bounds every |c_j| (the module docstring)."""
+    isqrt(s - 1) + 1 on the row's exact sum of squares s.  With row
+    scales r_i, prod_i (r_i - 1 + factor_i) >= 1 bounds every |d * c_j|
+    (the module docstring)."""
     squares = iter(map(mul, entries, entries))
     for s in map(sum, zip(*[squares] * n)):
         yield isqrt(s - 1) + 2 if s else 1
 
 
 def _minors_fit(e: int):
-    """The fit (N, degrees) -> (bound, degrees) of a signed sum of at most
-    e! products of at most e entries each: norm <= e! * max(N, 1)**e,
-    t_i-degree <= e * d_i.  It bounds c_k and det of an n x n matrix at
-    e = n, and every entry of adj and of every D_k at e = n - 1."""
-    return lambda m, degrees: (factorial(e) * max(m, 1) ** e,
-                               [e * g for g in degrees])
+    """The fit (N, degrees, r) -> (bound, degrees) of a signed sum of at
+    most e! products of at most e factors each, entries of norm <= N or
+    row scales <= r: norm <= e! * max(N, r, 1)**e, t_i-degree
+    <= e * d_i.  It bounds det B and the coefficients of det(x*D - B) of
+    an n x n matrix at e = n, and every entry of adj and of every D_k at
+    e = n - 1 (r = 1, no row scales)."""
+    return lambda m, degrees, r=1: (factorial(e) * max(m, r, 1) ** e,
+                                    [e * g for g in degrees])
+
+
+def _adjugate_fit(n: int):
+    """The fit of an entry of adj(B) @ D, D a diagonal of row scales
+    <= r: an adj entry, bounded by _minors_fit(n - 1), times one r_j."""
+    return lambda m, degrees, r=1: (
+        factorial(n - 1) * max(m, 1) ** (n - 1) * r,
+        [(n - 1) * g for g in degrees])
 
 
 def _trace_fit(n: int):
@@ -840,7 +941,7 @@ def _matmul_fit(k: int):
     """The fit of a sum of k products of one entry of each factor, which
     _encode measures as one: N the product of the factors' norms and d_i
     the sum of their t_i-degrees."""
-    return lambda m, degrees: (k * m, degrees)
+    return lambda m, degrees, r=1: (k * m, degrees)
 
 
 def _poly_fit(p: Polynomial, n: int):
@@ -862,8 +963,9 @@ def _horner(a: Matrix, coeffs, fit, every=False, negate=False) -> list:
     Cayley-Hamilton theorem: c_0 = 1 and j * c_j = -tr(a @ H_(j-1)), an
     exact division in Z.  Then H_j = D_(n-1-j) and fit is _trace_fit(n).
 
-    H_1 = coeffs[0] * a + coeffs[1] * I needs no product.  With a packed
-    width w (_packed_width) each later step takes n row products a_i . P
+    H_1 = coeffs[0] * a + coeffs[1] * I needs no product.  With d >= 3,
+    or d = 2 and n >= MIN_ONE_STEP_N, and a packed width w
+    (_packed_width), each later step takes n row products a_i . P
     over the rows P of H_(j-1), each packed as one integer with column k
     at 2**(w*k), reads c_j off their diagonal slots if coeffs is None,
     and adds c_j * 2**(w*i) to row i; the other entries are read
@@ -881,7 +983,8 @@ def _horner(a: Matrix, coeffs, fit, every=False, negate=False) -> list:
         h = a if lead == R.one() else a.scale(lead)
         c = -sum(a._e[::n + 1]) if traced else coeffs[1]
         out.append(h := _plus_scalar(h, c))
-    if d >= 2 and (w := _packed_width(a, fit)):
+    if (d > 2 or d == 2 and n >= MIN_ONE_STEP_N) and (
+            w := _packed_width(a, fit)):
         def read(packed, sign=1):
             digits = _digits([sign * v for v in packed], w, n)
             return Matrix(R, n, n, [x for row in digits for x in row])
@@ -936,6 +1039,20 @@ def _packed_width(a: Matrix, fit) -> int | None:
 MAX_WIDTH = 700
 
 
+# The least n at which a Horner run of one product step (d = 2, as
+# apply_poly() takes for deg p = 2, what fuzz.sample_commuting
+# evaluates) packs; longer runs pack from n = 4.  One step pays the
+# packing and the read-back once for a single product.  Packed over
+# matmul apply_poly() CPU time (median of 15-21 alternating batches,
+# entries in [-9, 9], 2-vCPU VM, CPython 3.11):
+#
+#     n:            4           5           6           7           8
+#     deg p = 2     1.04-1.13   1.08-1.21   0.85-1.04   0.93-0.95   0.83-0.88
+#     deg p = 3     0.76-0.84   0.73-0.80   0.70        -           0.57-0.59
+#     deg p = 4     0.70        0.65        0.59        -           0.47
+MIN_ONE_STEP_N = 7
+
+
 # A tower's results take D_1*...*D_d digit slots each.  Measured on
 # sparse entries t_1 + ... + t_d, the packed kernels beat Ring.dot up to
 # 729 slots and lost by up to 1.22x at 1024, so above this they are off.
@@ -970,21 +1087,57 @@ def _leaves(values, depth: int) -> list:
     return values
 
 
-def _integers(chain, entries) -> tuple:
-    """(trees, L): the entries as integer trees.  Over a QQ base, L is the
-    lcm of all coefficient denominators (1 when there are none) and the
-    trees are those of L * v, each rational read once; otherwise L = 1."""
+def _integers(chain, entries, cols: int = 0) -> tuple:
+    """(trees, scales): the entries as integer trees.  Over a QQ base,
+    with cols >= ROW_SCALE_MIN_N each row of cols entries, else all of
+    them as one, is scaled by its own lcm of coefficient denominators (1
+    when there are none), each rational read once, and scales lists
+    those, one per row with cols; otherwise there are no scales
+    (D = I)."""
     depth = len(chain) - 1
     if not isinstance(chain[-1], RationalRing):
         return [_tree(v, depth) if depth > 1 else v.coeffs
-                for v in entries], 1
-    ratios = [x.as_integer_ratio() for x in _leaves(entries, depth)]
-    scale = lcm(*[d for _, d in ratios])
-    ints = [p * (scale // d) for p, d in ratios]
+                for v in entries], []
+    if not cols or cols < ROW_SCALE_MIN_N:     # one L, for every row
+        ratios = [x.as_integer_ratio() for x in _leaves(entries, depth)]
+        scale = lcm(*[d for _, d in ratios])
+        ints = [p * (scale // d) for p, d in ratios]
+        scales = [scale] * (len(entries) // cols if cols else 1)
+    else:
+        starts, sizes = range(0, len(entries), cols), repeat(cols)
+        if depth:   # the coefficients of a row are its entries' leaves
+            rows = [_leaves(entries[i:i + cols], depth) for i in starts]
+            leaves, sizes = [x for r in rows for x in r], list(map(len, rows))
+            starts = accumulate(sizes, initial=0)
+        else:
+            leaves = entries
+        ratios = [x.as_integer_ratio() for x in leaves]
+        dens = [d for _, d in ratios]
+        spans = list(zip(starts, sizes))
+        scales = [lcm(*dens[i:i + k]) for i, k in spans]
+        ints = [p * (s // d) for s, (i, k) in zip(scales, spans)
+                for p, d in ratios[i:i + k]]
     if not depth:
-        return ints, scale
+        return ints, scales
     leaves = iter(ints)
-    return [_tree(v, depth, leaves) for v in entries], scale
+    return [_tree(v, depth, leaves) for v in entries], scales
+
+
+# The least n at which the square kernels scale each row by its own lcm;
+# below it every row takes the lcm L of all the denominators, which is
+# one lcm to take in place of n and leaves too little width to save.
+# Row scales over one L for every row (one process, median of 21
+# alternating batches, num and den in [1, 9] with random signs, every
+# result equal, 2-vCPU VM, CPython 3.11):
+#
+#     n:           3      4      5      6      7      8
+#     det          1.17   1.14   1.10   1.04   1.04   1.02
+#     charpoly     1.07   1.04   1.00   0.95   0.88   0.83
+#     adjugate     1.05   0.99   0.94   0.92   0.88   0.91
+#
+# With den up to 10**4, one L outgrows MAX_BAREISS_BITS and the gates
+# from n = 5 on, where row scales took det and adj to 0.07-0.58.
+ROW_SCALE_MIN_N = 6
 
 
 def _measure(trees, depth: int) -> tuple:
@@ -1002,8 +1155,8 @@ def _measure(trees, depth: int) -> tuple:
     return max([sum(map(abs, t)) for t in trees], default=0), degrees[::-1]
 
 
-def _context(chain, scale: int, bound: int, degrees) -> tuple | None:
-    """(chain, L, w, shifts, levels) for results of norm <= bound and
+def _context(chain, scales, bound: int, degrees) -> tuple | None:
+    """(chain, scales, w, shifts, levels) for results of norm <= bound and
     t_i-degree <= degrees[i-1]: t_i -> 2**shifts[i-1], and levels pairs
     each inner coefficient ring with its D_i.  None above MAX_SLOTS.
     degrees is never empty: a tower has at least one variable."""
@@ -1014,7 +1167,7 @@ def _context(chain, scale: int, bound: int, degrees) -> tuple | None:
         shifts.append(shifts[-1] * (g + 1))
     if levels and shifts[-1] // w * (degrees[-1] + 1) > MAX_SLOTS:
         return None
-    return chain, scale, w, shifts, levels
+    return chain, scales, w, shifts, levels
 
 
 def _pack(trees, shifts) -> list:
@@ -1031,44 +1184,47 @@ def _pack(trees, shifts) -> list:
     return out
 
 
-def _encode(ring: Ring, parts, fit) -> tuple | None:
+def _encode(ring: Ring, parts, fit, cols: int = 0) -> tuple | None:
     """(ints, ctx): the entries of each part as integers, one list per
-    part, each part scaled by its own L, and what _decode needs.  fit
-    maps (N, degrees) to the kernel's bounds on its results, with N the
-    product of the parts' largest entry norms and degrees the sums of
-    their largest t_i-degrees.  None if ring has no encoding (_tower) or
-    above MAX_SLOTS slots."""
+    part, and what _decode needs.  Each part is scaled by its own L, or
+    with cols, for one square part of cols columns, each row by its own
+    r_i (_integers); ctx[1] lists those scales, none off a QQ base.  fit
+    maps (N, degrees, r) to the kernel's bounds on its results, with N
+    the product of the parts' largest entry norms, degrees the sums of
+    their largest t_i-degrees and r the largest row scale (1 without
+    cols).  None if ring has no encoding (_tower) or above MAX_SLOTS
+    slots."""
     chain = _tower(ring)
     if not chain:
         return None
-    trees, scales = zip(*[_integers(chain, p) for p in parts])
+    trees, scales = zip(*[_integers(chain, p, cols) for p in parts])
+    scales = [s for part in scales for s in part]
     if len(chain) == 1:
-        return trees, (chain, prod(scales), 0, [], [])
+        return trees, (chain, scales, 0, [], [])
     norms, degrees = zip(*[_measure(t, len(chain) - 1) for t in trees])
-    ctx = _context(chain, prod(scales),
-                   *fit(prod(norms), [sum(g) for g in zip(*degrees)]))
+    ctx = _context(chain, scales,
+                   *fit(prod(norms), [sum(g) for g in zip(*degrees)],
+                        max(scales, default=1) if cols else 1))
     return ctx and ([_pack(t, ctx[3]) for t in trees], ctx)
 
 
-def _decode(ints, ctx, power) -> list:
-    """The ring elements that ints encode, each divided by L**power (the
-    k-th by L**k when power is None, as c_k is): balanced base 2**w
-    digits, reduced mod m over Z/m, regrouped D_1, D_2, ... at a time."""
-    chain, scale, w, _, levels = ctx
-    d = None if power is None else scale ** power
+def _decode(ints, ctx, den: int) -> list:
+    """The ring elements that ints encode, each divided by den over a QQ
+    base: balanced base 2**w digits, reduced mod m over Z/m, regrouped
+    D_1, D_2, ... at a time."""
+    chain, _, w, _, levels = ctx
     if not w:
-        return [Fraction(v, d or scale ** k) for k, v in enumerate(ints)]
+        return [Fraction(v, den) for v in ints]
     base, outer = chain[-1], chain[1]
     rational = isinstance(base, RationalRing)
     leaf = base.from_int if isinstance(base, ModRing) else None
     out, zero = [], None
-    for k, digits in enumerate(_digits(ints, w)):
+    for digits in _digits(ints, w):
         if not digits:            # a short cut: many results are 0
             zero = zero or Polynomial(outer)
             out.append(zero)
             continue
         if rational:
-            den = d or scale ** k
             digits = [Fraction(x, den) for x in digits]
         elif leaf:
             digits = list(map(leaf, digits))

@@ -2,8 +2,9 @@
 
 Over ZZ with n >= 3, Matrix.adjugate() runs _bareiss on A with the rows
 of I packed as one integer each, column j at 2**(w*j), while
-w <= MAX_SOLVE_BITS; QQ and every tower that _encode accepts reach it
-through the lift.  The forward pass stops before its last column, so a
+w <= MAX_SOLVE_BITS, w sized by Hadamard's bound on the rows; QQ and
+every tower that _encode accepts reach it through the row-scaled lift
+B = D*A, with the rows of D as the right-hand side.  The forward pass stops before its last column, so a
 last pivot of 0 needs no search, and back-substitution divides by the
 earlier pivots only; a column k < n - 1 with no pivot falls back to the
 trace chain (_horner), as does every n <= 2.  The oracles are the
@@ -12,6 +13,7 @@ coefficients (every n), whose products are plain triple loops.
 """
 
 import random
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,9 +24,9 @@ from ringmat.fuzz import sample_matrix, sample_singular, stream
 from ringmat.matrix import (
     MAX_SOLVE_BITS,
     Matrix,
+    _adjugate_fit,
     _bareiss,
     _encode,
-    _minors_fit,
     berkowitz,
 )
 from ringmat.poly import PolynomialRing
@@ -73,11 +75,19 @@ def _upper(rng, n):
 
 
 def _width(a):
-    """The adj slot width w of a's integer encoding (a itself over ZZ)."""
+    """The adj slot width w of a's row-scaled integer encoding (a itself
+    over ZZ): Hadamard's bound on an (n-1) x (n-1) minor, the ceiling of
+    the square root of the product of the n - 1 largest squared row
+    norms, times the largest row scale."""
     n = a.rows
-    lifted = _encode(a.ring, (a._e,), _minors_fit(n - 1))
-    ints = lifted[0][0] if lifted else a._e
-    return _minors_fit(n - 1)(max(map(abs, ints)), [])[0].bit_length() + 1
+    lifted = _encode(a.ring, (a._e,), _adjugate_fit(n), n)
+    ints, scales = (lifted[0][0], lifted[1][1]) if lifted else (a._e, [])
+    squares = sorted(sum(v * v for v in ints[i:i + n])
+                     for i in range(0, n * n, n))
+    top = prod(squares[1:])
+    root = isqrt(top)
+    return ((root + (root * root < top))
+            * max(scales, default=1)).bit_length() + 1
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -178,12 +188,19 @@ def test_lifted_rings_match_the_oracles(label, horners):
     assert (eliminated == 0) == (label == "poly-mod1"), eliminated
 
 
-def _widest(n):
-    """The largest M whose n x n adj slots fit MAX_SOLVE_BITS."""
+def _on_the_diagonal(rows, top):
+    """rows with top on the diagonal: the width grows with top."""
+    return _int([[top if i == j else v for j, v in enumerate(r)]
+                 for i, r in enumerate(rows)])
+
+
+def _widest(rows):
+    """The largest M whose adj slots fit MAX_SOLVE_BITS with M on the
+    diagonal of rows."""
     lo, hi = 0, 2 ** MAX_SOLVE_BITS
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        w = _minors_fit(n - 1)(mid, [])[0].bit_length() + 1
+        w = _width(_on_the_diagonal(rows, mid))
         lo, hi = (mid, hi) if w <= MAX_SOLVE_BITS else (lo, mid)
     return lo
 
@@ -191,11 +208,10 @@ def _widest(n):
 @pytest.mark.parametrize("n", [3, 4, 6, 8, 11])
 def test_the_gate_switches_the_route(n, horners):
     rng = random.Random(f"jordan-gate-{n}")
-    m = _widest(n)
+    rows = _random(rng, n)
+    m = _widest(rows)
     for top, eliminates in ((m, True), (m + 1, False)):
-        rows = _random(rng, n, top)
-        rows[0][0] = top
-        a = _int(rows)
+        a = _on_the_diagonal(rows, top)
         assert (_width(a) <= MAX_SOLVE_BITS) == eliminates
         horners[0] = 0
         _check(a)

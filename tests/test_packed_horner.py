@@ -22,6 +22,7 @@ from ringmat.charpoly import cayley_hamilton_residual
 from ringmat.matrix import (
     MAX_SOLVE_BITS,
     MAX_WIDTH,
+    MIN_ONE_STEP_N,
     Matrix,
     _minors_fit,
     _packed_width,
@@ -241,11 +242,26 @@ def test_apply_poly_matches_plain_powers(n, matmuls):
             p = Polynomial(ZZ, coeffs)
             matmuls[0] = 0
             got = apply_poly(p, a)
-            packs = _packed_width(a, _poly_fit(p, n)) is not None
+            packs = (_packed_width(a, _poly_fit(p, n)) is not None
+                     and (degree > 2 or n >= MIN_ONE_STEP_N))
             assert matmuls[0] == (0 if packs else max(degree - 1, 0))
             assert got == _power_sum(p, a)
         assert cayley_hamilton_residual(a).is_zero()
     assert apply_poly(Polynomial(ZZ, ()), a) == Matrix.zeros(ZZ, n, n)
+
+
+@pytest.mark.parametrize("n", [4, 5, MIN_ONE_STEP_N - 1, MIN_ONE_STEP_N, 8])
+def test_one_product_step_packs_from_min_one_step_n(n, matmuls):
+    # p(A) with deg p = 2 is one product step: a matmul below
+    # MIN_ONE_STEP_N and packed rows from there on; deg p = 3 packs at
+    # every n >= 4, on either side of that size
+    rng = random.Random(f"poly-gate-{n}")
+    a = _random(rng, n, 9)
+    for degree, packs in ((2, n >= MIN_ONE_STEP_N), (3, True)):
+        p = Polynomial(ZZ, [rng.randint(-9, 9) for _ in range(degree)] + [2])
+        matmuls[0] = 0
+        assert apply_poly(p, a) == _power_sum(p, a)
+        assert matmuls[0] == (0 if packs else degree - 1), (n, degree)
 
 
 def test_poly_width_bounds_every_power():

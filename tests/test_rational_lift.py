@@ -1,7 +1,8 @@
 """Rational kernels on the integer lift, against oracles that never lift.
 
-Over QQ, matmul, berkowitz, the adjugate and the D_k recursion clear
-denominators once (B = L*A over ZZ) and divide at the end.  The oracles
+Over QQ, matmul and the D_k recursion clear denominators once
+(B = L*A over ZZ), and det, charpoly and the adjugate row by row
+(tests/test_row_scaled_lift.py); each divides at the end.  The oracles
 here work on Fractions throughout: the subset-DP determinant, the
 cofactor adjugate, the trace-recursion charpoly, and plain Fraction
 sums for products.
@@ -9,7 +10,7 @@ sums for products.
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
@@ -53,9 +54,10 @@ CASES = _cases()
 
 
 def _lift(a: Matrix) -> tuple:
-    """(B, L) with B = L*a over ZZ: the integer encoding of QQ."""
+    """(B, L) with B = L*a over ZZ: the integer encoding of QQ that
+    matmul, p(A) and the D_k take."""
     (ints,), ctx = _encode(QQ, (a._e,), None)
-    return Matrix(ZZ, a.rows, a.cols, ints), ctx[1]
+    return Matrix(ZZ, a.rows, a.cols, ints), prod(ctx[1])
 
 
 def _fractions(m: Matrix) -> bool:
