@@ -1,25 +1,29 @@
 """Characteristic polynomials, adjugates, and their exact invariants.
 
 charpoly(A) computes chi_A = det(t*I - A) by matrix.charpoly_coefficients.
-Over ZZ its coefficients are the balanced base 2**W digits of the one
-integer det(2**W * I - A), W sized by Hadamard's bound on the rows of
-A, which Bareiss's elimination takes in O(n**3) while n*W stays narrow,
-and QQ and every tower with an integer encoding run the same on that
-encoding; wider, and over Z/m, it is the
-Samuelson-Berkowitz algorithm (matrix.berkowitz), O(n**4) ring
-operations over the ring of A itself.  Neither does polynomial
-arithmetic, and neither divides outside Z.  The coefficient matrices
+At n <= 2 on every ring, and at n = 3 over ZZ and Z/m, that is the closed
+form over the ring itself: c = (1, -tr A, c_2, -det A), c_2 the sum of
+the principal 2 x 2 minors.  Above that, over ZZ its coefficients are
+the balanced base 2**W digits of the one integer det(2**W * I - A), W
+sized by Hadamard's bound on the rows of A, which Bareiss's elimination
+takes in O(n**3) while n*W stays narrow, and QQ and every tower with an
+integer encoding run the same on that encoding; wider, and over Z/m, it
+is the Samuelson-Berkowitz algorithm (matrix.berkowitz), O(n**4) ring
+operations over the ring of A itself.  None of these does polynomial
+arithmetic in t, and none divides outside Z.  The coefficient matrices
 D_0 .. D_(n-1) of adj(t*I - A) = sum_k t**k * D_k are computed on first
 use by the Horner recursion
 
     D_(n-1) = I,        D_(k-1) = A @ D_k + c_(n-k) * I,
 
 from A alone in n - 2 steps (matrix.adjugate_coefficients); A @ D_k =
-D_k @ A as D_k is a polynomial in A.  Over ZZ, QQ and every tower with
-an integer encoding the chain takes each c_j itself, by the trace
-recursion below with an exact division in Z, and over ZZ a step is n
-row products on packed rows; over Z/m one more berkowitz() gives c and
-each step is a matmul.  The subset-DP det and the cofactor adjugate of
+D_k @ A as D_k is a polynomial in A.  Where the closed forms hold no
+step runs: D_(n-2) = A - tr(A) * I, and D_0 = adj(A) at n = 3 by its
+cofactors.  Above them, over ZZ, QQ and every tower with an integer
+encoding the chain takes each c_j itself, by the trace recursion below
+with an exact division in Z, and over ZZ a step is n row products on
+packed rows; over Z/m one more berkowitz() gives c and each step is a
+matmul.  The subset-DP det and the cofactor adjugate of
 t*I - A over the polynomial ring remain in the identities and tests as
 independent oracles.
 
@@ -54,7 +58,7 @@ class CharPolyData(FrozenRecord):
     of t**(n-j); D has length n with D[k] the coefficient matrix of t**k
     in adj(t*I - A), computed from matrix (A) alone on first access, so
     it never depends on c.  Over ZZ, QQ and the encodable towers that
-    takes no berkowitz(); over Z/m it takes one more.
+    takes no berkowitz(); over Z/m with n >= 4 it takes one more.
     """
 
     _fields = ("n", "chi", "c", "matrix")
@@ -95,10 +99,10 @@ def _assemble(a: Matrix, c) -> CharPolyData:
 
 def charpoly(a: Matrix) -> CharPolyData:
     """Characteristic polynomial of a square matrix, with no division
-    outside Z: over ZZ, QQ and the encodable towers by one Bareiss
-    elimination of 2**W * I - A, W from Hadamard's bound on the rows,
-    where n*W is narrow, else, and over Z/m, by Samuelson-Berkowitz
-    (matrix.charpoly_coefficients)."""
+    outside Z: at small n by its closed form; above it over ZZ, QQ and
+    the encodable towers by one Bareiss elimination of 2**W * I - A, W
+    from Hadamard's bound on the rows, where n*W is narrow, else, and
+    over Z/m, by Samuelson-Berkowitz (matrix.charpoly_coefficients)."""
     return _assemble(a, charpoly_coefficients(a))
 
 

@@ -7,6 +7,14 @@ rings with zero divisors (Z/m, including the zero ring Z/1) and over
 nested R[t]:
 
   * matmul: n*k*m products, one Ring.dot per output entry.
+  * det, charpoly, adj and the D_k at small n (_closed_form: n <= 2 on
+    every ring, n = 3 over ZZ and bare Z/m): their defining polynomials
+    in the entries, over the ring itself.  det is 1, a, ad - bc, or at
+    n = 3 the first row times adj's first column; c = (1, -tr A, the sum
+    of the principal 2 x 2 minors, -det A); adj is [[d, -b], [-c, a]] or
+    the nine 2 x 2 cofactors; D_(n-1) = I, D_(n-2) = A - tr(A) * I and,
+    at n = 3, D_0 = adj(A).  No lift, elimination, berkowitz() or Horner
+    step runs.  The bullets below are the larger n.
   * charpoly_coefficients(): the c_j of det(t*I - A).  Over ZZ, the
     balanced base 2**W digits of det(2**W * I - A) by _bareiss (below),
     O(n**3), with W from Hadamard's bound on the rows, while n*W <=
@@ -21,7 +29,7 @@ nested R[t]:
     MAX_SLOTS and integer entries wider than MAX_BAREISS_BITS, where
     CPython's quadratic division costs more than the products it saves,
     (-1)**n * c_n from berkowitz(), so O(n**4).
-  * adjugate(): over ZZ with n >= 3, det's fraction-free elimination
+  * adjugate(): over ZZ, det's fraction-free elimination
     of [A | I] and back-substitution (_bareiss with a right-hand side,
     below), each row of I packed as one integer: det's entry updates,
     n*(n-1)/2 packed row updates and n - 1 packed back-substitution
@@ -248,7 +256,7 @@ Laplace sign conventions, where the (i, j) cofactor carries (-1)**(i+j).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, islice, permutations, repeat
 from math import factorial, isqrt, lcm, prod
 from operator import add, mul
@@ -415,13 +423,17 @@ class Matrix:
     def det(self):
         """Determinant; det of 0 x 0 is 1.
 
-        Over ZZ, _integer_det; over QQ and towers the same on the
-        row-scaled integer encoding B = D*A, at c_n's fit _minors_fit(n),
-        divided by det D.  Over Z/m and towers above MAX_SLOTS,
-        (-1)**n * c_n of berkowitz().
+        Where _closed_form holds (n <= 2, and n = 3 over ZZ and Z/m), its
+        closed form over the ring itself (_small_det).  Otherwise over
+        ZZ, _integer_det; over QQ and towers the same on the row-scaled
+        integer encoding B = D*A, at c_n's fit _minors_fit(n), divided by
+        det D.  Over Z/m and towers above MAX_SLOTS, (-1)**n * c_n of
+        berkowitz().
         """
         self.require_square("determinant")
         n, R = self.rows, self.ring
+        if _closed_form(n, R):
+            return _small_det(R, self._e, n)
         if isinstance(R, IntegerRing):
             return _integer_det(self._e, n)
         if lifted := _encode(R, (self._e,), _minors_fit(n), n):
@@ -514,7 +526,9 @@ class Matrix:
     def adjugate(self) -> "Matrix":
         """Adjugate (classical adjoint): entry (i, j) is the (j, i) cofactor.
 
-        Over ZZ with n >= 3, and over QQ and polynomial towers on the
+        Where _closed_form holds (n <= 2, and n = 3 over ZZ and Z/m),
+        those cofactors over the ring itself (_small_adjugate).
+        Otherwise over ZZ, and over QQ and polynomial towers on the
         integer encoding, by solving A @ X = det(A) * I: fraction-free
         elimination of [A | I] on packed rows and back-substitution
         (_solved_adjugate), while the slots are at most MAX_SOLVE_BITS
@@ -522,8 +536,8 @@ class Matrix:
         its last column, as
         adj(A) = (-1)**(n-1) * (c_0*A**(n-1) + ... + c_(n-1)*I) by
         Horner, the c_j from the trace recursion on the way, or over
-        Z/m from berkowitz().  Neither forms a cofactor.  adj of any
-        1 x 1 matrix is (1); adj of the 0 x 0 matrix is itself.
+        Z/m from berkowitz().  adj of any 1 x 1 matrix is (1); adj of
+        the 0 x 0 matrix is itself.
         """
         self.require_square("adjugate")
         return _adjugates(self, every=False)[0] if self.rows else self
@@ -583,13 +597,17 @@ def _signed_permutations(n: int):
 def charpoly_coefficients(a: Matrix) -> list:
     """[c_0, ..., c_n] with det(t*I - a) = sum_j c_j * t**(n-j); c_0 = 1.
 
-    Over ZZ, _integer_charpoly; over QQ and towers the same on the
-    row-scaled integer encoding B = D*A, at the fit _minors_fit(n) of
+    Where _closed_form holds (n <= 2, and n = 3 over ZZ and Z/m), the
+    closed forms over the ring itself (_small_charpoly).  Otherwise over
+    ZZ, _integer_charpoly; over QQ and towers the same on the row-scaled
+    integer encoding B = D*A, at the fit _minors_fit(n) of
     det(x*D - B), divided by det D.  Over Z/m and towers above
     MAX_SLOTS, berkowitz().
     """
     a.require_square("characteristic polynomial")
     n, R = a.rows, a.ring
+    if _closed_form(n, R):
+        return _small_charpoly(R, a._e, n)
     if isinstance(R, IntegerRing):
         return _integer_charpoly(a._e, n)
     if lifted := _encode(R, (a._e,), _minors_fit(n), n):
@@ -640,9 +658,12 @@ def adjugate_coefficients(a: Matrix) -> list:
     Horner in a on the charpoly coefficients c: D_(n-1) = I and
     D_(k-1) = a @ D_k + c_(n-k) * I, so D_0 = (-1)**(n-1) * adj(a); this
     is D_k @ a + c_(n-k) * I, as D_k is a polynomial in a.  The first
-    step is a itself, so this costs n - 2 steps (_horner).  Over ZZ each
-    c_j is -tr(a @ D_(n-j)) / j, taken on the way, and over QQ and
-    polynomial towers the same runs on the integer encoding; over Z/m,
+    step is a itself, D_(n-2) = a - tr(a) * I, so where _closed_form
+    holds (n <= 2, and n = 3 over ZZ and Z/m) no step runs: D_0 is
+    -adj(a) at n = 2 and adj(a) at n = 3 (_small_adjugate).  Otherwise
+    this costs n - 2 steps (_horner).  Over ZZ each c_j is
+    -tr(a @ D_(n-j)) / j, taken on the way, and over QQ and polynomial
+    towers the same runs on the integer encoding; over Z/m,
     c = berkowitz(a).
     """
     return _adjugates(a, every=True) if a.rows else []
@@ -650,14 +671,25 @@ def adjugate_coefficients(a: Matrix) -> list:
 
 def _adjugates(a: Matrix, every: bool) -> list:
     """[D_0, ..., D_(n-1)] of a square a with n >= 1 if every, else
-    [adj(a)] = [(-1)**(n-1) * D_0].  Over QQ and polynomial towers the
-    D_k run on the integer encoding B = L*A, where _minors_fit(n - 1)
-    bounds every D_k and D_k decodes at L**(n-1-k); adj(a) runs on the
+    [adj(a)] = [(-1)**(n-1) * D_0].  Where _closed_form holds, adj(a) is
+    _small_adjugate, D_(n-1) = I, D_(n-2) = a - tr(a) * I and, at n = 3,
+    D_0 = adj(a).  Otherwise over QQ and polynomial towers the D_k run
+    on the integer encoding B = L*A, where _minors_fit(n - 1) bounds
+    every D_k and D_k decodes at L**(n-1-k); adj(a) runs on the
     row-scaled one B = D*A as adj(B) @ D (_scaled_adjugate), bounded by
     _adjugate_fit(n), and decodes at det D.  Over ZZ adj(a) is
     _scaled_adjugate at D = I; the D_k take the c_j in _horner by the
     trace recursion, and off ZZ from berkowitz()."""
-    n = a.rows
+    n, R = a.rows, a.ring
+    if _closed_form(n, R):
+        if not every:
+            return [Matrix(R, n, n, _small_adjugate(R, a._e, n))]
+        ds = [Matrix.identity(R, n)]
+        if n >= 2:
+            ds.insert(0, _plus_scalar(a, R.neg(reduce(R.add, a._e[::n + 1]))))
+        if n == 3:
+            ds.insert(0, Matrix(R, n, n, _small_adjugate(R, a._e, n)))
+        return ds
     if every:
         if lifted := _encode(a.ring, (a._e,), _minors_fit(n - 1)):
             (ints,), ctx = lifted
@@ -679,6 +711,81 @@ def _adjugates(a: Matrix, every: bool) -> list:
                    negate=not every and (n - 1) & 1)[::-1]
 
 
+# The square kernels' closed forms over the ring itself, which need no
+# lift, no elimination and no berkowitz(): they hold over every
+# commutative ring, as each is the defining polynomial in the entries.
+# Closed form over the general route, CPU time per call (one process,
+# median of 11 alternating batches of 200 fuzz.sample_matrix inputs,
+# every result equal, 2-vCPU VM, CPython 3.11); at n = 3 over QQ and
+# (Z/8)[t] against the lift that stays there:
+#
+#                  n = 2                      n = 3
+#                  det   char  adj   D_k      det   char  adj   D_k
+#     int          0.15  0.20  0.19  0.67     0.44  0.55  0.25  0.50
+#     mod 8        0.07  0.19  0.09  0.32     0.20  0.41  0.14  0.30
+#     rat          0.56  0.59  0.11  0.53     2.03  2.46  1.37  1.42
+#     (Z/8)[t]     0.48  0.47  0.12  0.34     1.29  1.73  1.28  1.29
+#
+# det and charpoly at n = 0, and n = 1, read 0.03-0.56.  So n <= 2 takes
+# them on every ring, and n = 3 only over ZZ and bare Z/m: over QQ and
+# the towers the lift packs each entry once and runs on integers, where
+# the 3 x 3 forms take 9-18 products of Fractions or polynomials.
+def _closed_form(n: int, ring: Ring) -> bool:
+    """Whether det, charpoly and adjugate of an n x n matrix over ring
+    take their closed forms (_small_det, _small_charpoly,
+    _small_adjugate)."""
+    return n <= 2 or n == 3 and isinstance(ring, (IntegerRing, ModRing))
+
+
+# adj(A) of a 3 x 3 A, row-major: entry k is e[p]*e[q] - e[r]*e[s] for
+# (p, q, r, s) = _ADJ3[k], e the row-major entries of A, so _ADJ3[::3]
+# is the first column and _ADJ3[::4] the diagonal.
+_ADJ3 = ((4, 8, 5, 7), (2, 7, 1, 8), (1, 5, 2, 4),
+         (5, 6, 3, 8), (0, 8, 2, 6), (2, 3, 0, 5),
+         (3, 7, 4, 6), (1, 6, 0, 7), (0, 4, 1, 3))
+
+
+def _cofactors(R: Ring, e, keys) -> list:
+    """e[p]*e[q] - e[r]*e[s] over R for each (p, q, r, s) in keys."""
+    mul, sub = R.mul, R.sub
+    return [sub(mul(e[p], e[q]), mul(e[r], e[s])) for p, q, r, s in keys]
+
+
+def _small_det(R: Ring, e, n: int):
+    """det of the n x n matrix with row-major entries e, n <= 3: 1, a,
+    ad - bc, or at n = 3 the first row times adj's first column."""
+    if n == 3:
+        return R.dot(e[:3], _cofactors(R, e, _ADJ3[::3]))
+    if n == 2:
+        return R.sub(R.mul(e[0], e[3]), R.mul(e[1], e[2]))
+    return e[0] if n else R.one()
+
+
+def _small_charpoly(R: Ring, e, n: int) -> list:
+    """[c_0, ..., c_n] of the n x n matrix with row-major entries e,
+    n <= 3: c_0 = 1, c_1 = -tr A, c_n = (-1)**n * det A and, at n = 3,
+    c_2 the sum of the principal 2 x 2 minors, adj's diagonal."""
+    c = [R.one()]
+    if n:
+        c.append(R.neg(reduce(R.add, e[::n + 1])))
+    if n == 3:
+        c.append(reduce(R.add, _cofactors(R, e, _ADJ3[::4])))
+    if n >= 2:
+        d = _small_det(R, e, n)
+        c.append(R.neg(d) if n & 1 else d)
+    return c
+
+
+def _small_adjugate(R: Ring, e, n: int) -> list:
+    """The row-major entries of adj of the n x n matrix with row-major
+    entries e, 1 <= n <= 3: (1), [[d, -b], [-c, a]], or _ADJ3."""
+    if n == 3:
+        return _cofactors(R, e, _ADJ3)
+    if n == 2:
+        return [e[3], R.neg(e[1]), R.neg(e[2]), e[0]]
+    return [R.one()]
+
+
 def _product(a: Matrix, b: Matrix) -> Matrix:
     """a @ b over a's ring, one Ring.dot per entry; shapes already checked."""
     R, dot = a.ring, a.ring.dot
@@ -690,10 +797,10 @@ def _product(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _integer_det(entries, n: int) -> int:
-    """det of the n x n integer matrix with these row-major entries:
-    _bareiss while every entry has at most MAX_BAREISS_BITS bits, else
-    (-1)**n * c_n of berkowitz()."""
-    if n and max(max(entries), -min(entries)).bit_length() > MAX_BAREISS_BITS:
+    """det of the n x n integer matrix with these row-major entries,
+    n >= 3 (smaller ones take _small_det): _bareiss while every entry has
+    at most MAX_BAREISS_BITS bits, else (-1)**n * c_n of berkowitz()."""
+    if max(max(entries), -min(entries)).bit_length() > MAX_BAREISS_BITS:
         c_n = berkowitz(Matrix(ZZ, n, n, entries))[-1]
         return -c_n if n & 1 else c_n
     return _bareiss(entries, n)
@@ -709,8 +816,9 @@ MAX_BAREISS_BITS = 512
 
 
 def _bareiss(entries, n: int, rhs=None) -> int | None:
-    """det of the n x n integer matrix A with these row-major entries, by
-    Bareiss's fraction-free elimination (Math. Comp. 22, 1968).
+    """det of the n x n integer matrix A, n >= 1, with these row-major
+    entries, by Bareiss's fraction-free elimination (Math. Comp. 22,
+    1968).
 
     Step k takes the first row at or below k with a nonzero entry in
     column k as the pivot row (a swap flips the sign; none at all means
@@ -756,8 +864,6 @@ def _bareiss(entries, n: int, rhs=None) -> int | None:
             for i in range(k + 1, n):
                 rhs[i] = (rhs[i] * p - a[i][k] * b) // prev
         prev = p
-    if not n:
-        return 1
     d = a[-1][-1]
     if rhs is not None:
         for i in range(n - 2, -1, -1):
@@ -770,12 +876,12 @@ def _bareiss(entries, n: int, rhs=None) -> int | None:
 
 
 def _scaled_adjugate(a: Matrix, scales=()) -> Matrix:
-    """adj(a) @ D for a square a over ZZ with n >= 1, D the diagonal of
-    the positive integers scales (D = I if there are none):
-    _solved_adjugate for n >= 3 where it applies, else the trace chain
-    (_horner) with column j times r_j."""
+    """adj(a) @ D for a square a over ZZ with n >= 3 (smaller ones take
+    _small_adjugate), D the diagonal of the positive integers scales
+    (D = I if there are none): _solved_adjugate where it applies, else
+    the trace chain (_horner) with column j times r_j."""
     n = a.rows
-    if n >= 3 and (x := _solved_adjugate(a, scales)):
+    if x := _solved_adjugate(a, scales):
         return x
     adj = _horner(a, None, _trace_fit(n), negate=(n - 1) & 1)[0]
     if scales:
@@ -829,10 +935,13 @@ def _solved_adjugate(a: Matrix, scales=()) -> Matrix | None:
 #     601-1000     0.55-1.11            0.84-1.12          0.83-1.02
 #     1001-2900    0.64-1.36            -                  1.26
 #
-# n = 3 sets the gate, as its chain is one matmul: 0.90-0.95 at
+# n = 3 set the gate, as its chain is one matmul: 0.90-0.95 at
 # w = 241-271, 0.98 at 301, 0.98-1.00 at 331, 1.03-1.06 at 361-401 and
 # 1.09-1.22 at 481-533; lifted rationals at n = 3 read 1.02-1.12 at
-# w = 383-934.  n = 4 reads 0.84-0.90 up to 500 and 1.00-1.02 at 722.  At
+# w = 383-934.  A 3 x 3 integer matrix takes the closed form
+# (_closed_form), so at n = 3 only lifted QQ and tower inputs reach this
+# gate, and the value stays.  n = 4 reads 0.84-0.90 up to 500 and
+# 1.00-1.02 at 722.  At
 # n >= 6 elimination still wins well past the gate (0.55-0.89 up to
 # w = 1500) and loses wider (1.15-1.36 at 1866-2934), so a gate on w
 # alone misprices the wide end.  A 10 x 10 matrix with entries in

@@ -32,3 +32,17 @@ def horners(monkeypatch):
 
     monkeypatch.setattr(matrix_mod, "_horner", spy)
     return calls
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The number of matrix._bareiss passes run so far."""
+    calls = [0]
+    bareiss = matrix_mod._bareiss
+
+    def spy(*args):
+        calls[0] += 1
+        return bareiss(*args)
+
+    monkeypatch.setattr(matrix_mod, "_bareiss", spy)
+    return calls

@@ -1,10 +1,11 @@
 """det by Bareiss elimination over Z and every lifted ring.
 
-Over ZZ, Matrix.det() runs _bareiss on the entries; over QQ and every
-tower that _encode accepts it runs _bareiss on the integer encoding at
-the fit of c_n.  Over bare Z/m, towers above MAX_SLOTS and integers
-(or encodings) with an entry wider than MAX_BAREISS_BITS it keeps
-(-1)**n * c_n of berkowitz().  The oracles are the column-subset DP and
+Over ZZ with n >= 4, Matrix.det() runs _bareiss on the entries; over QQ
+and every tower that _encode accepts it runs _bareiss on the integer
+encoding at the fit of c_n from n = 3.  Over bare Z/m, towers above
+MAX_SLOTS and integers (or encodings) with an entry wider than
+MAX_BAREISS_BITS it keeps (-1)**n * c_n of berkowitz().  Smaller
+matrices take the closed forms (test_closed_forms.py).  The oracles are the column-subset DP and
 the Leibniz sum, and the pivots below are forced to zero on purpose.
 """
 
@@ -151,7 +152,6 @@ def test_rational_polynomial_entries():
 
 
 def test_small_cases_of_the_elimination():
-    assert _bareiss((), 0) == 1
     assert _bareiss((0,), 1) == 0
     assert _bareiss((-7,), 1) == -7
     assert _bareiss((0, 1, 1, 0), 2) == -1
@@ -160,12 +160,14 @@ def test_small_cases_of_the_elimination():
 
 
 def _sparse_deep_tower():
-    # 2 x 2 over Z[t][u] with t- and u-degree 20: det would take 41 * 41
-    # slots, above MAX_SLOTS
+    # 3 x 3 over Z[t][u] with t- and u-degree 20: det would take 61 * 61
+    # slots, above MAX_SLOTS (a 2 x 2 one takes the closed form)
     t = Polynomial(ZZ, [0] * 20 + [1])
     u = Polynomial(ZT, [ZT.zero()] * 20 + [ZT.one()])
-    return Matrix(ZTU, 2, 2, [ZTU.add(u, Polynomial(ZT, [t])), ZTU.one(),
-                              ZTU.one(), u])
+    zero, one = ZTU.zero(), ZTU.one()
+    return Matrix(ZTU, 3, 3, [ZTU.add(u, Polynomial(ZT, [t])), one, zero,
+                              one, u, zero,
+                              zero, one, u])
 
 
 def _route_cases():
@@ -190,10 +192,11 @@ def test_det_routes_by_ring(berkowitz_rings, label, calls, a):
 
 def test_wide_entries_take_berkowitz(berkowitz_rings):
     # up to MAX_BAREISS_BITS bits det eliminates; one bit more and it
-    # takes c_n, over ZZ and on a tower's encoding alike
+    # takes c_n, over ZZ and on a tower's encoding alike (n <= 3 over ZZ
+    # takes the closed form)
     rng = random.Random("bits")
     for bits, calls in ((MAX_BAREISS_BITS, 0), (MAX_BAREISS_BITS + 1, 1)):
-        for n in range(1, 6):
+        for n in range(4, 9):
             entries = [rng.randint(-9, 9) for _ in range(n * n)]
             entries[rng.randrange(n * n)] = rng.choice((-1, 1)) * (2**bits - 1)
             a = Matrix(ZZ, n, n, entries)
@@ -210,7 +213,7 @@ def test_wide_entries_take_berkowitz(berkowitz_rings):
 
 def test_the_deep_case_is_above_the_slot_bound():
     a = _sparse_deep_tower()
-    assert _encode(a.ring, (a._e,), _minors_fit(2)) is None
+    assert _encode(a.ring, (a._e,), _minors_fit(3)) is None
 
 
 @pytest.mark.parametrize("ring", [ZT, ZTU, QT], ids=["poly", "poly-poly", "poly-rat"])
@@ -224,6 +227,15 @@ def test_det_width_is_not_a_bit_too_short(ring):
                                     [_const(ring, big), _const(ring, big)]])
         assert a.det() == _const(ring, 2 * big * big)
         assert charpoly(a).c[2] == _const(ring, 2 * big * big)
+        # n = 2 takes the closed form, n = 3 still lifts: rows of +-N with
+        # det 4 * N**3 = 2**(3k+2), the top of a slot one bit short of the
+        # fit 3! * N**3, and with two rows swapped c_3 = 4 * N**3
+        signs = ((1, 1, 1), (1, -1, 1), (1, 1, -1))
+        p, q = (Matrix.from_rows(ring, [[_const(ring, s * big) for s in r]
+                                        for r in rows])
+                for rows in (signs, (signs[1], signs[0], signs[2])))
+        assert p.det() == _const(ring, 4 * big ** 3)
+        assert charpoly(q).c[3] == _const(ring, 4 * big ** 3)
 
 
 def _const(ring, v):
@@ -268,4 +280,4 @@ def test_adjugate_width_is_not_a_bit_too_short(ring):
                                     [c[0], c[2], c[2]]])
         d = charpoly(b).D
         assert d[0].entry(1, 1) == _const(ring, 2 * big * big)
-        assert d[0] == b.adjugate_cofactor()
+        assert d[0] == b.adjugate_cofactor() == b.adjugate()

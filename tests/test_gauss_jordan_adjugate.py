@@ -1,18 +1,22 @@
 """adj(A) over ZZ by forward Bareiss on [A | I] and back-substitution.
 
-Over ZZ with n >= 3, Matrix.adjugate() runs _bareiss on A with the rows
+Over ZZ with n >= 4, Matrix.adjugate() runs _bareiss on A with the rows
 of I packed as one integer each, column j at 2**(w*j), while
 w <= MAX_SOLVE_BITS, w sized by Hadamard's bound on the rows; QQ and
 every tower that _encode accepts reach it through the row-scaled lift
-B = D*A, with the rows of D as the right-hand side.  The forward pass stops before its last column, so a
-last pivot of 0 needs no search, and back-substitution divides by the
-earlier pivots only; a column k < n - 1 with no pivot falls back to the
-trace chain (_horner), as does every n <= 2.  The oracles are the
+B = D*A, with the rows of D as the right-hand side, from n = 3.  The
+forward pass stops before its last column, so a last pivot of 0 needs no
+search, and back-substitution divides by the earlier pivots only; a
+column k < n - 1 with no pivot falls back to the trace chain (_horner).
+n <= 3 over ZZ, and n <= 2 everywhere, take the closed forms instead
+(test_closed_forms.py), so the route cases at n = 3 run on a lifted
+rational.  The oracles are the
 cofactor adjugate (n <= 8) and the plain Horner sum on the berkowitz()
 coefficients (every n), whose products are plain triple loops.
 """
 
 import random
+from fractions import Fraction
 from math import isqrt, prod
 
 import pytest
@@ -57,6 +61,17 @@ def _int(rows):
     return Matrix.from_rows(ZZ, rows)
 
 
+def _rat(rows, den=7):
+    """rows / den over QQ, which adjugate() takes on the integer lift."""
+    return Matrix.from_rows(QQ, [[Fraction(v, den) for v in r] for r in rows])
+
+
+def _routed(rows):
+    """rows over ZZ, or at n = 3, where ZZ takes the closed form, over QQ
+    (_rat), which still eliminates on its lift."""
+    return _int(rows) if len(rows) > 3 else _rat(rows)
+
+
 def _random(rng, n, top=9):
     return [[rng.randint(-top, top) for _ in range(n)] for _ in range(n)]
 
@@ -91,14 +106,17 @@ def _width(a):
 
 
 @pytest.mark.parametrize("n", range(13))
-def test_every_size_matches_the_oracles(n, horners):
-    # n >= 3 eliminates, n = 1, 2 take the chain, n = 0 is returned as is
+def test_every_size_matches_the_oracles(n, horners, eliminations):
+    # n >= 4 eliminates, n = 1..3 take the closed form with neither an
+    # elimination nor the chain, n = 0 is returned as is
     rng = random.Random(f"jordan-{n}")
     for _ in range(3 if n <= 8 else 1):
         a = _invertible(rng, n)
-        horners[0] = 0
+        horners[0] = eliminations[0] = 0
+        a.adjugate()
+        assert horners[0] == 0, n
+        assert eliminations[0] == (n >= 4), n
         _check(a)
-        assert horners[0] == (0 if n >= 3 or n == 0 else 1), n
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -151,7 +169,7 @@ def test_a_zero_first_column_falls_back(n, horners):
     for r in rows:
         r[0] = 0
     horners[0] = 0
-    _check(_int(rows))
+    _check(_routed(rows))
     assert horners[0] == 1
 
 
@@ -165,8 +183,9 @@ def test_rank_at_most_n_minus_2_has_zero_adjugate(n, horners):
                                    for _ in range(n * rank)])
         high = Matrix(ZZ, rank, n, [rng.randint(-9, 9)
                                     for _ in range(rank * n)])
+        product = plain_matmul(low, high)
         horners[0] = 0
-        adj = _check(plain_matmul(low, high))
+        adj = _check(_routed([product.row_list(i) for i in range(1, n + 1)]))
         assert adj.is_zero()
         assert horners[0] == 1
 
@@ -189,9 +208,10 @@ def test_lifted_rings_match_the_oracles(label, horners):
 
 
 def _on_the_diagonal(rows, top):
-    """rows with top on the diagonal: the width grows with top."""
-    return _int([[top if i == j else v for j, v in enumerate(r)]
-                 for i, r in enumerate(rows)])
+    """rows with top on the diagonal (_routed): the width grows with
+    top."""
+    return _routed([[top if i == j else v for j, v in enumerate(r)]
+                    for i, r in enumerate(rows)])
 
 
 def _widest(rows):

@@ -299,20 +299,23 @@ def _sparse_tower_matrix(n, depth, variables=None):
     return Matrix(R, n, n, [total] * (n * n))
 
 
-@pytest.mark.parametrize("n,variables", [(1, 64), (2, 8)])
+@pytest.mark.parametrize("n,variables", [(1, 64), (2, 8), (3, 5)])
 def test_deep_sparse_towers_fall_back_to_ring_dot(n, variables):
     # in a 64-deep tower c_k has degree k in each variable that occurs:
-    # packing c_1 of t_1 + ... + t_64 densely would take 2**64 slots, and
-    # c_2 of a 2 x 2 matrix of t_1 + ... + t_8 takes 3**8, so charpoly
-    # keeps Ring.dot
+    # packing c_1 of t_1 + ... + t_64 densely would take 2**64 slots, c_2
+    # of a 2 x 2 matrix of t_1 + ... + t_8 takes 3**8 and c_3 of a 3 x 3
+    # one of t_1 + ... + t_5 4**5, so none packs.  At n <= 2 charpoly is
+    # the closed form in the ring's own mul, add and neg, with no dot; at
+    # n = 3 over a tower it keeps Ring.dot
     calls = {"add": 0, "mul": 0, "sub": 0, "dot": 0}
     a = _sparse_tower_matrix(n, 64, variables)
     rings = _counting_tower("int", 64, calls)
     counted = Matrix(rings[-1], n, n, [_rebuild(v, rings, 64) for v in a._e])
     data = charpoly(counted)
-    assert calls["dot"] > 0
+    assert (calls["dot"] > 0) == (n == 3)
     assert data.c[1] == a.ring.neg(a.trace())
-    assert data.c[n] == (a.det_subset_dp() if n == 2 else a.ring.neg(a._e[0]))
+    det = a.det_subset_dp()
+    assert data.c[n] == (a.ring.neg(det) if n & 1 else det)
 
 
 def test_slot_bound_decides_between_the_routes():

@@ -3,12 +3,13 @@
 Over ZZ with n >= 4, the D_k, p(A) and adj(A) where it does not
 eliminate (test_gauss_jordan_adjugate.py) run their Horner steps
 H_j = A @ H_(j-1) + c_j * I on rows packed as one integer each, column j
-at 2**(w*j), whenever the slot width w is at most MAX_WIDTH; otherwise,
-and at n <= 3, they take matmuls.  The oracles are the cofactor
-adjugate, the Horner recursion D_(k-1) = D_k @ A + c_(n-k) * I by plain
-triple-loop products, and sums of plain powers.  adj(A) and the D_k take
-each c_j on the way by the trace recursion, so their slots are sized by
-_trace_fit(n); p(A) takes _poly_fit.
+at 2**(w*j), whenever the slot width w is at most MAX_WIDTH; otherwise
+they take matmuls.  At n <= 3 the D_k and adj(A) are closed forms, with
+no step (test_closed_forms.py), and p(A) takes matmuls.  The oracles are
+the cofactor adjugate, the Horner recursion D_(k-1) = D_k @ A +
+c_(n-k) * I by plain triple-loop products, and sums of plain powers.
+adj(A) and the D_k take each c_j on the way by the trace recursion, so
+their slots are sized by _trace_fit(n); p(A) takes _poly_fit.
 """
 
 import random
@@ -92,8 +93,9 @@ def test_adjugate_and_coefficients_match_the_oracles(n, name, a, matmuls,
         assert adj == a.adjugate_cofactor()
     assert a @ adj == Matrix.identity(ZZ, n).scale(a.det())
     # the generic route takes n - 2 matmuls for each of the two calls
-    # that run the chain, the packed one none; one more is the check above
-    steps = 0 if _packs(a) else max(n - 2, 0)
+    # that run the chain, the packed one and the closed forms (n <= 3)
+    # none; one more is the check above
+    steps = 0 if _packs(a) or n <= 3 else n - 2
     assert matmuls[0] == 1 + steps + (steps if chained else 0)
 
 
