@@ -18,8 +18,15 @@ outputs), and matrix entries are drawn row by row:
 
     integers        uniform in [-9, 9]
     mod m           uniform residue in [0, m)
-    rationals       num/den with both uniform in [-5, 5] minus {0}
+    rationals       num/den with both uniform in [-5, 5] minus {0},
+                    the numerator drawn first
     polynomials     degree-bound + 1 base draws, low degree first
+
+_draw is the one definition of these: it reads the ring once and draws a
+whole matrix's scalars in one pass, each rejection limit computed once,
+still one next_u64 call per raw output, so a matrix gives the values,
+the calls and the final state of one entry drawn at a time.
+sample_element is its one-entry case.
 """
 
 from __future__ import annotations
@@ -125,33 +132,49 @@ def stream(seed: int, *tokens) -> SplitMix64:
     return SplitMix64(derive_seed(seed, *tokens))
 
 
-def _nonzero_small(rng: SplitMix64) -> int:
-    v = rng.below(10)
-    return v - 5 if v < 5 else v - 4
-
-
 def sample_element(rng: SplitMix64, ring: Ring, poly_degree: int = 1):
-    """One entry from the pinned per-ring distribution."""
-    if isinstance(ring, IntegerRing):
-        return rng.randint(-9, 9)
-    if isinstance(ring, ModRing):
-        return rng.below(ring.m)
-    if isinstance(ring, RationalRing):
-        return Fraction(_nonzero_small(rng), _nonzero_small(rng))
-    if isinstance(ring, PolynomialRing):
-        return Polynomial(ring.base, [
-            sample_element(rng, ring.base, poly_degree)
-            for _ in range(poly_degree + 1)
-        ])
-    raise RingError(f"no sampler for ring {ring}")
+    """One entry from the pinned per-ring distribution: _draw's one-entry case."""
+    return _draw(rng, ring, 1, poly_degree)[0]
 
 
 def sample_matrix(rng: SplitMix64, ring: Ring, rows: int, cols: int,
                   poly_degree: int = 1) -> Matrix:
-    return Matrix(ring, rows, cols, [
-        sample_element(rng, ring, poly_degree)
-        for _ in range(rows * cols)
-    ])
+    return Matrix(ring, rows, cols, _draw(rng, ring, rows * cols, poly_degree))
+
+
+def _draw(rng: SplitMix64, ring: Ring, count: int, poly_degree: int) -> list:
+    """count entries of the pinned distribution, the ring read once.
+
+    The values, the raw next_u64 draws and the final state are those of
+    count one-entry draws in turn: a polynomial's poly_degree + 1 base
+    entries, low degree first, and a rational's numerator, then its
+    denominator.
+    """
+    if isinstance(ring, PolynomialRing):
+        k, base = poly_degree + 1, ring.base
+        flat = _draw(rng, base, k * count, poly_degree)
+        return [Polynomial(base, flat[i:i + k]) for i in range(0, k * count, k)]
+    if isinstance(ring, IntegerRing):
+        return _below(rng, 19, count, -9)
+    if isinstance(ring, ModRing):
+        return _below(rng, ring.m, count)
+    if isinstance(ring, RationalRing):
+        small = [v - 5 if v < 5 else v - 4 for v in _below(rng, 10, 2 * count)]
+        return list(map(Fraction, small[::2], small[1::2]))
+    raise RingError(f"no sampler for ring {ring}")
+
+
+def _below(rng: SplitMix64, n: int, count: int, lo: int = 0) -> list:
+    """count values of lo + rng.below(n), one rejection limit for them all."""
+    if n == 1 or n > 1 << 64:
+        return [lo + rng.below(n) for _ in range(count)]
+    limit = (1 << 64) - ((1 << 64) % n)
+    draw, out = rng.next_u64, []
+    for _ in range(count):
+        while (v := draw()) >= limit:
+            pass
+        out.append(lo + v % n)
+    return out
 
 
 def sample_singular(rng: SplitMix64, ring: Ring, n: int) -> Matrix:
@@ -173,15 +196,9 @@ def sample_singular(rng: SplitMix64, ring: Ring, n: int) -> Matrix:
 def sample_strict_upper(rng: SplitMix64, ring: Ring, n: int,
                         dist: int = 1) -> Matrix:
     """Entries only where column - row >= dist, hence nilpotent."""
-    zero = ring.zero()
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            if j - i >= dist:
-                entries.append(sample_element(rng, ring))
-            else:
-                entries.append(zero)
-    return Matrix(ring, n, n, entries)
+    cells = [j - i >= dist for i in range(n) for j in range(n)]
+    drawn, zero = iter(_draw(rng, ring, sum(cells), 1)), ring.zero()
+    return Matrix(ring, n, n, [next(drawn) if c else zero for c in cells])
 
 
 def sample_nilpotent(rng: SplitMix64, ring: Ring, n: int, k: int) -> Matrix:
@@ -201,7 +218,7 @@ def sample_nilpotent(rng: SplitMix64, ring: Ring, n: int, k: int) -> Matrix:
 def sample_commuting(rng: SplitMix64, a: Matrix) -> Matrix:
     """A matrix that provably commutes with a: a random polynomial in a."""
     ring = a.ring
-    p = Polynomial(ring, [sample_element(rng, ring) for _ in range(3)])
+    p = Polynomial(ring, _draw(rng, ring, 3, 1))
     return apply_poly(p, a)
 
 

@@ -381,8 +381,8 @@ def verify_adj_via_charpoly(a: Matrix) -> VerificationReport:
 
 def _adjugate_trace_oracle(a: Matrix):
     """Tr(adj a) as the sum of the n principal (n-1) x (n-1) minors, each
-    by the subset DP: the trace of adjugate_cofactor(), added in the same
-    order, without the n**2 - n cofactors off the diagonal."""
+    by the subset DP: the trace of adjugate_cofactor(), which reads its
+    cofactors off two other DP tables, without the ones off the diagonal."""
     R = a.ring
     acc = R.zero()
     for i in range(1, a.rows + 1):

@@ -244,9 +244,12 @@ over Z/m, the steps are matmuls.  QQ and the towers reach the packed
 rows through their integer encoding.
 
 Independent oracles, kept for identities and tests to compare against:
-det_subset_dp() is a dynamic program over column subsets, O(n**2 * 2**n);
-adjugate_cofactor() takes n**2 cofactors by that DP; det_leibniz() is the
-naive signed permutation sum, refused for n > 8.  None of them divides.
+det_subset_dp() is a dynamic program over column subsets (_subset_levels),
+n * 2**(n-1) products; adjugate_cofactor() runs that DP once down from
+the top rows and once up from the bottom rows and reads every cofactor
+off the two tables by Laplace's expansion, about 3 * n * 2**(n-1)
+products; det_leibniz() is the naive signed permutation sum, refused for
+n > 8.  None of them divides, and none shares code with the kernels.
 
 Row, column, and entry indices are 1-based in the public operations
 (entry, row, minor, submatrix); that matches the usual cofactor and
@@ -351,7 +354,7 @@ class Matrix:
         return all(R.is_zero(v) for v in self._e)
 
     def _check_ring(self, other: "Matrix") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError(
                 f"matrices over {self.ring} and {other.ring} cannot be combined")
 
@@ -386,6 +389,8 @@ class Matrix:
                 f"cannot multiply {self.rows} x {self.cols} by "
                 f"{other.rows} x {other.cols}")
         n, k, m = self.rows, self.cols, other.cols
+        if not n * k * m:
+            return Matrix.zeros(self.ring, n, m)
         if lifted := _encode(self.ring, (self._e, other._e), _matmul_fit(k)):
             (x, y), ctx = lifted
             product = _product(Matrix(ZZ, n, k, x), Matrix(ZZ, k, m, y))
@@ -443,45 +448,13 @@ class Matrix:
         return R.neg(c_n) if n & 1 else c_n
 
     def det_subset_dp(self):
-        """Determinant oracle, independent of berkowitz(); O(n**2 * 2**n).
-
-        Dynamic program over column subsets: after processing r rows the
-        table maps each r-subset S of columns to the determinant of the
-        submatrix on rows 1..r and columns S, built by Laplace expansion
-        along the last row.  det of the 0 x 0 matrix is 1.
-        """
+        """Determinant oracle, independent of berkowitz(): the full level
+        of the column-subset DP (_subset_levels) on rows 1..n, so
+        n * 2**(n-1) products at most.  det of the 0 x 0 matrix is 1."""
         self.require_square("determinant")
         n, R = self.rows, self.ring
-        if n == 0:
-            return R.one()
-        e = self._e
-        zero = R.zero()
-        table = {0: R.one()}
-        for r in range(n):
-            nxt: dict[int, object] = {}
-            base = r * n
-            for mask, val in table.items():
-                if R.is_zero(val):
-                    continue
-                for j in range(n):
-                    bit = 1 << j
-                    if mask & bit:
-                        continue
-                    a = e[base + j]
-                    if R.is_zero(a):
-                        continue
-                    term = R.mul(a, val)
-                    # parity of (row index) + (position of j among chosen columns)
-                    pos = (mask & (bit - 1)).bit_count()
-                    if (r + pos) & 1:
-                        term = R.neg(term)
-                    nm = mask | bit
-                    cur = nxt.get(nm)
-                    nxt[nm] = term if cur is None else R.add(cur, term)
-            table = nxt
-            if not table:
-                return zero
-        return table.get((1 << n) - 1, zero)
+        return _subset_levels(R, self._e, n, range(n))[n].get((1 << n) - 1,
+                                                              R.zero())
 
     def det_leibniz(self):
         """Signed permutation sum, a second determinant oracle; exponential
@@ -543,17 +516,49 @@ class Matrix:
         return _adjugates(self, every=False)[0] if self.rows else self
 
     def adjugate_cofactor(self) -> "Matrix":
-        """Adjugate oracle: n**2 cofactors, each by det_subset_dp()."""
+        """Adjugate oracle by two column-subset DPs (_subset_levels), about
+        3 * n * 2**(n-1) products.
+
+        top[j] maps each j-subset S of columns to det A[rows 0..j-1, S],
+        and bottom[m] each m-subset U to det A[rows n-1, ..., n-m, U], its
+        rows taken upwards: (-1)**(m*(m-1)/2) * det A[rows n-m..n-1, U].
+        Neither builds its full level.  The cofactor of a_jc, entry (c, j)
+        of adj A, is the coefficient of a_jc in det A, so by Laplace's
+        expansion along rows 0..j-1, j and j+1..n-1 it is the sum over S
+        and U = rest - S, rest the columns other than c, of
+        top[j][S] * det A[rows j+1..n-1, U] times the sign of the shuffle
+        S, c, U: (-1)**(inv(S, S') + inv(c, U)), S' the complement of S and
+        inv(X, Y) the number of pairs x > y, with inv(S, S') =
+        sum(S) - j*(j-1)/2.
+        """
         self.require_square("adjugate")
-        n, R = self.rows, self.ring
-        out = []
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                cof = self.minor(j, i).det_subset_dp()
-                if (i + j) & 1:
-                    cof = R.neg(cof)
-                out.append(cof)
-        return Matrix(R, n, n, out)
+        n, R, e = self.rows, self.ring, self._e
+        top = _subset_levels(R, e, n, range(n - 1))
+        bottom = _subset_levels(R, e, n, range(n - 1, 0, -1))
+        full, odd = (1 << n) - 1, int("10" * (n + 1), 2)   # odd: bits 1, 3, ..
+        bits = [(c, 1 << c) for c in range(n)]
+        is_zero, mul, neg, add = R.is_zero, R.mul, R.neg, R.add
+        out = [None] * (n * n)
+        for j in range(n):
+            m = n - 1 - j
+            below, flip = bottom[m], (j * (j - 1) + m * (m - 1)) // 2
+            for mask, t in top[j].items():
+                if is_zero(t):
+                    continue
+                # flip: bottom's row order and j*(j-1)/2; the odd bits of
+                # S: sum(S) mod 2; the bits of rest below c: inv(c, U)
+                rest = full ^ mask
+                parity = flip + (mask & odd).bit_count()
+                for c, bit in bits:
+                    if not rest & bit or (b := below.get(rest ^ bit)) is None:
+                        continue
+                    term = mul(t, b)
+                    if (parity + (rest & (bit - 1)).bit_count()) & 1:
+                        term = neg(term)
+                    k = c * n + j
+                    out[k] = term if out[k] is None else add(out[k], term)
+        zero = R.zero()
+        return Matrix(R, n, n, [zero if v is None else v for v in out])
 
     def map_entries(self, fn, codomain: Ring) -> "Matrix":
         """Apply fn to every entry, producing a matrix over codomain."""
@@ -581,6 +586,36 @@ class Matrix:
         return {"ring": R.descriptor(), "rows": self.rows, "cols": self.cols,
                 "entries": [[R.element_to_json(v) for v in self.row_list(i)]
                             for i in range(1, self.rows + 1)]}
+
+
+def _subset_levels(R: Ring, e, n: int, rows) -> list:
+    """The column-subset DP on the given rows of the n x n entries e, in
+    that order: level k maps each k-subset S of columns, a bit mask, to
+    det of the submatrix on the first k of those rows and columns S, by
+    Laplace expansion along its last row.  A zero value may be absent."""
+    is_zero, mul, neg, add = R.is_zero, R.mul, R.neg, R.add
+    table = {0: R.one()}
+    levels = [table]
+    for r, i in enumerate(rows):
+        row, nxt = [], {}
+        for j, a in enumerate(e[i * n:i * n + n]):
+            if not is_zero(a):
+                row.append((1 << j, a))
+        for mask, val in table.items():
+            if is_zero(val):
+                continue
+            for bit, a in row:
+                if mask & bit:
+                    continue
+                term = mul(a, val)
+                # parity of r + (position of the column among those chosen)
+                if (r + (mask & (bit - 1)).bit_count()) & 1:
+                    term = neg(term)
+                nm = mask | bit
+                cur = nxt.get(nm)
+                nxt[nm] = term if cur is None else add(cur, term)
+        levels.append(table := nxt)
+    return levels
 
 
 @lru_cache(maxsize=None)

@@ -69,7 +69,7 @@ class Polynomial:
         return not self.coeffs
 
     def _check(self, other: "Polynomial") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError(
                 f"polynomials over {self.ring} and {other.ring} cannot be combined")
 

@@ -1,10 +1,10 @@
-"""JSON input parsing: ring descriptors, matrices, polynomials.
+"""JSON input parsing: ring descriptors and matrices.
 
 The wire format is deliberately plain.  A ring is either a shorthand
 string ("int", "rat", "mod:8", "poly:mod:8") or a descriptor object
 {"kind": ..., ...}; a matrix is {"ring": ..., "rows": n, "cols": m,
-"entries": [[...], ...]}; a polynomial is {"coeffs": [...]} with the
-constant term first.  Everything coming in is canonicalized by the ring
+"entries": [[...], ...]}; an entry of R[t] is its coefficient array, with
+the constant term first.  Everything coming in is canonicalized by the ring
 (residues reduced, fractions lowered, polynomials trimmed), so two
 inputs naming the same element always compare equal afterwards.
 """
@@ -12,7 +12,7 @@ inputs naming the same element always compare equal afterwards.
 from __future__ import annotations
 
 from .matrix import Matrix
-from .poly import Polynomial, PolynomialRing
+from .poly import PolynomialRing
 from .rings import QQ, ZZ, ModRing, ParseError, Ring, _parse_int
 
 
@@ -139,15 +139,3 @@ def matrix_from_json(obj, ring: Ring | None = None,
         data.extend(ring.element_from_json(cell, f"{where}.entries[{i}][{j}]")
                     for j, cell in enumerate(row))
     return Matrix(ring, rows, cols, data)
-
-
-def polynomial_from_json(obj, ring: Ring, where: str = "poly") -> Polynomial:
-    """Decode {"coeffs": [...]} over the given coefficient ring."""
-    if not isinstance(obj, dict) or "coeffs" not in obj:
-        raise ParseError(f"{where}: expected an object with \"coeffs\"")
-    coeffs = obj["coeffs"]
-    if not isinstance(coeffs, list):
-        raise ParseError(f"{where}.coeffs: expected a list")
-    vals = [ring.element_from_json(c, f"{where}.coeffs[{k}]")
-            for k, c in enumerate(coeffs)]
-    return Polynomial(ring, vals)

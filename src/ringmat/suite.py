@@ -256,10 +256,11 @@ def _on_leibniz_chain(name, a, rng, params):
 # --- the table --------------------------------------------------------------
 
 # Size caps as (fuzz --size, verify n), refused above before any work.  An
-# oracle side costs O(n^2 2^n) ring ops: up to 1 s a case at n = 8 over
-# rat or poly:mod:8, 3x more per step in n.  A case drawing n up to --size
-# costs O(n^4) ring ops on entries that grow with n: --count 2 of the 15
-# such identities takes about 1 s at --size 16 over int, rat or
+# oracle side costs O(n 2^n) ring ops: the cofactor adjugate took 11-18 ms
+# at n = 8 over rat or poly:mod:8 on a 2-vCPU VM, 2.3-2.7x more per step
+# in n, and `verify core` 1.4-1.9 s there in all.  A case drawing n up to
+# --size costs O(n^4) ring ops on entries that grow with n: --count 2 of
+# the 15 such identities takes about 1 s at --size 16 over int, rat or
 # poly:mod:8, and over 90 s at 24 over poly:mod:8.
 _FREE, _GLUED, _UNCLAMPED = (None, None), (6, None), (16, None)
 _ORACLE, _ORACLE_SIDE = (8, 8), (None, 8)   # the latter draw n <= 4

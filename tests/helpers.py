@@ -14,8 +14,8 @@ from __future__ import annotations
 from ringmat.fuzz import sample_matrix, sample_singular, stream
 from ringmat.identities import compositions, multinomial
 from ringmat.matrix import Matrix, char_matrix
-from ringmat.poly import PolynomialRing
-from ringmat.rings import QQ, ZZ, ModRing
+from ringmat.poly import Polynomial, PolynomialRing
+from ringmat.rings import QQ, ZZ, ModRing, ParseError
 
 Z1 = ModRing(1)
 Z6 = ModRing(6)
@@ -96,6 +96,17 @@ def plain_horner(a: Matrix, c) -> list:
 
 def mat(ring, rows) -> Matrix:
     return Matrix.from_rows(ring, rows)
+
+
+def polynomial_from_json(obj, ring, where: str = "poly") -> Polynomial:
+    """Decode {"coeffs": [...]}, the charpoly command's chi, over ring."""
+    if not isinstance(obj, dict) or "coeffs" not in obj:
+        raise ParseError(f"{where}: expected an object with \"coeffs\"")
+    coeffs = obj["coeffs"]
+    if not isinstance(coeffs, list):
+        raise ParseError(f"{where}.coeffs: expected a list")
+    return Polynomial(ring, [ring.element_from_json(c, f"{where}.coeffs[{k}]")
+                             for k, c in enumerate(coeffs)])
 
 
 def assert_multinomial_recurrence(m: int, n: int) -> None:

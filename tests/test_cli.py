@@ -52,8 +52,8 @@ def test_charpoly_newton_flag_needs_q_algebra(capsys):
 
 
 def test_charpoly_output_reparses(capsys):
-    from ringmat.serialize import matrix_from_json, parse_ring, \
-        polynomial_from_json
+    from helpers import polynomial_from_json
+    from ringmat.serialize import matrix_from_json, parse_ring
     code, out, _ = run_main(["charpoly", "--matrix", A_JSON], capsys)
     payload = json.loads(out)
     ring = parse_ring(payload["ring"])

@@ -2,14 +2,13 @@
 
 import pytest
 
-from helpers import Z8, ZT
+from helpers import Z8, ZT, polynomial_from_json
 from ringmat.poly import PolynomialRing
 from ringmat.rings import QQ, ZZ, ModRing, ParseError
 from ringmat.serialize import (
     MAX_RING_DEPTH,
     matrix_from_json,
     parse_ring,
-    polynomial_from_json,
     ring_from_descriptor,
 )
 
