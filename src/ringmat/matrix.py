@@ -53,17 +53,17 @@ cleared first, and one exact division per result undoes that:
 
   * det, charpoly and adj clear them row by row: B = D*A with
     D = diag(r_1, ..., r_n), r_i the lcm of row i's coefficient
-    denominators (1 when there are none), and d = det D = prod r_i.
-    Below n = ROW_SCALE_MIN_N every r_i is the lcm L of all of them,
-    where n lcms cost more than narrower rows save (the table there);
-    any r_i that clear row i would do.  Then det(A) = det(B) / d.  det(x*D - B) = d * det(x*I - A), so its
+    denominators (1 when there are none), and d = det D = prod r_i, at
+    every n; any r_i that clear row i would do.  Then
+    det(A) = det(B) / d.  det(x*D - B) = d * det(x*I - A), so its
     coefficients are the d * c_j(A), integers: d * c_j(A) is
     (-1)**j * sum_(|S|=j) prod_(i not in S) r_i * det B[S, S].  And
     adj(A) = adj(D**-1 @ B) = adj(B) @ adj(D**-1) = (adj(B) @ D) / d,
     as adj(D**-1) = det(D**-1) * D.  Over Z, and towers over ZZ and
     Z/m, D = I.
-  * matmul, p(A) (by matmuls) and the D_k keep one scale per part,
-    B = L*A with L the lcm of all its coefficient denominators:
+  * matmul, p(A) (by matmuls) and the D_k keep one scale per part, the
+    same rule with the whole part as its one row: B = L*A with L the lcm
+    of all its coefficient denominators:
     D_k(A) = D_k(B) / L**(n-1-k) and A1 @ A2 = (B1 @ B2) / (L1 * L2), as
     these are homogeneous of degree n-1-k and (1, 1) in the entries.
 
@@ -173,7 +173,7 @@ its row scales (D = I over ZZ itself), det(t*D - A) =
 sum_j d * c_j * t**(n-j), d = det D and c_j those of D**-1 @ A, is a
 polynomial in t and the entries with integer coefficients, so its value
 at t = 2**W is det(2**W * D - A), an integer matrix that _bareiss takes
-exactly.  W is read off the rows (_hadamard_factors).  With rho_i the
+exactly.  W is read off the rows (_row_squares).  With rho_i the
 euclidean norm of row i of A,
 d * c_j = (-1)**j * sum_(|S|=j) prod_(i not in S) r_i * det A[S, S], and
 Hadamard's inequality (Bull. Sci. Math. 1893) bounds |det A[S, S]| by
@@ -238,10 +238,13 @@ VM; c_j from berkowitz()):
     D_k n=8   0.74  0.89  0.91  1.02  1.13
     D_k n=12  0.68  0.81  0.93  1.03  1.13
 
-At n = 3, one step, both read 1.01-1.20 at every w from 10 to 1000.  So
-the rows pack for n >= 4 and w <= MAX_WIDTH = 700 bits; otherwise, and
-over Z/m, the steps are matmuls.  QQ and the towers reach the packed
-rows through their integer encoding.
+At n = 3, one product step, both read 1.01-1.20 at every w from 10 to
+1000, and p(A) with deg p = 2, one product step too, read 1.04-1.21 at
+n = 4 and 5 (entries in [-9, 9]): one step pays the packing and the
+read-back for a single product.  So the rows pack from two product
+steps (d >= 3 in _horner) for n >= 4 and w <= MAX_WIDTH = 700 bits;
+otherwise, and over Z/m, the steps are matmuls.  QQ and the towers
+reach the packed rows through their integer encoding.
 
 Independent oracles, kept for identities and tests to compare against:
 det_subset_dp() is a dynamic program over column subsets (_subset_levels),
@@ -260,9 +263,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate, islice, permutations, repeat
+from itertools import islice, permutations, repeat
 from math import factorial, isqrt, lcm, prod
-from operator import add, mul
+from operator import mul
 
 from .poly import Polynomial, PolynomialRing
 from .rings import (
@@ -935,8 +938,7 @@ def _solved_adjugate(a: Matrix, scales=()) -> Matrix | None:
     of a, whose rows are rows of a less one entry (Hadamard's
     inequality)."""
     n, e = a.rows, a._e
-    squares = iter(map(mul, e, e))
-    top = prod(sorted(map(sum, zip(*[squares] * n)))[1:])
+    top = prod(sorted(_row_squares(e, n))[1:])
     w = ((isqrt(top - 1) + 1 if top else 0)
          * max(scales, default=1)).bit_length() + 1
     if w > MAX_SOLVE_BITS:
@@ -992,23 +994,19 @@ def _integer_charpoly(entries, n: int, scales=()) -> list:
     D**-1 @ B: the coefficients of det(x*D - B), lowest last, which are
     integers.  They are the balanced base 2**W digits of
     det(2**W * D - B) by _bareiss,
-    W = bit_length(prod_i (r_i + ceil(||row_i||_2))) + 1 (from the
-    _hadamard_factors), while n * W <= MAX_CHARPOLY_BITS; else, as soon
-    as a partial product puts n * W above the gate, berkowitz() on
+    W = bit_length(prod_i (r_i + ceil(||row_i||_2))) + 1 (from
+    _row_squares), while n * W <= MAX_CHARPOLY_BITS; else berkowitz() on
     L * D**-1 @ B, L = lcm(r_i), whose c_j are L**j times those wanted."""
-    factors = _hadamard_factors(entries, n)
-    if scales:          # r_i + ceil(||row_i||_2)
-        factors = map(add, factors, [r - 1 for r in scales])
     bound = 1
-    for factor in factors:
-        bound *= factor
-        if n * (bound.bit_length() + 1) > MAX_CHARPOLY_BITS:
-            top, d = lcm(*scales), prod(scales)
-            rows = zip(scales or repeat(1), range(0, n * n, n))
-            lifted = [v * (top // s) for s, i in rows for v in entries[i:i + n]]
-            c = berkowitz(Matrix(ZZ, n, n, lifted))
-            return [x * d // top ** j for j, x in enumerate(c)]
+    for r, s in zip(scales or repeat(1), _row_squares(entries, n)):
+        bound *= r + isqrt(s - 1) + 1 if s else r   # r_i + ceil(||row_i||)
     w = bound.bit_length() + 1
+    if n * w > MAX_CHARPOLY_BITS:
+        top, d = lcm(*scales), prod(scales)
+        rows = zip(scales or repeat(1), range(0, n * n, n))
+        lifted = [v * (top // s) for s, i in rows for v in entries[i:i + n]]
+        c = berkowitz(Matrix(ZZ, n, n, lifted))
+        return [x * d // top ** j for j, x in enumerate(c)]
     shifted = [-v for v in entries]
     diagonal = [r << w for r in scales] if scales else [1 << w] * n
     for i, x in zip(range(0, n * n, n + 1), diagonal):
@@ -1020,7 +1018,7 @@ def _integer_charpoly(entries, n: int, scales=()) -> list:
 # determinant of 2**W * D - A is n * W bits wide, so _bareiss divides
 # minors that grow to that width.  Its CPU time over that of berkowitz()
 # (median of 9 alternating batches of about 20 ms, W from the row scales
-# and _hadamard_factors, every result equal, 2-vCPU VM, CPython 3.11), on
+# and _row_squares, every result equal, 2-vCPU VM, CPython 3.11), on
 # entries uniform in [-M, M] (n = 2..14, M from 1 to 10**14), on
 # rationals lifted row by row (n = 4..10, num in [-9, 9], den in
 # [1, 9..10**4]) and on Z[t] and (Z/8)[t] (n = 3..6, degree 1-2):
@@ -1041,15 +1039,11 @@ def _integer_charpoly(entries, n: int, scales=()) -> list:
 MAX_CHARPOLY_BITS = 1000
 
 
-def _hadamard_factors(entries, n: int):
-    """1 + ceil(||row_i||_2) for each row i of the n x n integer matrix
-    with these row-major entries, lazily, with ceil(sqrt(s)) =
-    isqrt(s - 1) + 1 on the row's exact sum of squares s.  With row
-    scales r_i, prod_i (r_i - 1 + factor_i) >= 1 bounds every |d * c_j|
-    (the module docstring)."""
+def _row_squares(entries, n: int):
+    """The squared euclidean norm of each row of the n x n integer matrix
+    with these row-major entries, lazily: the rows' Hadamard bound."""
     squares = iter(map(mul, entries, entries))
-    for s in map(sum, zip(*[squares] * n)):
-        yield isqrt(s - 1) + 2 if s else 1
+    return map(sum, zip(*[squares] * n))
 
 
 def _minors_fit(e: int):
@@ -1108,10 +1102,10 @@ def _horner(a: Matrix, coeffs, fit, every=False, negate=False) -> list:
     exact division in Z.  Then H_j = D_(n-1-j) and fit is _trace_fit(n).
 
     H_1 = coeffs[0] * a + coeffs[1] * I needs no product.  With d >= 3,
-    or d = 2 and n >= MIN_ONE_STEP_N, and a packed width w
-    (_packed_width), each later step takes n row products a_i . P
-    over the rows P of H_(j-1), each packed as one integer with column k
-    at 2**(w*k), reads c_j off their diagonal slots if coeffs is None,
+    two product steps or more, and a packed width w (_packed_width),
+    each later step takes n row products a_i . P over the rows P of
+    H_(j-1), each packed as one integer with column k at 2**(w*k),
+    reads c_j off their diagonal slots if coeffs is None,
     and adds c_j * 2**(w*i) to row i; the other entries are read
     (_digits) only from the states returned.  Otherwise each step is
     H_(j-1) @ a, equal as H_(j-1) is a polynomial in a.
@@ -1127,8 +1121,7 @@ def _horner(a: Matrix, coeffs, fit, every=False, negate=False) -> list:
         h = a if lead == R.one() else a.scale(lead)
         c = -sum(a._e[::n + 1]) if traced else coeffs[1]
         out.append(h := _plus_scalar(h, c))
-    if (d > 2 or d == 2 and n >= MIN_ONE_STEP_N) and (
-            w := _packed_width(a, fit)):
+    if d > 2 and (w := _packed_width(a, fit)):
         def read(packed, sign=1):
             digits = _digits([sign * v for v in packed], w, n)
             return Matrix(R, n, n, [x for row in digits for x in row])
@@ -1183,20 +1176,6 @@ def _packed_width(a: Matrix, fit) -> int | None:
 MAX_WIDTH = 700
 
 
-# The least n at which a Horner run of one product step (d = 2, as
-# apply_poly() takes for deg p = 2, what fuzz.sample_commuting
-# evaluates) packs; longer runs pack from n = 4.  One step pays the
-# packing and the read-back once for a single product.  Packed over
-# matmul apply_poly() CPU time (median of 15-21 alternating batches,
-# entries in [-9, 9], 2-vCPU VM, CPython 3.11):
-#
-#     n:            4           5           6           7           8
-#     deg p = 2     1.04-1.13   1.08-1.21   0.85-1.04   0.93-0.95   0.83-0.88
-#     deg p = 3     0.76-0.84   0.73-0.80   0.70        -           0.57-0.59
-#     deg p = 4     0.70        0.65        0.59        -           0.47
-MIN_ONE_STEP_N = 7
-
-
 # A tower's results take D_1*...*D_d digit slots each.  Measured on
 # sparse entries t_1 + ... + t_d, the packed kernels beat Ring.dot up to
 # 729 slots and lost by up to 1.22x at 1024, so above this they are off.
@@ -1232,56 +1211,30 @@ def _leaves(values, depth: int) -> list:
 
 
 def _integers(chain, entries, cols: int = 0) -> tuple:
-    """(trees, scales): the entries as integer trees.  Over a QQ base,
-    with cols >= ROW_SCALE_MIN_N each row of cols entries, else all of
-    them as one, is scaled by its own lcm of coefficient denominators (1
-    when there are none), each rational read once, and scales lists
-    those, one per row with cols; otherwise there are no scales
-    (D = I)."""
+    """(trees, scales): the entries as integer trees.  Over a QQ base each
+    row of cols entries, or without cols the whole part as one row, is
+    scaled by its own lcm of coefficient denominators (1 when there are
+    none), each rational read once, and scales lists those, one per row;
+    otherwise there are no scales (D = I)."""
     depth = len(chain) - 1
     if not isinstance(chain[-1], RationalRing):
         return [_tree(v, depth) if depth > 1 else v.coeffs
                 for v in entries], []
-    if not cols or cols < ROW_SCALE_MIN_N:     # one L, for every row
-        ratios = [x.as_integer_ratio() for x in _leaves(entries, depth)]
-        scale = lcm(*[d for _, d in ratios])
-        ints = [p * (scale // d) for p, d in ratios]
-        scales = [scale] * (len(entries) // cols if cols else 1)
-    else:
-        starts, sizes = range(0, len(entries), cols), repeat(cols)
-        if depth:   # the coefficients of a row are its entries' leaves
-            rows = [_leaves(entries[i:i + cols], depth) for i in starts]
-            leaves, sizes = [x for r in rows for x in r], list(map(len, rows))
-            starts = accumulate(sizes, initial=0)
-        else:
-            leaves = entries
-        ratios = [x.as_integer_ratio() for x in leaves]
-        dens = [d for _, d in ratios]
-        spans = list(zip(starts, sizes))
-        scales = [lcm(*dens[i:i + k]) for i, k in spans]
-        ints = [p * (s // d) for s, (i, k) in zip(scales, spans)
-                for p, d in ratios[i:i + k]]
+    if depth:       # the coefficients of a row are its entries' leaves
+        rows = [[x.as_integer_ratio() for x in _leaves(r, depth)]
+                for r in (zip(*[iter(entries)] * cols) if cols else [entries])]
+    else:           # one pass over the entries, then grouped into rows
+        ratios = [x.as_integer_ratio() for x in entries]
+        rows = zip(*[iter(ratios)] * cols) if cols else [ratios]
+    scales, ints = [], []
+    for row in rows:
+        scale = lcm(*[d for _, d in row])
+        scales.append(scale)
+        ints += [p * (scale // d) for p, d in row]
     if not depth:
         return ints, scales
     leaves = iter(ints)
     return [_tree(v, depth, leaves) for v in entries], scales
-
-
-# The least n at which the square kernels scale each row by its own lcm;
-# below it every row takes the lcm L of all the denominators, which is
-# one lcm to take in place of n and leaves too little width to save.
-# Row scales over one L for every row (one process, median of 21
-# alternating batches, num and den in [1, 9] with random signs, every
-# result equal, 2-vCPU VM, CPython 3.11):
-#
-#     n:           3      4      5      6      7      8
-#     det          1.17   1.14   1.10   1.04   1.04   1.02
-#     charpoly     1.07   1.04   1.00   0.95   0.88   0.83
-#     adjugate     1.05   0.99   0.94   0.92   0.88   0.91
-#
-# With den up to 10**4, one L outgrows MAX_BAREISS_BITS and the gates
-# from n = 5 on, where row scales took det and adj to 0.07-0.58.
-ROW_SCALE_MIN_N = 6
 
 
 def _measure(trees, depth: int) -> tuple:

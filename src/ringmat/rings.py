@@ -20,14 +20,15 @@ have no division method: integers and mod-m rings never divide, even
 when a particular quotient happens to exist.
 
 Rationals have no dot kernel of their own, because the matrix kernels
-never take an inner product of Fractions: matmul, the characteristic
-polynomial and the adjugate of a rational matrix A clear denominators
-once, B = L*A with L the lcm of the entry denominators, run over the
-integers, and divide at the end (c_k(A) = c_k(B)/L**k,
-adj(A) = adj(B)/L**(n-1), A1 @ A2 = (B1 @ B2)/(L1*L2); proofs in
-ringmat.matrix).  Each quotient is the exact rational value, and
-Fraction keeps one reduced form per value, so the results are exactly
-what the same kernels would give on Fractions.
+never take an inner product of Fractions: the kernels on a rational
+matrix A clear each row's denominators, B = D*A with D = diag(r_i) and
+r_i the lcm of row i's denominators (matmul and the D_k take the whole
+matrix as one row, one L), run over the integers, and divide at the end
+(det(A) = det(B)/det D, adj(A) = (adj(B) @ D)/det D,
+A1 @ A2 = (B1 @ B2)/(L1*L2); proofs in ringmat.matrix).  Each quotient
+is the exact rational value, and Fraction keeps one reduced form per
+value, so the results are exactly what the same kernels would give on
+Fractions.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ berkowitz().  berkowitz() on the ring itself is the oracle.
 import random
 from fractions import Fraction
 from itertools import product
-from math import isqrt, lcm, prod
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,8 +128,8 @@ def test_width_is_the_formula(monkeypatch):
         assert w == _width(a), a
         if a.rows * w <= MAX_CHARPOLY_BITS:
             assert seen == [(1 << w) - a._e[0]], a
-        assert prod(matrix_mod._hadamard_factors(a._e, a.rows)) == _bound(
-            a._e, a.rows)
+        assert list(matrix_mod._row_squares(a._e, a.rows)) == [
+            sum(v * v for v in a.row_list(i + 1)) for i in range(a.rows)]
 
 
 def test_coefficients_on_the_bound_decode():
@@ -218,8 +218,9 @@ def _integer_matrices(draw):
 def test_every_coefficient_is_within_the_bound(a):
     n = a.rows
     want = berkowitz(a)
-    bound = prod(matrix_mod._hadamard_factors(a._e, n))
-    assert bound == _bound(a._e, n)
+    assert list(matrix_mod._row_squares(a._e, n)) == [
+        sum(v * v for v in a.row_list(i + 1)) for i in range(n)]
+    bound = _bound(a._e, n)
     assert all(abs(c) <= bound for c in want)
     assert charpoly_coefficients(a) == want
     # and decoded at that width past the gate as well

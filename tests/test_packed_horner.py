@@ -23,7 +23,6 @@ from ringmat.charpoly import cayley_hamilton_residual
 from ringmat.matrix import (
     MAX_SOLVE_BITS,
     MAX_WIDTH,
-    MIN_ONE_STEP_N,
     Matrix,
     _minors_fit,
     _packed_width,
@@ -246,7 +245,7 @@ def test_apply_poly_matches_plain_powers(n, matmuls):
             matmuls[0] = 0
             got = apply_poly(p, a)
             packs = (_packed_width(a, _poly_fit(p, n)) is not None
-                     and (degree > 2 or n >= MIN_ONE_STEP_N))
+                     and degree > 2)
             # an empty (n = 0) product calls no _product
             assert matmuls[0] == (0 if packs or not n else max(degree - 1, 0))
             assert got == _power_sum(p, a)
@@ -254,14 +253,13 @@ def test_apply_poly_matches_plain_powers(n, matmuls):
     assert apply_poly(Polynomial(ZZ, ()), a) == Matrix.zeros(ZZ, n, n)
 
 
-@pytest.mark.parametrize("n", [4, 5, MIN_ONE_STEP_N - 1, MIN_ONE_STEP_N, 8])
-def test_one_product_step_packs_from_min_one_step_n(n, matmuls):
-    # p(A) with deg p = 2 is one product step: a matmul below
-    # MIN_ONE_STEP_N and packed rows from there on; deg p = 3 packs at
-    # every n >= 4, on either side of that size
+@pytest.mark.parametrize("n", range(4, 9))
+def test_packing_starts_at_three_horner_steps(n, matmuls):
+    # p(A) with deg p = 2 is one product step, and takes one matmul at
+    # every n; deg p = 3, two product steps, packs from n = 4
     rng = random.Random(f"poly-gate-{n}")
     a = _random(rng, n, 9)
-    for degree, packs in ((2, n >= MIN_ONE_STEP_N), (3, True)):
+    for degree, packs in ((2, False), (3, True)):
         p = Polynomial(ZZ, [rng.randint(-9, 9) for _ in range(degree)] + [2])
         matmuls[0] = 0
         assert apply_poly(p, a) == _power_sum(p, a)

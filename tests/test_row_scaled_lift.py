@@ -7,11 +7,10 @@ det(A) = det(B) / det D, det D * c_j(A) are the coefficients of
 det(x*D - B), and adj(A) = (adj(B) @ D) / det D.  The widths come from
 the rows: W = bit_length(prod_i (r_i + ceil(||B_i||))) + 1 for the
 charpoly digit, and Hadamard's bound on an (n-1) x (n-1) minor times
-max r_i for the adjugate's slots.  Below n = ROW_SCALE_MIN_N every row takes the
-lcm L of all the denominators, D = L*I, by the same identities; the
-tests of the row scales themselves lower that gate to 0.  The oracles
-never lift: det_subset_dp(), berkowitz() and adjugate_cofactor() run on
-Fractions and Polynomials.
+max r_i for the adjugate's slots.  This holds at every n; matmul, p(A)
+and the D_k take the same rule with the whole part as its one row.  The
+oracles never lift: det_subset_dp(), berkowitz() and adjugate_cofactor()
+run on Fractions and Polynomials.
 """
 
 import random
@@ -21,14 +20,12 @@ from math import isqrt, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import ringmat.matrix as matrix_mod
 from ringmat.matrix import (
-    ROW_SCALE_MIN_N,
     Matrix,
     _adjugate_fit,
     _encode,
-    _hadamard_factors,
     _minors_fit,
+    _row_squares,
     berkowitz,
     charpoly_coefficients,
 )
@@ -36,12 +33,6 @@ from ringmat.poly import Polynomial, PolynomialRing
 from ringmat.rings import QQ, ZZ
 
 QT = PolynomialRing(QQ)
-
-
-@pytest.fixture
-def rows_everywhere(monkeypatch):
-    """Row scales at every n, the gate ROW_SCALE_MIN_N lowered to 0."""
-    monkeypatch.setattr(matrix_mod, "ROW_SCALE_MIN_N", 0)
 
 
 def _lift_rows(a):
@@ -79,7 +70,7 @@ def _top_of_slot(values, w):
     return any(not -half <= v < half for v in values)
 
 
-def test_rows_lift_clears_each_rows_denominators(rows_everywhere):
+def test_rows_lift_clears_each_rows_denominators():
     a = Matrix(QQ, 2, 2, (Fraction(1, 2), Fraction(-2, 3),
                           Fraction(5), Fraction(1, 6)))
     b, scales = _lift_rows(a)
@@ -144,32 +135,65 @@ def _matrices(draw, ring, nmax):
 
 
 def _check(a):
-    """Against the oracles at the gate as it stands, then with row scales
-    at every n."""
-    want = (a.det_subset_dp(), berkowitz(a), a.adjugate_cofactor())
-    for gate in (ROW_SCALE_MIN_N, 0):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(matrix_mod, "ROW_SCALE_MIN_N", gate)
-            assert (a.det(), charpoly_coefficients(a), a.adjugate()) == want
+    """det, charpoly and adj against the oracles."""
+    assert (a.det(), charpoly_coefficients(a), a.adjugate()) == (
+        a.det_subset_dp(), berkowitz(a), a.adjugate_cofactor())
 
 
-def test_row_scales_start_at_row_scale_min_n():
-    # below the gate every row takes the one L of the whole matrix; from
-    # it on, each row its own lcm
-    rng = random.Random("rows-gate")
-    for n in (ROW_SCALE_MIN_N - 1, ROW_SCALE_MIN_N):
-        a = Matrix(QQ, n, n, [Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                              for _ in range(n * n)])
-        rows = [lcm(*[v.denominator for v in a.row_list(i + 1)])
-                for i in range(n)]
-        whole = lcm(*rows)
-        b, scales = _lift_rows(a)
-        assert scales == (rows if n >= ROW_SCALE_MIN_N else [whole] * n)
-        assert b._e == tuple(v * r for r, i in zip(scales, range(0, n * n, n))
-                             for v in a._e[i:i + n])
-        assert a.det() == a.det_subset_dp()
-        assert charpoly_coefficients(a) == berkowitz(a)
-        assert a.adjugate() == a.adjugate_cofactor()
+def _denominators(v):
+    """The denominators of a QQ or Q[t] entry's coefficients."""
+    return [v.denominator] if isinstance(v, Fraction) else [
+        c.denominator for c in v.coeffs]
+
+
+def _distinct_rows(rng, ring, n):
+    """n x n over QQ or Q[t], num in [-9, 9] and den in [1, 9], but with
+    1/7 in entry (1, 1) and, for n > 1, an integer-valued last row: its
+    r_n = 1 differs from the whole matrix's L."""
+    def scalar(i, j):
+        if i == j == 0:
+            return Fraction(1, 7)
+        return Fraction(rng.randint(-9, 9),
+                        1 if i == n - 1 else rng.randint(1, 9))
+
+    def entry(i, j):
+        if ring == QQ:
+            return scalar(i, j)
+        return Polynomial(QQ, [scalar(i, j), scalar(i, j)])
+    return Matrix(ring, n, n, [entry(i, j) for i in range(n)
+                               for j in range(n)])
+
+
+def test_every_square_lift_scales_each_row():
+    # at every n the square kernels' lift takes each row's own lcm, over
+    # QQ and Q[t], where one L for the whole matrix differs on a row
+    rng = random.Random("rows-every-n")
+    for ring in (QQ, QT):
+        for n in range(1, 8):
+            a = _distinct_rows(rng, ring, n)
+            rows = [lcm(*[d for v in a.row_list(i + 1)
+                          for d in _denominators(v)]) for i in range(n)]
+            assert n == 1 or rows[-1] == 1 < rows[0], (ring, n)
+            (ints,), ctx = _encode(ring, (a._e,), _minors_fit(n), n)
+            assert ctx[1] == rows, (ring, n)
+            if ring == QQ:
+                assert ints == [v * r for r, i in zip(rows, range(0, n * n, n))
+                                for v in a._e[i:i + n]]
+            _check(a)
+
+
+def test_empty_and_single_row_parts():
+    # 0 x 0, an empty part and a 1 x k part: no row, or the one row
+    assert _lift_rows(Matrix(QQ, 0, 0, ())) == (Matrix(ZZ, 0, 0, ()), [1])
+    for ring in (QQ, QT):
+        assert _encode(ring, ((),), _minors_fit(0))[1][1] == [1]
+        assert _encode(ring, ((), ()), _minors_fit(0))[1][1] == [1, 1]
+    row = Matrix(QQ, 1, 3, (Fraction(1, 4), Fraction(-5, 6), Fraction(2)))
+    for cols in (0, 3):
+        (ints,), ctx = _encode(QQ, (row._e,), None, cols)
+        assert (ints, ctx[1]) == ([3, -10, 24], [12])
+    b, scales = _lift_rows(Matrix(QQ, 1, 1, (Fraction(-7, 3),)))
+    assert (b._e, scales) == ((-7,), [3])
 
 
 @settings(max_examples=150, deadline=None)
@@ -208,8 +232,7 @@ def _sylvester_rows(m, scales):
     _sylvester_rows(2**30 + 1, [3, 1, 1, 1]),
     _sylvester_rows(2**40 - 1, [1, 2, 1, 1])],
     ids=["d1", "d2", "d3", "d4", "h-r1", "h-r3", "h-r2"])
-def test_a_charpoly_digit_at_the_top_of_its_slot_decodes(a, berkowitz_rings,
-                                                        rows_everywhere):
+def test_a_charpoly_digit_at_the_top_of_its_slot_decodes(a, berkowitz_rings):
     # det D * c_j as balanced base 2**W digits, one of them needing the
     # top bit: a W one bit short, or one without the r_i, reads it wrong
     b, scales = _lift_rows(a)
@@ -220,14 +243,13 @@ def test_a_charpoly_digit_at_the_top_of_its_slot_decodes(a, berkowitz_rings,
     digits = [c * prod(scales) for c in got]
     assert all(d.denominator == 1 for d in digits)
     assert _top_of_slot([int(d) for d in digits], _charpoly_width(b, scales))
-    assert prod(_hadamard_factors(b._e, n)) <= prod(
-        r + _norm_ceil(b.row_list(i + 1)) for i, r in enumerate(scales))
+    assert list(_row_squares(b._e, n)) == [
+        sum(v * v for v in b.row_list(i + 1)) for i in range(n)]
 
 
 @pytest.mark.parametrize("k", [3, 10, 31])
 @pytest.mark.parametrize("scale", [1, 5, 2**61 + 1])
-def test_an_adjugate_slot_at_the_top_decodes(k, scale, horners,
-                                             rows_everywhere):
+def test_an_adjugate_slot_at_the_top_decodes(k, scale, horners):
     # rows (m, m, 0), (-m, m, 0), (0, 0, 1/r) with m = 2**k: adj(B) @ D
     # has 2 * m**2 * r in its last slot, and Hadamard's bound on a 2 x 2
     # minor, sqrt(2 * m**2 * 2 * m**2) = 2 * m**2, times r = max r_i puts
@@ -253,7 +275,7 @@ def test_an_adjugate_slot_at_the_top_decodes(k, scale, horners,
 
 
 @pytest.mark.parametrize("scale", [3, 2**20 + 7, 10**30 + 57])
-def test_tower_fits_bound_the_row_scales(scale, rows_everywhere):
+def test_tower_fits_bound_the_row_scales(scale):
     # over Q[t], det(x*D - B) of (1 / r) has r as its top coefficient and
     # adj(B) @ D of diag(1 / r, 1) has r in a slot, with every entry of B
     # of norm 1: the fits' r term alone sizes their widths
@@ -269,8 +291,7 @@ def test_tower_fits_bound_the_row_scales(scale, rows_everywhere):
     assert ctx[2] == scale.bit_length() + 1
 
 
-def test_wide_rows_fall_back_with_their_scales(berkowitz_rings, horners,
-                                               rows_everywhere):
+def test_wide_rows_fall_back_with_their_scales(berkowitz_rings, horners):
     # a row with 10**40 denominators puts n * W past the gate: berkowitz()
     # runs on the integers L * A, L = lcm(r_i), and its c_j are rescaled
     # to det D * c_j; a zero first column sends the adjugate to the chain,
