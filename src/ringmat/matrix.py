@@ -1041,7 +1041,8 @@ MAX_CHARPOLY_BITS = 1000
 
 def _row_squares(entries, n: int):
     """The squared euclidean norm of each row of the n x n integer matrix
-    with these row-major entries, lazily: the rows' Hadamard bound."""
+    with these row-major entries, lazily; _integer_charpoly and
+    _solved_adjugate build Hadamard's bound from them."""
     squares = iter(map(mul, entries, entries))
     return map(sum, zip(*[squares] * n))
 

@@ -100,16 +100,22 @@ def test_gate_is_pinned_from_both_sides(berkowitz_rings):
         assert len(berkowitz_rings) == calls, (target, a.rows)
 
 
-def test_width_is_the_formula(monkeypatch):
-    # the diagonal handed to _bareiss is 2**W - a_ii
-    seen = []
-    real = matrix_mod._bareiss
+def _spy_bareiss(patch):
+    """The first entry of each matrix that _bareiss eliminates while patch
+    holds, in a list that fills as it runs."""
+    seen, real = [], matrix_mod._bareiss
 
     def spy(entries, n):
         seen.append(entries[0])
         return real(entries, n)
 
-    monkeypatch.setattr(matrix_mod, "_bareiss", spy)
+    patch.setattr(matrix_mod, "_bareiss", spy)
+    return seen
+
+
+def test_width_is_the_formula(monkeypatch):
+    # the diagonal handed to _bareiss is 2**W - a_ii
+    seen = _spy_bareiss(monkeypatch)
     # B = 2, 2 * 2, 2 * 1, (1 + 2)**2 as ceil(sqrt(2)) = 2, (1 + 5)**2
     # on the exact sqrt(25), 3**4 for rows of norm 2, 11**3 for norm 10
     pinned = [((1,), 3), ((1, 0, 0, 1), 4), ((0, 0, 1, 0), 3),
@@ -218,15 +224,19 @@ def _integer_matrices(draw):
 def test_every_coefficient_is_within_the_bound(a):
     n = a.rows
     want = berkowitz(a)
-    assert list(matrix_mod._row_squares(a._e, n)) == [
-        sum(v * v for v in a.row_list(i + 1)) for i in range(n)]
     bound = _bound(a._e, n)
     assert all(abs(c) <= bound for c in want)
     assert charpoly_coefficients(a) == want
-    # and decoded at that width past the gate as well
+    if not n:
+        return
+    # and eliminated past the gate as well, at the W of the formula: the
+    # kernel itself, as charpoly_coefficients takes closed forms at n <= 3
+    w = _width(a)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(matrix_mod, "MAX_CHARPOLY_BITS", n * _width(a))
-        assert charpoly_coefficients(a) == want
+        patch.setattr(matrix_mod, "MAX_CHARPOLY_BITS", n * w)
+        seen = _spy_bareiss(patch)
+        assert matrix_mod._integer_charpoly(a._e, n) == want
+    assert seen == [(1 << w) - a._e[0]], a
 
 
 def test_bare_mod_rings_keep_berkowitz(berkowitz_rings):

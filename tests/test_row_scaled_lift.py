@@ -20,12 +20,12 @@ from math import isqrt, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ringmat.matrix as matrix_mod
 from ringmat.matrix import (
     Matrix,
     _adjugate_fit,
     _encode,
     _minors_fit,
-    _row_squares,
     berkowitz,
     charpoly_coefficients,
 )
@@ -232,19 +232,26 @@ def _sylvester_rows(m, scales):
     _sylvester_rows(2**30 + 1, [3, 1, 1, 1]),
     _sylvester_rows(2**40 - 1, [1, 2, 1, 1])],
     ids=["d1", "d2", "d3", "d4", "h-r1", "h-r3", "h-r2"])
-def test_a_charpoly_digit_at_the_top_of_its_slot_decodes(a, berkowitz_rings):
+def test_a_charpoly_digit_at_the_top_of_its_slot_decodes(a, berkowitz_rings,
+                                                        monkeypatch):
     # det D * c_j as balanced base 2**W digits, one of them needing the
     # top bit: a W one bit short, or one without the r_i, reads it wrong
     b, scales = _lift_rows(a)
-    n = a.rows
+    n, w = a.rows, _charpoly_width(b, scales)
     got = charpoly_coefficients(a)
     assert berkowitz_rings == []
     assert got == berkowitz(a)
     digits = [c * prod(scales) for c in got]
     assert all(d.denominator == 1 for d in digits)
-    assert _top_of_slot([int(d) for d in digits], _charpoly_width(b, scales))
-    assert list(_row_squares(b._e, n)) == [
-        sum(v * v for v in b.row_list(i + 1)) for i in range(n)]
+    assert _top_of_slot([int(d) for d in digits], w)
+    # the kernel itself (closed forms take n <= 2) eliminates at that W:
+    # the diagonal handed to _bareiss is r_i * 2**W - b_ii
+    seen, real = [], matrix_mod._bareiss
+    monkeypatch.setattr(matrix_mod, "_bareiss",
+                        lambda e, k: seen.append(e[0]) or real(e, k))
+    assert matrix_mod._integer_charpoly(b._e, n, scales) == [
+        int(d) for d in digits]
+    assert seen == [(scales[0] << w) - b._e[0]]
 
 
 @pytest.mark.parametrize("k", [3, 10, 31])
