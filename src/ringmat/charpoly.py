@@ -124,10 +124,7 @@ def charpoly_newton(a: Matrix) -> CharPolyData:
     tr = power_traces(a, n)
     c = [K.one()]
     for k in range(1, n + 1):
-        acc = K.zero()
-        for i in range(1, k + 1):
-            acc = K.add(acc, K.mul(tr[i], c[k - i]))
-        c.append(K.mul(K.coerce(Fraction(-1, k)), acc))
+        c.append(K.mul(K.coerce(Fraction(-1, k)), _trace_sum(K, tr, c, k)))
     return _assemble(a, c)
 
 
@@ -144,11 +141,16 @@ def power_traces(a: Matrix, imax: int) -> list:
 
 
 def adjugate_via_charpoly(a: Matrix) -> Matrix:
-    """adj(A) = (-1)**(n-1) * (c_(n-1)*I + c_(n-2)*A + ... + c_0*A**(n-1)).
+    """adj(A) by Matrix.adjugate(), whose two routes above the closed
+    forms are: over ZZ, QQ and the encodable towers, fraction-free
+    elimination of [A | I] with back-substitution while its slots fit
+    matrix.MAX_SOLVE_BITS; everywhere else, and as that route's
+    fallback, the charpoly-coefficient formula
 
-    This formula is the production route of Matrix.adjugate(), so this is
-    that call, which over ZZ, QQ and the encodable towers takes the c_j
-    by the trace recursion rather than from charpoly();
+        adj(A) = (-1)**(n-1) * (c_(n-1)*I + c_(n-2)*A + ... + c_0*A**(n-1))
+
+    by Horner, which over ZZ, QQ and the encodable towers takes the c_j
+    by the trace recursion rather than from charpoly().
     Matrix.adjugate_cofactor() is the independent oracle.
     """
     return a.adjugate()
@@ -179,7 +181,10 @@ def trace_cayley_hamilton_sum(data: CharPolyData, tr, k: int):
     zero for every k >= 0.
     """
     K = data.chi.ring
-    acc = K.mul(K.from_int(k), data.coefficient(k))
-    for i in range(1, k + 1):
-        acc = K.add(acc, K.mul(tr[i], data.coefficient(k - i)))
-    return acc
+    return K.add(K.mul(K.from_int(k), data.coefficient(k)),
+                 _trace_sum(K, tr, data.c, k))
+
+
+def _trace_sum(K, tr, c, k: int):
+    """sum_(i=1..k) tr[i] * c[k-i], with c[j] zero for j >= len(c)."""
+    return K.dot(c[:k], tr[k:0:-1])

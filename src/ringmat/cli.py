@@ -168,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("adjugate", help="adjugate matrix")
     _add_matrix_opts(p)
     p.add_argument("--via-charpoly", action="store_true",
-                   help="accepted for compatibility: the adjugate is always "
-                        "the charpoly-coefficient formula")
+                   help="accepted for compatibility: the same call (elimination, "
+                        "else the charpoly-coefficient formula)")
 
     p = sub.add_parser("verify",
                        help="check identities around one matrix")

@@ -14,7 +14,7 @@ Two exact formulas are checked for any derivation f and square matrix A:
 
 from __future__ import annotations
 
-from .matrix import Matrix
+from .matrix import Matrix, row_mixed
 from .poly import Polynomial, PolynomialRing
 from .record import FrozenRecord
 from .report import VerificationReport, first_failure, make_report
@@ -140,11 +140,9 @@ def verify_derivation_det_rows(f: Derivation, a: Matrix) -> VerificationReport:
     lhs = f(a.det())
     n = a.rows
     rhs = L.zero()
-    for k in range(1, n + 1):
-        entries = []
-        for i in range(1, n + 1):
-            entries.extend((image if i == k else a).row_list(i))
-        rhs = L.add(rhs, Matrix(L, n, n, entries).det())
+    for k in range(n):
+        mixed = row_mixed(L, [image if i == k else a for i in range(n)])
+        rhs = L.add(rhs, mixed.det())
     return make_report(
         "derivation_det_rows", L.sub(lhs, rhs), ring=L,
         inputs={"derivation": f.describe(), "matrix": a.to_json()},

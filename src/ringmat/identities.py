@@ -23,8 +23,10 @@ The production kernels take separate routes (matrix.py).  Over ZZ, and
 over QQ and the encodable towers on their integer encoding:
 Matrix.det is Bareiss's elimination of A (_bareiss); the charpoly
 coefficients c_j are the base 2**W digits of the same elimination run
-on 2**W * I - A; Matrix.adjugate and the D_k are the Horner chain in A
-that reads its own c_j off traces (the trace Cayley-Hamilton recursion).
+on 2**W * I - A; Matrix.adjugate is that forward elimination of
+[A | I] with back-substitution while its slots fit MAX_SOLVE_BITS, and
+otherwise, like the D_k always, the Horner chain in A that reads its
+own c_j off traces (the trace Cayley-Hamilton recursion).
 Bare Z/m and towers above MAX_SLOTS take every c_j, those of det and
 of the adjugate included, from matrix.berkowitz, and so do det and the
 c_j over ZZ when the elimination would be too wide.  So the two sides
@@ -52,7 +54,7 @@ from .charpoly import (
     power_traces,
     trace_cayley_hamilton_sum,
 )
-from .matrix import Matrix, block2x2, char_matrix, ent
+from .matrix import Matrix, block2x2, char_matrix, ent, row_mixed
 from .poly import Polynomial, PolynomialRing, ring_depth
 from .record import FrozenRecord
 from .report import (VerificationReport, first_failure, hypothesis_not_met,
@@ -371,7 +373,9 @@ def verify_newton_agreement(a: Matrix) -> VerificationReport:
 
 
 def verify_adj_via_charpoly(a: Matrix) -> VerificationReport:
-    """The coefficient-polynomial route to adj(A) against the cofactor oracle."""
+    """The production adjugate (charpoly.adjugate_via_charpoly:
+    elimination, else the charpoly-coefficient formula) against the
+    cofactor oracle."""
     a.require_square("adjugate comparison")
     return make_report(
         "adj_via_charpoly", adjugate_via_charpoly(a) - a.adjugate_cofactor(),
@@ -754,10 +758,7 @@ def verify_trace_multinomial(a: Matrix, m: int) -> VerificationReport:
         powers.append(powers[-1] @ a)
     acc = K.zero()
     for parts in compositions(m, n):
-        entries = []
-        for j in range(1, n + 1):
-            entries.extend(powers[parts[j - 1]].row_list(j))
-        term = Matrix(K, n, n, entries).det()
+        term = row_mixed(K, [powers[p] for p in parts]).det()
         acc = K.add(acc, K.mul(K.from_int(multinomial(m, parts)), term))
     diff = K.sub(K.pow(a.trace(), m), acc)
     return make_report("trace_multinomial", diff, ring=K, inputs=inputs)
@@ -770,11 +771,9 @@ def verify_row_replacement(a: Matrix, b: Matrix) -> VerificationReport:
     n = a.rows
     ba = b @ a
     acc = K.zero()
-    for j in range(1, n + 1):
-        entries = []
-        for i in range(1, n + 1):
-            entries.extend((ba if i == j else b).row_list(i))
-        acc = K.add(acc, Matrix(K, n, n, entries).det())
+    for j in range(n):
+        mixed = row_mixed(K, [ba if i == j else b for i in range(n)])
+        acc = K.add(acc, mixed.det())
     diff = K.sub(acc, K.mul(a.trace(), b.det()))
     return make_report(
         "row_replacement", diff, ring=K,

@@ -265,7 +265,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import islice, permutations, repeat
 from math import factorial, isqrt, lcm, prod
-from operator import mul
+from operator import matmul, mul
 
 from .poly import Polynomial, PolynomialRing
 from .rings import (
@@ -277,6 +277,7 @@ from .rings import (
     Ring,
     RingMismatchError,
     ShapeError,
+    power,
 )
 
 
@@ -409,16 +410,8 @@ class Matrix:
 
     def __pow__(self, k: int) -> "Matrix":
         self.require_square("matrix power")
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        result, base = Matrix.identity(self.ring, self.rows), self
-        while k:
-            if k & 1:
-                result = result @ base
-            k >>= 1
-            if k:
-                base = base @ base
-        return result
+        return power(self, k, matmul,
+                     lambda: Matrix.identity(self.ring, self.rows))
 
     def trace(self):
         self.require_square("trace")
@@ -1374,6 +1367,14 @@ def block2x2(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
         for i in range(1, left.rows + 1):
             entries.extend(left.row_list(i) + right.row_list(i))
     return Matrix(a.ring, a.rows + c.rows, a.cols + b.cols, entries)
+
+
+def row_mixed(ring: Ring, sources) -> Matrix:
+    """The n x n matrix over ring whose row i is row i of sources[i],
+    n = len(sources), each source n x n; 0 x 0 when sources is empty."""
+    n = len(sources)
+    return Matrix(ring, n, n, [v for i, s in enumerate(sources)
+                               for v in s._e[i * n:(i + 1) * n]])
 
 
 def ent(m: Matrix):

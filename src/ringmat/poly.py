@@ -98,11 +98,7 @@ class Polynomial:
         if not a or not b:
             return Polynomial(R)
         out = [R.zero()] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if R.is_zero(ai):
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = R.add(out[i + j], R.mul(ai, bj))
+        _add_product(out, R, a, b)
         return Polynomial(R, out)
 
     def scale(self, value) -> "Polynomial":
@@ -183,20 +179,12 @@ class PolynomialRing(Ring):
     def dot(self, xs, ys):
         # every product accumulates into one coefficient list
         base = self.base
-        add, mul, is_zero = base.add, base.mul, base.is_zero
         out = []
         for x, y in zip(xs, ys):
             a, b = x.coeffs, y.coeffs
-            if not a or not b:
-                continue
-            grow = len(a) + len(b) - 1 - len(out)
-            if grow > 0:
-                out.extend([base.zero()] * grow)
-            for i, ai in enumerate(a):
-                if is_zero(ai):
-                    continue
-                for j, bj in enumerate(b, i):
-                    out[j] = add(out[j], mul(ai, bj))
+            if a and b:
+                out.extend([base.zero()] * (len(a) + len(b) - 1 - len(out)))
+                _add_product(out, base, a, b)
         return Polynomial(base, out)
 
     def from_int(self, k):
@@ -244,6 +232,16 @@ class PolynomialRing(Ring):
 
     def __str__(self):
         return f"poly over {self.base}"
+
+
+def _add_product(out: list, base: Ring, a, b) -> None:
+    """Add the product of the nonempty coefficient sequences a and b over
+    base into out, which has at least len(a) + len(b) - 1 entries: the one
+    coefficient loop of Polynomial.__mul__ and PolynomialRing.dot."""
+    for i, ai in enumerate(a):
+        if not base.is_zero(ai):
+            for j, bj in enumerate(b, i):
+                out[j] = base.add(out[j], base.mul(ai, bj))
 
 
 def ring_depth(ring: Ring) -> int:

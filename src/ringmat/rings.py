@@ -113,16 +113,7 @@ class Ring:
 
     def pow(self, a, k: int):
         """a**k for k >= 0, with a**0 = 1 (even for a = 0)."""
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        result = self.one()
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        return power(a, k, self.mul, self.one)
 
     def coerce(self, v):
         """Canonical value for v, raising RingMismatchError if v is foreign."""
@@ -342,6 +333,26 @@ class RationalRing(Ring):
 
 ZZ = IntegerRing()
 QQ = RationalRing()
+
+
+def power(a, k: int, mul, one):
+    """a**k for k >= 0 by binary powering, from the top bit of k down.
+
+    mul(x, y) is the product and one() the empty product, built only at
+    k = 0.  For k >= 1 this takes popcount(k) + bit_length(k) - 2
+    products: one square per bit below the top one and one more product
+    with a per further set bit.  Ring.pow and Matrix.__pow__ both use it.
+    """
+    if k < 0:
+        raise ValueError("exponent must be nonnegative")
+    if k == 0:
+        return one()
+    result = a
+    for bit in bin(k)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, a)
+    return result
 
 
 # Integer literals longer than this many digits (sign excluded) are

@@ -1,6 +1,7 @@
 """Named identity suites with deterministic fuzzing.
 
-Every identity is one row of _TABLE: how a fuzz case draws n and A,
+Every identity is one row of _TABLE, whose rows are grouped by suite
+(SUITES is read off the grouping): how a fuzz case draws n and A,
 which further inputs its verifier takes in draw order, which matrices
 get a hypothesis-not-met report instead of a check, and which sizes are
 refused.  One generic driver turns a row into fuzz cases drawn from a
@@ -28,7 +29,7 @@ from math import inf
 from . import derivations as dv
 from . import identities as ids
 from .fuzz import (
-    MAX_SAMPLE_DEPTH, characteristic, derive_seed, power_nilpotent,
+    MAX_SAMPLE_DEPTH, _draw, characteristic, derive_seed, power_nilpotent,
     sample_commuting, sample_element, sample_indicator, sample_matrix,
     sample_nilpotent, sample_singular, sample_strict_upper, sample_subset,
     stream,
@@ -243,13 +244,13 @@ def _on_derivation(name, a, rng, params):
 def _fz_leibniz_chain(name, rng, ring, size, params, case):
     L = _derivation_ring(ring)
     count = 2 + rng.below(3)
-    elems = [sample_element(rng, L, poly_degree=2) for _ in range(count)]
+    elems = _draw(rng, L, count, 2)
     return [dv.verify_leibniz_chain(dv.standard_derivations(L)[case % 3], elems)]
 
 
 def _on_leibniz_chain(name, a, rng, params):
     L = _derivation_ring(a.ring)
-    elems = [sample_element(rng, L, poly_degree=2) for _ in range(3)]
+    elems = _draw(rng, L, 3, 2)
     return [dv.verify_leibniz_chain(f, elems) for f in dv.standard_derivations(L)]
 
 
@@ -277,7 +278,8 @@ _ADJ_SCALAR_GATE = 1, inf, "the scaled-adjugate law requires n >= 1"
 _JACOBI_GATE = 1, inf, "complementary minors need n >= 1"
 _BLOCK_GATE = 1, inf, "the block laws here need n >= 1"
 
-# One row per identity, in registry order, with the columns
+# One row per identity, grouped by suite, in registry order, with the
+# columns
 #   clamp  fuzz cases draw n <= min(--size, clamp); None: n <= --size
 #   least  the least n a fuzz case draws
 #   A      how a fuzz case samples A: "r" at random, "s" singular in
@@ -290,76 +292,74 @@ _BLOCK_GATE = 1, inf, "the block laws here need n >= 1"
 #          row, B a matrix commuting with A, P --p (else the
 #          characteristic if prime, else 2), I --imax (else 2n + 1)
 #   gate, caps  as set out above
-_TABLE = {
-    # name                  clamp least A    aux            gate  caps
-    "det_oracle":            (8,    0,   "r", "",   _DET_ORACLE_GATE, _FREE),
-    "adj_inverse":           (None, 0,   "s", "",           None, _UNCLAMPED),
-    "det_product":           (None, 0,   "r", "b:M",        None, _UNCLAMPED),
-    "trace_product":         (None, None, (_fz_trace_product, _on_trace_product),
-                              "", None, _UNCLAMPED),
-    "laplace":               (None, 1,   "r", "",           None, _UNCLAMPED),
-    "det_scalar":            (None, 0,   "r", "lam:E",      None, _UNCLAMPED),
-    "eval_zero_hom":         (4,    0,   "r", "",           None, _ORACLE_SIDE),
-    "det_affine_degree":     (4,    0,   "r", "b:M",        None, _FREE),
-    "row_of_product":        (None, None, (_fz_row_of_product, _on_row_of_product),
-                              "", None, _UNCLAMPED),
-    "cayley_hamilton":       (5,    0,   "r", "",           None, _FREE),
-    "trace_cayley_hamilton": (5,    0,   "r", "",           None, _FREE),
-    "newton_agreement":      (5,    0,   "r", "",           None, _FREE),
-    "adj_via_charpoly":      (None, 0,   "r", "",           None, _ORACLE),
-    "charpoly_derivative":   (4,    0,   "r", "",           None, _ORACLE_SIDE),
-    "adj_trace":             (None, 0,   "r", "",           None, _ORACLE),
-    "trace_of_D":            (None, 0,   "r", "",           None, _UNCLAMPED),
-    "coefficient_family":    (None, 0,   "r", "",           None, _UNCLAMPED),
-    "trace_coefficient":     (None, 0,   "r", "",           None, _UNCLAMPED),
-    "adj_product":           (None, 0,   "s", "b:S",        None, _UNCLAMPED),
-    "adj_of_adj":            (None, 0,   "s", "",           None, _UNCLAMPED),
-    "adj_scalar":            (None, 1,   "s", "lam:E",
-                              _ADJ_SCALAR_GATE, _UNCLAMPED),
-    "jacobi":                (4,    None, (_fz_jacobi, _on_jacobi),
-                              "", _JACOBI_GATE, _FREE),
-    "commute_swap":          (4,    0,   "r", "b:B s:M",    None, _FREE),
-    "block_commute":         (3,    0,   "r", "c:B b:M d:M", None, _GLUED),
-    "rank1_block":           (3,    None, (_fz_rank1_block, _on_rank1_block),
-                              "", _BLOCK_GATE, _GLUED),
-    "matrix_det_lemma":      (None, 0,   "r", "u:C v:R",    None, _UNCLAMPED),
-    "nilpotency":            (5,    None, (_fz_nilpotency, _check),
-                              "", None, _FREE),
-    "nilpotency_converse":   (5,    1,   "u", "imax:I",     None, _FREE),
-    "almkvist":              (4,    None, (_fz_almkvist, _on_almkvist),
-                              "", None, _FREE),
-    "trace_multinomial":     (3,    None, (_fz_trace_multinomial,
-                                           _on_trace_multinomial),
-                              "", None, _FREE),
-    "row_replacement":       (None, 0,   "r", "b:M",        None, _UNCLAMPED),
-    "frobenius_trace":       (None, 0,   "r", "p:P",        None, _UNCLAMPED),
-    "derivation_det":        (3,    None, (_fz_derivation, _on_derivation),
-                              "", None, _FREE),
-    "derivation_det_rows":   (3,    None, (_fz_derivation, _on_derivation),
-                              "", None, _FREE),
-    "leibniz_chain":         (None, None, (_fz_leibniz_chain, _on_leibniz_chain),
-                              "", None, _FREE),
+_TABLE_BY_SUITE = {
+    "core": {
+        # name                  clamp least A    aux            gate  caps
+        "det_oracle":            (8,    0,   "r", "",   _DET_ORACLE_GATE, _FREE),
+        "adj_inverse":           (None, 0,   "s", "",           None, _UNCLAMPED),
+        "det_product":           (None, 0,   "r", "b:M",        None, _UNCLAMPED),
+        "trace_product":         (None, None, (_fz_trace_product, _on_trace_product),
+                                  "", None, _UNCLAMPED),
+        "laplace":               (None, 1,   "r", "",           None, _UNCLAMPED),
+        "det_scalar":            (None, 0,   "r", "lam:E",      None, _UNCLAMPED),
+        "eval_zero_hom":         (4,    0,   "r", "",           None, _ORACLE_SIDE),
+        "det_affine_degree":     (4,    0,   "r", "b:M",        None, _FREE),
+        "row_of_product":        (None, None, (_fz_row_of_product, _on_row_of_product),
+                                  "", None, _UNCLAMPED),
+        "cayley_hamilton":       (5,    0,   "r", "",           None, _FREE),
+        "trace_cayley_hamilton": (5,    0,   "r", "",           None, _FREE),
+        "newton_agreement":      (5,    0,   "r", "",           None, _FREE),
+        "adj_via_charpoly":      (None, 0,   "r", "",           None, _ORACLE),
+        "charpoly_derivative":   (4,    0,   "r", "",           None, _ORACLE_SIDE),
+        "adj_trace":             (None, 0,   "r", "",           None, _ORACLE),
+        "trace_of_D":            (None, 0,   "r", "",           None, _UNCLAMPED),
+        "coefficient_family":    (None, 0,   "r", "",           None, _UNCLAMPED),
+        "trace_coefficient":     (None, 0,   "r", "",           None, _UNCLAMPED),
+    },
+    "adjugate": {
+        "adj_product":           (None, 0,   "s", "b:S",        None, _UNCLAMPED),
+        "adj_of_adj":            (None, 0,   "s", "",           None, _UNCLAMPED),
+        "adj_scalar":            (None, 1,   "s", "lam:E",
+                                  _ADJ_SCALAR_GATE, _UNCLAMPED),
+        "jacobi":                (4,    None, (_fz_jacobi, _on_jacobi),
+                                  "", _JACOBI_GATE, _FREE),
+    },
+    "blocks": {
+        "commute_swap":          (4,    0,   "r", "b:B s:M",    None, _FREE),
+        "block_commute":         (3,    0,   "r", "c:B b:M d:M", None, _GLUED),
+        "rank1_block":           (3,    None, (_fz_rank1_block, _on_rank1_block),
+                                  "", _BLOCK_GATE, _GLUED),
+        "matrix_det_lemma":      (None, 0,   "r", "u:C v:R",    None, _UNCLAMPED),
+    },
+    "nilpotency": {
+        "nilpotency":            (5,    None, (_fz_nilpotency, _check),
+                                  "", None, _FREE),
+        "nilpotency_converse":   (5,    1,   "u", "imax:I",     None, _FREE),
+        "almkvist":              (4,    None, (_fz_almkvist, _on_almkvist),
+                                  "", None, _FREE),
+    },
+    "traces": {
+        "trace_multinomial":     (3,    None, (_fz_trace_multinomial,
+                                               _on_trace_multinomial),
+                                  "", None, _FREE),
+        "row_replacement":       (None, 0,   "r", "b:M",        None, _UNCLAMPED),
+        "frobenius_trace":       (None, 0,   "r", "p:P",        None, _UNCLAMPED),
+    },
+    "derivations": {
+        "derivation_det":        (3,    None, (_fz_derivation, _on_derivation),
+                                  "", None, _FREE),
+        "derivation_det_rows":   (3,    None, (_fz_derivation, _on_derivation),
+                                  "", None, _FREE),
+        "leibniz_chain":         (None, None, (_fz_leibniz_chain, _on_leibniz_chain),
+                                  "", None, _FREE),
+    },
 }
-
+_TABLE = {name: row for rows in _TABLE_BY_SUITE.values()
+          for name, row in rows.items()}
+SUITES = {suite: tuple(rows) for suite, rows in _TABLE_BY_SUITE.items()}
 IDENTITY_NAMES = tuple(_TABLE)
 _AUX = {name: [item.split(":") for item in row[3].split()]
         for name, row in _TABLE.items()}
-
-SUITES = {
-    "core": (
-        "det_oracle", "adj_inverse", "det_product", "trace_product",
-        "laplace", "det_scalar", "eval_zero_hom", "det_affine_degree",
-        "row_of_product", "cayley_hamilton", "trace_cayley_hamilton",
-        "newton_agreement", "adj_via_charpoly", "charpoly_derivative",
-        "adj_trace", "trace_of_D", "coefficient_family", "trace_coefficient",
-    ),
-    "adjugate": ("adj_product", "adj_of_adj", "adj_scalar", "jacobi"),
-    "blocks": ("commute_swap", "block_commute", "rank1_block",
-               "matrix_det_lemma"),
-    "nilpotency": ("nilpotency", "nilpotency_converse", "almkvist"),
-    "traces": ("trace_multinomial", "row_replacement", "frobenius_trace"),
-    "derivations": ("derivation_det", "derivation_det_rows", "leibniz_chain"),
-}
 
 
 def _cap_guard(names, n: int, what: str, column: int) -> None:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import coefficient_matrices_oracle
+from helpers import coefficient_matrices_oracle, plain_horner
 from ringmat.charpoly import charpoly
 from ringmat.matrix import (
     MAX_SLOTS,
@@ -93,15 +93,6 @@ CASES += [(f"{label}-d3", name, a) for label in ("int", "mod6", "rat")
 IDS = [f"{label}-{name}" for label, name, _ in CASES]
 
 
-def _plain_horner(a, c):
-    """D_(n-1) = I, D_(k-1) = D_k @ a + c_(n-k) * I, by Ring.dot."""
-    R, n = a.ring, a.rows
-    out = [Matrix.identity(R, n)]
-    for ci in c[1:n]:
-        out.append(_product(out[-1], a) + Matrix.identity(R, n).scale(ci))
-    return out[::-1]
-
-
 def test_towers_over_zz_zmod_qq_encode():
     # ZZ and Z/m need no encoding; QQ and every tower over the three do,
     # down the chain of coefficient rings
@@ -146,7 +137,7 @@ def test_kernels_match_generic_oracles(label, name, a):
     if n <= 3:
         assert list(data.D) == coefficient_matrices_oracle(a)
     else:
-        assert list(data.D) == _plain_horner(a, data.c)
+        assert list(data.D) == plain_horner(a, data.c)
 
 
 @pytest.mark.parametrize("label", list(BASES))
@@ -211,7 +202,7 @@ def test_coefficient_degrees_follow_the_horner_steps(label):
     rng = random.Random(f"horner-{label}")
     for n in (2, 3, 5):
         a = _matrix(rng, rings, n, n, top=10**30, degree=4)
-        assert adjugate_coefficients(a) == _plain_horner(a, berkowitz(a))
+        assert adjugate_coefficients(a) == plain_horner(a, berkowitz(a))
 
 
 class _Counting:
