@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .matrix import (Matrix, adjugate_coefficients, apply_poly,
-                     charpoly_coefficients)
+                     charpoly_coefficients, powers)
 from .poly import Polynomial
 from .record import FrozenRecord
 from .rings import QAlgebraRequiredError
@@ -131,13 +131,7 @@ def charpoly_newton(a: Matrix) -> CharPolyData:
 def power_traces(a: Matrix, imax: int) -> list:
     """[_, Tr(A), Tr(A**2), ..., Tr(A**imax)] (index 0 unused)."""
     a.require_square("power traces")
-    K = a.ring
-    out = [K.zero()]
-    p = None
-    for _ in range(imax):
-        p = a if p is None else p @ a
-        out.append(p.trace())
-    return out
+    return [a.ring.zero()] + [p.trace() for p in powers(a, imax)]
 
 
 def adjugate_via_charpoly(a: Matrix) -> Matrix:

@@ -14,7 +14,7 @@ Two exact formulas are checked for any derivation f and square matrix A:
 
 from __future__ import annotations
 
-from .matrix import Matrix, row_mixed
+from .matrix import Matrix, row_replacement_sum
 from .poly import Polynomial, PolynomialRing
 from .record import FrozenRecord
 from .report import VerificationReport, first_failure, make_report
@@ -138,11 +138,7 @@ def verify_derivation_det_rows(f: Derivation, a: Matrix) -> VerificationReport:
     image = f.matrix_image(a)
     L = f.algebra
     lhs = f(a.det())
-    n = a.rows
-    rhs = L.zero()
-    for k in range(n):
-        mixed = row_mixed(L, [image if i == k else a for i in range(n)])
-        rhs = L.add(rhs, mixed.det())
+    rhs = row_replacement_sum(L, a, image)
     return make_report(
         "derivation_det_rows", L.sub(lhs, rhs), ring=L,
         inputs={"derivation": f.describe(), "matrix": a.to_json()},

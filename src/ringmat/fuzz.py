@@ -11,10 +11,10 @@ identical fuzz reports everywhere:
 
 Streams are split by reseeding: the child seed for a labelled stream is
 the first output of SplitMix64 seeded with parent_seed XOR FNV-1a64(label)
-(integer tokens are XORed in directly).  Bounded draws use rejection
-sampling on raw 64-bit outputs (for a bound above 2**64, on the integer
-whose 64-bit words, lowest first, are the next ceil(bits(n - 1) / 64)
-outputs), and matrix entries are drawn row by row:
+(integer tokens are XORed in directly).  A draw below a bound n uses
+rejection sampling on the integer whose 64-bit words, lowest first, are
+the next ceil(bits(n - 1) / 64) raw outputs: one output for
+2 <= n <= 2**64, none at n = 1.  Matrix entries are drawn row by row:
 
     integers        uniform in [-9, 9]
     mod m           uniform residue in [0, m)
@@ -26,7 +26,8 @@ _draw is the one definition of these: it reads the ring once and draws a
 whole matrix's scalars in one pass, each rejection limit computed once,
 still one next_u64 call per raw output, so a matrix gives the values,
 the calls and the final state of one entry drawn at a time.
-sample_element is its one-entry case.
+sample_element is its one-entry case.  _below is the one rejection
+loop, and SplitMix64.below its one-value case.
 """
 
 from __future__ import annotations
@@ -79,29 +80,8 @@ class SplitMix64:
         return _scramble(self._state)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n), by rejection on raw outputs."""
-        if n <= 0:
-            raise ValueError("bound must be positive")
-        if n == 1:
-            return 0
-        if n > 1 << 64:
-            return self._below_wide(n)
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            v = self.next_u64()
-            if v < limit:
-                return v % n
-
-    def _below_wide(self, n: int) -> int:
-        words = -(-(n - 1).bit_length() // 64)
-        span = 1 << (64 * words)
-        limit = span - span % n
-        while True:
-            v = 0
-            for i in range(words):
-                v |= self.next_u64() << (64 * i)
-            if v < limit:
-                return v % n
+        """Uniform integer in [0, n), by rejection: _below's one-value case."""
+        return _below(self, n, 1)[0]
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], inclusive."""
@@ -165,11 +145,17 @@ def _draw(rng: SplitMix64, ring: Ring, count: int, poly_degree: int) -> list:
 
 
 def _below(rng: SplitMix64, n: int, count: int, lo: int = 0) -> list:
-    """count values of lo + rng.below(n), one rejection limit for them all."""
-    if n == 1 or n > 1 << 64:
-        return [lo + rng.below(n) for _ in range(count)]
-    limit = (1 << 64) - ((1 << 64) % n)
-    draw, out = rng.next_u64, []
+    """count values of lo + a uniform integer in [0, n), by rejection on
+    the integer of the next ceil(bits(n - 1) / 64) raw outputs, lowest
+    word first, one limit for them all; ValueError unless n >= 1."""
+    if n <= 0:
+        raise ValueError("bound must be positive")
+    words = -(-(n - 1).bit_length() // 64)
+    span = 1 << 64 * words
+    limit = span - span % n
+    draw = rng.next_u64 if words == 1 else (    # no word at n = 1
+        lambda: sum(rng.next_u64() << 64 * i for i in range(words)))
+    out = []
     for _ in range(count):
         while (v := draw()) >= limit:
             pass

@@ -54,7 +54,8 @@ from .charpoly import (
     power_traces,
     trace_cayley_hamilton_sum,
 )
-from .matrix import Matrix, block2x2, char_matrix, ent, row_mixed
+from .matrix import (Matrix, block2x2, char_matrix, ent, powers,
+                     row_mixed, row_replacement_sum)
 from .poly import Polynomial, PolynomialRing, ring_depth
 from .record import FrozenRecord
 from .report import (VerificationReport, first_failure, hypothesis_not_met,
@@ -455,13 +456,11 @@ def verify_coefficient_family(a: Matrix) -> VerificationReport:
         for k in range(n + 1):
             rhs = D(k - 1) - (a @ D(k))
             yield f"difference_k_{k}", ident.scale(c(n - k)) - rhs, None
-        powers = [ident, a]  # A**0 .. A**k, one matmul per k >= 2
+        pw = [ident] + powers(a, n)      # A**0 .. A**n
         for k in range(n + 1):
-            if k >= 2:
-                powers.append(powers[-1] @ a)
             total = Matrix.zeros(K, n, n)
             for i in range(k + 1):
-                total = total + powers[i].scale(c(k - i))
+                total = total + pw[i].scale(c(k - i))
             yield f"summation_k_{k}", total - D(n - 1 - k), None
         yield None, Matrix.zeros(K, n, n), None
 
@@ -753,12 +752,10 @@ def verify_trace_multinomial(a: Matrix, m: int) -> VerificationReport:
         raise GuardError(
             f"{comb(m + n - 1, n - 1)} terms exceed the guard of {TERM_GUARD}")
     inputs = {"matrix": a.to_json(), "m": m}
-    powers = [Matrix.identity(K, n), a]  # A**0 .. A**m (A**1 even at m = 0)
-    for _ in range(2, m + 1):
-        powers.append(powers[-1] @ a)
+    pw = [Matrix.identity(K, n)] + powers(a, m)     # A**0 .. A**m
     acc = K.zero()
     for parts in compositions(m, n):
-        term = row_mixed(K, [powers[p] for p in parts]).det()
+        term = row_mixed(K, [pw[p] for p in parts]).det()
         acc = K.add(acc, K.mul(K.from_int(multinomial(m, parts)), term))
     diff = K.sub(K.pow(a.trace(), m), acc)
     return make_report("trace_multinomial", diff, ring=K, inputs=inputs)
@@ -768,12 +765,7 @@ def verify_row_replacement(a: Matrix, b: Matrix) -> VerificationReport:
     """Sum over j of det(B with row j replaced by row j of B@A) = Tr(A)*det(B)."""
     _square_family("row replacement", a, b)
     K = a.ring
-    n = a.rows
-    ba = b @ a
-    acc = K.zero()
-    for j in range(n):
-        mixed = row_mixed(K, [ba if i == j else b for i in range(n)])
-        acc = K.add(acc, mixed.det())
+    acc = row_replacement_sum(K, b, b @ a)
     diff = K.sub(acc, K.mul(a.trace(), b.det()))
     return make_report(
         "row_replacement", diff, ring=K,

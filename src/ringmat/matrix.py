@@ -498,18 +498,29 @@ class Matrix:
         Where _closed_form holds (n <= 2, and n = 3 over ZZ and Z/m),
         those cofactors over the ring itself (_small_adjugate).
         Otherwise over ZZ, and over QQ and polynomial towers on the
-        integer encoding, by solving A @ X = det(A) * I: fraction-free
-        elimination of [A | I] on packed rows and back-substitution
-        (_solved_adjugate), while the slots are at most MAX_SOLVE_BITS
-        wide.  Otherwise, or if the elimination finds no pivot before
-        its last column, as
+        row-scaled integer encoding B = D*A as adj(B) @ D, bounded by
+        _adjugate_fit(n) and decoded at det D (_scaled_adjugate), by
+        solving A @ X = det(A) * I: fraction-free elimination of [A | I]
+        on packed rows and back-substitution (_solved_adjugate), while
+        the slots are at most MAX_SOLVE_BITS wide.  Otherwise, or if the
+        elimination finds no pivot before its last column, as
         adj(A) = (-1)**(n-1) * (c_0*A**(n-1) + ... + c_(n-1)*I) by
         Horner, the c_j from the trace recursion on the way, or over
-        Z/m from berkowitz().  adj of any 1 x 1 matrix is (1); adj of
-        the 0 x 0 matrix is itself.
+        Z/m and towers above MAX_SLOTS from berkowitz().  adj of any
+        1 x 1 matrix is (1); adj of the 0 x 0 matrix is itself.
         """
         self.require_square("adjugate")
-        return _adjugates(self, every=False)[0] if self.rows else self
+        n, R, e = self.rows, self.ring, self._e
+        if _closed_form(n, R):
+            return Matrix(R, n, n, _small_adjugate(R, e, n)) if n else self
+        if isinstance(R, IntegerRing):
+            return _scaled_adjugate(self)
+        if lifted := _encode(R, (e,), _adjugate_fit(n), n):
+            (ints,), ctx = lifted
+            x = _scaled_adjugate(Matrix(ZZ, n, n, ints), ctx[1])
+            return Matrix(R, n, n, _decode(x._e, ctx, prod(ctx[1])))
+        return _horner(self, berkowitz(self)[:n], None,
+                       negate=(n - 1) & 1)[0]
 
     def adjugate_cofactor(self) -> "Matrix":
         """Adjugate oracle by two column-subset DPs (_subset_levels), about
@@ -693,53 +704,31 @@ def adjugate_coefficients(a: Matrix) -> list:
     holds (n <= 2, and n = 3 over ZZ and Z/m) no step runs: D_0 is
     -adj(a) at n = 2 and adj(a) at n = 3 (_small_adjugate).  Otherwise
     this costs n - 2 steps (_horner).  Over ZZ each c_j is
-    -tr(a @ D_(n-j)) / j, taken on the way, and over QQ and polynomial
-    towers the same runs on the integer encoding; over Z/m,
+    -tr(a @ D_(n-j)) / j, taken on the way.  Over QQ and polynomial
+    towers the D_k run on the integer encoding B = L*A, one L for the
+    whole matrix, where _minors_fit(n - 1) bounds every D_k and D_k
+    decodes at L**(n-1-k).  Over Z/m, and towers above MAX_SLOTS,
     c = berkowitz(a).
     """
-    return _adjugates(a, every=True) if a.rows else []
-
-
-def _adjugates(a: Matrix, every: bool) -> list:
-    """[D_0, ..., D_(n-1)] of a square a with n >= 1 if every, else
-    [adj(a)] = [(-1)**(n-1) * D_0].  Where _closed_form holds, adj(a) is
-    _small_adjugate, D_(n-1) = I, D_(n-2) = a - tr(a) * I and, at n = 3,
-    D_0 = adj(a).  Otherwise over QQ and polynomial towers the D_k run
-    on the integer encoding B = L*A, where _minors_fit(n - 1) bounds
-    every D_k and D_k decodes at L**(n-1-k); adj(a) runs on the
-    row-scaled one B = D*A as adj(B) @ D (_scaled_adjugate), bounded by
-    _adjugate_fit(n), and decodes at det D.  Over ZZ adj(a) is
-    _scaled_adjugate at D = I; the D_k take the c_j in _horner by the
-    trace recursion, and off ZZ from berkowitz()."""
     n, R = a.rows, a.ring
+    if not n:
+        return []
     if _closed_form(n, R):
-        if not every:
-            return [Matrix(R, n, n, _small_adjugate(R, a._e, n))]
         ds = [Matrix.identity(R, n)]
         if n >= 2:
             ds.insert(0, _plus_scalar(a, R.neg(reduce(R.add, a._e[::n + 1]))))
         if n == 3:
             ds.insert(0, Matrix(R, n, n, _small_adjugate(R, a._e, n)))
         return ds
-    if every:
-        if lifted := _encode(a.ring, (a._e,), _minors_fit(n - 1)):
-            (ints,), ctx = lifted
-            ds = _adjugates(Matrix(ZZ, n, n, ints), every)
-            return [Matrix(a.ring, n, n,
-                           _decode(d._e, ctx, prod(ctx[1]) ** (n - 1 - k)))
-                    for k, d in enumerate(ds)]
-    elif lifted := _encode(a.ring, (a._e,), _adjugate_fit(n), n):
+    if isinstance(R, IntegerRing):
+        return _horner(a, None, _trace_fit(n), every=True)[::-1]
+    if lifted := _encode(R, (a._e,), _minors_fit(n - 1)):
         (ints,), ctx = lifted
-        x = _scaled_adjugate(Matrix(ZZ, n, n, ints), ctx[1])
-        return [Matrix(a.ring, n, n, _decode(x._e, ctx, prod(ctx[1])))]
-    if isinstance(a.ring, IntegerRing):
-        if not every:
-            return [_scaled_adjugate(a)]
-        coeffs, fit = None, _trace_fit(n)
-    else:           # bare Z/m, or a tower above MAX_SLOTS: never packs
-        coeffs, fit = berkowitz(a)[:n], _minors_fit(n - 1)
-    return _horner(a, coeffs, fit, every,
-                   negate=not every and (n - 1) & 1)[::-1]
+        ds = adjugate_coefficients(Matrix(ZZ, n, n, ints))
+        scale = prod(ctx[1])
+        return [Matrix(R, n, n, _decode(d._e, ctx, scale ** (n - 1 - k)))
+                for k, d in enumerate(ds)]
+    return _horner(a, berkowitz(a)[:n], None, every=True)[::-1]
 
 
 # The square kernels' closed forms over the ring itself, which need no
@@ -1087,8 +1076,9 @@ def _poly_fit(p: Polynomial, n: int):
 def _horner(a: Matrix, coeffs, fit, every=False, negate=False) -> list:
     """[H_0, ..., H_d] if every, else [H_d] (negated if negate), where
     H_0 = coeffs[0] * I and H_j = a @ H_(j-1) + coeffs[j] * I, so that
-    H_d = sum_j coeffs[j] * a**(d-j); fit(M, [])[0] bounds every slot
-    when M bounds the entries of a.
+    H_d = sum_j coeffs[j] * a**(d-j); over ZZ fit(M, [])[0] bounds every
+    slot when M bounds the entries of a; off ZZ fit is never read
+    (_packed_width), and callers there pass None.
 
     coeffs None, for a over ZZ only, stands for c_0, ..., c_(n-1) of the
     characteristic polynomial of a, each taken on the way by the trace
@@ -1375,6 +1365,25 @@ def row_mixed(ring: Ring, sources) -> Matrix:
     n = len(sources)
     return Matrix(ring, n, n, [v for i, s in enumerate(sources)
                                for v in s._e[i * n:(i + 1) * n]])
+
+
+def row_replacement_sum(ring: Ring, base: Matrix, source: Matrix):
+    """sum over rows k of det(base with row k replaced by row k of
+    source), both n x n; zero at n = 0."""
+    n, acc = base.rows, ring.zero()
+    for k in range(n):
+        rows = [source if i == k else base for i in range(n)]
+        acc = ring.add(acc, row_mixed(ring, rows).det())
+    return acc
+
+
+def powers(a: Matrix, m: int) -> list:
+    """[a, a**2, ..., a**m] for a square a, one matmul per power after a;
+    [] for m <= 0."""
+    out = [a] if m >= 1 else []
+    for _ in range(m - 1):
+        out.append(out[-1] @ a)
+    return out
 
 
 def ent(m: Matrix):

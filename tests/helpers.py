@@ -11,6 +11,9 @@ the comparison worth having.
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 from ringmat.fuzz import sample_matrix, sample_singular, stream
 from ringmat.identities import compositions, multinomial
 from ringmat.matrix import Matrix, char_matrix
@@ -118,3 +121,16 @@ def assert_multinomial_recurrence(m: int, n: int) -> None:
                    for j, p in enumerate(parts) if p]
         assert multinomial(m, parts) == sum(
             multinomial(m - 1, q) for q in lowered), (m, parts)
+
+
+def scopes(path: Path) -> list:
+    """(label, node) for each top-level scope of a module: methods as
+    Class.method and statements outside every function as "<module>"."""
+    out = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            out += [(f"{node.name}.{f.name}", f) for f in node.body
+                    if isinstance(f, ast.FunctionDef)]
+        else:
+            out.append((getattr(node, "name", "<module>"), node))
+    return out

@@ -5,14 +5,18 @@ reports are only reproducible across reimplementations if the stream is
 bit-exact, so these vectors are load-bearing, not decoration.
 """
 
+import ast
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from helpers import Z6, Z8, ZT, RINGS5
+import ringmat.fuzz as fuzz_mod
+from helpers import Z6, Z8, ZT, RINGS5, scopes
 from ringmat.fuzz import (
     SplitMix64,
+    _below,
     characteristic,
     derive_seed,
     fnv1a64,
@@ -46,13 +50,40 @@ def test_fnv1a64_reference_vectors():
     assert fnv1a64("a") == 0xAF63DC4C8601EC8C
 
 
+class _NoDraws(SplitMix64):
+    """A generator that must not be drawn from."""
+
+    def next_u64(self) -> int:
+        raise AssertionError("next_u64 called")
+
+
 def test_below_is_unbiased_rejection():
     g = SplitMix64(42)
     draws = [g.below(10) for _ in range(2000)]
     assert set(draws) <= set(range(10))
     assert len(set(draws)) == 10
-    with pytest.raises(ValueError):
-        g.below(0)
+    assert _below(SplitMix64(42), 10, 2000) == draws
+    # one value in [0, 1) needs no draw
+    quiet = _NoDraws(42)
+    assert quiet.below(1) == 0 and quiet.randint(5, 5) == 5
+    assert _below(quiet, 1, 4) == [0] * 4
+    assert _below(quiet, 1, 3, -9) == [-9] * 3
+    assert _below(quiet, 7, 0) == []
+    for n in (0, -1, -(2 ** 70)):
+        with pytest.raises(ValueError):
+            g.below(n)
+        with pytest.raises(ValueError):
+            _below(g, n, 3)
+
+
+def test_one_rejection_loop():
+    # the scopes of fuzz.py that read next_u64: _below, the one bounded
+    # draw, and the two reseeding steps; SplitMix64.below is _below's
+    # one-value case, so a further rejection loop fails here
+    readers = {label for label, scope in scopes(Path(fuzz_mod.__file__))
+               for c in ast.walk(scope)
+               if isinstance(c, ast.Attribute) and c.attr == "next_u64"}
+    assert readers == {"_below", "SplitMix64.split", "derive_seed"}
 
 
 def test_randint_covers_both_endpoints():
@@ -220,8 +251,13 @@ def test_below_above_two_to_the_64():
     ref = SplitMix64(7)
     words = [ref.next_u64() for _ in range(2)]
     assert SplitMix64(7).below(2 ** 100) == (words[0] | words[1] << 64) % 2 ** 100
-    # 2**64 itself is still a one-word draw
+    assert _below(SplitMix64(7), 2 ** 100, 1, 5) == [
+        5 + (words[0] | words[1] << 64) % 2 ** 100]
+    # 2**64 itself is still a one-word draw, every word accepted
     assert SplitMix64(7).below(2 ** 64) == words[0]
+    g = SplitMix64(7)
+    assert _below(g, 2 ** 64, 2) == words
+    assert g._state == ref._state
     rng = SplitMix64(11)
     for n in (2 ** 64 + 1, 3 * 2 ** 70 + 5, 10 ** 40 + 7):
         draws = [rng.below(n) for _ in range(50)]

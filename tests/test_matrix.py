@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ringmat.matrix as matrix_mod
-from helpers import RINGS8, Z1, Z6, Z8, ZT, corpus, mat, plain_horner
+from helpers import (RINGS8, Z1, Z6, Z8, ZT, corpus, mat, plain_horner,
+                     scopes)
 from ringmat.charpoly import charpoly
 from ringmat.matrix import (
     Matrix,
@@ -395,37 +396,35 @@ def test_counting_ring_computes_the_same_values():
     assert a.adjugate()._e == b.adjugate()._e
 
 
-def _callers(name: str) -> set:
-    """The functions of matrix.py that call name, methods as Class.method
-    and statements outside every function as "<module>"."""
-    found = set()
-    for node in ast.parse(Path(matrix_mod.__file__).read_text()).body:
-        if isinstance(node, ast.ClassDef):
-            scopes = [(f"{node.name}.{f.name}", f) for f in node.body
-                      if isinstance(f, ast.FunctionDef)]
-        else:
-            scopes = [(getattr(node, "name", "<module>"), node)]
-        found |= {label for label, scope in scopes for c in ast.walk(scope)
-                  if isinstance(c, ast.Call)
-                  and getattr(c.func, "id", None) == name}
+def _callers(name: str) -> dict:
+    """The scopes of matrix.py that call name (as scopes labels them),
+    each with its number of call sites."""
+    found = {}
+    for label, scope in scopes(Path(matrix_mod.__file__)):
+        k = sum(isinstance(c, ast.Call) and getattr(c.func, "id", None) == name
+                for c in ast.walk(scope))
+        if k:
+            found[label] = k
     return found
 
 
 def test_one_lift_entry_point_and_one_home_for_the_bounds():
     # every kernel reaches the integer encoding through _encode alone,
     # and every result bound is a fit: (N, degrees) -> (bound, degrees)
-    assert _callers("_tower") == {"_encode"}
-    # and only the kernel entries lift: berkowitz() runs on its own ring
-    assert _callers("_encode") == {"Matrix.__matmul__", "Matrix.det",
-                                   "charpoly_coefficients", "_adjugates"}
+    assert _callers("_tower") == {"_encode": 1}
+    # and only the kernel entries lift, each once: berkowitz() runs on
+    # its own ring, and adj and the D_k have an entry each
+    assert _callers("_encode") == {
+        "Matrix.__matmul__": 1, "Matrix.det": 1, "Matrix.adjugate": 1,
+        "charpoly_coefficients": 1, "adjugate_coefficients": 1}
     factorials = _callers("factorial")
     assert factorials and all(f.endswith("_fit") for f in factorials)
 
 
 def _square_checks(path: Path) -> set:
-    """The scopes of a module (as in _callers) that build a "requires a
-    square matrix" message, or raise under an if that tests is_square()
-    or compares one matrix's rows with its cols."""
+    """The scopes of a module (as scopes labels them) that build a
+    "requires a square matrix" message, or raise under an if that tests
+    is_square() or compares one matrix's rows with its cols."""
 
     def same_matrix_rows_cols(node):
         if not isinstance(node, ast.Compare) or len(node.comparators) != 1:
@@ -440,20 +439,14 @@ def _square_checks(path: Path) -> set:
                    or same_matrix_rows_cols(c) for c in ast.walk(test))
 
     found = set()
-    for node in ast.parse(path.read_text()).body:
-        if isinstance(node, ast.ClassDef):
-            scopes = [(f"{node.name}.{f.name}", f) for f in node.body
-                      if isinstance(f, ast.FunctionDef)]
-        else:
-            scopes = [(getattr(node, "name", "<module>"), node)]
-        for label, scope in scopes:
-            for c in ast.walk(scope):
-                if (isinstance(c, ast.Constant) and isinstance(c.value, str)
-                        and "requires a square matrix" in c.value) or (
-                        isinstance(c, ast.If) and checks_square(c.test)
-                        and any(isinstance(r, ast.Raise)
-                                for s in c.body for r in ast.walk(s))):
-                    found.add(f"{path.name}:{label}")
+    for label, scope in scopes(path):
+        for c in ast.walk(scope):
+            if (isinstance(c, ast.Constant) and isinstance(c.value, str)
+                    and "requires a square matrix" in c.value) or (
+                    isinstance(c, ast.If) and checks_square(c.test)
+                    and any(isinstance(r, ast.Raise)
+                            for s in c.body for r in ast.walk(s))):
+                found.add(f"{path.name}:{label}")
     return found
 
 

@@ -51,21 +51,37 @@ class _Counting(SplitMix64):
         return super().next_u64()
 
 
+def _bounded(rng, n):
+    """Uniform in [0, n) as the fuzz module docstring pins it, on raw
+    next_u64 outputs only: no draw at n = 1, one output per attempt up
+    to 2**64, and above it the integer of the next ceil(bits(n - 1) / 64)
+    outputs, lowest word first; an attempt at or above the largest
+    multiple of n below 2**(64 * words) is drawn again."""
+    if n == 1:
+        return 0
+    words = 1 if n <= 2 ** 64 else -(-(n - 1).bit_length() // 64)
+    top = 2 ** (64 * words)
+    while True:
+        v = sum(rng.next_u64() * 2 ** (64 * i) for i in range(words))
+        if v < top - top % n:
+            return v % n
+
+
 def _small(rng):
-    v = rng.below(10)
+    v = _bounded(rng, 10)
     return v - 5 if v < 5 else v - 4
 
 
 def _reference_element(rng, ring, degree=1):
     """The per-ring distribution of the fuzz module docstring, one entry
-    and one rng.below per scalar."""
+    and one bounded draw per scalar."""
     if isinstance(ring, PolynomialRing):
         return Polynomial(ring.base, [_reference_element(rng, ring.base, degree)
                                       for _ in range(degree + 1)])
     if isinstance(ring, IntegerRing):
-        return rng.randint(-9, 9)
+        return -9 + _bounded(rng, 19)
     if isinstance(ring, ModRing):
-        return rng.below(ring.m)
+        return _bounded(rng, ring.m)
     assert isinstance(ring, RationalRing)
     num = _small(rng)
     return Fraction(num, _small(rng))

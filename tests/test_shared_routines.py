@@ -5,7 +5,10 @@ top bit, popcount(k) + bit_length(k) - 2 products for k >= 1 and the
 empty product, built without a product, only at k = 0.  poly._dot is
 both Polynomial.__mul__ and PolynomialRing.dot.  matrix.row_mixed builds
 the row-mixed determinants of the trace-multinomial, row-replacement and
-derivation checks.  Each is pinned here against an independent oracle.
+derivation checks, and matrix.row_replacement_sum is the sum of the last
+two.  matrix.powers is the power list of power_traces and of the
+coefficient-family and trace-multinomial checks.  Each is pinned here
+against an independent oracle.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from __future__ import annotations
 import pytest
 
 from helpers import RINGS8, Z8, plain_matmul
+from ringmat.charpoly import power_traces
 from ringmat.fuzz import sample_element, sample_matrix, stream
-from ringmat.matrix import Matrix, row_mixed
+from ringmat.matrix import Matrix, powers, row_mixed, row_replacement_sum
 from ringmat.poly import Polynomial, PolynomialRing
 from ringmat.rings import (ZZ, IntegerRing, ModRing, RationalRing,
                            ShapeError)
@@ -141,7 +145,7 @@ def test_product_is_the_single_pair_dot(label, base):
         assert L.dot(xs, ys) == total
 
 
-def test_row_mixed_takes_row_i_from_source_i():
+def test_row_mixed_takes_row_i_from_source_i(monkeypatch):
     ring = ZZ
     empty = row_mixed(ring, [])
     assert (empty.rows, empty.cols, empty.ring) == (0, 0, ring)
@@ -152,3 +156,38 @@ def test_row_mixed_takes_row_i_from_source_i():
                                        for i in range(3)]) for s in range(3)]
     assert row_mixed(ring, sources) == Matrix.from_rows(
         ring, [sources[i].row_list(i + 1) for i in range(3)])
+    # the row-replacement sum against a loop of Leibniz determinants
+    for label, ring in RINGS8:
+        rng = stream(2026, "row-replacement", label)
+        for n in (0, 1, 3):
+            a, b = (sample_matrix(rng, ring, n, n) for _ in range(2))
+            ba = plain_matmul(b, a)
+            want = ring.zero()
+            for k in range(n):
+                rows = [(ba if i == k else b).row_list(i + 1)
+                        for i in range(n)]
+                want = ring.add(want, Matrix(ring, n, n, [
+                    v for r in rows for v in r]).det_leibniz())
+            assert row_replacement_sum(ring, b, ba) == want, (label, n)
+            assert want == ring.mul(a.trace(), b.det()), (label, n)
+
+    # the power list against repeated plain products, one matmul per
+    # power after A, and power_traces on it
+    matmul, calls = Matrix.__matmul__, []
+
+    def counted_matmul(x, y):
+        calls.append(1)
+        return matmul(x, y)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
+    for label, ring in RINGS8:
+        a = sample_matrix(stream(2026, "powers", label), ring, 3, 3)
+        want = []
+        for m in range(6):
+            calls.clear()
+            assert powers(a, m) == want, (label, m)
+            assert len(calls) == max(m - 1, 0), (label, m)
+            want.append(plain_matmul(want[-1], a) if want else a)
+        assert power_traces(a, 0) == [ring.zero()]
+        assert power_traces(a, 3) == [ring.zero()] + [
+            p.trace() for p in want[:3]]
