@@ -83,13 +83,20 @@ class CharPolyData(FrozenRecord):
         ring = self.chi.ring
         return Matrix.zeros(ring, self.n, self.n)
 
-    def to_json(self) -> dict:
+    def json_layout(self) -> dict:
+        """The JSON keys in order, each D_k left as its Matrix: to_json
+        converts them, and the command-line writer writes them as text."""
         ring = self.chi.ring
         return {
             "chi": self.chi.to_json(),
             "c": [ring.element_to_json(v) for v in self.c],
-            "D": [d.to_json() for d in self.D],
+            "D": list(self.D),
         }
+
+    def to_json(self) -> dict:
+        out = self.json_layout()
+        out["D"] = [d.to_json() for d in self.D]
+        return out
 
 
 def _assemble(a: Matrix, c) -> CharPolyData:

@@ -24,12 +24,17 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import report as report_mod
 from .charpoly import charpoly, charpoly_newton
+from .matrix import Matrix
+from .poly import PolynomialRing
 from .report import summarize
 from .rings import (
     GuardError,
+    IntegerRing,
+    ModRing,
     ParseError,
     PreconditionError,
     QAlgebraRequiredError,
+    RationalRing,
     RingMismatchError,
     ShapeError,
     _parse_int,
@@ -71,8 +76,9 @@ def _indented(value, out: list, indent: str) -> None:
 
     json.dumps takes its pure-Python path whenever indent is set; this
     writer yields the same bytes with C-quoted strings in well under half
-    the time.  Values other than str, dict, list, tuple, bool, None and int
-    are left to json.dumps.
+    the time.  A Matrix is written as json.dumps writes its to_json(),
+    without building that (_matrix).  Values other than str, dict, list,
+    tuple, bool, None, int and Matrix are left to json.dumps.
     """
     if isinstance(value, str):
         out.append(_quote(value))
@@ -108,8 +114,62 @@ def _indented(value, out: list, indent: str) -> None:
         out.append("false")
     elif isinstance(value, int):
         out.append(decimal(value))
+    elif isinstance(value, Matrix):
+        _matrix(value, out, indent)
     else:
         out.append(json.dumps(value))
+
+
+def _matrix(m, out: list, indent: str) -> None:
+    """Append json.dumps(m.to_json(), indent=2) at indent to out, each
+    row as one piece of text: no per-entry JSON object is built."""
+    head, row, inner, row_at = _matrix_text(m.ring, indent)
+    out.append(f'{head},\n{inner}"rows": {m.rows},\n{inner}"cols": {m.cols},'
+               f'\n{inner}"entries": ')
+    if m.rows:
+        out.append("[\n" + row_at + (",\n" + row_at).join(
+            [row(m.row_list(i)) for i in range(1, m.rows + 1)])
+            + "\n" + inner + "]\n" + indent + "}")
+    else:
+        out.append("[]\n" + indent + "}")
+
+
+@functools.lru_cache(maxsize=64)
+def _matrix_text(ring, indent: str):
+    """What every matrix over ring at indent shares: the text up to the
+    end of its descriptor, the writer of one row, and two indents."""
+    inner = indent + "  "
+    head = ["{\n" + inner + '"ring": ']
+    _indented(ring.descriptor(), head, inner)
+    return "".join(head), _list_text(ring, inner + "  "), inner, inner + "  "
+
+
+def _list_text(ring, indent: str):
+    """The function writing a list of elements of ring at indent as
+    json.dumps writes their element_to_json: each element is the quoted
+    decimal over Z and Z/m, the num/den object over Q, and over R[t] the
+    list of its coefficients over R."""
+    inner = indent + "  "
+    open_, sep, close = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
+    if isinstance(ring, (IntegerRing, ModRing)):
+        open_, sep, close = open_ + '"', '"' + sep + '"', '"' + close
+        entry = decimal
+    elif isinstance(ring, RationalRing):
+        num = "{\n" + inner + '  "num": "'
+        den = '",\n' + inner + '  "den": "'
+        end = '"\n' + inner + "}"
+
+        def entry(v):
+            return num + decimal(v.numerator) + den + decimal(v.denominator) + end
+    elif isinstance(ring, PolynomialRing):
+        coeffs = _list_text(ring.base, inner)
+
+        def entry(v):
+            return coeffs(v.coeffs)
+    else:
+        raise TypeError(f"no JSON text for elements of {ring!r}")
+    return lambda values: (open_ + sep.join(map(entry, values)) + close
+                           if values else "[]")
 
 
 def _emit(payload, out_path: str | None) -> None:
@@ -203,19 +263,19 @@ def _cmd_charpoly(args) -> int:
     data = charpoly_newton(a) if use_newton else charpoly(a)
     payload = {"ring": a.ring.descriptor(), "n": a.rows,
                "method": "newton" if use_newton else "direct"}
-    payload.update(data.to_json())
+    payload.update(data.json_layout())
     _emit(payload, args.out)
     return 0
 
 
 def _cmd_adjugate(args) -> int:
-    _emit(_read_matrix(args).adjugate().to_json(), args.out)
+    _emit(_read_matrix(args).adjugate(), args.out)
     return 0
 
 
 def _finish_reports(reports, out_path: str | None) -> int:
     stats = summarize(reports)
-    _emit([r.to_json() for r in reports], out_path)
+    _emit([r.json_layout() for r in reports], out_path)
     sys.stdout.write(
         "total={total} passed={passed} failed={failed} "
         "hypothesis_not_met={hypothesis_not_met}\n".format(**stats))

@@ -128,7 +128,7 @@ def verify_derivation_det(f: Derivation, a: Matrix) -> VerificationReport:
     rhs = (image @ a.adjugate()).trace()
     return make_report(
         "derivation_det", L.sub(lhs, rhs), ring=L,
-        inputs={"derivation": f.describe(), "matrix": a.to_json()},
+        inputs={"derivation": f.describe(), "matrix": a},
     )
 
 
@@ -141,5 +141,5 @@ def verify_derivation_det_rows(f: Derivation, a: Matrix) -> VerificationReport:
     rhs = row_replacement_sum(L, a, image)
     return make_report(
         "derivation_det_rows", L.sub(lhs, rhs), ring=L,
-        inputs={"derivation": f.describe(), "matrix": a.to_json()},
+        inputs={"derivation": f.describe(), "matrix": a},
     )

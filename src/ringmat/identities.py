@@ -195,7 +195,7 @@ def verify_det_oracle(a: Matrix) -> VerificationReport:
     K = a.ring
     return make_report(
         "det_oracle", K.sub(a.det(), a.det_leibniz()), ring=K,
-        inputs={"matrix": a.to_json()},
+        inputs={"matrix": a},
     )
 
 
@@ -205,7 +205,7 @@ def verify_det_product(a: Matrix, b: Matrix) -> VerificationReport:
     K = a.ring
     return make_report(
         "det_product", K.sub((a @ b).det(), K.mul(a.det(), b.det())), ring=K,
-        inputs={"matrix": a.to_json(), "matrix_b": b.to_json()},
+        inputs={"matrix": a, "matrix_b": b},
     )
 
 
@@ -217,7 +217,7 @@ def verify_det_scalar(a: Matrix, lam) -> VerificationReport:
     diff = K.sub(a.scale(lam).det(), K.mul(K.pow(lam, a.rows), a.det()))
     return make_report(
         "det_scalar", diff, ring=K,
-        inputs={"matrix": a.to_json(), "scalar": K.element_to_json(lam)},
+        inputs={"matrix": a, "scalar": K.element_to_json(lam)},
     )
 
 
@@ -237,7 +237,7 @@ def verify_trace_product(a: Matrix, b: Matrix) -> VerificationReport:
     return first_failure("trace_product", (
         ("entry_double_sum", K.sub(tr_ab, acc), K),
         ("cyclic_swap", K.sub(tr_ab, (b @ a).trace()), K),
-    ), {"matrix": a.to_json(), "matrix_b": b.to_json()})
+    ), {"matrix": a, "matrix_b": b})
 
 
 def verify_laplace(a: Matrix) -> VerificationReport:
@@ -258,7 +258,7 @@ def verify_laplace(a: Matrix) -> VerificationReport:
             yield f"row_{p}", K.sub(d, acc), K
         yield None, K.zero(), K
 
-    return first_failure("laplace", rows(), {"matrix": a.to_json()})
+    return first_failure("laplace", rows(), {"matrix": a})
 
 
 def verify_row_of_product(a: Matrix, b: Matrix) -> VerificationReport:
@@ -271,7 +271,7 @@ def verify_row_of_product(a: Matrix, b: Matrix) -> VerificationReport:
             for j in range(1, a.rows + 1))
     zero = Matrix.zeros(a.ring, 1, b.cols)
     return first_failure("row_of_product", chain(rows, [(None, zero, None)]),
-                         {"matrix": a.to_json(), "matrix_b": b.to_json()})
+                         {"matrix": a, "matrix_b": b})
 
 
 def verify_adj_inverse(a: Matrix) -> VerificationReport:
@@ -284,7 +284,7 @@ def verify_adj_inverse(a: Matrix) -> VerificationReport:
     return first_failure("adj_inverse", (
         ("right", (a @ adj) - target, None),
         ("left", (adj @ a) - target, None),
-    ), {"matrix": a.to_json()})
+    ), {"matrix": a})
 
 
 def verify_eval_zero_hom(a: Matrix) -> VerificationReport:
@@ -304,7 +304,7 @@ def verify_eval_zero_hom(a: Matrix) -> VerificationReport:
         ("adjugate",
          tia.adjugate().map_entries(eps, K) - a.adjugate_cofactor(), None),
         ("entries", tia.map_entries(eps, K) - a, None),
-    ), {"matrix": a.to_json()})
+    ), {"matrix": a})
 
 
 def verify_det_affine_degree(a: Matrix, b: Matrix) -> VerificationReport:
@@ -324,7 +324,7 @@ def verify_det_affine_degree(a: Matrix, b: Matrix) -> VerificationReport:
     return first_failure("det_affine_degree", bound + [
         ("constant_term", K.sub(p.coeff(0), b.det()), K),
         ("top_term", K.sub(p.coeff(n), a.det()), K),
-    ], {"matrix": a.to_json(), "matrix_b": b.to_json()})
+    ], {"matrix": a, "matrix_b": b})
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +335,7 @@ def verify_cayley_hamilton(a: Matrix) -> VerificationReport:
     """chi_A(A) = 0."""
     a.require_square("Cayley-Hamilton")
     return make_report("cayley_hamilton", cayley_hamilton_residual(a),
-                       inputs={"matrix": a.to_json()})
+                       inputs={"matrix": a})
 
 
 def verify_trace_cayley_hamilton(a: Matrix, kmax: int | None = None) -> VerificationReport:
@@ -351,7 +351,7 @@ def verify_trace_cayley_hamilton(a: Matrix, kmax: int | None = None) -> Verifica
             for k in range(kmax + 1))
     return first_failure("trace_cayley_hamilton",
                          chain(sums, [(None, K.zero(), K)]),
-                         {"matrix": a.to_json(), "kmax": kmax})
+                         {"matrix": a, "kmax": kmax})
 
 
 def verify_newton_agreement(a: Matrix) -> VerificationReport:
@@ -362,7 +362,7 @@ def verify_newton_agreement(a: Matrix) -> VerificationReport:
     """
     a.require_square("trace-recursion agreement")
     K = a.ring
-    inputs = {"matrix": a.to_json()}
+    inputs = {"matrix": a}
     if not K.is_q_algebra:
         return hypothesis_not_met(
             "newton_agreement", f"ring {K} is not a Q-algebra", inputs)
@@ -380,7 +380,7 @@ def verify_adj_via_charpoly(a: Matrix) -> VerificationReport:
     a.require_square("adjugate comparison")
     return make_report(
         "adj_via_charpoly", adjugate_via_charpoly(a) - a.adjugate_cofactor(),
-        inputs={"matrix": a.to_json()},
+        inputs={"matrix": a},
     )
 
 
@@ -403,7 +403,7 @@ def verify_charpoly_derivative(a: Matrix) -> VerificationReport:
     diff = L.sub(charpoly(a).chi.derivative(),
                  _adjugate_trace_oracle(char_matrix(a)))
     return make_report("charpoly_derivative", diff, ring=L,
-                       inputs={"matrix": a.to_json()})
+                       inputs={"matrix": a})
 
 
 def verify_adj_trace(a: Matrix) -> VerificationReport:
@@ -417,7 +417,7 @@ def verify_adj_trace(a: Matrix) -> VerificationReport:
         rhs = K.neg(rhs)
     return make_report(
         "adj_trace", K.sub(_adjugate_trace_oracle(a), rhs), ring=K,
-        inputs={"matrix": a.to_json()},
+        inputs={"matrix": a},
     )
 
 
@@ -434,7 +434,7 @@ def verify_trace_of_D(a: Matrix) -> VerificationReport:
             yield f"k_{k}", K.sub(data.coefficient_matrix(k).trace(), rhs), K
         yield None, K.zero(), K
 
-    return first_failure("trace_of_D", traces(), {"matrix": a.to_json()})
+    return first_failure("trace_of_D", traces(), {"matrix": a})
 
 
 def verify_coefficient_family(a: Matrix) -> VerificationReport:
@@ -464,7 +464,7 @@ def verify_coefficient_family(a: Matrix) -> VerificationReport:
             yield f"summation_k_{k}", total - D(n - 1 - k), None
         yield None, Matrix.zeros(K, n, n), None
 
-    return first_failure("coefficient_family", laws(), {"matrix": a.to_json()})
+    return first_failure("coefficient_family", laws(), {"matrix": a})
 
 
 def verify_trace_coefficient(a: Matrix) -> VerificationReport:
@@ -474,7 +474,7 @@ def verify_trace_coefficient(a: Matrix) -> VerificationReport:
     data = charpoly(a)
     diff = K.add(data.coefficient(1), a.trace())
     return make_report("trace_coefficient", diff, ring=K,
-                       inputs={"matrix": a.to_json()})
+                       inputs={"matrix": a})
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +486,7 @@ def verify_adj_product(a: Matrix, b: Matrix) -> VerificationReport:
     _square_family("adjugate of product", a, b)
     diff = (a @ b).adjugate() - (b.adjugate() @ a.adjugate())
     return make_report("adj_product", diff,
-                       inputs={"matrix": a.to_json(), "matrix_b": b.to_json()})
+                       inputs={"matrix": a, "matrix_b": b})
 
 
 def verify_adj_of_adj(a: Matrix) -> VerificationReport:
@@ -507,7 +507,7 @@ def verify_adj_of_adj(a: Matrix) -> VerificationReport:
             ("adj_of_adj", adj.adjugate() - a.scale(K.pow(d, n - 2)), None))
     else:
         clauses.append((None, K.zero(), K))
-    return first_failure("adj_of_adj", clauses, {"matrix": a.to_json()})
+    return first_failure("adj_of_adj", clauses, {"matrix": a})
 
 
 def verify_adj_scalar(a: Matrix, lam) -> VerificationReport:
@@ -520,18 +520,21 @@ def verify_adj_scalar(a: Matrix, lam) -> VerificationReport:
     diff = a.scale(lam).adjugate() - a.adjugate().scale(K.pow(lam, a.rows - 1))
     return make_report(
         "adj_scalar", diff,
-        inputs={"matrix": a.to_json(), "scalar": K.element_to_json(lam)},
+        inputs={"matrix": a, "scalar": K.element_to_json(lam)},
     )
 
 
-def verify_jacobi(a: Matrix, p: IndexSubset, q: IndexSubset) -> VerificationReport:
+def verify_jacobi(a: Matrix, p: IndexSubset, q: IndexSubset, *,
+                  _adj_det=None) -> VerificationReport:
     """Jacobi's complementary-minor law for the adjugate.
 
     For |P| = |Q| = k >= 1:
         det(adj(A)[P, Q])
           = (-1)**(weight(P) + weight(Q)) * det(A)**(k-1)
             * det(A[complement(Q), complement(P)])
-    Note the complements swap sides.
+    Note the complements swap sides.  _adj_det is (adj(A), det(A)) when
+    the caller already holds them: the suite's matrix driver computes
+    them once for all the pairs it checks around one A.
     """
     a.require_square("complementary minors")
     n = a.rows
@@ -543,16 +546,17 @@ def verify_jacobi(a: Matrix, p: IndexSubset, q: IndexSubset) -> VerificationRepo
     if k == 0:
         raise PreconditionError("empty subsets are excluded (k >= 1)")
     K = a.ring
-    lhs = a.adjugate().submatrix(p.members, q.members).det()
+    adj, det = _adj_det or (a.adjugate(), a.det())
+    lhs = adj.submatrix(p.members, q.members).det()
     rhs = K.mul(
-        K.pow(a.det(), k - 1),
+        K.pow(det, k - 1),
         a.submatrix(q.complement().members, p.complement().members).det(),
     )
     if (p.weight() + q.weight()) & 1:
         rhs = K.neg(rhs)
     return make_report(
         "jacobi", K.sub(lhs, rhs), ring=K,
-        inputs={"matrix": a.to_json(), "P": list(p.members), "Q": list(q.members)},
+        inputs={"matrix": a, "P": list(p.members), "Q": list(q.members)},
     )
 
 
@@ -569,8 +573,7 @@ def verify_commute_swap(a: Matrix, b: Matrix, s: Matrix) -> VerificationReport:
     diff = K.sub(((a @ s) + b).det(), ((s @ a) + b).det())
     return make_report(
         "commute_swap", diff, ring=K,
-        inputs={"matrix": a.to_json(), "matrix_b": b.to_json(),
-                "matrix_s": s.to_json()},
+        inputs={"matrix": a, "matrix_b": b, "matrix_s": s},
     )
 
 
@@ -584,8 +587,7 @@ def verify_block_commute(a: Matrix, b: Matrix, c: Matrix,
     diff = K.sub(block2x2(a, b, c, d).det(), ((a @ d) - (c @ b)).det())
     return make_report(
         "block_commute", diff, ring=K,
-        inputs={"matrix": a.to_json(), "matrix_b": b.to_json(),
-                "matrix_c": c.to_json(), "matrix_d": d.to_json()},
+        inputs={"matrix": a, "matrix_b": b, "matrix_c": c, "matrix_d": d},
     )
 
 
@@ -637,8 +639,7 @@ def verify_rank1_block(a: Matrix, d: Matrix, p: Matrix, q: Matrix,
     else:
         clauses.append((None, K.zero(), K))
     return first_failure("rank1_block", clauses, {
-        "matrix": a.to_json(), "matrix_d": d.to_json(), "p": p.to_json(),
-        "q": q.to_json(), "v": v.to_json(), "u": u.to_json()})
+        "matrix": a, "matrix_d": d, "p": p, "q": q, "v": v, "u": u})
 
 
 def verify_matrix_det_lemma(a: Matrix, u: Matrix, v: Matrix) -> VerificationReport:
@@ -653,7 +654,7 @@ def verify_matrix_det_lemma(a: Matrix, u: Matrix, v: Matrix) -> VerificationRepo
                  K.add(a.det(), ent(v @ a.adjugate() @ u)))
     return make_report(
         "matrix_det_lemma", diff, ring=K,
-        inputs={"matrix": a.to_json(), "u": u.to_json(), "v": v.to_json()},
+        inputs={"matrix": a, "u": u, "v": v},
     )
 
 
@@ -671,7 +672,7 @@ def verify_nilpotency_criterion(a: Matrix) -> VerificationReport:
     a.require_square("nilpotency criterion")
     K = a.ring
     n = a.rows
-    inputs = {"matrix": a.to_json()}
+    inputs = {"matrix": a}
     an = a          # A**i after step i; at n = 0 the 0 x 0 A is A**0
     for i in range(1, n + 1):
         if i > 1:
@@ -700,7 +701,7 @@ def verify_nilpotency_converse(a: Matrix, imax: int) -> VerificationReport:
     check_imax(imax)
     K = a.ring
     n = a.rows
-    inputs = {"matrix": a.to_json(), "imax": imax}
+    inputs = {"matrix": a, "imax": imax}
     chi = charpoly(a).chi
     tn = Polynomial(K, tuple([K.zero()] * n + [K.one()]))
     L = PolynomialRing(K)
@@ -723,7 +724,7 @@ def verify_almkvist(a: Matrix, k: int) -> VerificationReport:
     check_k(k)
     K = a.ring
     n = a.rows
-    inputs = {"matrix": a.to_json(), "k": k}
+    inputs = {"matrix": a, "k": k}
     if not (a ** (k + 1)).is_zero():
         return hypothesis_not_met(
             "almkvist", f"A**{k + 1} is not the zero matrix", inputs)
@@ -751,7 +752,7 @@ def verify_trace_multinomial(a: Matrix, m: int) -> VerificationReport:
     if n > 0 and comb(m + n - 1, n - 1) > TERM_GUARD:
         raise GuardError(
             f"{comb(m + n - 1, n - 1)} terms exceed the guard of {TERM_GUARD}")
-    inputs = {"matrix": a.to_json(), "m": m}
+    inputs = {"matrix": a, "m": m}
     pw = [Matrix.identity(K, n)] + powers(a, m)     # A**0 .. A**m
     acc = K.zero()
     for parts in compositions(m, n):
@@ -769,7 +770,7 @@ def verify_row_replacement(a: Matrix, b: Matrix) -> VerificationReport:
     diff = K.sub(acc, K.mul(a.trace(), b.det()))
     return make_report(
         "row_replacement", diff, ring=K,
-        inputs={"matrix": a.to_json(), "matrix_b": b.to_json()},
+        inputs={"matrix": a, "matrix_b": b},
     )
 
 
@@ -819,7 +820,7 @@ def verify_frobenius_trace(a: Matrix, p: int) -> VerificationReport:
     if not _is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     K = a.ring
-    inputs = {"matrix": a.to_json(), "p": p}
+    inputs = {"matrix": a, "p": p}
     if not K.is_zero(K.from_int(p)):
         return hypothesis_not_met(
             "frobenius_trace", f"{p} is nonzero in {K}", inputs)

@@ -710,6 +710,7 @@ def adjugate_coefficients(a: Matrix) -> list:
     decodes at L**(n-1-k).  Over Z/m, and towers above MAX_SLOTS,
     c = berkowitz(a).
     """
+    a.require_square("adjugate coefficients")
     n, R = a.rows, a.ring
     if not n:
         return []

@@ -41,8 +41,10 @@ class VerificationReport(Record):
     residual was zero.  hypothesis_met is False when the inputs do not
     satisfy the identity's hypothesis; such reports are not failures and
     carry no residual.  residual is None on success, otherwise a ring
-    element (with residual_ring set) or a Matrix.  Reports are mutable
-    (callers annotate inputs), so they compare field-wise but do not hash.
+    element (with residual_ring set) or a Matrix.  inputs holds the
+    checked matrices by reference, as Matrix values; to_json() gives
+    their JSON form.  Reports are mutable (callers annotate inputs), so
+    they compare field-wise but do not hash.
     """
 
     _fields = ("identity", "passed", "hypothesis_met", "residual",
@@ -58,16 +60,15 @@ class VerificationReport(Record):
         self.residual_ring = residual_ring
         self.inputs = {} if inputs is None else inputs
 
-    def to_json(self) -> dict:
-        if self.residual is None:
-            res = None
-        elif self.residual_ring is not None:
-            res = {
-                "ring": self.residual_ring.descriptor(),
-                "value": self.residual_ring.element_to_json(self.residual),
-            }
-        else:
-            res = self.residual.to_json()
+    def json_layout(self) -> dict:
+        """The report's JSON keys in order, with every Matrix (a matrix
+        residual, the matrices in inputs) left as the Matrix itself.
+        to_json converts those; the command-line writer writes them
+        straight to text without building their JSON objects."""
+        res = self.residual
+        if res is not None and self.residual_ring is not None:
+            res = {"ring": self.residual_ring.descriptor(),
+                   "value": self.residual_ring.element_to_json(res)}
         return {
             "identity": self.identity,
             "passed": self.passed,
@@ -75,6 +76,17 @@ class VerificationReport(Record):
             "residual": res,
             "inputs": self.inputs,
         }
+
+    def to_json(self) -> dict:
+        """The report as plain JSON: json_layout with every Matrix in it
+        replaced by its Matrix.to_json() form."""
+        from .matrix import Matrix      # matrix imports rings, which imports this
+        out = self.json_layout()
+        if isinstance(out["residual"], Matrix):
+            out["residual"] = out["residual"].to_json()
+        out["inputs"] = {key: value.to_json() if isinstance(value, Matrix)
+                         else value for key, value in self.inputs.items()}
+        return out
 
 
 def make_report(identity: str, residual, *, ring=None, inputs=None,

@@ -130,25 +130,26 @@ def _on_row_of_product(name, a, rng, params):
     return [ids.verify_row_of_product(a, sample_matrix(rng, a.ring, a.cols, a.cols))]
 
 
-def _jacobi_case(rng, a):
-    """Jacobi's law for one random pair of k-subsets, k drawn first."""
-    n = a.rows
+def _jacobi_pair(rng, n: int):
+    """One random pair of k-subsets of 1..n, k drawn first."""
     k = 1 + rng.below(n)
-    p = IndexSubset(n, sample_subset(rng, n, k))
-    q = IndexSubset(n, sample_subset(rng, n, k))
-    return ids.verify_jacobi(a, p, q)
+    return (IndexSubset(n, sample_subset(rng, n, k)),
+            IndexSubset(n, sample_subset(rng, n, k)))
 
 
 def _fz_jacobi(name, rng, ring, size, params, case):
     n = 1 + rng.below(max(size, 1))
-    return [_jacobi_case(rng, _maybe_singular(rng, ring, n, case))]
+    a = _maybe_singular(rng, ring, n, case)
+    return [ids.verify_jacobi(a, *_jacobi_pair(rng, n))]
 
 
 def _on_jacobi(name, a, rng, params):
     a.require_square("complementary minors")    # n = 0 draws no pair
-    if a.rows <= 4:
-        return [ids.verify_jacobi(a, p, q) for p, q in subset_pairs(a.rows)]
-    return [_jacobi_case(rng, a) for _ in range(20)]
+    n = a.rows
+    pairs = (subset_pairs(n) if n <= 4
+             else [_jacobi_pair(rng, n) for _ in range(20)])
+    known = a.adjugate(), a.det()       # shared by every pair around A
+    return [ids.verify_jacobi(a, p, q, _adj_det=known) for p, q in pairs]
 
 
 def _rank1_case(rng, a, m: int, pattern: int):
@@ -468,7 +469,7 @@ def run_suite(names, *, ring=None, matrix=None, seed: int = 0,
             if (gate and matrix.is_square()
                     and not gate[0] <= matrix.rows <= gate[1]):
                 reports.append(hypothesis_not_met(
-                    name, gate[2], {"matrix": matrix.to_json()}))
+                    name, gate[2], {"matrix": matrix}))
             else:
                 reports.extend(matrix_fn(name, matrix, stream(seed, name), params))
         else:

@@ -59,6 +59,8 @@ def test_tracer_sees_every_layer_and_uninstalls(tmp_path):
         a.det()
         ringmat.charpoly(a)
         a.adjugate()
+        # the CLI writes reports from json_layout(), so call to_json here
+        ringmat.run_suite(("laplace",), matrix=a)[0].to_json()
     finally:
         tracer.uninstall()
     assert patches

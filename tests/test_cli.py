@@ -363,15 +363,72 @@ def test_emit_writer_matches_json_dumps(payload):
 
 
 def test_emit_writer_matches_json_dumps_on_reports():
-    from ringmat.suite import run_suite
+    # the writer reads each report's json_layout, with its matrices by
+    # reference; json.dumps reads to_json; the last two runs give empty
+    # matrices, and failing reports with element and matrix residuals
+    from ringmat.report import set_mutation
+    from ringmat.suite import IDENTITY_NAMES, run_suite
     from ringmat import parse_ring
-    for ring in ("int", "mod:8", "rat", "poly:mod:8", "poly:poly:int"):
-        reports = run_suite("all", ring=parse_ring(ring), seed=3, count=2,
-                            size=3)
-        payload = [r.to_json() for r in reports]
+    runs = [(ring, 3, ()) for ring in ("int", "mod:8", "rat", "poly:mod:8",
+                                       "poly:poly:int", "mod:1", "poly:rat")]
+    runs += [("rat", 0, ()), ("mod:8", 3, IDENTITY_NAMES)]
+    for ring, size, mutated in runs:
+        previous = set_mutation(mutated)
+        try:
+            reports = run_suite("all", ring=parse_ring(ring), seed=3, count=2,
+                                size=size)
+        finally:
+            set_mutation(previous)
+        assert all(r.passed for r in reports) == (not mutated)
         pieces = []
-        cli._indented(payload, pieces, "")
-        assert "".join(pieces) == json.dumps(payload, indent=2), ring
+        cli._indented([r.json_layout() for r in reports], pieces, "")
+        assert "".join(pieces) == json.dumps([r.to_json() for r in reports],
+                                             indent=2), (ring, size)
+
+
+def _matrix_cases(spec):
+    """Matrices over the ring spec names: every empty and thin shape, a
+    3 x 3 draw, and a 2 x 2 of zero, negative and drawn entries."""
+    from ringmat import Matrix, parse_ring
+    from ringmat.fuzz import sample_element, sample_matrix, stream
+    ring = parse_ring(spec)
+    rng = stream(5, spec)
+    shapes = ((0, 0), (3, 0), (0, 3), (1, 4), (4, 1), (3, 3))
+    out = [sample_matrix(rng, ring, r, c, poly_degree=2) for r, c in shapes]
+    out.append(Matrix(ring, 2, 2, (ring.zero(), ring.from_int(-7),
+                                   sample_element(rng, ring, 3),
+                                   ring.neg(sample_element(rng, ring, 3)))))
+    return out
+
+
+MATRIX_RINGS = ("int", "mod:8", "mod:1", "rat", "poly:mod:8", "poly:rat",
+                "poly:poly:int", "mod:18446744073709551629")
+
+
+@pytest.mark.parametrize("indent", ["", "  ", "      "])
+@pytest.mark.parametrize("spec", MATRIX_RINGS)
+def test_matrix_case_matches_json_dumps(spec, indent):
+    for m in _matrix_cases(spec):
+        pieces = []
+        cli._indented(m, pieces, indent)
+        want = json.dumps(m.to_json(), indent=2).replace("\n", "\n" + indent)
+        assert "".join(pieces) == want, (m.rows, m.cols)
+
+
+def test_matrix_case_writes_entries_past_the_digit_limit():
+    # str() refuses ints over 4300 digits; rings.decimal writes them
+    from ringmat import QQ, ZZ, Matrix, PolynomialRing
+    wide = -(10 ** 5000 + 7)
+    cases = [Matrix(ZZ, 1, 2, (wide, 3)),
+             Matrix(QQ, 1, 1, (QQ.coerce(wide) / 3,)),
+             Matrix(PolynomialRing(ZZ), 1, 1,
+                    (PolynomialRing(ZZ).coerce([0, wide]),))]
+    for m in cases:
+        pieces = []
+        cli._indented([m], pieces, "")
+        text = "".join(pieces)
+        assert text == json.dumps([m.to_json()], indent=2)
+        assert "10000" in text and len(text) > 5000
 
 
 def _timed(argv, capsys):

@@ -13,6 +13,7 @@ from helpers import (RINGS8, Z1, Z6, Z8, ZT, corpus, mat, plain_horner,
 from ringmat.charpoly import charpoly
 from ringmat.matrix import (
     Matrix,
+    adjugate_coefficients,
     apply_poly,
     berkowitz,
     block2x2,
@@ -460,3 +461,13 @@ def test_one_square_check():
                        match=r"^trace requires a square matrix, got 2 x 3$"):
         Matrix.zeros(ZZ, 2, 3).require_square("trace")
     Matrix.zeros(ZZ, 0, 0).require_square("trace")
+
+
+@pytest.mark.parametrize("ring, rows, cols", [(ZZ, 2, 3), (ZZ, 3, 2),
+                                              (QQ, 4, 5)])
+def test_adjugate_coefficients_requires_a_square_matrix(ring, rows, cols):
+    # these returned a 2 x 3 "D_0", raised IndexError, and raised the
+    # entry-count ShapeError of a 4 x 4 build
+    with pytest.raises(ShapeError, match=r"^adjugate coefficients requires a "
+                       rf"square matrix, got {rows} x {cols}$"):
+        adjugate_coefficients(Matrix.zeros(ring, rows, cols))

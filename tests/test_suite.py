@@ -1,5 +1,6 @@
 """Suite resolution, the identity table and its fuzz/single-matrix drivers."""
 
+import ast
 import inspect
 import random
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import Z8, mat
+from helpers import Z8, mat, scopes
 from ringmat import derivations, identities, suite
 from ringmat.fuzz import MAX_SAMPLE_DEPTH
 from ringmat.identities import MAX_IMAX, MAX_K, PRIME_BOUND
@@ -94,7 +95,7 @@ def test_oracle_size_guard_in_fuzz_mode():
     # these two draw n <= 4 whatever the size, so no cap applies
     for name in ("charpoly_derivative", "eval_zero_hom"):
         reports = run_suite((name,), ring=ZZ, seed=1, count=3, size=20)
-        assert all(r.passed and r.inputs["matrix"]["rows"] <= 4
+        assert all(r.passed and r.inputs["matrix"].rows <= 4
                    for r in reports)
 
 
@@ -127,11 +128,10 @@ def test_adjugate_fuzz_includes_singulars():
     reports = run_suite(("adj_of_adj",), ring=ZZ, seed=3, count=20, size=4)
     assert len(reports) == 20
     assert all(r.passed for r in reports)
-    # every fifth case pins det = 0; the echoed input is that matrix
-    from ringmat.serialize import matrix_from_json
+    # every fifth case pins det = 0; the recorded input is that matrix
     singulars = 0
     for r in reports:
-        m = matrix_from_json(r.inputs["matrix"])
+        m = r.inputs["matrix"]
         if m.rows and m.det() == 0:
             singulars += 1
     assert singulars >= 4
@@ -326,3 +326,33 @@ def test_every_verifier_call_is_visible_to_a_module_wrapper(monkeypatch):
         reports = run_suite("all", seed=2, **kwargs)
         assert len(reports) >= len(IDENTITY_NAMES)
         assert [r.identity for r in reports if through.get(id(r)) is not r] == []
+
+
+def test_no_verifier_or_driver_builds_a_matrix_record():
+    # reports hold their matrices by reference: to_json() builds the JSON
+    # form on demand and the CLI writes a Matrix straight to text, so no
+    # verify_* and no suite driver may build a Matrix.to_json() record
+    package = Path(suite.__file__).parent
+    found = []
+    for module, only_verifiers in (("identities", True),
+                                   ("derivations", True), ("suite", False)):
+        for label, scope in scopes(package / f"{module}.py"):
+            if only_verifiers and not label.startswith("verify_"):
+                continue
+            found += [f"{module}.{label}" for c in ast.walk(scope)
+                      if isinstance(c, ast.Call)
+                      and getattr(c.func, "attr", None) == "to_json"]
+    assert found == []
+
+
+def test_reports_record_their_matrices_by_reference():
+    runs = ({"ring": Z8, "count": 3, "size": 3},
+            {"ring": PolynomialRing(QQ), "count": 2, "size": 2},
+            {"matrix": A})
+    for kwargs in runs:
+        for r in run_suite("all", seed=4, **kwargs):
+            for key, value in r.inputs.items():
+                assert not (isinstance(value, dict) and "entries" in value), \
+                    (r.identity, key)
+                if key.startswith("matrix"):
+                    assert isinstance(value, Matrix), (r.identity, key)
