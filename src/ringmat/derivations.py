@@ -14,10 +14,10 @@ Two exact formulas are checked for any derivation f and square matrix A:
 
 from __future__ import annotations
 
+from .identities import verifier
 from .matrix import Matrix, row_replacement_sum
 from .poly import Polynomial, PolynomialRing
 from .record import FrozenRecord
-from .report import VerificationReport, first_failure, make_report
 from .rings import Ring, RingMismatchError
 
 
@@ -83,7 +83,8 @@ def standard_derivations(algebra: Ring) -> list:
     return out
 
 
-def verify_leibniz_chain(f: Derivation, elems) -> VerificationReport:
+@verifier(keys="derivation ring factors")
+def verify_leibniz_chain(inputs, f: Derivation, elems):
     """f(a1*...*an) against both n-factor product rules.
 
     Ordered form: sum_i a1*...*a(i-1)*f(ai)*a(i+1)*...*an.
@@ -92,6 +93,8 @@ def verify_leibniz_chain(f: Derivation, elems) -> VerificationReport:
     """
     L = f.algebra
     elems = [L.coerce(v) for v in elems]
+    inputs.update(derivation=f.describe(), ring=L.descriptor(),
+                  factors=[L.element_to_json(v) for v in elems])
     total = L.one()
     for v in elems:
         total = L.mul(total, v)
@@ -112,34 +115,23 @@ def verify_leibniz_chain(f: Derivation, elems) -> VerificationReport:
                 rest = L.mul(rest, v)
         collected = L.add(collected, L.mul(f(elems[k]), rest))
 
-    return first_failure("leibniz_chain", (
-        ("ordered_product_rule", L.sub(lhs, ordered), L),
-        ("collected_product_rule", L.sub(lhs, collected), L),
-    ), {"derivation": f.describe(), "ring": L.descriptor(),
-        "factors": [L.element_to_json(v) for v in elems]})
+    yield "ordered_product_rule", L.sub(lhs, ordered), L
+    yield "collected_product_rule", L.sub(lhs, collected), L
 
 
-def verify_derivation_det(f: Derivation, a: Matrix) -> VerificationReport:
+@verifier("determinant formula", "derivation matrix:a")
+def verify_derivation_det(inputs, f: Derivation, a: Matrix):
     """f(det A) = Tr(f[A] @ adj A), exactly."""
-    a.require_square("determinant formula")
     image = f.matrix_image(a)
+    inputs["derivation"] = f.describe()
     L = f.algebra
-    lhs = f(a.det())
-    rhs = (image @ a.adjugate()).trace()
-    return make_report(
-        "derivation_det", L.sub(lhs, rhs), ring=L,
-        inputs={"derivation": f.describe(), "matrix": a},
-    )
+    yield None, L.sub(f(a.det()), (image @ a.adjugate()).trace()), L
 
 
-def verify_derivation_det_rows(f: Derivation, a: Matrix) -> VerificationReport:
+@verifier("determinant formula", "derivation matrix:a")
+def verify_derivation_det_rows(inputs, f: Derivation, a: Matrix):
     """f(det A) = sum over rows k of det(A with row k replaced by f(row k))."""
-    a.require_square("determinant formula")
     image = f.matrix_image(a)
+    inputs["derivation"] = f.describe()
     L = f.algebra
-    lhs = f(a.det())
-    rhs = row_replacement_sum(L, a, image)
-    return make_report(
-        "derivation_det_rows", L.sub(lhs, rhs), ring=L,
-        inputs={"derivation": f.describe(), "matrix": a},
-    )
+    yield None, L.sub(f(a.det()), row_replacement_sum(L, a, image)), L

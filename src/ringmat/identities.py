@@ -13,11 +13,17 @@ precondition is the caller's responsibility (commuting factors) raise
 PreconditionError instead, so a bad call is never confused with a
 counterexample.
 
-An identity with several clauses (a family over k, both sides of a
-product, every row) lists them as (part, residual, ring) triples and
-returns report.first_failure of the list: a failing report names its
-first failing clause in inputs["failed_part"].  A (None, zero, ring)
-sentinel last clause lets the check pass without naming a part.
+Each verify_* is one body under the verifier decorator, and the body
+only yields its clauses as (part, residual, ring) triples: one
+(None, residual, ring) for a single equality, several for a family over
+k, both sides of a product or every row.  The decorator owns the rest
+of the frame: the shape check, which runs before any other; the
+report's inputs, the arguments by reference under fixed keys in a
+fixed order; the hypothesis gate, turning a HypothesisNotMet the body
+raises into a hypothesis-not-met report; and the report itself,
+report.first_failure of the clauses, which names the first failing one
+in inputs["failed_part"].  A (None, zero, ring) sentinel last clause
+lets a check pass without naming a part.
 
 The production kernels take separate routes (matrix.py).  Over ZZ, and
 over QQ and the encodable towers on their integer encoding:
@@ -43,7 +49,8 @@ D_k from the trace chain, which takes its own c_j over ZZ.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from functools import wraps
+from itertools import combinations
 from math import comb, factorial
 
 from .charpoly import (
@@ -58,8 +65,7 @@ from .matrix import (Matrix, block2x2, char_matrix, ent, powers,
                      row_mixed, row_replacement_sum)
 from .poly import Polynomial, PolynomialRing, ring_depth
 from .record import FrozenRecord
-from .report import (VerificationReport, first_failure, hypothesis_not_met,
-                     make_report)
+from .report import first_failure, hypothesis_not_met
 from .rings import GuardError, PreconditionError, ShapeError
 
 TERM_GUARD = 100_000
@@ -186,42 +192,99 @@ def check_k(k: int) -> None:
 
 
 # ---------------------------------------------------------------------------
+# the verifier frame
+
+
+class HypothesisNotMet(Exception):
+    """Raised by a verifier body whose inputs fail the identity's
+    hypothesis; the verifier then reports hypothesis-not-met, with the
+    message as inputs["reason"], instead of judging the identity."""
+
+
+def verifier(what=None, keys="matrix:a", *, family=False, identity=None):
+    """Make a verify_* function of a body that yields its clauses.
+
+    keys lists the report's input keys in order.  key:param records the
+    body parameter param under key, by reference; a bare key records the
+    parameter of that name or, if there is none, holds a place that the
+    body fills in (a body whose first parameter is named inputs is
+    passed the record).  An omitted argument is recorded as None, for
+    the body to replace with the value it resolves.  what, if given,
+    names the shape check run before the body: inputs["matrix"] must be
+    square or, with family, every recorded matrix must be, over one ring
+    and of one size.  The report takes the function's name less verify_,
+    unless identity is given.  The body raises HypothesisNotMet when its
+    inputs fail the identity's hypothesis.  Parameters and key order are
+    resolved here, once, so a call only binds its arguments.
+    """
+    def wrap(body):
+        code = body.__code__
+        params = code.co_varnames[:code.co_argcount]
+        takes_record = params[:1] == ("inputs",)
+        params = params[takes_record:]
+        slots = []
+        for item in keys.split():
+            key, _, param = item.partition(":")
+            param = param or key
+            index = params.index(param) if param in params else len(params)
+            slots.append((key, index, param))
+        name = identity or body.__name__[len("verify_"):]
+
+        @wraps(body)
+        def check(*args, **kwargs):
+            inputs = {}
+            # the call binds (and checks) the arguments; the body runs
+            # only when first_failure draws its first clause
+            clauses = (body(inputs, *args, **kwargs) if takes_record
+                       else body(*args, **kwargs))
+            given = len(args)
+            for key, index, param in slots:
+                inputs[key] = args[index] if index < given else kwargs.get(param)
+            if family:
+                _square_family(what, *inputs.values())
+            elif what is not None:
+                inputs["matrix"].require_square(what)
+            try:
+                return first_failure(name, clauses, inputs)
+            except HypothesisNotMet as unmet:
+                return hypothesis_not_met(name, str(unmet), inputs)
+
+        return check
+    return wrap
+
+
+_PAIR = "matrix:a matrix_b:b"
+
+
+# ---------------------------------------------------------------------------
 # determinant and trace basics
 
 
-def verify_det_oracle(a: Matrix) -> VerificationReport:
+@verifier("det cross-check")
+def verify_det_oracle(a: Matrix):
     """Production determinant against the naive permutation sum (n <= 8)."""
-    a.require_square("det cross-check")
     K = a.ring
-    return make_report(
-        "det_oracle", K.sub(a.det(), a.det_leibniz()), ring=K,
-        inputs={"matrix": a},
-    )
+    yield None, K.sub(a.det(), a.det_leibniz()), K
 
 
-def verify_det_product(a: Matrix, b: Matrix) -> VerificationReport:
+@verifier("det product", _PAIR, family=True)
+def verify_det_product(a: Matrix, b: Matrix):
     """det(A @ B) = det(A) * det(B)."""
-    _square_family("det product", a, b)
     K = a.ring
-    return make_report(
-        "det_product", K.sub((a @ b).det(), K.mul(a.det(), b.det())), ring=K,
-        inputs={"matrix": a, "matrix_b": b},
-    )
+    yield None, K.sub((a @ b).det(), K.mul(a.det(), b.det())), K
 
 
-def verify_det_scalar(a: Matrix, lam) -> VerificationReport:
+@verifier("scaled determinant", "matrix:a scalar")
+def verify_det_scalar(inputs, a: Matrix, lam):
     """det(lam * A) = lam**n * det(A)."""
-    a.require_square("scaled determinant")
     K = a.ring
     lam = K.coerce(lam)
-    diff = K.sub(a.scale(lam).det(), K.mul(K.pow(lam, a.rows), a.det()))
-    return make_report(
-        "det_scalar", diff, ring=K,
-        inputs={"matrix": a, "scalar": K.element_to_json(lam)},
-    )
+    inputs["scalar"] = K.element_to_json(lam)
+    yield None, K.sub(a.scale(lam).det(), K.mul(K.pow(lam, a.rows), a.det())), K
 
 
-def verify_trace_product(a: Matrix, b: Matrix) -> VerificationReport:
+@verifier(keys=_PAIR)
+def verify_trace_product(a: Matrix, b: Matrix):
     """Tr(A @ B) as the double sum over entries, and Tr(A @ B) = Tr(B @ A)."""
     _same_ring(a, b)
     if a.cols != b.rows or b.cols != a.rows:
@@ -234,82 +297,69 @@ def verify_trace_product(a: Matrix, b: Matrix) -> VerificationReport:
         for j in range(1, a.cols + 1):
             acc = K.add(acc, K.mul(a.entry(i, j), b.entry(j, i)))
     tr_ab = (a @ b).trace()
-    return first_failure("trace_product", (
-        ("entry_double_sum", K.sub(tr_ab, acc), K),
-        ("cyclic_swap", K.sub(tr_ab, (b @ a).trace()), K),
-    ), {"matrix": a, "matrix_b": b})
+    yield "entry_double_sum", K.sub(tr_ab, acc), K
+    yield "cyclic_swap", K.sub(tr_ab, (b @ a).trace()), K
 
 
-def verify_laplace(a: Matrix) -> VerificationReport:
+@verifier("Laplace expansion")
+def verify_laplace(a: Matrix):
     """Cofactor expansion of det(A) along every row."""
-    a.require_square("Laplace expansion")
     K = a.ring
     n = a.rows
     d = a.det()
-
-    def rows():
-        for p in range(1, n + 1):
-            acc = K.zero()
-            for q in range(1, n + 1):
-                term = K.mul(a.entry(p, q), a.minor(p, q).det())
-                if (p + q) & 1:
-                    term = K.neg(term)
-                acc = K.add(acc, term)
-            yield f"row_{p}", K.sub(d, acc), K
-        yield None, K.zero(), K
-
-    return first_failure("laplace", rows(), {"matrix": a})
+    for p in range(1, n + 1):
+        acc = K.zero()
+        for q in range(1, n + 1):
+            term = K.mul(a.entry(p, q), a.minor(p, q).det())
+            if (p + q) & 1:
+                term = K.neg(term)
+            acc = K.add(acc, term)
+        yield f"row_{p}", K.sub(d, acc), K
+    yield None, K.zero(), K
 
 
-def verify_row_of_product(a: Matrix, b: Matrix) -> VerificationReport:
+@verifier(keys=_PAIR)
+def verify_row_of_product(a: Matrix, b: Matrix):
     """row_j(A @ B) = row_j(A) @ B for every row j."""
     _same_ring(a, b)
     if a.cols != b.rows:
         raise ShapeError("inner dimensions must agree")
     prod = a @ b
-    rows = ((f"row_{j}", prod.row(j) - (a.row(j) @ b), None)
-            for j in range(1, a.rows + 1))
-    zero = Matrix.zeros(a.ring, 1, b.cols)
-    return first_failure("row_of_product", chain(rows, [(None, zero, None)]),
-                         {"matrix": a, "matrix_b": b})
+    for j in range(1, a.rows + 1):
+        yield f"row_{j}", prod.row(j) - (a.row(j) @ b), None
+    yield None, Matrix.zeros(a.ring, 1, b.cols), None
 
 
-def verify_adj_inverse(a: Matrix) -> VerificationReport:
+@verifier("adjugate law")
+def verify_adj_inverse(a: Matrix):
     """A @ adj(A) = adj(A) @ A = det(A) * I."""
-    a.require_square("adjugate law")
-    K = a.ring
-    n = a.rows
     adj = a.adjugate()
-    target = Matrix.identity(K, n).scale(a.det())
-    return first_failure("adj_inverse", (
-        ("right", (a @ adj) - target, None),
-        ("left", (adj @ a) - target, None),
-    ), {"matrix": a})
+    target = Matrix.identity(a.ring, a.rows).scale(a.det())
+    yield "right", (a @ adj) - target, None
+    yield "left", (adj @ a) - target, None
 
 
-def verify_eval_zero_hom(a: Matrix) -> VerificationReport:
+@verifier("evaluation check")
+def verify_eval_zero_hom(a: Matrix):
     """Evaluation at t = 0 carries det, adjugate, and entries of t*I + A back to A.
 
     Exercises the fact that entrywise ring maps commute with det and adj,
     using the evaluation map of the polynomial ring.  The K side uses the
     subset-DP and cofactor oracles, so the two sides take different routes.
     """
-    a.require_square("evaluation check")
     K = a.ring
     # t*I + A is the characteristic matrix of -A
     tia = char_matrix(-a)
     eps = Polynomial.eval_zero
-    return first_failure("eval_zero_hom", (
-        ("determinant", K.sub(eps(tia.det()), a.det_subset_dp()), K),
-        ("adjugate",
-         tia.adjugate().map_entries(eps, K) - a.adjugate_cofactor(), None),
-        ("entries", tia.map_entries(eps, K) - a, None),
-    ), {"matrix": a})
+    yield "determinant", K.sub(eps(tia.det()), a.det_subset_dp()), K
+    yield ("adjugate",
+           tia.adjugate().map_entries(eps, K) - a.adjugate_cofactor(), None)
+    yield "entries", tia.map_entries(eps, K) - a, None
 
 
-def verify_det_affine_degree(a: Matrix, b: Matrix) -> VerificationReport:
+@verifier("affine pencil", _PAIR, family=True)
+def verify_det_affine_degree(a: Matrix, b: Matrix):
     """det(t*A + B) has degree <= n, constant term det(B), top term det(A)."""
-    _square_family("affine pencil", a, b)
     K = a.ring
     L = PolynomialRing(K)
     n = a.rows
@@ -319,69 +369,59 @@ def verify_det_affine_degree(a: Matrix, b: Matrix) -> VerificationReport:
         for av, bv in zip(a._e, b._e)
     ])
     p = pencil.det()
-    # listed only when it fails, so a passing check tests no residual for it
-    bound = [("degree_bound", p.coeff(p.degree), K)] if p.degree > n else []
-    return first_failure("det_affine_degree", bound + [
-        ("constant_term", K.sub(p.coeff(0), b.det()), K),
-        ("top_term", K.sub(p.coeff(n), a.det()), K),
-    ], {"matrix": a, "matrix_b": b})
+    # yielded only when it fails, so a passing check tests no residual for it
+    if p.degree > n:
+        yield "degree_bound", p.coeff(p.degree), K
+    yield "constant_term", K.sub(p.coeff(0), b.det()), K
+    yield "top_term", K.sub(p.coeff(n), a.det()), K
 
 
 # ---------------------------------------------------------------------------
 # characteristic polynomial identities
 
 
-def verify_cayley_hamilton(a: Matrix) -> VerificationReport:
+@verifier("Cayley-Hamilton")
+def verify_cayley_hamilton(a: Matrix):
     """chi_A(A) = 0."""
-    a.require_square("Cayley-Hamilton")
-    return make_report("cayley_hamilton", cayley_hamilton_residual(a),
-                       inputs={"matrix": a})
+    yield None, cayley_hamilton_residual(a), None
 
 
-def verify_trace_cayley_hamilton(a: Matrix, kmax: int | None = None) -> VerificationReport:
+@verifier("trace recursion", "matrix:a kmax")
+def verify_trace_cayley_hamilton(inputs, a: Matrix, kmax: int | None = None):
     """k*c_k + sum_i Tr(A**i)*c_(k-i) = 0 for k = 0 .. kmax (default 2n+1)."""
-    a.require_square("trace recursion")
     K = a.ring
-    n = a.rows
     if kmax is None:
-        kmax = 2 * n + 1
+        kmax = inputs["kmax"] = 2 * a.rows + 1
+    elif kmax < 0:
+        raise ValueError("k must be nonnegative")
     data = charpoly(a)
     tr = power_traces(a, kmax)
-    sums = ((f"k_{k}", trace_cayley_hamilton_sum(data, tr, k), K)
-            for k in range(kmax + 1))
-    return first_failure("trace_cayley_hamilton",
-                         chain(sums, [(None, K.zero(), K)]),
-                         {"matrix": a, "kmax": kmax})
+    for k in range(kmax + 1):
+        yield f"k_{k}", trace_cayley_hamilton_sum(data, tr, k), K
+    yield None, K.zero(), K
 
 
-def verify_newton_agreement(a: Matrix) -> VerificationReport:
+@verifier("trace-recursion agreement")
+def verify_newton_agreement(a: Matrix):
     """charpoly and charpoly_newton give the same chi (Q-algebras).
 
     chi is built from c, and D depends on A alone, so chi is all the two
     records can disagree on.
     """
-    a.require_square("trace-recursion agreement")
     K = a.ring
-    inputs = {"matrix": a}
     if not K.is_q_algebra:
-        return hypothesis_not_met(
-            "newton_agreement", f"ring {K} is not a Q-algebra", inputs)
+        raise HypothesisNotMet(f"ring {K} is not a Q-algebra")
     L = PolynomialRing(K)
-    return first_failure("newton_agreement", (
-        ("chi", L.sub(charpoly(a).chi, charpoly_newton(a).chi), L),
-        (None, K.zero(), K),
-    ), inputs)
+    yield "chi", L.sub(charpoly(a).chi, charpoly_newton(a).chi), L
+    yield None, K.zero(), K
 
 
-def verify_adj_via_charpoly(a: Matrix) -> VerificationReport:
+@verifier("adjugate comparison")
+def verify_adj_via_charpoly(a: Matrix):
     """The production adjugate (charpoly.adjugate_via_charpoly:
     elimination, else the charpoly-coefficient formula) against the
     cofactor oracle."""
-    a.require_square("adjugate comparison")
-    return make_report(
-        "adj_via_charpoly", adjugate_via_charpoly(a) - a.adjugate_cofactor(),
-        inputs={"matrix": a},
-    )
+    yield None, adjugate_via_charpoly(a) - a.adjugate_cofactor(), None
 
 
 def _adjugate_trace_oracle(a: Matrix):
@@ -395,49 +435,39 @@ def _adjugate_trace_oracle(a: Matrix):
     return acc
 
 
-def verify_charpoly_derivative(a: Matrix) -> VerificationReport:
+@verifier("characteristic derivative")
+def verify_charpoly_derivative(a: Matrix):
     """d/dt chi_A = Tr(adj(t*I - A)), as polynomials."""
-    a.require_square("characteristic derivative")
-    K = a.ring
-    L = PolynomialRing(K)
-    diff = L.sub(charpoly(a).chi.derivative(),
-                 _adjugate_trace_oracle(char_matrix(a)))
-    return make_report("charpoly_derivative", diff, ring=L,
-                       inputs={"matrix": a})
+    L = PolynomialRing(a.ring)
+    yield None, L.sub(charpoly(a).chi.derivative(),
+                      _adjugate_trace_oracle(char_matrix(a))), L
 
 
-def verify_adj_trace(a: Matrix) -> VerificationReport:
+@verifier("adjugate trace")
+def verify_adj_trace(a: Matrix):
     """Tr(adj A) = (-1)**(n-1) * c_(n-1) (the coefficient of t**1 in chi_A)."""
-    a.require_square("adjugate trace")
     K = a.ring
     n = a.rows
-    data = charpoly(a)
-    rhs = data.coefficient(n - 1)
+    rhs = charpoly(a).coefficient(n - 1)
     if (n - 1) & 1:
         rhs = K.neg(rhs)
-    return make_report(
-        "adj_trace", K.sub(_adjugate_trace_oracle(a), rhs), ring=K,
-        inputs={"matrix": a},
-    )
+    yield None, K.sub(_adjugate_trace_oracle(a), rhs), K
 
 
-def verify_trace_of_D(a: Matrix) -> VerificationReport:
+@verifier("adjugate coefficient traces")
+def verify_trace_of_D(a: Matrix):
     """Tr(D_k) = (k+1) * c_(n-k-1) for every k, including out-of-range zeros."""
-    a.require_square("adjugate coefficient traces")
     K = a.ring
     n = a.rows
     data = charpoly(a)
-
-    def traces():
-        for k in range(-1, n + 2):
-            rhs = K.mul(K.from_int(k + 1), data.coefficient(n - k - 1))
-            yield f"k_{k}", K.sub(data.coefficient_matrix(k).trace(), rhs), K
-        yield None, K.zero(), K
-
-    return first_failure("trace_of_D", traces(), {"matrix": a})
+    for k in range(-1, n + 2):
+        rhs = K.mul(K.from_int(k + 1), data.coefficient(n - k - 1))
+        yield f"k_{k}", K.sub(data.coefficient_matrix(k).trace(), rhs), K
+    yield None, K.zero(), K
 
 
-def verify_coefficient_family(a: Matrix) -> VerificationReport:
+@verifier("coefficient family")
+def verify_coefficient_family(a: Matrix):
     """The two exact laws tying D_k to the coefficients of chi_A.
 
     Difference law: c_(n-k) * I = D_(k-1) - A @ D_k for k = 0..n, with
@@ -445,87 +475,73 @@ def verify_coefficient_family(a: Matrix) -> VerificationReport:
     sum_(i=0..k) c_(k-i) * A**i = D_(n-1-k) for k = 0..n (at k = n this
     is Cayley-Hamilton again, with a zero right side).
     """
-    a.require_square("coefficient family")
     K = a.ring
     n = a.rows
     data = charpoly(a)
     c, D = data.coefficient, data.coefficient_matrix
     ident = Matrix.identity(K, n)
-
-    def laws():
-        for k in range(n + 1):
-            rhs = D(k - 1) - (a @ D(k))
-            yield f"difference_k_{k}", ident.scale(c(n - k)) - rhs, None
-        pw = [ident] + powers(a, n)      # A**0 .. A**n
-        for k in range(n + 1):
-            total = Matrix.zeros(K, n, n)
-            for i in range(k + 1):
-                total = total + pw[i].scale(c(k - i))
-            yield f"summation_k_{k}", total - D(n - 1 - k), None
-        yield None, Matrix.zeros(K, n, n), None
-
-    return first_failure("coefficient_family", laws(), {"matrix": a})
+    for k in range(n + 1):
+        rhs = D(k - 1) - (a @ D(k))
+        yield f"difference_k_{k}", ident.scale(c(n - k)) - rhs, None
+    pw = [ident] + powers(a, n)      # A**0 .. A**n
+    for k in range(n + 1):
+        total = Matrix.zeros(K, n, n)
+        for i in range(k + 1):
+            total = total + pw[i].scale(c(k - i))
+        yield f"summation_k_{k}", total - D(n - 1 - k), None
+    yield None, Matrix.zeros(K, n, n), None
 
 
-def verify_trace_coefficient(a: Matrix) -> VerificationReport:
+@verifier("trace coefficient")
+def verify_trace_coefficient(a: Matrix):
     """c_1 = -Tr(A), i.e. the coefficient of t**(n-1) in chi_A."""
-    a.require_square("trace coefficient")
     K = a.ring
-    data = charpoly(a)
-    diff = K.add(data.coefficient(1), a.trace())
-    return make_report("trace_coefficient", diff, ring=K,
-                       inputs={"matrix": a})
+    yield None, K.add(charpoly(a).coefficient(1), a.trace()), K
 
 
 # ---------------------------------------------------------------------------
 # adjugate identities
 
 
-def verify_adj_product(a: Matrix, b: Matrix) -> VerificationReport:
+@verifier("adjugate of product", _PAIR, family=True)
+def verify_adj_product(a: Matrix, b: Matrix):
     """adj(A @ B) = adj(B) @ adj(A) (order reverses)."""
-    _square_family("adjugate of product", a, b)
-    diff = (a @ b).adjugate() - (b.adjugate() @ a.adjugate())
-    return make_report("adj_product", diff,
-                       inputs={"matrix": a, "matrix_b": b})
+    yield None, (a @ b).adjugate() - (b.adjugate() @ a.adjugate()), None
 
 
-def verify_adj_of_adj(a: Matrix) -> VerificationReport:
+@verifier("iterated adjugate")
+def verify_adj_of_adj(a: Matrix):
     """det(adj A) = det(A)**(n-1) and adj(adj A) = det(A)**(n-2) * A.
 
     The determinant half applies for n >= 1, the adjugate half for n >= 2;
     a 0 x 0 input passes vacuously.
     """
-    a.require_square("iterated adjugate")
     K = a.ring
     n = a.rows
-    clauses = []
     if n >= 1:
         adj, d = a.adjugate(), a.det()
-        clauses.append(("det_of_adj", K.sub(adj.det(), K.pow(d, n - 1)), K))
+        yield "det_of_adj", K.sub(adj.det(), K.pow(d, n - 1)), K
     if n >= 2:
-        clauses.append(
-            ("adj_of_adj", adj.adjugate() - a.scale(K.pow(d, n - 2)), None))
+        yield "adj_of_adj", adj.adjugate() - a.scale(K.pow(d, n - 2)), None
     else:
-        clauses.append((None, K.zero(), K))
-    return first_failure("adj_of_adj", clauses, {"matrix": a})
+        yield None, K.zero(), K
 
 
-def verify_adj_scalar(a: Matrix, lam) -> VerificationReport:
+@verifier("scaled adjugate", "matrix:a scalar")
+def verify_adj_scalar(inputs, a: Matrix, lam):
     """adj(lam * A) = lam**(n-1) * adj(A), n >= 1."""
-    a.require_square("scaled adjugate")
     if a.rows == 0:
         raise ShapeError("scaled-adjugate law requires n >= 1")
     K = a.ring
     lam = K.coerce(lam)
-    diff = a.scale(lam).adjugate() - a.adjugate().scale(K.pow(lam, a.rows - 1))
-    return make_report(
-        "adj_scalar", diff,
-        inputs={"matrix": a, "scalar": K.element_to_json(lam)},
-    )
+    inputs["scalar"] = K.element_to_json(lam)
+    yield (None, a.scale(lam).adjugate()
+           - a.adjugate().scale(K.pow(lam, a.rows - 1)), None)
 
 
-def verify_jacobi(a: Matrix, p: IndexSubset, q: IndexSubset, *,
-                  _adj_det=None) -> VerificationReport:
+@verifier("complementary minors", "matrix:a P Q")
+def verify_jacobi(inputs, a: Matrix, p: IndexSubset, q: IndexSubset, *,
+                  _adj_det=None):
     """Jacobi's complementary-minor law for the adjugate.
 
     For |P| = |Q| = k >= 1:
@@ -536,7 +552,6 @@ def verify_jacobi(a: Matrix, p: IndexSubset, q: IndexSubset, *,
     the caller already holds them: the suite's matrix driver computes
     them once for all the pairs it checks around one A.
     """
-    a.require_square("complementary minors")
     n = a.rows
     if p.n != n or q.n != n:
         raise ShapeError(f"subsets are over 1..{p.n} and 1..{q.n}, matrix has n = {n}")
@@ -545,6 +560,7 @@ def verify_jacobi(a: Matrix, p: IndexSubset, q: IndexSubset, *,
         raise PreconditionError(f"|P| = {k} and |Q| = {len(q)} must be equal")
     if k == 0:
         raise PreconditionError("empty subsets are excluded (k >= 1)")
+    inputs["P"], inputs["Q"] = list(p.members), list(q.members)
     K = a.ring
     adj, det = _adj_det or (a.adjugate(), a.det())
     lhs = adj.submatrix(p.members, q.members).det()
@@ -554,41 +570,30 @@ def verify_jacobi(a: Matrix, p: IndexSubset, q: IndexSubset, *,
     )
     if (p.weight() + q.weight()) & 1:
         rhs = K.neg(rhs)
-    return make_report(
-        "jacobi", K.sub(lhs, rhs), ring=K,
-        inputs={"matrix": a, "P": list(p.members), "Q": list(q.members)},
-    )
+    yield None, K.sub(lhs, rhs), K
 
 
 # ---------------------------------------------------------------------------
 # block and perturbation identities
 
 
-def verify_commute_swap(a: Matrix, b: Matrix, s: Matrix) -> VerificationReport:
+@verifier("commuting swap", "matrix:a matrix_b:b matrix_s:s", family=True)
+def verify_commute_swap(a: Matrix, b: Matrix, s: Matrix):
     """If A and B commute then det(A @ S + B) = det(S @ A + B) for any S."""
-    _square_family("commuting swap", a, b, s)
     if not ((a @ b) - (b @ a)).is_zero():
         raise PreconditionError("A and B do not commute; the law is not claimed")
     K = a.ring
-    diff = K.sub(((a @ s) + b).det(), ((s @ a) + b).det())
-    return make_report(
-        "commute_swap", diff, ring=K,
-        inputs={"matrix": a, "matrix_b": b, "matrix_s": s},
-    )
+    yield None, K.sub(((a @ s) + b).det(), ((s @ a) + b).det()), K
 
 
-def verify_block_commute(a: Matrix, b: Matrix, c: Matrix,
-                         d: Matrix) -> VerificationReport:
+@verifier("commuting block determinant",
+          "matrix:a matrix_b:b matrix_c:c matrix_d:d", family=True)
+def verify_block_commute(a: Matrix, b: Matrix, c: Matrix, d: Matrix):
     """If A and C commute then det([[A, B], [C, D]]) = det(A @ D - C @ B)."""
-    _square_family("commuting block determinant", a, b, c, d)
     if not ((a @ c) - (c @ a)).is_zero():
         raise PreconditionError("A and C do not commute; the law is not claimed")
     K = a.ring
-    diff = K.sub(block2x2(a, b, c, d).det(), ((a @ d) - (c @ b)).det())
-    return make_report(
-        "block_commute", diff, ring=K,
-        inputs={"matrix": a, "matrix_b": b, "matrix_c": c, "matrix_d": d},
-    )
+    yield None, K.sub(block2x2(a, b, c, d).det(), ((a @ d) - (c @ b)).det()), K
 
 
 def _is_indicator(m: Matrix, i: int, j: int) -> bool:
@@ -602,8 +607,9 @@ def _is_indicator(m: Matrix, i: int, j: int) -> bool:
     return True
 
 
+@verifier("rank-one block", "matrix:a matrix_d:d p q v u")
 def verify_rank1_block(a: Matrix, d: Matrix, p: Matrix, q: Matrix,
-                       v: Matrix, u: Matrix) -> VerificationReport:
+                       v: Matrix, u: Matrix):
     """det([[A, p@v], [q@u, D]]) = det(A)*det(D) - ent(u@adj(A)@p) * ent(v@adj(D)@q).
 
     A is n x n, D is m x m, p is n x 1, q is m x 1, v is 1 x m, u is 1 x n.
@@ -612,7 +618,6 @@ def verify_rank1_block(a: Matrix, d: Matrix, p: Matrix, q: Matrix,
     are the corner indicator vectors the complementary-minor corollary
     det(A)*det(D) - det(A minor n,n)*det(D minor 1,1) is checked too.
     """
-    a.require_square("rank-one block")
     d.require_square("rank-one block")
     _same_ring(a, d, p, q, v, u)
     n, m = a.rows, d.rows
@@ -626,125 +631,107 @@ def verify_rank1_block(a: Matrix, d: Matrix, p: Matrix, q: Matrix,
     det_ad = K.mul(det_a, d.det())
     uap = ent(u @ a.adjugate() @ p)
     rhs = K.sub(det_ad, K.mul(uap, ent(v @ d.adjugate() @ q)))
-    clauses = [("general", K.sub(lhs, rhs), K)]
+    yield "general", K.sub(lhs, rhs), K
     if m == 1 and _is_indicator(q, 1, 1) and _is_indicator(v, 1, 1):
-        bordered = K.sub(K.mul(ent(d), det_a), uap)
-        clauses.append(("bordered", K.sub(lhs, bordered), K))
+        yield "bordered", K.sub(lhs, K.sub(K.mul(ent(d), det_a), uap)), K
     if (n >= 1 and m >= 1
             and _is_indicator(p, n, 1) and _is_indicator(v, 1, 1)
             and _is_indicator(q, 1, 1) and _is_indicator(u, 1, n)):
         corner = K.sub(det_ad, K.mul(a.minor(n, n).det(),
                                      d.minor(1, 1).det()))
-        clauses.append(("corner_indicators", K.sub(lhs, corner), K))
+        yield "corner_indicators", K.sub(lhs, corner), K
     else:
-        clauses.append((None, K.zero(), K))
-    return first_failure("rank1_block", clauses, {
-        "matrix": a, "matrix_d": d, "p": p, "q": q, "v": v, "u": u})
+        yield None, K.zero(), K
 
 
-def verify_matrix_det_lemma(a: Matrix, u: Matrix, v: Matrix) -> VerificationReport:
+@verifier("rank-one update", "matrix:a u v")
+def verify_matrix_det_lemma(a: Matrix, u: Matrix, v: Matrix):
     """det(A + u@v) = det(A) + ent(v@adj(A)@u) for a column u and row v."""
-    a.require_square("rank-one update")
     _same_ring(a, u, v)
     n = a.rows
     if (u.rows, u.cols) != (n, 1) or (v.rows, v.cols) != (1, n):
         raise ShapeError("u must be n x 1 and v must be 1 x n")
     K = a.ring
-    diff = K.sub((a + u @ v).det(),
-                 K.add(a.det(), ent(v @ a.adjugate() @ u)))
-    return make_report(
-        "matrix_det_lemma", diff, ring=K,
-        inputs={"matrix": a, "u": u, "v": v},
-    )
+    yield None, K.sub((a + u @ v).det(),
+                      K.add(a.det(), ent(v @ a.adjugate() @ u))), K
 
 
 # ---------------------------------------------------------------------------
 # nilpotency and trace-power identities
 
 
-def verify_nilpotency_criterion(a: Matrix) -> VerificationReport:
+@verifier("nilpotency criterion", identity="nilpotency")
+def verify_nilpotency_criterion(a: Matrix):
     """Vanishing power traces force nilpotency.
 
     Hypothesis: Tr(A**i) = 0 for i = 1..n.  Consequences checked:
     n! * A**n = 0 and n! * chi_A = n! * t**n always; over a Q-algebra also
     A**n = 0 and chi_A = t**n on the nose.
     """
-    a.require_square("nilpotency criterion")
     K = a.ring
     n = a.rows
-    inputs = {"matrix": a}
     an = a          # A**i after step i; at n = 0 the 0 x 0 A is A**0
     for i in range(1, n + 1):
         if i > 1:
             an = an @ a
         tr = an.trace()
         if not K.is_zero(tr):
-            return hypothesis_not_met(
-                "nilpotency", f"Tr(A**{i}) = {K.format(tr)} is nonzero",
-                inputs)
+            raise HypothesisNotMet(f"Tr(A**{i}) = {K.format(tr)} is nonzero")
     nfact = K.from_int(factorial(n))
     L = PolynomialRing(K)
     chi = charpoly(a).chi
     tn = Polynomial(K, tuple([K.zero()] * n + [K.one()]))
-    clauses = [("factorial_power", an.scale(nfact), None),
-               ("factorial_charpoly",
-                L.sub(chi.scale(nfact), tn.scale(nfact)), L)]
+    yield "factorial_power", an.scale(nfact), None
+    yield "factorial_charpoly", L.sub(chi.scale(nfact), tn.scale(nfact)), L
     if K.is_q_algebra:
-        clauses += [("power", an, None), ("charpoly", L.sub(chi, tn), L)]
-    clauses.append((None, K.zero(), K))
-    return first_failure("nilpotency", clauses, inputs)
+        yield "power", an, None
+        yield "charpoly", L.sub(chi, tn), L
+    yield None, K.zero(), K
 
 
-def verify_nilpotency_converse(a: Matrix, imax: int) -> VerificationReport:
+@verifier("nilpotency converse", "matrix:a imax")
+def verify_nilpotency_converse(a: Matrix, imax: int):
     """If chi_A = t**n then Tr(A**i) = 0 for every positive i (checked to imax)."""
-    a.require_square("nilpotency converse")
     check_imax(imax)
     K = a.ring
-    n = a.rows
-    inputs = {"matrix": a, "imax": imax}
     chi = charpoly(a).chi
-    tn = Polynomial(K, tuple([K.zero()] * n + [K.one()]))
+    tn = Polynomial(K, tuple([K.zero()] * a.rows + [K.one()]))
     L = PolynomialRing(K)
     if not L.is_zero(L.sub(chi, tn)):
-        return hypothesis_not_met(
-            "nilpotency_converse", "chi_A is not t**n", inputs)
+        raise HypothesisNotMet("chi_A is not t**n")
     tr = power_traces(a, imax)
-    traces = ((f"trace_power_{i}", tr[i], K) for i in range(1, imax + 1))
-    return first_failure("nilpotency_converse",
-                         chain(traces, [(None, K.zero(), K)]), inputs)
+    for i in range(1, imax + 1):
+        yield f"trace_power_{i}", tr[i], K
+    yield None, K.zero(), K
 
 
-def verify_almkvist(a: Matrix, k: int) -> VerificationReport:
+@verifier("nilpotent trace powers", "matrix:a k")
+def verify_almkvist(a: Matrix, k: int):
     """Trace powers of a nilpotent matrix.
 
     Hypothesis: A**(k+1) = 0.  Then Tr(A)**(n*k+1) = 0 and
     Tr(A)**(n*k) = ((n*k)! / (k!)**n) * det(A)**k, both exactly.
     """
-    a.require_square("nilpotent trace powers")
     check_k(k)
     K = a.ring
     n = a.rows
-    inputs = {"matrix": a, "k": k}
     if not (a ** (k + 1)).is_zero():
-        return hypothesis_not_met(
-            "almkvist", f"A**{k + 1} is not the zero matrix", inputs)
+        raise HypothesisNotMet(f"A**{k + 1} is not the zero matrix")
     t = a.trace()
     ratio = factorial(n * k) // factorial(k) ** n
     rhs = K.mul(K.from_int(ratio), K.pow(a.det(), k))
-    return first_failure("almkvist", (
-        ("vanishing_power", K.pow(t, n * k + 1), K),
-        ("closed_form", K.sub(K.pow(t, n * k), rhs), K),
-    ), inputs)
+    yield "vanishing_power", K.pow(t, n * k + 1), K
+    yield "closed_form", K.sub(K.pow(t, n * k), rhs), K
 
 
-def verify_trace_multinomial(a: Matrix, m: int) -> VerificationReport:
+@verifier("trace multinomial", "matrix:a m")
+def verify_trace_multinomial(a: Matrix, m: int):
     """Tr(A)**m as a multinomial-weighted sum of row-mixed determinants.
 
     Sum over all compositions (i_1, .., i_n) of m: the multinomial
     coefficient times det of the matrix whose row j is row j of A**(i_j).
     The number of terms is C(m+n-1, n-1), guarded at 10**5.
     """
-    a.require_square("trace multinomial")
     if m < 0:
         raise ValueError("m must be nonnegative")
     K = a.ring
@@ -752,26 +739,20 @@ def verify_trace_multinomial(a: Matrix, m: int) -> VerificationReport:
     if n > 0 and comb(m + n - 1, n - 1) > TERM_GUARD:
         raise GuardError(
             f"{comb(m + n - 1, n - 1)} terms exceed the guard of {TERM_GUARD}")
-    inputs = {"matrix": a, "m": m}
     pw = [Matrix.identity(K, n)] + powers(a, m)     # A**0 .. A**m
     acc = K.zero()
     for parts in compositions(m, n):
         term = row_mixed(K, [pw[p] for p in parts]).det()
         acc = K.add(acc, K.mul(K.from_int(multinomial(m, parts)), term))
-    diff = K.sub(K.pow(a.trace(), m), acc)
-    return make_report("trace_multinomial", diff, ring=K, inputs=inputs)
+    yield None, K.sub(K.pow(a.trace(), m), acc), K
 
 
-def verify_row_replacement(a: Matrix, b: Matrix) -> VerificationReport:
+@verifier("row replacement", _PAIR, family=True)
+def verify_row_replacement(a: Matrix, b: Matrix):
     """Sum over j of det(B with row j replaced by row j of B@A) = Tr(A)*det(B)."""
-    _square_family("row replacement", a, b)
     K = a.ring
     acc = row_replacement_sum(K, b, b @ a)
-    diff = K.sub(acc, K.mul(a.trace(), b.det()))
-    return make_report(
-        "row_replacement", diff, ring=K,
-        inputs={"matrix": a, "matrix_b": b},
-    )
+    yield None, K.sub(acc, K.mul(a.trace(), b.det())), K
 
 
 def _is_prime(p: int) -> bool:
@@ -814,16 +795,13 @@ def frobenius_cost_guard(K, p: int) -> None:
             f"{depth} deep is refused: p**{depth} exceeds {FROBENIUS_POLY_CAP}")
 
 
-def verify_frobenius_trace(a: Matrix, p: int) -> VerificationReport:
+@verifier("Frobenius trace", "matrix:a p")
+def verify_frobenius_trace(a: Matrix, p: int):
     """Tr(A**p) = Tr(A)**p when the prime p vanishes in the ring."""
-    a.require_square("Frobenius trace")
     if not _is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     K = a.ring
-    inputs = {"matrix": a, "p": p}
     if not K.is_zero(K.from_int(p)):
-        return hypothesis_not_met(
-            "frobenius_trace", f"{p} is nonzero in {K}", inputs)
+        raise HypothesisNotMet(f"{p} is nonzero in {K}")
     frobenius_cost_guard(K, p)
-    diff = K.sub((a ** p).trace(), K.pow(a.trace(), p))
-    return make_report("frobenius_trace", diff, ring=K, inputs=inputs)
+    yield None, K.sub((a ** p).trace(), K.pow(a.trace(), p)), K

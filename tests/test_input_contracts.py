@@ -3,8 +3,11 @@ to its exit code.
 
 One row per check, each on the smallest input that breaks its contract:
 shape and ring errors exit 3, parse errors and bad parameters exit 2.
-Messages are not pinned here, only the type (and for CLI rows the exit
-code and the "error:" prefix), so rewording a message keeps every row.
+Messages are not pinned in that table, only the type (and for CLI rows
+the exit code and the "error:" prefix), so rewording a message keeps
+every row.  The one exception is each verifier's first shape check:
+`verify` prints its message with exit 3, so the last test pins it word
+for word, for every verifier.
 """
 
 import io
@@ -85,6 +88,8 @@ _TABLE = [
     ("matrix_det_lemma_vectors",
      lambda: ids.verify_matrix_det_lemma(_i(2), _z(1, 2), _z(1, 2)),
      ShapeError),
+    ("trace_cayley_hamilton_negative_kmax",
+     lambda: ids.verify_trace_cayley_hamilton(_i(2), -3), ValueError),
     ("nilpotency_converse_imax_0",
      lambda: ids.verify_nilpotency_converse(_z(2, 2), 0), ValueError),
     ("trace_multinomial_negative_m",
@@ -159,3 +164,118 @@ def test_every_input_check_fires(thunk, expected, capsys, monkeypatch):
     with pytest.raises(expected) as info:
         thunk()
     assert info.type is expected
+
+
+_W = _z(1, 2)
+_ZT12 = _z(1, 2, ZT)
+
+
+def _square(what):
+    return ShapeError, f"{what} requires a square matrix, got 1 x 2"
+
+
+def _one_size(what, *sizes):
+    return ShapeError, f"{what} requires matrices of one size, got " + ", ".join(
+        f"{n} x {n}" for n in sizes)
+
+
+# (verifier call, exception type, message): every verifier on input that
+# fails its first shape check, then the same-size half of the family checks
+_SHAPES = {
+    "det_oracle": (lambda: ids.verify_det_oracle(_W), *_square("det cross-check")),
+    "det_product": (lambda: ids.verify_det_product(_W, _i(2)),
+                    *_square("det product")),
+    "det_scalar": (lambda: ids.verify_det_scalar(_W, 1),
+                   *_square("scaled determinant")),
+    "trace_product": (lambda: ids.verify_trace_product(_W, _W), ShapeError,
+                      "need n x m against m x n, got 1 x 2 and 1 x 2"),
+    "laplace": (lambda: ids.verify_laplace(_W), *_square("Laplace expansion")),
+    "row_of_product": (lambda: ids.verify_row_of_product(_z(2, 3), _z(2, 2)),
+                       ShapeError, "inner dimensions must agree"),
+    "adj_inverse": (lambda: ids.verify_adj_inverse(_W), *_square("adjugate law")),
+    "eval_zero_hom": (lambda: ids.verify_eval_zero_hom(_W),
+                      *_square("evaluation check")),
+    "det_affine_degree": (lambda: ids.verify_det_affine_degree(_W, _i(2)),
+                          *_square("affine pencil")),
+    "cayley_hamilton": (lambda: ids.verify_cayley_hamilton(_W),
+                        *_square("Cayley-Hamilton")),
+    "trace_cayley_hamilton": (lambda: ids.verify_trace_cayley_hamilton(_W, -3),
+                              *_square("trace recursion")),
+    "newton_agreement": (lambda: ids.verify_newton_agreement(_W),
+                         *_square("trace-recursion agreement")),
+    "adj_via_charpoly": (lambda: ids.verify_adj_via_charpoly(_W),
+                         *_square("adjugate comparison")),
+    "charpoly_derivative": (lambda: ids.verify_charpoly_derivative(_W),
+                            *_square("characteristic derivative")),
+    "adj_trace": (lambda: ids.verify_adj_trace(_W), *_square("adjugate trace")),
+    "trace_of_D": (lambda: ids.verify_trace_of_D(_W),
+                   *_square("adjugate coefficient traces")),
+    "coefficient_family": (lambda: ids.verify_coefficient_family(_W),
+                           *_square("coefficient family")),
+    "trace_coefficient": (lambda: ids.verify_trace_coefficient(_W),
+                          *_square("trace coefficient")),
+    "adj_product": (lambda: ids.verify_adj_product(_W, _i(2)),
+                    *_square("adjugate of product")),
+    "adj_of_adj": (lambda: ids.verify_adj_of_adj(_W), *_square("iterated adjugate")),
+    "adj_scalar": (lambda: ids.verify_adj_scalar(_W, 1), *_square("scaled adjugate")),
+    "jacobi": (lambda: ids.verify_jacobi(_W, IndexSubset(3, (1,)),
+                                         IndexSubset(3, (1, 2))),
+               *_square("complementary minors")),
+    "commute_swap": (lambda: ids.verify_commute_swap(_W, _i(2), _i(2)),
+                     *_square("commuting swap")),
+    "block_commute": (lambda: ids.verify_block_commute(_W, _i(2), _i(2), _i(2)),
+                      *_square("commuting block determinant")),
+    "rank1_block": (lambda: ids.verify_rank1_block(_W, _i(1), _z(1, 1), _z(1, 1),
+                                                   _z(1, 1), _z(1, 1)),
+                    *_square("rank-one block")),
+    "matrix_det_lemma": (lambda: ids.verify_matrix_det_lemma(_W, _z(1, 1), _z(1, 1)),
+                         *_square("rank-one update")),
+    "nilpotency": (lambda: ids.verify_nilpotency_criterion(_W),
+                   *_square("nilpotency criterion")),
+    "nilpotency_converse": (lambda: ids.verify_nilpotency_converse(_W, 0),
+                            *_square("nilpotency converse")),
+    "almkvist": (lambda: ids.verify_almkvist(_W, -1),
+                 *_square("nilpotent trace powers")),
+    "trace_multinomial": (lambda: ids.verify_trace_multinomial(_W, -1),
+                          *_square("trace multinomial")),
+    "row_replacement": (lambda: ids.verify_row_replacement(_W, _i(2)),
+                        *_square("row replacement")),
+    "frobenius_trace": (lambda: ids.verify_frobenius_trace(_W, 4),
+                        *_square("Frobenius trace")),
+    "derivation_det": (lambda: dv.verify_derivation_det(dv.ddt(ZT), _ZT12),
+                       *_square("determinant formula")),
+    "derivation_det_rows": (lambda: dv.verify_derivation_det_rows(dv.ddt(ZT), _ZT12),
+                            *_square("determinant formula")),
+    # leibniz_chain takes no matrix: its first input check is a factor's ring
+    "leibniz_chain": (lambda: dv.verify_leibniz_chain(dv.ddt(ZT), [1, "x"]),
+                      RingMismatchError, "'x' is not an integer"),
+    "det_product_sizes": (lambda: ids.verify_det_product(_i(2), _i(3)),
+                          *_one_size("det product", 2, 3)),
+    "det_affine_degree_sizes": (lambda: ids.verify_det_affine_degree(_i(2), _i(3)),
+                                *_one_size("affine pencil", 2, 3)),
+    "adj_product_sizes": (lambda: ids.verify_adj_product(_i(2), _i(3)),
+                          *_one_size("adjugate of product", 2, 3)),
+    "commute_swap_sizes": (lambda: ids.verify_commute_swap(_i(2), _i(2), _i(3)),
+                           *_one_size("commuting swap", 2, 2, 3)),
+    "block_commute_sizes": (lambda: ids.verify_block_commute(_i(2), _i(2), _i(2),
+                                                             _i(3)),
+                            *_one_size("commuting block determinant", 2, 2, 2, 3)),
+    "row_replacement_sizes": (lambda: ids.verify_row_replacement(_i(2), _i(3)),
+                              *_one_size("row replacement", 2, 3)),
+}
+
+
+def test_shape_table_covers_every_verifier():
+    from ringmat.suite import IDENTITY_NAMES
+    assert set(IDENTITY_NAMES) <= set(_SHAPES)
+
+
+@pytest.mark.parametrize("thunk, expected, message", _SHAPES.values(),
+                         ids=list(_SHAPES))
+def test_every_verifier_states_its_first_shape_check(thunk, expected, message):
+    # where a verifier has a later check, the input breaks it too (a bad
+    # subset, kmax, imax, k, m or p): the shape check must come first
+    with pytest.raises(expected) as info:
+        thunk()
+    assert info.type is expected
+    assert str(info.value) == message

@@ -1,9 +1,11 @@
-"""report.first_failure, the one clause protocol of multi-part identities.
+"""report.first_failure, the one clause protocol of multi-part identities,
+and identities.verifier, the one frame every verifier runs in.
 
-A verifier with several clauses lists them as (part, residual, ring)
-triples; first_failure reports the first nonzero one, or else the last,
-through make_report.  The last test keeps every verifier on that route:
-no make_report call in the verifier modules may name a part itself.
+A verifier body yields its clauses as (part, residual, ring) triples;
+first_failure reports the first nonzero one, or else the last, through
+make_report.  The frame around the body owns the shape check, the
+inputs record, the hypothesis gate and the report.  The last tests keep
+every verifier in that frame and pin what the frame records.
 """
 
 import ast
@@ -119,17 +121,126 @@ def test_mutation_fails_an_empty_matrix_residual(mutate, rows, cols):
     assert rep.residual == Matrix(ZZ, *size, [1] + [0] * (size[0] * size[1] - 1))
 
 
+_REPORT_CALLS = ("make_report", "first_failure", "hypothesis_not_met")
+
+
+def _called(node):
+    return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+
+def _recorded(module, frame: ast.Call) -> dict:
+    """The key -> parameter map of a @verifier(...) call, as the frame
+    reads it (keys is its second argument, "matrix:a" by default)."""
+    spec = ([kw.value for kw in frame.keywords if kw.arg == "keys"]
+            or frame.args[1:2])
+    if not spec:
+        text = "matrix:a"
+    elif isinstance(spec[0], ast.Name):
+        text = getattr(module, spec[0].id)
+    else:
+        text = spec[0].value
+    return {key: param or key
+            for key, _, param in (item.partition(":") for item in text.split())}
+
+
 @pytest.mark.parametrize("module", [identities, derivations],
                          ids=["identities", "derivations"])
-def test_no_verifier_names_a_part_itself(module):
+def test_every_verifier_runs_in_the_one_frame(module):
     tree = ast.parse(Path(module.__file__).read_text())
-    offenders = [
-        node.lineno for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None))
-        == "make_report"
-        and any(kw.arg == "part" for kw in node.keywords)
-    ]
-    assert offenders == [], (
-        f"make_report(..., part=...) at lines {offenders}: list the clauses "
-        "and return report.first_failure instead")
+    frame_code = identities.verifier()(lambda a: (yield)).__code__
+    offenders = []
+    verifiers = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name.startswith("verify_")]
+    assert len(verifiers) >= 3
+    for fn in verifiers:
+        frames = fn.decorator_list
+        if not (len(frames) == 1 and isinstance(frames[0], ast.Call)
+                and _called(frames[0]) == "verifier"):
+            offenders.append(f"{fn.name} is not under one @verifier(...)")
+            continue
+        recorded = _recorded(module, frames[0])
+        family = any(kw.arg == "family" for kw in frames[0].keywords)
+        checked = set(recorded.values()) if family else {recorded.get("matrix")}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Dict):
+                offenders.append(f"{fn.name} builds a dict at line {node.lineno}")
+            if not isinstance(node, ast.Call):
+                continue
+            if _called(node) in _REPORT_CALLS:
+                offenders.append(f"{fn.name} calls {_called(node)}")
+            if (_called(node) == "require_square"
+                    and getattr(node.func.value, "id", None) in checked):
+                offenders.append(f"{fn.name} checks its recorded matrix itself")
+    # the report calls live in the frame alone, and make_report nowhere
+    frame = [node for node in tree.body if getattr(node, "name", "") == "verifier"]
+    inside = {id(node) for f in frame for node in ast.walk(f)}
+    offenders += [f"{_called(node)} at line {node.lineno}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _called(node) in _REPORT_CALLS
+                  and (id(node) not in inside or _called(node) == "make_report")]
+    assert offenders == []
+    # and at run time every verify_* in the module is the frame's wrapper
+    assert {name for name, fn in vars(module).items()
+            if name.startswith("verify_") and fn.__code__ is frame_code} == {
+        fn.name for fn in verifiers}
+
+
+def _m(*rows):
+    return Matrix.from_rows(ZZ, [list(r) for r in rows])
+
+
+def test_keyword_and_positional_calls_record_alike():
+    # suite._check passes block_commute's c, b, d in draw order
+    a, b, c, d = _m((1, 0), (0, 1)), _m((1, 2), (3, 4)), _m((2, 0), (0, 2)), \
+        _m((0, 1), (1, 0))
+    by_keyword = identities.verify_block_commute(a, c=c, b=b, d=d)
+    by_position = identities.verify_block_commute(a, b, c, d)
+    assert list(by_keyword.inputs.items()) == list(by_position.inputs.items())
+    assert list(by_keyword.inputs) == ["matrix", "matrix_b", "matrix_c",
+                                       "matrix_d"]
+    assert all(by_keyword.inputs[key] is m for key, m in
+               zip(by_keyword.inputs, (a, b, c, d)))
+    # the scalar is recorded coerced, and _adj_det passes through unrecorded
+    assert identities.verify_det_scalar(a, lam=3).inputs == {
+        "matrix": a, "scalar": "3"}
+    p = identities.IndexSubset(2, (1,))
+    rep = identities.verify_jacobi(a, q=p, p=p, _adj_det=(a.adjugate(), a.det()))
+    assert rep.passed and list(rep.inputs.items()) == [
+        ("matrix", a), ("P", [1]), ("Q", [1])]
+
+
+def test_an_omitted_kmax_records_2n_plus_1():
+    a = _m((1, 2, 0), (0, 1, 3), (4, 0, 1))
+    assert identities.verify_trace_cayley_hamilton(a).inputs == {
+        "matrix": a, "kmax": 7}
+    assert identities.verify_trace_cayley_hamilton(a, kmax=2).inputs == {
+        "matrix": a, "kmax": 2}
+    assert identities.verify_trace_cayley_hamilton(a, 0).inputs["kmax"] == 0
+
+
+def test_a_raised_hypothesis_reports_it_unmet():
+    a = _m((1, 0), (0, 0))
+    rep = identities.verify_almkvist(a, 1)
+    assert rep.passed and not rep.hypothesis_met and rep.residual is None
+    assert list(rep.inputs.items()) == [
+        ("matrix", a), ("k", 1), ("reason", "A**2 is not the zero matrix")]
+    assert list(rep.to_json()) == ["identity", "passed", "hypothesis_met",
+                                   "residual", "inputs"]
+    rep = identities.verify_nilpotency_criterion(a)
+    assert rep.identity == "nilpotency" and not rep.hypothesis_met
+    assert rep.inputs == {"matrix": a, "reason": "Tr(A**1) = 1 is nonzero"}
+
+
+def test_a_mutated_verifier_bumps_its_last_clause(mutate):
+    a, b = _m((1, 2), (3, 4)), _m((0, 1), (5, 2))
+    mutate(["trace_product", "det_product", "laplace"])
+    rep = identities.verify_trace_product(a, b)
+    assert not rep.passed and rep.residual == 1
+    assert rep.inputs == {"matrix": a, "matrix_b": b,
+                          "failed_part": "cyclic_swap"}
+    rep = identities.verify_det_product(a, b)
+    assert not rep.passed and rep.residual == 1
+    assert rep.inputs == {"matrix": a, "matrix_b": b}
+    rep = identities.verify_laplace(a)      # a sentinel last clause
+    assert not rep.passed and rep.inputs == {"matrix": a}
