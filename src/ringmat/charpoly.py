@@ -37,6 +37,15 @@ charpoly_newton, which resolves the trace recursion
 by multiplying the sum with the ring's own image of -1/k, and is
 therefore restricted to Q-algebras (rings whose coerce accepts
 Fraction(1, k) for every positive k).
+
+The traces Tr(A), ..., Tr(A**m) of that recursion and of the paper's sum
+come from matrix.power_traces, which forms only A, ..., A**h,
+h = ceil(m/2), and pairs the rest: Tr(A**k) = Tr(A**h @ A**(k-h)) for
+k > h, one dot each, as Tr(XY) = Tr(YX).  Over QQ and the encodable
+towers the whole chain runs over Z on one integer lift B = L*A, sized
+for Tr(B**m), and only the m traces are decoded, Tr(A**k) at L**k.
+chi_A(A) (matrix.apply_poly) likewise runs its Horner steps over Z on
+one lift of A and chi_A there, decoded once.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .matrix import (Matrix, adjugate_coefficients, apply_poly,
-                     charpoly_coefficients, powers)
+                     charpoly_coefficients, power_traces)
 from .poly import Polynomial
 from .record import FrozenRecord
 from .rings import QAlgebraRequiredError
@@ -133,12 +142,6 @@ def charpoly_newton(a: Matrix) -> CharPolyData:
     for k in range(1, n + 1):
         c.append(K.mul(K.coerce(Fraction(-1, k)), _trace_sum(K, tr, c, k)))
     return _assemble(a, c)
-
-
-def power_traces(a: Matrix, imax: int) -> list:
-    """[_, Tr(A), Tr(A**2), ..., Tr(A**imax)] (index 0 unused)."""
-    a.require_square("power traces")
-    return [a.ring.zero()] + [p.trace() for p in powers(a, imax)]
 
 
 def adjugate_via_charpoly(a: Matrix) -> Matrix:

@@ -45,6 +45,12 @@ nested R[t]:
     the c_j and a step is the matmul H @ A, the same matrix as H is a
     polynomial in A.  The D_k (adjugate_coefficients) always take the
     chain.
+  * power_traces(): Tr(A), ..., Tr(A**m) from the powers up to
+    h = ceil(m/2) alone, h - 1 matmuls, and Tr(A**k) for k > h as
+    Tr(A**h @ A**(k-h)), one dot of n**2 products, where the power list
+    takes m - 1 matmuls.  apply_poly(): Horner in A, deg p - 1 product
+    steps.  Over QQ and the towers below each runs its whole chain on
+    one integer encoding, decoding only its results.
 
 Over QQ and over every tower R[t_1]...[t_d] (t_1 innermost) with R one
 of ZZ, Z/m and QQ, each kernel runs over ZZ on an integer encoding of
@@ -61,11 +67,14 @@ cleared first, and one exact division per result undoes that:
     adj(A) = adj(D**-1 @ B) = adj(B) @ adj(D**-1) = (adj(B) @ D) / d,
     as adj(D**-1) = det(D**-1) * D.  Over Z, and towers over ZZ and
     Z/m, D = I.
-  * matmul, p(A) (by matmuls) and the D_k keep one scale per part, the
-    same rule with the whole part as its one row: B = L*A with L the lcm
-    of all its coefficient denominators:
-    D_k(A) = D_k(B) / L**(n-1-k) and A1 @ A2 = (B1 @ B2) / (L1 * L2), as
-    these are homogeneous of degree n-1-k and (1, 1) in the entries.
+  * matmul, the power traces, p(A) and the D_k keep one scale per part,
+    the same rule with the whole part as its one row: B = L*A with L the
+    lcm of all its coefficient denominators:
+    D_k(A) = D_k(B) / L**(n-1-k), A1 @ A2 = (B1 @ B2) / (L1 * L2) and
+    Tr(A**k) = Tr(B**k) / L**k, as these are homogeneous of degree
+    n-1-k, (1, 1) and k in the entries.  p(A), which is not, scales p
+    by its own P too (q_i = P * p_i): P * L**d * p(A) =
+    sum_i q_i * L**(d-i) * B**i, d = deg p.
 
 A row's denominators need fewer bits than all of them: 8 x 8 matrices
 with num in [-9, 9] and den in [1, 9] have log2 r_i about 7.0 on
@@ -102,6 +111,22 @@ degree bounds), from:
   * adj(B) @ D (_adjugate_fit): an entry of adj(B), bounded as D_0
     below, times one r_j: norm <= (n-1)! * max(N, 1)**(n-1) * R and
     t_i-degree <= (n-1) * d_i.
+  * Tr(B**k) for every k <= m (_power_fit(n, m), the power traces'
+    one lift): an entry of B**k is a sum of n**(k-1) products of k
+    entries, so the trace is a sum of n**k of them, norm
+    <= (n*N)**k <= (n*N)**m, as n*N >= 1 unless every value is 0, and
+    t_i-degree <= k * d_i <= m * d_i.  So one lift sized for k = m
+    decodes every trace of the chain.
+  * P * L**d * p(A), d = deg p >= 1 (_power_fit(n, d, d + 1)): A's part
+    carries the ring's 1 beside its entries, which B reads as L, so its
+    norm is N_A = max(N_B, L) >= 1, and p's part has the norm N_q >= 1
+    of its q_i, p being nonzero; N = N_A * N_q.  Term i of the sum above
+    is q_i * L**(d-i) times an entry of B**i (of I at i = 0), norm
+    <= N_q * L**(d-i) * n**i * N_B**i <= n**d * N_q * N_A**d, so an
+    entry is at most (d+1) * n**d * N_q * N_A**d <= (d+1) * (n*N)**d,
+    as N_q <= N_q**d.  Its t_i-degree is at most
+    d_(p,i) + d * d_(B,i) <= d * d_i, d_i = d_(B,i) + d_(p,i) the sum
+    that _encode passes.
   * D_k: an entry of D_k is the t**k coefficient of an (n-1) x (n-1)
     minor of t*I - A, a signed sum over k diagonal places that give t,
     C(n-1, k) choices at most, and a matching of the other n-1-k rows to
@@ -1066,6 +1091,16 @@ def _matmul_fit(k: int):
     return lambda m, degrees, r=1: (k * m, degrees)
 
 
+def _power_fit(n: int, e: int, terms: int = 1):
+    """The fit of a sum of at most terms values, each at most n**e times a
+    product of e entries of norm <= N: norm <= terms * (n*N)**e and
+    t_i-degree <= e * d_i.  With terms = 1 it bounds Tr(B**k) for every
+    k <= e, and with terms = d + 1 at e = d the Horner sum of p(A) (the
+    module docstring)."""
+    return lambda m, degrees, r=1: (terms * (n * m) ** e,
+                                    [e * g for g in degrees])
+
+
 def _poly_fit(p: Polynomial, n: int):
     """The fit of an entry of p(a), a an n x n matrix over ZZ, the one
     ring whose p(a) packs, so degrees is empty: ||p||_1 * max(1, n*M)**deg p,
@@ -1387,6 +1422,36 @@ def powers(a: Matrix, m: int) -> list:
     return out
 
 
+def power_traces(a: Matrix, m: int) -> list:
+    """[0, Tr(a), Tr(a**2), ..., Tr(a**m)] for a square a, index 0 the
+    ring's zero, from the powers a, ..., a**h alone, h = ceil(m/2): for
+    k > h, Tr(a**k) = Tr(a**h @ a**(k-h)) = sum_pq (a**h)_pq *
+    (a**(k-h))_qp, one Ring.dot, as Tr(XY) = Tr(YX) over every
+    commutative ring.  So h - 1 matmuls where the power list takes m - 1.
+    Over QQ and the towers the chain runs on one integer encoding
+    B = L*A, one L for the whole matrix, sized by _power_fit(n, m): the
+    products run over ZZ and only the m traces are decoded, Tr(a**k) at
+    L**k.  Over ZZ the same on a itself; over Z/m and towers above
+    MAX_SLOTS on the ring of a, each matmul as it comes."""
+    a.require_square("power traces")
+    n, R = a.rows, a.ring
+    if m < 1:
+        return [R.zero()]
+    b, h = a, (m + 1) // 2
+    if lifted := _encode(R, (a._e,), _power_fit(n, m)):
+        (ints,), ctx = lifted
+        b = Matrix(ZZ, n, n, ints)
+    pw = powers(b, h)
+    top = pw[-1]._e
+    tr = [p.trace() for p in pw] + [
+        b.ring.dot(top, [v for j in range(n) for v in p._e[j::n]])
+        for p in pw[:m - h]]
+    if lifted:
+        scale = prod(ctx[1])
+        tr = [_decode([t], ctx, scale ** k)[0] for k, t in enumerate(tr, 1)]
+    return [R.zero()] + tr
+
+
 def ent(m: Matrix):
     """The sole entry of a 1 x 1 matrix."""
     if (m.rows, m.cols) != (1, 1):
@@ -1396,14 +1461,31 @@ def ent(m: Matrix):
 
 def apply_poly(p: Polynomial, a: Matrix) -> Matrix:
     """p(a) for a square matrix a over the coefficient ring of p, by
-    _horner on the coefficients from the top."""
+    _horner on the coefficients from the top.
+
+    Over QQ and the towers with d = deg p >= 2, on one integer encoding:
+    the entries of a with the ring's 1 beside them, scaled by one L
+    (B = L*A, the 1 read as L), and the coefficients of p by one P
+    (q_i = P*p_i).  _horner runs over ZZ on B with the coefficients
+    q_(d-j) * L**j from the top, taking its packed rows where
+    _packed_width allows; the sum sum_i q_i * L**(d-i) * B**i it returns
+    is P * L**d * p(a), decoded once at that scale (_power_fit(n, d,
+    d + 1)).
+    """
     a.require_square("polynomial evaluation")
     if p.ring != a.ring:
         raise RingMismatchError(
             f"polynomial over {p.ring} cannot act on a matrix over {a.ring}")
-    n = a.rows
+    n, R, d = a.rows, a.ring, p.degree
     if p.is_zero():
-        return Matrix.zeros(a.ring, n, n)
+        return Matrix.zeros(R, n, n)
+    if d >= 2 and (lifted := _encode(R, (a._e + (R.one(),), p.coeffs),
+                                     _power_fit(n, d, d + 1))):
+        ((*ints, _), qs), ctx = lifted
+        scale, den = ctx[1] or (1, 1)
+        q = Polynomial(ZZ, [c * scale ** (d - i) for i, c in enumerate(qs)])
+        x = _horner(Matrix(ZZ, n, n, ints), q.coeffs[::-1], _poly_fit(q, n))
+        return Matrix(R, n, n, _decode(x[0]._e, ctx, den * scale ** d))
     return _horner(a, p.coeffs[::-1], _poly_fit(p, n))[0]
 
 

@@ -35,6 +35,23 @@ def horners(monkeypatch):
 
 
 @pytest.fixture
+def lifts(monkeypatch):
+    """The number of matrix._encode calls so far that lifted, that is,
+    returned an integer encoding (over ZZ, bare Z/m and towers above
+    MAX_SLOTS it returns None)."""
+    calls = [0]
+    encode = matrix_mod._encode
+
+    def spy(*args):
+        lifted = encode(*args)
+        calls[0] += lifted is not None
+        return lifted
+
+    monkeypatch.setattr(matrix_mod, "_encode", spy)
+    return calls
+
+
+@pytest.fixture
 def eliminations(monkeypatch):
     """The number of matrix._bareiss passes run so far."""
     calls = [0]

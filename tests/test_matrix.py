@@ -414,10 +414,12 @@ def test_one_lift_entry_point_and_one_home_for_the_bounds():
     # and every result bound is a fit: (N, degrees) -> (bound, degrees)
     assert _callers("_tower") == {"_encode": 1}
     # and only the kernel entries lift, each once: berkowitz() runs on
-    # its own ring, and adj and the D_k have an entry each
+    # its own ring, adj and the D_k have an entry each, and so do the
+    # power traces and p(A), each on one lift for its whole chain
     assert _callers("_encode") == {
         "Matrix.__matmul__": 1, "Matrix.det": 1, "Matrix.adjugate": 1,
-        "charpoly_coefficients": 1, "adjugate_coefficients": 1}
+        "charpoly_coefficients": 1, "adjugate_coefficients": 1,
+        "power_traces": 1, "apply_poly": 1}
     factorials = _callers("factorial")
     assert factorials and all(f.endswith("_fit") for f in factorials)
 

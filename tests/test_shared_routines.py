@@ -6,9 +6,10 @@ empty product, built without a product, only at k = 0.  poly._dot is
 both Polynomial.__mul__ and PolynomialRing.dot.  matrix.row_mixed builds
 the row-mixed determinants of the trace-multinomial, row-replacement and
 derivation checks, and matrix.row_replacement_sum is the sum of the last
-two.  matrix.powers is the power list of power_traces and of the
-coefficient-family and trace-multinomial checks.  Each is pinned here
-against an independent oracle.
+two.  matrix.powers is the power list of the coefficient-family and
+trace-multinomial checks, and of power_traces, which lists the powers
+of its lift only up to ceil(m/2) (test_lifted_powers.py).  Each is
+pinned here against an independent oracle.
 """
 
 from __future__ import annotations

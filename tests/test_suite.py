@@ -15,7 +15,7 @@ from ringmat.fuzz import MAX_SAMPLE_DEPTH
 from ringmat.identities import MAX_IMAX, MAX_K, PRIME_BOUND
 from ringmat.matrix import Matrix
 from ringmat.poly import PolynomialRing
-from ringmat.report import summarize
+from ringmat.report import set_mutation, summarize
 from ringmat.rings import QQ, ZZ, GuardError, ModRing, ShapeError
 from ringmat.suite import IDENTITY_NAMES, SUITES, resolve_suite, run_suite
 
@@ -356,3 +356,29 @@ def test_reports_record_their_matrices_by_reference():
                     (r.identity, key)
                 if key.startswith("matrix"):
                     assert isinstance(value, Matrix), (r.identity, key)
+
+
+# the rings of the benchmark's fuzz campaign, and a prime field
+MUTANT_RINGS = {"int": ZZ, "mod:8": Z8, "rat": QQ,
+                "poly:mod:8": PolynomialRing(Z8), "mod:7": ModRing(7)}
+
+
+def test_every_mutant_is_caught_and_frobenius_only_over_a_prime_field():
+    # each identity's RINGMAT_MUTATE mutant, alone, through a small
+    # campaign per ring: it must fail a check (a failed report whose
+    # hypothesis held) on one ring at least.  frobenius_trace's default p
+    # is nonzero in every ring but the prime field, so it is caught there
+    # only: the campaign rings alone never judge it.
+    caught = {}
+    for name in IDENTITY_NAMES:
+        previous = set_mutation({name})
+        try:
+            caught[name] = {label for label, ring in MUTANT_RINGS.items()
+                            if any(not r.passed and r.hypothesis_met
+                                   for r in run_suite([name], ring=ring,
+                                                      seed=1, count=2,
+                                                      size=3))}
+        finally:
+            set_mutation(previous)
+    assert [name for name, rings in caught.items() if not rings] == []
+    assert caught["frobenius_trace"] == {"mod:7"}
