@@ -187,3 +187,16 @@ def test_the_trace_fit_is_tight_on_a_constant_tower_matrix():
                                               for j in range(k + 1)])
                 assert tr[k] == want, (n, m, k)
         assert _power_fit(n, 9)(2, [1]) == ((2 * n) ** 9, [9])
+
+
+def test_the_poly_fit_covers_the_scale_of_a():
+    # L = lcm(9, 8, 7, 5) = 2520 is above every entry of B = L*A
+    # (N_B = 504), and the constant term q_0 * L**2 of P * L**2 * p(A)
+    # passes 2**22 > 3 * (2 * 504)**2, a fit on N_B alone: the ring's 1
+    # beside the entries of A puts L into N
+    t, c = QT.t(), QT.coerce
+    a = Matrix(QT, 2, 2, [t * c(Fraction(1, 9)), c(Fraction(1, 8)),
+                          c(Fraction(1, 7)), t * c(Fraction(1, 5))])
+    p = Polynomial(QT, [QT.one(), QT.zero(), QT.one()])
+    assert _power_sum(p, a).entry(1, 1).coeffs[0] * 2520**2 > 2**22
+    assert apply_poly(p, a) == _power_sum(p, a)
