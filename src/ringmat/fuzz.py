@@ -61,12 +61,6 @@ _TRIAL_BOUND = 10_000
 _DECIDE_BITS = 4096
 
 
-def _scramble(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
-
-
 class SplitMix64:
     """The pinned 64-bit generator; see the module docstring for the exact map."""
 
@@ -76,8 +70,10 @@ class SplitMix64:
         self._state = seed & _MASK
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK
-        return _scramble(self._state)
+        self._state = z = (self._state + _GOLDEN) & _MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), by rejection: _below's one-value case."""
@@ -91,6 +87,7 @@ class SplitMix64:
         return SplitMix64(self.next_u64())
 
 
+@lru_cache(maxsize=256)     # a campaign folds the same few labels
 def fnv1a64(text: str) -> int:
     h = 0xCBF29CE484222325
     for b in text.encode("utf-8"):
@@ -139,9 +136,15 @@ def _draw(rng: SplitMix64, ring: Ring, count: int, poly_degree: int) -> list:
     if isinstance(ring, ModRing):
         return _below(rng, ring.m, count)
     if isinstance(ring, RationalRing):
-        small = [v - 5 if v < 5 else v - 4 for v in _below(rng, 10, 2 * count)]
-        return list(map(Fraction, small[::2], small[1::2]))
+        draws = iter(_below(rng, 10, 2 * count))
+        return [_RATIONALS[10 * num + den] for num, den in zip(draws, draws)]
     raise RingError(f"no sampler for ring {ring}")
+
+
+# The 100 rationals num/den a draw can give, at 10 * i + j for the i-th
+# numerator and j-th denominator of -5..-1, 1..5.
+_SMALL = (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)
+_RATIONALS = tuple(Fraction(num, den) for num in _SMALL for den in _SMALL)
 
 
 def _below(rng: SplitMix64, n: int, count: int, lo: int = 0) -> list:

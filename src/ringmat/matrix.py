@@ -947,8 +947,8 @@ def _solved_adjugate(a: Matrix, scales=()) -> Matrix | None:
     inequality)."""
     n, e = a.rows, a._e
     top = prod(sorted(_row_squares(e, n))[1:])
-    w = ((isqrt(top - 1) + 1 if top else 0)
-         * max(scales, default=1)).bit_length() + 1
+    w = _slot_width((isqrt(top - 1) + 1 if top else 0)
+                    * max(scales, default=1))
     if w > MAX_SOLVE_BITS:
         return None
     shifts = range(0, n * w, w)
@@ -1008,7 +1008,7 @@ def _integer_charpoly(entries, n: int, scales=()) -> list:
     bound = 1
     for r, s in zip(scales or repeat(1), _row_squares(entries, n)):
         bound *= r + isqrt(s - 1) + 1 if s else r   # r_i + ceil(||row_i||)
-    w = bound.bit_length() + 1
+    w = _slot_width(bound)
     if n * w > MAX_CHARPOLY_BITS:
         top, d = lcm(*scales), prod(scales)
         rows = zip(scales or repeat(1), range(0, n * n, n))
@@ -1186,7 +1186,7 @@ def _packed_width(a: Matrix, fit) -> int | None:
     n >= 4 and w <= MAX_WIDTH.  Else None, and _horner takes matmuls."""
     if a.rows < 4 or not isinstance(a.ring, IntegerRing):
         return None
-    w = fit(max(map(abs, a._e)), [])[0].bit_length() + 1
+    w = _slot_width(fit(max(map(abs, a._e)), [])[0])
     return w if w <= MAX_WIDTH else None
 
 
@@ -1277,7 +1277,7 @@ def _context(chain, scales, bound: int, degrees) -> tuple | None:
     t_i-degree <= degrees[i-1]: t_i -> 2**shifts[i-1], and levels pairs
     each inner coefficient ring with its D_i.  None above MAX_SLOTS.
     degrees is never empty: a tower has at least one variable."""
-    w = bound.bit_length() + 1
+    w = _slot_width(bound)
     shifts, levels = [w], []
     for i, g in enumerate(degrees[:-1], 1):
         levels.append((chain[-i], g + 1))
@@ -1352,9 +1352,18 @@ def _decode(ints, ctx, den: int) -> list:
     return out
 
 
+def _slot_width(bound: int) -> int:
+    """The digit width w, in bits, for results of absolute value at most
+    bound: bit_length(bound) + 1, and never below 2.  At w = 1 a balanced
+    digit lies in [-1, 0), so _digits would never reach 1's last digit;
+    w moves only at bound 0, where every result is 0."""
+    return max(bound.bit_length(), 1) + 1
+
+
 def _digits(values, w: int, size: int = 0) -> list:
     """For each integer, its balanced base 2**w digits, each in
-    [-2**(w-1), 2**(w-1)), lowest first, padded with zeros to size."""
+    [-2**(w-1), 2**(w-1)), lowest first, padded with zeros to size;
+    w >= 2 (_slot_width)."""
     half, mask, full = 1 << (w - 1), (1 << w) - 1, 1 << w
     out = []
     for v in values:

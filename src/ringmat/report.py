@@ -1,9 +1,11 @@
 """Verification reports produced by identity checks.
 
 Every check in this library reduces to an exact equality between two ring
-elements or two matrices.  A report records which identity was checked,
-whether its hypothesis was satisfied, whether the equality held, and (on
-failure) the nonzero difference as a witness.
+elements or two matrices, judged by == on their canonical values.  A
+report records which identity was checked, whether its hypothesis was
+satisfied, whether the equality held, and (on failure) the nonzero
+difference as a witness: the difference is formed only for the clause
+a report carries, never for a passing check.
 """
 
 from __future__ import annotations
@@ -37,10 +39,11 @@ def set_mutation(names) -> frozenset:
 class VerificationReport(Record):
     """Outcome of one identity check.
 
-    passed is True exactly when the hypothesis was met and the computed
-    residual was zero.  hypothesis_met is False when the inputs do not
-    satisfy the identity's hypothesis; such reports are not failures and
-    carry no residual.  residual is None on success, otherwise a ring
+    passed is True exactly when the hypothesis was met and the two sides
+    were equal (for a mutated check, when its bumped residual was zero).
+    hypothesis_met is False when the inputs do not satisfy the
+    identity's hypothesis; such reports are not failures and carry no
+    residual.  residual is None on success, otherwise a ring
     element (with residual_ring set) or a Matrix.  inputs holds the
     checked matrices by reference, as Matrix values; to_json() gives
     their JSON form.  Reports are mutable (callers annotate inputs), so
@@ -95,12 +98,15 @@ def make_report(identity: str, residual, *, ring=None, inputs=None,
 
     residual must be the exact difference of the two sides.  ring is
     required when residual is a bare ring element.  part names the first
-    failing clause of a multi-clause identity.
+    failing clause of a multi-clause identity.  first_failure calls this
+    only for the clause its report carries; rings.axiom_spotcheck builds
+    its reports here directly.
     """
     inputs = dict(inputs) if inputs else {}
     if identity in _MUTATED:
         residual = _bump(residual, ring)
-    failed = not _is_zero(residual, ring)
+    failed = not (ring.is_zero(residual) if ring is not None
+                  else residual.is_zero())
     if failed and part is not None:
         inputs["failed_part"] = part
     return VerificationReport(
@@ -115,21 +121,25 @@ def make_report(identity: str, residual, *, ring=None, inputs=None,
 def first_failure(identity: str, clauses, inputs=None) -> VerificationReport:
     """Report a multi-part identity by its first failing clause.
 
-    clauses yields (part, residual, ring) in order, ring None for a Matrix
-    residual.  make_report builds the report from the first clause with a
-    nonzero residual, else from the last, so a failing report names its
-    part in inputs["failed_part"] and a mutated identity bumps its last
-    clause.  A (None, zero, ring) sentinel last clause passes unnamed.
-    The last clause is tested only inside make_report, so a passing check
-    tests each residual once; clause i is tested once clause i + 1 is
-    drawn, so a generator is drawn at most one clause past the reported one.
+    clauses yields (part, lhs, rhs, ring) in order: the two sides of one
+    equality, ring None for two matrices.  Values are canonical, so a
+    clause holds exactly when lhs == rhs; clauses are drawn up to the
+    first that fails and none past it.  Only the clause the report
+    carries forms its residual lhs - rhs (ring.sub, or the Matrix
+    difference), and make_report builds the report from it: the first
+    failing clause, named in inputs["failed_part"], or, when every
+    clause holds and the identity is mutated, the last clause, whose
+    zero residual make_report bumps.  A passing check forms no residual.
+    A (None, zero, zero, ring) sentinel last clause passes unnamed.
     """
-    it = iter(clauses)
-    part, residual, ring = next(it)
-    for after in it:
-        if not _is_zero(residual, ring):
+    for part, lhs, rhs, ring in clauses:
+        if lhs != rhs:
             break
-        part, residual, ring = after
+    else:
+        if identity not in _MUTATED:
+            return VerificationReport(identity, True,
+                                      inputs=dict(inputs) if inputs else {})
+    residual = ring.sub(lhs, rhs) if ring is not None else lhs - rhs
     return make_report(identity, residual, ring=ring, inputs=inputs, part=part)
 
 
@@ -139,10 +149,6 @@ def hypothesis_not_met(identity: str, reason: str, inputs=None) -> VerificationR
     return VerificationReport(
         identity=identity, passed=True, hypothesis_met=False, inputs=inputs,
     )
-
-
-def _is_zero(residual, ring) -> bool:
-    return ring.is_zero(residual) if ring is not None else residual.is_zero()
 
 
 def _bump(residual, ring):

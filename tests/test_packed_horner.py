@@ -32,7 +32,7 @@ from ringmat.matrix import (
     apply_poly,
     berkowitz,
 )
-from ringmat.poly import Polynomial
+from ringmat.poly import Polynomial, PolynomialRing
 from ringmat.rings import QQ, ZZ, IntegerRing, ModRing, Ring
 
 BIG = 10**60
@@ -222,6 +222,32 @@ def test_packed_step_count(matmuls, monkeypatch):
         assert (ring.muls, ring.dots) == ((n - 2) * n * n, (n - 2) * n)
         assert reads[0] == rows
     assert matmuls[0] == 0
+
+
+def test_digits_end_on_one_at_the_smallest_slot_width(monkeypatch):
+    # at w = 1 a balanced digit lies in [-1, 0), so _digits([1], 1) would
+    # never end; every width is at least 2 bits, which moves w only at
+    # bound 0, where every result is 0
+    widths = []
+    digits = matrix_mod._digits
+
+    def recorded(values, w, *args):
+        widths.append(w)
+        return digits(values, w, *args)
+    monkeypatch.setattr(matrix_mod, "_digits", recorded)
+    adj = matrix_mod._solved_adjugate(Matrix(ZZ, 1, 1, [7]))
+    assert adj == Matrix(ZZ, 1, 1, [1])
+    assert matrix_mod._solved_adjugate(Matrix.zeros(ZZ, 2, 2)) is None
+    chain = [PolynomialRing(ZZ), ZZ]
+    smallest = {
+        "_context": matrix_mod._context(chain, [], 0, [0])[2],
+        "_packed_width": _packed_width(Matrix.zeros(ZZ, 4, 4),
+                                       lambda norm, degrees: (0,)),
+        "_solved_adjugate": min(widths),
+    }
+    assert smallest == dict.fromkeys(smallest, 2)
+    for w in smallest.values():
+        assert digits([1, -1, 0], w) == [[1], [-1], []]
 
 
 def _power_sum(p, a):

@@ -1,11 +1,12 @@
 """report.first_failure, the one clause protocol of multi-part identities,
 and identities.verifier, the one frame every verifier runs in.
 
-A verifier body yields its clauses as (part, residual, ring) triples;
-first_failure reports the first nonzero one, or else the last, through
-make_report.  The frame around the body owns the shape check, the
-inputs record, the hypothesis gate and the report.  The last tests keep
-every verifier in that frame and pin what the frame records.
+A verifier body yields its clauses as (part, lhs, rhs, ring) 4-tuples;
+first_failure judges each by lhs == rhs, stops at the first that fails,
+and forms lhs - rhs only for the clause the report carries: that one,
+or the last under mutation.  The frame around the body owns the shape
+check, the inputs record, the hypothesis gate and the report.  The last
+tests keep every verifier in that frame and pin what the frame records.
 """
 
 import ast
@@ -13,20 +14,27 @@ from pathlib import Path
 
 import pytest
 
+from helpers import RINGS8
 from ringmat import derivations, identities
 from ringmat.matrix import Matrix
-from ringmat.report import first_failure, set_mutation
+from ringmat.report import _bump, first_failure, set_mutation
+from ringmat.suite import run_suite
 from ringmat.rings import ZZ
 
 
 class Probe:
-    """A stand-in ring over Python ints that logs each zero test."""
+    """A stand-in ring over Python ints that logs each residual it forms
+    and each zero test."""
 
     def __init__(self, log, name):
         self.log, self.name = log, name
 
+    def sub(self, a, b):
+        self.log.append(("sub", self.name))
+        return a - b
+
     def is_zero(self, value):
-        self.log.append(self.name)
+        self.log.append(("is_zero", self.name))
         return value == 0
 
 
@@ -36,44 +44,45 @@ def mutate():
     set_mutation(())
 
 
-def test_first_nonzero_clause_wins_drawing_one_clause_past_it():
+def test_first_failing_clause_wins_drawing_none_past_it():
     drawn = []
 
     def clauses():
-        for part, value in (("a", 0), ("b", 5), ("c", 0), ("d", 7)):
+        for part, lhs, rhs in (("a", 2, 2), ("b", 5, 0), ("c", 0, 0),
+                               ("d", 7, 0)):
             drawn.append(part)
-            yield part, value, ZZ
+            yield part, lhs, rhs, ZZ
         raise AssertionError("drawn to the end")
 
     rep = first_failure("x", clauses(), {"k": 1})
     assert not rep.passed and rep.hypothesis_met
     assert (rep.residual, rep.residual_ring) == (5, ZZ)
     assert rep.inputs == {"k": 1, "failed_part": "b"}
-    # one clause past the winner shows that it is not the last
-    assert drawn == ["a", "b", "c"]
+    # the first failing clause is reported without drawing the next
+    assert drawn == ["a", "b"]
 
 
-def test_all_zero_reports_from_the_last_clause_testing_each_once():
+def test_all_passing_reports_no_part_and_forms_no_residual():
     log = []
-    clauses = [(part, 0, Probe(log, part)) for part in "abc"]
+    clauses = [(part, 3, 3, Probe(log, part)) for part in "abc"]
     inputs = {"k": 1}
     rep = first_failure("x", clauses, inputs)
-    assert rep.passed and rep.residual is None
+    assert rep.passed and rep.residual is None and rep.residual_ring is None
     assert rep.inputs == {"k": 1} and rep.inputs is not inputs
-    assert log == ["a", "b", "c"]
+    assert log == []
 
 
-def test_a_failing_clause_is_tested_here_and_in_make_report():
+def test_only_the_failing_clause_forms_and_tests_a_residual():
     log = []
-    clauses = [("a", 0, Probe(log, "a")), ("b", 2, Probe(log, "b")),
-               ("c", 0, Probe(log, "c"))]
+    clauses = [("a", 1, 1, Probe(log, "a")), ("b", 2, 0, Probe(log, "b")),
+               ("c", 0, 0, Probe(log, "c"))]
     rep = first_failure("x", clauses)
-    assert rep.inputs == {"failed_part": "b"}
-    assert log == ["a", "b", "b"]
+    assert rep.inputs == {"failed_part": "b"} and rep.residual == 2
+    assert log == [("sub", "b"), ("is_zero", "b")]
 
 
 def test_sentinel_names_no_part(mutate):
-    clauses = [("a", 0, ZZ), (None, ZZ.zero(), ZZ)]
+    clauses = [("a", 4, 4, ZZ), (None, ZZ.zero(), ZZ.zero(), ZZ)]
     rep = first_failure("x", clauses)
     assert rep.passed and rep.inputs == {}
     mutate(["x"])
@@ -84,26 +93,27 @@ def test_sentinel_names_no_part(mutate):
 
 def test_matrix_and_element_residuals():
     zero = Matrix.zeros(ZZ, 2, 2)
-    witness = Matrix(ZZ, 2, 2, [0, 3, 0, 0])
-    rep = first_failure("x", [("m", zero, None), ("e", -4, ZZ)])
+    ones = Matrix(ZZ, 2, 2, [1, 1, 1, 1])
+    rep = first_failure("x", [("m", ones, ones, None), ("e", 3, 7, ZZ)])
     assert (rep.residual, rep.residual_ring) == (-4, ZZ)
     assert rep.inputs["failed_part"] == "e"
-    rep = first_failure("x", [("m", witness, None), ("e", 0, ZZ)])
-    assert rep.residual == witness and rep.residual_ring is None
-    assert rep.inputs["failed_part"] == "m"
-    assert first_failure("x", [("e", 0, ZZ), ("m", zero, None)]).passed
+    rep = first_failure("x", [("m", Matrix(ZZ, 2, 2, [1, 4, 1, 1]), ones, None),
+                              ("e", 0, 0, ZZ)])
+    assert rep.residual == Matrix(ZZ, 2, 2, [0, 3, 0, 0])
+    assert rep.residual_ring is None and rep.inputs["failed_part"] == "m"
+    assert first_failure("x", [("e", 0, 0, ZZ), ("m", zero, zero, None)]).passed
 
 
 def test_mutation_bumps_the_last_clause(mutate):
     mutate(["x"])
-    rep = first_failure("x", [("a", 0, ZZ), ("b", 0, ZZ)])
+    rep = first_failure("x", [("a", 0, 0, ZZ), ("b", 2, 2, ZZ)])
     assert rep.inputs["failed_part"] == "b" and rep.residual == 1
-    rep = first_failure("x", [("a", 0, ZZ),
-                              ("m", Matrix.zeros(ZZ, 2, 2), None)])
+    ones = Matrix(ZZ, 2, 2, [1, 1, 1, 1])
+    rep = first_failure("x", [("a", 0, 0, ZZ), ("m", ones, ones, None)])
     assert rep.inputs["failed_part"] == "m"
     assert rep.residual == Matrix(ZZ, 2, 2, [1, 0, 0, 0])
-    # a nonzero clause before it is reported, and bumped, in its place
-    rep = first_failure("x", [("a", 3, ZZ), ("b", 0, ZZ)])
+    # a failing clause before it is reported, and bumped, in its place
+    rep = first_failure("x", [("a", 5, 2, ZZ), ("b", 0, 0, ZZ)])
     assert rep.inputs["failed_part"] == "a" and rep.residual == 4
 
 
@@ -112,13 +122,47 @@ def test_mutation_fails_an_empty_matrix_residual(mutate, rows, cols):
     # an empty residual has no entry to bump, so the witness grows to
     # at least one row and one column with a 1 in the first entry
     empty = Matrix.zeros(ZZ, rows, cols)
-    assert first_failure("x", [("m", empty, None)]).passed
+    assert first_failure("x", [("m", empty, empty, None)]).passed
     mutate(["x"])
-    rep = first_failure("x", [("m", empty, None)])
+    rep = first_failure("x", [("m", empty, empty, None)])
     assert not rep.passed and rep.inputs["failed_part"] == "m"
     size = (max(rows, 1), max(cols, 1))
     assert (rep.residual.rows, rep.residual.cols) == size
     assert rep.residual == Matrix(ZZ, *size, [1] + [0] * (size[0] * size[1] - 1))
+
+
+def _residual_is_zero(lhs, rhs, ring) -> bool:
+    if ring is None:
+        return (lhs - rhs).is_zero()
+    return ring.is_zero(ring.sub(lhs, rhs))
+
+
+@pytest.mark.parametrize("ring", [ring for _, ring in RINGS8],
+                         ids=[label for label, _ in RINGS8])
+def test_equality_agrees_with_the_residual(monkeypatch, ring):
+    # every clause that every verifier body yields in a campaign: == on
+    # its two sides must agree with a zero test of their difference, so
+    # an unreduced residue or an untrimmed polynomial cannot split them;
+    # a right side moved by 1 checks the failing direction as well
+    judge, clauses_of = identities.first_failure, {}
+
+    def both_ways(identity, clauses, inputs=None):
+        clauses = list(clauses)
+        for part, lhs, rhs, R in clauses:
+            assert (lhs == rhs) is _residual_is_zero(lhs, rhs, R) is True, \
+                (identity, part)
+            if R is not None or (rhs.rows and rhs.cols):
+                moved = _bump(rhs, R)
+                assert (lhs == moved) is _residual_is_zero(lhs, moved, R), \
+                    (identity, part)
+        clauses_of[identity] = clauses_of.get(identity, 0) + len(clauses)
+        return judge(identity, clauses, inputs)
+
+    monkeypatch.setattr(identities, "first_failure", both_ways)
+    reports = run_suite("all", ring=ring, count=2, size=3)
+    assert all(r.passed for r in reports)
+    judged = {r.identity for r in reports if r.hypothesis_met}
+    assert set(clauses_of) == judged and len(judged) >= 25
 
 
 _REPORT_CALLS = ("make_report", "first_failure", "hypothesis_not_met")
@@ -163,6 +207,11 @@ def test_every_verifier_runs_in_the_one_frame(module):
         family = any(kw.arg == "family" for kw in frames[0].keywords)
         checked = set(recorded.values()) if family else {recorded.get("matrix")}
         for node in ast.walk(fn):
+            if isinstance(node, ast.Yield) and not (
+                    isinstance(node.value, ast.Tuple)
+                    and len(node.value.elts) == 4):
+                offenders.append(f"{fn.name} yields no 4-tuple at line "
+                                 f"{node.lineno}")
             if isinstance(node, ast.Dict):
                 offenders.append(f"{fn.name} builds a dict at line {node.lineno}")
             if not isinstance(node, ast.Call):
