@@ -1,8 +1,17 @@
 """Fixtures shared by the kernel route tests."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 import ringmat.matrix as matrix_mod
+
+# pytest's pythonpath setting (pyproject.toml) reaches this process only;
+# the tests that run the CLI in a subprocess import this checkout too.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    str(Path(__file__).resolve().parents[1] / "src"),
+    os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture
@@ -62,4 +71,35 @@ def eliminations(monkeypatch):
         return bareiss(*args)
 
     monkeypatch.setattr(matrix_mod, "_bareiss", spy)
+    return calls
+
+
+@pytest.fixture
+def packs(monkeypatch):
+    """The number of matrix._horner chains so far that ran on packed rows,
+    that is, for which matrix._packed_width gave a width."""
+    calls = [0]
+    packed_width = matrix_mod._packed_width
+
+    def spy(*args):
+        w = packed_width(*args)
+        calls[0] += w is not None
+        return w
+
+    monkeypatch.setattr(matrix_mod, "_packed_width", spy)
+    return calls
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The number of matrix._product calls so far: the matmuls taken on
+    the ring itself or on an integer encoding."""
+    calls = [0]
+    product = matrix_mod._product
+
+    def spy(a, b):
+        calls[0] += 1
+        return product(a, b)
+
+    monkeypatch.setattr(matrix_mod, "_product", spy)
     return calls

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from helpers import RINGS8, Z1, Z8, ZT
+from routes import upper
 from ringmat.charpoly import charpoly
 from ringmat.fuzz import sample_matrix, stream
 from ringmat.matrix import (
@@ -34,13 +35,6 @@ ZTU = PolynomialRing(ZT)
 
 def _int_matrix(rows):
     return Matrix.from_rows(ZZ, rows)
-
-
-def _upper(rng, n, top=9):
-    """Upper triangular, nonzero diagonal: every pivot is nonzero."""
-    return [[rng.choice([v for v in range(-top, top + 1) if v])
-             if j == i else rng.randint(-top, top) if j > i else 0
-             for j in range(n)] for i in range(n)]
 
 
 def _swapped(rows, swaps):
@@ -70,7 +64,7 @@ def test_a_zero_pivot_at_each_step_forces_a_swap(n):
     rng = random.Random(f"swap-{n}")
     for k in range(n - 1):
         for j in range(k + 1, n):
-            u = _upper(rng, n)
+            u = upper(rng, n)
             a = _int_matrix(_swapped(u, [(k, j)]))
             assert a.det() == -_int_matrix(u).det() == a.det_subset_dp()
             assert a.det() != 0
@@ -83,13 +77,13 @@ def test_odd_and_even_swap_counts(n):
     # odd and even swap counts the elimination must add up
     rng = random.Random(f"rotate-{n}")
     for shift in range(1, n):
-        u = _upper(rng, n)
+        u = upper(rng, n)
         a = _int_matrix(u[shift:] + u[:shift])
         sign = -1 if shift * (n - shift) & 1 else 1
         assert a.det() == sign * _int_matrix(u).det() == a.det_subset_dp()
     for swaps in ([(0, 1), (2, 3)], [(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 3)]):
         if max(map(max, swaps)) < n:
-            u = _upper(rng, n)
+            u = upper(rng, n)
             a = _int_matrix(_swapped(u, swaps))
             sign = -1 if len(swaps) & 1 else 1
             assert a.det() == sign * _int_matrix(u).det() == a.det_subset_dp()

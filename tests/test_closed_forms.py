@@ -14,7 +14,6 @@ berkowitz() and the cofactor adjugate of t*I - A read coefficientwise.
 
 import pytest
 
-import ringmat.matrix as matrix_mod
 from helpers import (RINGS8, Z8, coefficient_matrices_oracle, plain_horner,
                      plain_matmul)
 from ringmat.charpoly import charpoly
@@ -82,19 +81,10 @@ def test_small_kernels_match_the_oracles(label, ring, n):
 
 
 @pytest.fixture
-def routes(monkeypatch, berkowitz_rings, eliminations, horners):
+def routes(berkowitz_rings, lifts, eliminations, horners):
     """The set of routes the calls so far took: "lift" for an integer
     encoding, "bareiss" for an elimination, "berkowitz" and "horner";
     calling the result clears it."""
-    lifts = [0]
-    encode = matrix_mod._encode
-
-    def spy(*args):
-        lifted = encode(*args)
-        lifts[0] += lifted is not None
-        return lifted
-
-    monkeypatch.setattr(matrix_mod, "_encode", spy)
     counters = (("lift", lifts), ("bareiss", eliminations),
                 ("horner", horners))
 

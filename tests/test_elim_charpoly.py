@@ -19,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 import ringmat.matrix as matrix_mod
 from helpers import RINGS8, Z1, Z8, corpus
+from routes import (charpoly_bound, charpoly_width, constants, int_matrix,
+                    sylvester, with_entries)
 from ringmat.charpoly import charpoly
 from ringmat.matrix import (
     MAX_CHARPOLY_BITS,
@@ -30,36 +32,9 @@ from ringmat.poly import PolynomialRing
 from ringmat.rings import QQ, ZZ
 
 
-def _bound(entries, n):
-    """B: the product over the rows of 1 + ceil(their euclidean norm)."""
-    b = 1
-    for i in range(n):
-        s = sum(v * v for v in entries[i * n:i * n + n])
-        r = isqrt(s)
-        b *= 1 + r + (r * r < s)
-    return b
-
-
-def _width(a):
-    """W of the n x n integer matrix a."""
-    return _bound(a._e, a.rows).bit_length() + 1
-
-
-def _random(rng, n, m):
+def _reaching(rng, n, m):
     """n x n over ZZ, entries in [-m, m], one of them m itself."""
-    entries = [rng.randint(-m, m) for _ in range(n * n)]
-    if n:
-        entries[rng.randrange(n * n)] = m
-    return Matrix(ZZ, n, n, entries)
-
-
-def _sylvester(n, m):
-    """m times the n x n Sylvester-Hadamard +-1 matrix, n a power of 2:
-    rows of norm m * sqrt(n) and |det| = n**(n/2) * |m|**n, their product."""
-    h = [[m]]
-    while len(h) < n:
-        h = [r + r for r in h] + [r + [-x for x in r] for r in h]
-    return Matrix(ZZ, n, n, [x for r in h for x in r])
+    return with_entries(int_matrix(rng, n, top=m), [rng.randrange(n * n)], m)
 
 
 RINGS = RINGS8 + (("poly-mod1", PolynomialRing(Z1)),)
@@ -79,11 +54,11 @@ def test_zz_on_both_sides_of_the_gate(berkowitz_rings, m):
     rng = random.Random(f"elim-zz-{m}")
     for n in range(2, 15):
         for _ in range(3):
-            a = _random(rng, n, m)
+            a = _reaching(rng, n, m)
             want = berkowitz(a)
             berkowitz_rings.clear()
             assert charpoly_coefficients(a) == want, (n, m)
-            eliminates = n * _width(a) <= MAX_CHARPOLY_BITS
+            eliminates = n * charpoly_width(a._e, a.rows) <= MAX_CHARPOLY_BITS
             assert berkowitz_rings == ([] if eliminates else [ZZ]), (n, m)
 
 
@@ -93,7 +68,8 @@ def test_gate_is_pinned_from_both_sides(berkowitz_rings):
     rng = random.Random("elim-gate")
     for target, calls in ((MAX_CHARPOLY_BITS, 0), (MAX_CHARPOLY_BITS + 1, 1)):
         a = next(a for n in range(2, 15) for m in range(1, 1000)
-                 if n * _width(a := _random(rng, n, m)) == target)
+                 if n * charpoly_width((a := _reaching(rng, n, m))._e, n)
+                 == target)
         want = berkowitz(a)
         berkowitz_rings.clear()
         assert charpoly_coefficients(a) == want, a.rows
@@ -124,14 +100,14 @@ def test_width_is_the_formula(monkeypatch):
     cases = [(Matrix(ZZ, isqrt(len(e)), isqrt(len(e)), e), w)
              for e, w in pinned]
     for n, m in ((1, 9), (4, 1), (10, 9), (10, 50), (12, 1), (14, 10**6)):
-        a = _random(random.Random(f"elim-width-{n}-{m}"), n, m)
-        cases.append((a, _width(a)))
+        a = _reaching(random.Random(f"elim-width-{n}-{m}"), n, m)
+        cases.append((a, charpoly_width(a._e, a.rows)))
     for a, w in cases:
         seen.clear()
         # the kernel itself: charpoly_coefficients takes closed forms at
         # n <= 3
         assert matrix_mod._integer_charpoly(a._e, a.rows) == berkowitz(a)
-        assert w == _width(a), a
+        assert w == charpoly_width(a._e, a.rows), a
         if a.rows * w <= MAX_CHARPOLY_BITS:
             assert seen == [(1 << w) - a._e[0]], a
         assert list(matrix_mod._row_squares(a._e, a.rows)) == [
@@ -143,15 +119,15 @@ def test_coefficients_on_the_bound_decode():
     # row norms, within a factor 2 of B here: a W one bit short reads
     # some c_j wrong on each of these
     for n, m in product((1, 2, 4), (9, -9, 10**3, -10**3, 10**6, -10**6)):
-        a = _sylvester(n, m)
+        a = constants(ZZ, sylvester(n, m))
         c = charpoly_coefficients(a)
         assert c == berkowitz(a) == matrix_mod._integer_charpoly(a._e, n), (
             n, m)
         assert abs(c[-1]) == n ** (n // 2) * abs(m) ** n, (n, m)
-        half = 1 << (_width(a) - 2)
+        half = 1 << (charpoly_width(a._e, a.rows) - 2)
         assert any(not -half <= x < half for x in c), (n, m)
-    assert charpoly_coefficients(_sylvester(2, 1)) == [1, 0, -2]
-    assert charpoly_coefficients(_sylvester(4, 1)) == [1, 0, -8, 0, 16]
+    assert charpoly_coefficients(constants(ZZ, sylvester(2))) == [1, 0, -2]
+    assert charpoly_coefficients(constants(ZZ, sylvester(4))) == [1, 0, -8, 0, 16]
 
 
 def test_small_cases_near_the_factorial_bound_decode():
@@ -178,7 +154,7 @@ def test_kernel_shapes_take_their_routes(berkowitz_rings):
     berkowitz_rings.clear()
     assert charpoly(zz).c == tuple(want)
     assert berkowitz_rings == []
-    assert _width(zz) < 55
+    assert charpoly_width(zz._e, 10) < 55
     dens = list(range(1, 10)) * 8
     qq = Matrix(QQ, 8, 8, [Fraction(rng.randint(-9, 9) or 9, d)
                            for d in dens[:63]] + [Fraction(9)])
@@ -190,7 +166,7 @@ def test_kernel_shapes_take_their_routes(berkowitz_rings):
     lifted = Matrix(ZZ, 8, 8, [v.numerator * scale // v.denominator
                                for v in qq._e])
     assert scale == 2520
-    assert 8 * _width(lifted) <= MAX_CHARPOLY_BITS
+    assert 8 * charpoly_width(lifted._e, 8) <= MAX_CHARPOLY_BITS
 
 
 def _hadamard_pattern(draw, n):
@@ -199,7 +175,7 @@ def _hadamard_pattern(draw, n):
     size = 1
     while size < n:
         size *= 2
-    h = _sylvester(size, 1)._e
+    h = [x for r in sylvester(size) for x in r]
     m = draw(st.integers(1, 2**64))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
     return [signs[i] * m * h[i * size + j] for i in range(n) for j in range(n)]
@@ -224,14 +200,14 @@ def _integer_matrices(draw):
 def test_every_coefficient_is_within_the_bound(a):
     n = a.rows
     want = berkowitz(a)
-    bound = _bound(a._e, n)
+    bound = charpoly_bound(a._e, n)
     assert all(abs(c) <= bound for c in want)
     assert charpoly_coefficients(a) == want
     if not n:
         return
     # and eliminated past the gate as well, at the W of the formula: the
     # kernel itself, as charpoly_coefficients takes closed forms at n <= 3
-    w = _width(a)
+    w = charpoly_width(a._e, a.rows)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matrix_mod, "MAX_CHARPOLY_BITS", n * w)
         seen = _spy_bareiss(patch)

@@ -17,20 +17,20 @@ coefficients (every n), whose products are plain triple loops.
 
 import random
 from fractions import Fraction
-from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ringmat.matrix as matrix_mod
 from helpers import Z1, Z8, ZT, plain_horner, plain_matmul
+from routes import (gate_pair, int_matrix, integers, invertible, rows_of,
+                    solve_width, upper)
 from ringmat.fuzz import sample_matrix, sample_singular, stream
 from ringmat.matrix import (
     MAX_SOLVE_BITS,
     Matrix,
     _adjugate_fit,
     _bareiss,
-    _encode,
     berkowitz,
 )
 from ringmat.poly import PolynomialRing
@@ -72,37 +72,11 @@ def _routed(rows):
     return _int(rows) if len(rows) > 3 else _rat(rows)
 
 
-def _random(rng, n, top=9):
-    return [[rng.randint(-top, top) for _ in range(n)] for _ in range(n)]
-
-
-def _invertible(rng, n, top=9):
-    while not (a := _int(_random(rng, n, top))).det():
-        pass
-    return a
-
-
-def _upper(rng, n):
-    """Upper triangular with a nonzero diagonal: every pivot is nonzero."""
-    return [[rng.choice([v for v in range(-9, 10) if v]) if j == i
-             else rng.randint(-9, 9) if j > i else 0
-             for j in range(n)] for i in range(n)]
-
-
 def _width(a):
     """The adj slot width w of a's row-scaled integer encoding (a itself
-    over ZZ): Hadamard's bound on an (n-1) x (n-1) minor, the ceiling of
-    the square root of the product of the n - 1 largest squared row
-    norms, times the largest row scale."""
-    n = a.rows
-    lifted = _encode(a.ring, (a._e,), _adjugate_fit(n), n)
-    ints, scales = (lifted[0][0], lifted[1][1]) if lifted else (a._e, [])
-    squares = sorted(sum(v * v for v in ints[i:i + n])
-                     for i in range(0, n * n, n))
-    top = prod(squares[1:])
-    root = isqrt(top)
-    return ((root + (root * root < top))
-            * max(scales, default=1)).bit_length() + 1
+    over ZZ)."""
+    ints, scales = integers(a, _adjugate_fit(a.rows), a.rows)
+    return solve_width(ints, a.rows, scales)
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -111,7 +85,7 @@ def test_every_size_matches_the_oracles(n, horners, eliminations):
     # elimination nor the chain, n = 0 is returned as is
     rng = random.Random(f"jordan-{n}")
     for _ in range(3 if n <= 8 else 1):
-        a = _invertible(rng, n)
+        a = invertible(rng, n)
         horners[0] = eliminations[0] = 0
         a.adjugate()
         assert horners[0] == 0, n
@@ -127,7 +101,7 @@ def test_row_swaps_set_the_sign(n, horners):
     # not -adj(A); rotating the rows by s places takes even and odd counts
     rng = random.Random(f"jordan-swap-{n}")
     for k in range(n - 1):
-        u = _upper(rng, n)
+        u = upper(rng, n)
         swapped = [list(r) for r in u]
         swapped[k], swapped[n - 1] = swapped[n - 1], swapped[k]
         a = _int(swapped)
@@ -137,7 +111,7 @@ def test_row_swaps_set_the_sign(n, horners):
         assert horners[0] == 0
         assert plain_matmul(a, adj) == Matrix.identity(ZZ, n).scale(a.det())
     for shift in range(1, n):
-        u = _upper(rng, n)
+        u = upper(rng, n)
         horners[0] = 0
         _check(_int(u[shift:] + u[:shift]))
         assert horners[0] == 0
@@ -155,7 +129,7 @@ def test_a_duplicated_row_takes_no_fallback(n, horners):
         assert a.det() == 0 and not adj.is_zero()
         assert horners[0] == 0
     rng = random.Random(f"jordan-sum-{n}")
-    rows = _random(rng, n)[:n - 1]
+    rows = rows_of(int_matrix(rng, n))[:n - 1]
     rows.append([sum(c) for c in zip(*rows)])   # the last row a sum
     horners[0] = 0
     _check(_int(rows))
@@ -165,7 +139,7 @@ def test_a_duplicated_row_takes_no_fallback(n, horners):
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
 def test_a_zero_first_column_falls_back(n, horners):
     rng = random.Random(f"jordan-column-{n}")
-    rows = _random(rng, n)
+    rows = rows_of(int_matrix(rng, n))
     for r in rows:
         r[0] = 0
     horners[0] = 0
@@ -214,22 +188,12 @@ def _on_the_diagonal(rows, top):
                     for i, r in enumerate(rows)])
 
 
-def _widest(rows):
-    """The largest M whose adj slots fit MAX_SOLVE_BITS with M on the
-    diagonal of rows."""
-    lo, hi = 0, 2 ** MAX_SOLVE_BITS
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        w = _width(_on_the_diagonal(rows, mid))
-        lo, hi = (mid, hi) if w <= MAX_SOLVE_BITS else (lo, mid)
-    return lo
-
-
 @pytest.mark.parametrize("n", [3, 4, 6, 8, 11])
 def test_the_gate_switches_the_route(n, horners):
     rng = random.Random(f"jordan-gate-{n}")
-    rows = _random(rng, n)
-    m = _widest(rows)
+    rows = rows_of(int_matrix(rng, n))
+    m, _ = gate_pair(lambda m: m, lambda m: _width(
+        _on_the_diagonal(rows, m)) <= MAX_SOLVE_BITS)
     for top, eliminates in ((m, True), (m + 1, False)):
         a = _on_the_diagonal(rows, top)
         assert (_width(a) <= MAX_SOLVE_BITS) == eliminates
@@ -261,7 +225,7 @@ def test_bareiss_with_a_right_hand_side():
     rng = random.Random("jordan-rhs")
     for n in range(1, 8):
         for _ in range(5):
-            a = _int(_random(rng, n))
+            a = int_matrix(rng, n)
             b = [rng.randint(-99, 99) for _ in range(n)]
             rhs = list(b)
             assert _bareiss(a._e, n, rhs) == a.det()
@@ -278,7 +242,7 @@ def test_bareiss_with_a_last_pivot_of_0():
     # back-substitution runs with d * b_i = 0 and still gives adj(A) @ b
     rng = random.Random("jordan-last-pivot")
     for n in range(4, 9):
-        rows = _random(rng, n)[:n - 1]
+        rows = rows_of(int_matrix(rng, n))[:n - 1]
         mix = [rng.randint(-3, 3) for _ in range(n - 1)]
         rows.append([sum(c * r[j] for c, r in zip(mix, rows))
                      for j in range(n)])

@@ -14,25 +14,16 @@ from fractions import Fraction
 import pytest
 
 from helpers import coefficient_matrices_oracle, plain_horner, plain_matmul
+from routes import BASES, assert_no_element_arithmetic, charpoly_oracle
 from ringmat.charpoly import CharPolyData, charpoly, charpoly_newton
 from ringmat.matrix import (
     Matrix,
     adjugate_coefficients,
     berkowitz,
-    char_matrix,
 )
 from ringmat.poly import Polynomial, PolynomialRing
 from ringmat.rings import QQ, ZZ, ModRing
 
-BASES = {
-    "int": ZZ,
-    "mod1": ModRing(1),
-    "mod2": ModRing(2),
-    "mod6": ModRing(6),
-    "mod8": ModRing(8),
-    "mod2^61-1": ModRing(2**61 - 1),
-    "rat": QQ,
-}
 BIG = 10**60
 
 
@@ -76,13 +67,6 @@ CASES = [(label, name, a) for label, base in BASES.items()
 IDS = [f"{label}-{name}" for label, name, _ in CASES]
 
 
-def _charpoly_oracle(a):
-    """c_0..c_n of det(t*I - a) by the subset DP over R[t][u]."""
-    chi = char_matrix(a).det_subset_dp()
-    n = a.rows
-    return [chi.coeff(n - j) for j in range(n + 1)]
-
-
 @pytest.mark.parametrize("label,name,a", CASES, ids=IDS)
 def test_kernels_match_polynomial_oracles(label, name, a):
     n = a.rows
@@ -91,7 +75,7 @@ def test_kernels_match_polynomial_oracles(label, name, a):
     data = charpoly(a)
     assert list(data.c) == berkowitz(a)
     if n <= 5:
-        assert list(data.c) == _charpoly_oracle(a)
+        assert list(data.c) == charpoly_oracle(a)
     if BASES[label] == QQ:
         assert data.c == charpoly_newton(a).c
     adj = a.adjugate()
@@ -184,40 +168,6 @@ def test_adjugate_width_covers_the_factorial():
     assert adjugate_coefficients(a)[0] == want
 
 
-class _CountingRT(PolynomialRing):
-    """R[t] that counts the element ops the matrix kernels could call."""
-
-    def __init__(self, base):
-        super().__init__(base)
-        self.calls = {"add": 0, "mul": 0, "sub": 0, "dot": 0}
-
-    def add(self, a, b):
-        self.calls["add"] += 1
-        return super().add(a, b)
-
-    def mul(self, a, b):
-        self.calls["mul"] += 1
-        return super().mul(a, b)
-
-    def sub(self, a, b):
-        self.calls["sub"] += 1
-        return super().sub(a, b)
-
-    def dot(self, xs, ys):
-        self.calls["dot"] += 1
-        return super().dot(xs, ys)
-
-
 @pytest.mark.parametrize("label", ["int", "mod8", "rat"])
 def test_kernels_do_no_polynomial_arithmetic(label):
-    base = BASES[label]
-    ring = _CountingRT(base)
-    rng = random.Random(6)
-    a = Matrix(ring, 6, 6, _matrix(rng, base, 6, 6)._e)
-    values = (a.det(), charpoly(a), charpoly(a).D, a.adjugate(), a @ a)
-    assert ring.calls == {"add": 0, "mul": 0, "sub": 0, "dot": 0}
-    # the same values as over the plain ring
-    plain = Matrix(PolynomialRing(base), 6, 6, a._e)
-    assert values[0] == plain.det_subset_dp()
-    assert values[3]._e == plain.adjugate_cofactor()._e
-    assert values[4]._e == plain_matmul(plain, plain)._e
+    assert_no_element_arithmetic(_matrix(random.Random(6), BASES[label], 6, 6))

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import ringmat.matrix as matrix_mod
 from helpers import (RINGS8, Z1, Z6, Z8, ZT, corpus, mat, plain_horner,
                      scopes)
+from routes import counting
 from ringmat.charpoly import charpoly
 from ringmat.matrix import (
     Matrix,
@@ -25,9 +26,7 @@ from ringmat.rings import (
     QQ,
     ZZ,
     GuardError,
-    IntegerRing,
     ModRing,
-    Ring,
     RingMismatchError,
     ShapeError,
 )
@@ -265,36 +264,6 @@ def test_non_square_kernels_raise():
         berkowitz(b)
 
 
-class _CountingZZ(IntegerRing):
-    """Z with a mul counter; dot stays the generic Ring.dot, so it counts."""
-
-    dot = Ring.dot
-
-    def __init__(self):
-        self.muls = 0
-
-    def mul(self, a, b):
-        self.muls += 1
-        return a * b
-
-
-class _CountingMod(ModRing):
-    """Z/(2**61 - 1) with a mul counter and the generic Ring.dot.  det and
-    charpoly over Z/m keep berkowitz(), so its products count here; over
-    Z (_CountingZZ) both take the elimination, which calls no Ring.mul
-    (its entry updates are counted below)."""
-
-    dot = Ring.dot
-
-    def __init__(self):
-        super().__init__(2**61 - 1)
-        self.muls = 0
-
-    def mul(self, a, b):
-        self.muls += 1
-        return a * b % self.m
-
-
 def _dense(ring, n):
     # no zero entries, so the zero-skipping dot saves little
     rng = random.Random(n)
@@ -303,17 +272,18 @@ def _dense(ring, n):
 
 def test_kernels_cost_polynomially_many_muls():
     # over Z, adjugate() eliminates and calls no Ring.mul (its updates
-    # are counted below); over Z/m it keeps berkowitz() and Horner
+    # are counted below); over Z/m it keeps berkowitz() and Horner.  The
+    # generic Ring.dot counts each of its products as a mul
     n = 12
-    for kernel, ceiling, counting in (
-            (Matrix.det, n ** 4, _CountingMod),
-            (charpoly, n ** 4, _CountingMod),
-            (Matrix.adjugate, 2 * n ** 4, _CountingMod),
-            (lambda a: charpoly(a).D, 2 * n ** 4, _CountingZZ)):
-        ring = counting()
+    for kernel, ceiling, plain in (
+            (Matrix.det, n ** 4, ModRing(2**61 - 1)),
+            (charpoly, n ** 4, ModRing(2**61 - 1)),
+            (Matrix.adjugate, 2 * n ** 4, ModRing(2**61 - 1)),
+            (lambda a: charpoly(a).D, 2 * n ** 4, ZZ)):
+        ring = counting(plain, generic_dot=True)
         a = _dense(ring, n)
         kernel(a)
-        assert 0 < ring.muls <= ceiling, (kernel, ring.muls)
+        assert 0 < ring.calls["mul"] <= ceiling, (kernel, ring.calls["mul"])
 
 
 def _division_counter():
@@ -365,10 +335,10 @@ def test_adjugate_over_zz_takes_n_cubed_updates(berkowitz_rings):
     # exact division; no Ring.mul
     Counted, updates = _division_counter()
     n = 12
-    ring = _CountingZZ()
+    ring = counting(ZZ, generic_dot=True)
     plain = _dense(ZZ, n)
     adj = Matrix(ring, n, n, map(Counted, plain._e)).adjugate()
-    assert berkowitz_rings == [] and ring.muls == 0
+    assert berkowitz_rings == [] and ring.calls["mul"] == 0
     assert updates[0] == ((n - 1) * n * (2 * n - 1) // 6 + n * (n - 1) // 2
                           + n - 1) == 583
     d_0 = plain_horner(plain, berkowitz(plain))[0]
@@ -391,7 +361,7 @@ def test_charpoly_over_zz_takes_n_cubed_entry_updates(berkowitz_rings):
 
 
 def test_counting_ring_computes_the_same_values():
-    a = _dense(_CountingZZ(), 6)
+    a = _dense(counting(ZZ, generic_dot=True), 6)
     b = _dense(ZZ, 6)
     assert a.det() == b.det() == b.det_subset_dp()
     assert a.adjugate()._e == b.adjugate()._e

@@ -15,6 +15,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import coefficient_matrices_oracle, plain_horner
+from routes import (BASES, assert_no_element_arithmetic, counting,
+                    recast_matrix, tower_calls)
 from ringmat.charpoly import charpoly
 from ringmat.matrix import (
     MAX_SLOTS,
@@ -29,17 +31,8 @@ from ringmat.matrix import (
     charpoly_coefficients,
 )
 from ringmat.poly import Polynomial, PolynomialRing
-from ringmat.rings import QQ, ZZ, IntegerRing, ModRing, RationalRing
+from ringmat.rings import QQ, ZZ, ModRing
 
-BASES = {
-    "int": ZZ,
-    "mod1": ModRing(1),
-    "mod2": ModRing(2),
-    "mod6": ModRing(6),
-    "mod8": ModRing(8),
-    "mod2^61-1": ModRing(2**61 - 1),
-    "rat": QQ,
-}
 
 
 def _tower_of(base, depth: int) -> list:
@@ -205,74 +198,12 @@ def test_coefficient_degrees_follow_the_horner_steps(label):
         assert adjugate_coefficients(a) == plain_horner(a, berkowitz(a))
 
 
-class _Counting:
-    """Mixin: counts the element ops the matrix kernels could call."""
-
-    def add(self, a, b):
-        self.calls["add"] += 1
-        return super().add(a, b)
-
-    def mul(self, a, b):
-        self.calls["mul"] += 1
-        return super().mul(a, b)
-
-    def sub(self, a, b):
-        self.calls["sub"] += 1
-        return super().sub(a, b)
-
-    def dot(self, xs, ys):
-        self.calls["dot"] += 1
-        return super().dot(xs, ys)
-
-
-class _CountingZZ(_Counting, IntegerRing):
-    pass
-
-
-class _CountingQQ(_Counting, RationalRing):
-    pass
-
-
-class _CountingMod(_Counting, ModRing):
-    pass
-
-
-class _CountingPoly(_Counting, PolynomialRing):
-    pass
-
-
-def _counting_tower(label, depth, calls):
-    base = {"int": _CountingZZ(), "rat": _CountingQQ()}.get(label)
-    base = base or _CountingMod(BASES[label].m)
-    rings = [base]
-    for _ in range(depth):
-        rings.append(_CountingPoly(rings[-1]))
-    for r in rings:
-        r.calls = calls
-    return rings
-
-
-def _rebuild(v, rings, level):
-    """v with every polynomial's coefficient ring swapped for rings."""
-    if level == 0:
-        return v
-    return Polynomial(rings[level - 1],
-                      [_rebuild(c, rings, level - 1) for c in v.coeffs])
-
-
 @pytest.mark.parametrize("depth", [2, 3])
 @pytest.mark.parametrize("label", ["int", "mod1", "mod6", "mod8", "rat"])
 def test_kernels_do_no_element_arithmetic(label, depth):
-    calls = {"add": 0, "mul": 0, "sub": 0, "dot": 0}
-    rings = _counting_tower(label, depth, calls)
     rng = random.Random(f"count-{label}-{depth}")
-    plain = _matrix(rng, _tower_of(BASES[label], depth), 5, 5, degree=1)
-    a = Matrix(rings[-1], 5, 5, [_rebuild(v, rings, depth) for v in plain._e])
-    values = (a.det(), charpoly(a), charpoly(a).D, a.adjugate(), a @ a)
-    assert calls == {"add": 0, "mul": 0, "sub": 0, "dot": 0}
-    assert values[0] == plain.det_subset_dp()
-    assert values[3]._e == plain.adjugate_cofactor()._e
-    assert values[4]._e == _product(plain, plain)._e
+    assert_no_element_arithmetic(
+        _matrix(rng, _tower_of(BASES[label], depth), 5, 5, degree=1))
 
 
 def _sparse_tower_matrix(n, depth, variables=None):
@@ -298,12 +229,10 @@ def test_deep_sparse_towers_fall_back_to_ring_dot(n, variables):
     # one of t_1 + ... + t_5 4**5, so none packs.  At n <= 2 charpoly is
     # the closed form in the ring's own mul, add and neg, with no dot; at
     # n = 3 over a tower it keeps Ring.dot
-    calls = {"add": 0, "mul": 0, "sub": 0, "dot": 0}
     a = _sparse_tower_matrix(n, 64, variables)
-    rings = _counting_tower("int", 64, calls)
-    counted = Matrix(rings[-1], n, n, [_rebuild(v, rings, 64) for v in a._e])
-    data = charpoly(counted)
-    assert (calls["dot"] > 0) == (n == 3)
+    ring = counting(a.ring)
+    data = charpoly(recast_matrix(a, ring))
+    assert (tower_calls(ring)["dot"] > 0) == (n == 3)
     assert data.c[1] == a.ring.neg(a.trace())
     det = a.det_subset_dp()
     assert data.c[n] == (a.ring.neg(det) if n & 1 else det)
@@ -312,13 +241,12 @@ def test_deep_sparse_towers_fall_back_to_ring_dot(n, variables):
 def test_slot_bound_decides_between_the_routes():
     # 3 x 3, entries t_1 + ... + t_d: c_k takes 4**d slots, matmul 3**d
     for depth in range(2, 9):
-        calls = {"add": 0, "mul": 0, "sub": 0, "dot": 0}
         a = _sparse_tower_matrix(3, depth)
-        rings = _counting_tower("int", depth, calls)
-        counted = Matrix(rings[-1], 3, 3,
-                         [_rebuild(v, rings, depth) for v in a._e])
+        ring = counting(a.ring)
+        counted = recast_matrix(a, ring)
         assert charpoly_coefficients(counted) == berkowitz(a)
-        assert (calls["dot"] == 0) == (4 ** depth <= MAX_SLOTS)
-        calls["dot"] = 0
+        assert (tower_calls(ring)["dot"] == 0) == (4 ** depth <= MAX_SLOTS)
+        ring = counting(a.ring)
+        counted = recast_matrix(a, ring)
         assert (counted @ counted)._e == _product(a, a)._e
-        assert (calls["dot"] == 0) == (3 ** depth <= MAX_SLOTS)
+        assert (tower_calls(ring)["dot"] == 0) == (3 ** depth <= MAX_SLOTS)

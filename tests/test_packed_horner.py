@@ -18,7 +18,8 @@ from math import factorial
 import pytest
 
 import ringmat.matrix as matrix_mod
-from helpers import plain_horner, plain_matmul
+from helpers import plain_horner
+from routes import counting, gate_pair, int_matrix, power_sum, width
 from ringmat.charpoly import cayley_hamilton_residual
 from ringmat.matrix import (
     MAX_SOLVE_BITS,
@@ -33,13 +34,9 @@ from ringmat.matrix import (
     berkowitz,
 )
 from ringmat.poly import Polynomial, PolynomialRing
-from ringmat.rings import QQ, ZZ, IntegerRing, ModRing, Ring
+from ringmat.rings import QQ, ZZ, ModRing
 
 BIG = 10**60
-
-
-def _random(rng, n, top):
-    return Matrix(ZZ, n, n, [rng.randint(-top, top) for _ in range(n * n)])
 
 
 def _cases(n):
@@ -48,11 +45,11 @@ def _cases(n):
     if n:
         singular[-1] = singular[0]
     return {
-        "small": _random(rng, n, 9),
+        "small": int_matrix(rng, n),
         "zero": Matrix.zeros(ZZ, n, n),
         "singular": Matrix.from_rows(ZZ, singular),
         "signs": Matrix(ZZ, n, n, [rng.choice((-1, 1)) for _ in range(n * n)]),
-        "big": _random(rng, n, BIG),
+        "big": int_matrix(rng, n, top=BIG),
     }
 
 
@@ -60,25 +57,12 @@ CASES = [(n, name, a) for n in range(13) for name, a in _cases(n).items()]
 IDS = [f"n{n}-{name}" for n, name, _ in CASES]
 
 
-@pytest.fixture
-def matmuls(monkeypatch):
-    """The number of Matrix.__matmul__ products taken so far."""
-    calls = [0]
-    product = matrix_mod._product
-
-    def counted(a, b):
-        calls[0] += 1
-        return product(a, b)
-    monkeypatch.setattr(matrix_mod, "_product", counted)
-    return calls
-
-
 def _packs(a):
     return _packed_width(a, _trace_fit(a.rows)) is not None
 
 
 @pytest.mark.parametrize("n,name,a", CASES, ids=IDS)
-def test_adjugate_and_coefficients_match_the_oracles(n, name, a, matmuls,
+def test_adjugate_and_coefficients_match_the_oracles(n, name, a, products,
                                                     horners):
     ds = adjugate_coefficients(a)
     assert ds == plain_horner(a, berkowitz(a))
@@ -96,7 +80,7 @@ def test_adjugate_and_coefficients_match_the_oracles(n, name, a, matmuls,
     # none; one more is the check above, unless n = 0, where the empty
     # product is the 0 x 0 matrix with no _product call
     steps = 0 if _packs(a) or n <= 3 else n - 2
-    assert matmuls[0] == (1 if n else 0) + steps + (steps if chained else 0)
+    assert products[0] == (1 if n else 0) + steps + (steps if chained else 0)
 
 
 def test_both_routes_are_covered():
@@ -137,20 +121,11 @@ def test_an_adjugate_entry_in_the_top_bit_decodes(k):
     assert _packs(a)
 
 
-def _widest(n):
-    """The largest M whose n x n adjugate still packs."""
-    lo, hi = 0, 2 ** MAX_WIDTH
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        w = _trace_fit(n)(mid, [])[0].bit_length() + 1
-        lo, hi = (mid, hi) if w <= MAX_WIDTH else (lo, mid)
-    return lo
-
-
 @pytest.mark.parametrize("n", [4, 6, 8])
-def test_route_switches_at_max_width(n, matmuls):
+def test_route_switches_at_max_width(n, products):
     rng = random.Random(n)
-    m = _widest(n)
+    m, _ = gate_pair(lambda m: m, lambda m: width(
+        _trace_fit(n)(m, [])[0]) <= MAX_WIDTH)
     for top, packed in ((m, True), (m + 1, False)):
         a = Matrix(ZZ, n, n, [top] + [rng.randint(-top, top)
                                       for _ in range(n * n - 1)])
@@ -158,16 +133,16 @@ def test_route_switches_at_max_width(n, matmuls):
         assert (w is not None) == packed
         bound, _ = _trace_fit(n)(top, [])
         assert packed == (bound.bit_length() < MAX_WIDTH)
-        matmuls[0] = 0
+        products[0] = 0
         want = plain_horner(a, berkowitz(a))
         assert adjugate_coefficients(a) == want
-        assert (matmuls[0] == 0) == packed
+        assert (products[0] == 0) == packed
 
 
 def test_small_and_non_integer_matrices_keep_matmuls():
     rng = random.Random(2)
     for n in (0, 1, 2, 3):
-        assert _packed_width(_random(rng, n, 9), _minors_fit(n - 1)) is None
+        assert _packed_width(int_matrix(rng, n), _minors_fit(n - 1)) is None
     for ring in (ModRing(8), ModRing(1), QQ):
         a = Matrix(ring, 4, 4, [ring.coerce(rng.randint(0, 7))
                                 for _ in range(16)])
@@ -176,23 +151,7 @@ def test_small_and_non_integer_matrices_keep_matmuls():
     assert _packed_width(a, _minors_fit(3)) == (6 * 9**3).bit_length() + 1
 
 
-class _CountingZZ(IntegerRing):
-    """Z counting its muls and dots; dot is the generic Ring.dot, so every
-    product inside a packed row product counts as a mul."""
-
-    def __init__(self):
-        self.muls = self.dots = 0
-
-    def mul(self, a, b):
-        self.muls += 1
-        return a * b
-
-    def dot(self, xs, ys):
-        self.dots += 1
-        return Ring.dot(self, xs, ys)
-
-
-def test_packed_step_count(matmuls, monkeypatch):
+def test_packed_step_count(products, monkeypatch):
     # adj and the D_k take n - 2 steps of n row products, n muls each on
     # entries with no zero, no matmul and no berkowitz; digits are read
     # once per row of D_0 for adj, and of D_0..D_(n-3) for the D_k, as
@@ -216,12 +175,13 @@ def test_packed_step_count(matmuls, monkeypatch):
     monkeypatch.setattr(matrix_mod, "berkowitz", None)
     for kernel, rows in ((Matrix.adjugate, n),
                          (adjugate_coefficients, n * (n - 2))):
-        ring = _CountingZZ()
+        ring = counting(ZZ, generic_dot=True)
         reads[0] = 0
         kernel(Matrix(ring, n, n, entries))
-        assert (ring.muls, ring.dots) == ((n - 2) * n * n, (n - 2) * n)
+        assert (ring.calls["mul"], ring.calls["dot"]) == (
+            (n - 2) * n * n, (n - 2) * n)
         assert reads[0] == rows
-    assert matmuls[0] == 0
+    assert products[0] == 0
 
 
 def test_digits_end_on_one_at_the_smallest_slot_width(monkeypatch):
@@ -250,46 +210,36 @@ def test_digits_end_on_one_at_the_smallest_slot_width(monkeypatch):
         assert digits([1, -1, 0], w) == [[1], [-1], []]
 
 
-def _power_sum(p, a):
-    """sum_k p_k * a**k with every power by plain_matmul."""
-    R, n = a.ring, a.rows
-    acc, power = Matrix.zeros(R, n, n), Matrix.identity(R, n)
-    for c in p.coeffs:
-        acc = acc + power.scale(c)
-        power = plain_matmul(power, a)
-    return acc
-
-
 @pytest.mark.parametrize("n", range(9))
-def test_apply_poly_matches_plain_powers(n, matmuls):
+def test_apply_poly_matches_plain_powers(n, products):
     rng = random.Random(f"poly-{n}")
     for top in (9, BIG):
-        a = _random(rng, n, top)
+        a = int_matrix(rng, n, top=top)
         for degree in (0, 1, 2, n + 2):
             coeffs = [rng.randint(-top, top) for _ in range(degree + 1)]
             p = Polynomial(ZZ, coeffs)
-            matmuls[0] = 0
+            products[0] = 0
             got = apply_poly(p, a)
             packs = (_packed_width(a, _poly_fit(p, n)) is not None
                      and degree > 2)
             # an empty (n = 0) product calls no _product
-            assert matmuls[0] == (0 if packs or not n else max(degree - 1, 0))
-            assert got == _power_sum(p, a)
+            assert products[0] == (0 if packs or not n else max(degree - 1, 0))
+            assert got == power_sum(p, a)
         assert cayley_hamilton_residual(a).is_zero()
     assert apply_poly(Polynomial(ZZ, ()), a) == Matrix.zeros(ZZ, n, n)
 
 
 @pytest.mark.parametrize("n", range(4, 9))
-def test_packing_starts_at_three_horner_steps(n, matmuls):
+def test_packing_starts_at_three_horner_steps(n, products):
     # p(A) with deg p = 2 is one product step, and takes one matmul at
     # every n; deg p = 3, two product steps, packs from n = 4
     rng = random.Random(f"poly-gate-{n}")
-    a = _random(rng, n, 9)
+    a = int_matrix(rng, n)
     for degree, packs in ((2, False), (3, True)):
         p = Polynomial(ZZ, [rng.randint(-9, 9) for _ in range(degree)] + [2])
-        matmuls[0] = 0
-        assert apply_poly(p, a) == _power_sum(p, a)
-        assert matmuls[0] == (0 if packs else degree - 1), (n, degree)
+        products[0] = 0
+        assert apply_poly(p, a) == power_sum(p, a)
+        assert products[0] == (0 if packs else degree - 1), (n, degree)
 
 
 def test_poly_width_bounds_every_power():

@@ -15,13 +15,14 @@ from math import lcm, prod
 import pytest
 
 from helpers import coefficient_matrices_oracle
+from routes import assert_no_element_arithmetic
 from ringmat.charpoly import charpoly, charpoly_newton
 from ringmat.matrix import (
     Matrix,
     _encode,
     berkowitz,
 )
-from ringmat.rings import QQ, ZZ, RationalRing
+from ringmat.rings import QQ, ZZ
 
 # seven-digit primes: pairwise coprime, so L is their product
 PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099, 1000117)
@@ -133,41 +134,7 @@ def test_matmul_matches_fraction_sums(shape):
         assert _fractions(got) and (got.rows, got.cols) == (n, m)
 
 
-class _CountingQQ(RationalRing):
-    """QQ that counts the element ops the matrix kernels could call."""
-
-    def __init__(self):
-        self.calls = {"add": 0, "mul": 0, "sub": 0, "dot": 0}
-
-    def _count(self, name):
-        self.calls[name] += 1
-
-    def add(self, a, b):
-        self._count("add")
-        return a + b
-
-    def mul(self, a, b):
-        self._count("mul")
-        return a * b
-
-    def sub(self, a, b):
-        self._count("sub")
-        return a - b
-
-    def dot(self, xs, ys):
-        self._count("dot")
-        return super().dot(xs, ys)
-
-
 def test_rational_kernels_do_no_fraction_arithmetic():
-    ring = _CountingQQ()
     rng = random.Random(8)
-    a = Matrix(ring, 8, 8, [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                            for _ in range(64)])
-    values = (a.det(), charpoly(a), charpoly(a).D, a.adjugate(), a @ a)
-    assert ring.calls == {"add": 0, "mul": 0, "sub": 0, "dot": 0}
-    # the same numbers as over the plain QQ
-    q = Matrix(QQ, 8, 8, a._e)
-    assert values[0] == q.det_subset_dp()
-    assert values[1].c == charpoly_newton(q).c
-    assert values[3]._e == q.adjugate_cofactor()._e
+    assert_no_element_arithmetic(Matrix(QQ, 8, 8, [
+        Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(64)]))

@@ -15,12 +15,13 @@ run on Fractions and Polynomials.
 
 import random
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ringmat.matrix as matrix_mod
+from routes import charpoly_width, solve_width
 from ringmat.matrix import (
     Matrix,
     _adjugate_fit,
@@ -39,29 +40,6 @@ def _lift_rows(a):
     """(B, [r_1, ..., r_n]) with B = D*a over ZZ, a over QQ."""
     (ints,), ctx = _encode(QQ, (a._e,), None, a.cols)
     return Matrix(ZZ, a.rows, a.cols, ints), ctx[1]
-
-
-def _norm_ceil(row):
-    s = sum(v * v for v in row)
-    r = isqrt(s)
-    return r + (r * r < s)
-
-
-def _charpoly_width(b, scales):
-    """W: bit_length(prod_i (r_i + ceil(||row_i||_2))) + 1."""
-    n = b.rows
-    return prod(r + _norm_ceil(b.row_list(i + 1))
-                for i, r in enumerate(scales)).bit_length() + 1
-
-
-def _adjugate_width(b, scales):
-    """w: ceil(sqrt(P)) times max r_i, P the product of the n - 1 largest
-    squared row norms."""
-    squares = sorted(sum(v * v for v in b.row_list(i + 1))
-                     for i in range(b.rows))
-    top = prod(squares[1:])
-    root = isqrt(top)
-    return ((root + (root * root < top)) * max(scales)).bit_length() + 1
 
 
 def _top_of_slot(values, w):
@@ -237,7 +215,8 @@ def test_a_charpoly_digit_at_the_top_of_its_slot_decodes(a, berkowitz_rings,
     # det D * c_j as balanced base 2**W digits, one of them needing the
     # top bit: a W one bit short, or one without the r_i, reads it wrong
     b, scales = _lift_rows(a)
-    n, w = a.rows, _charpoly_width(b, scales)
+    n = a.rows
+    w = charpoly_width(b._e, n, scales)
     got = charpoly_coefficients(a)
     assert berkowitz_rings == []
     assert got == berkowitz(a)
@@ -272,13 +251,13 @@ def test_an_adjugate_slot_at_the_top_decodes(k, scale, horners):
     x = [v * prod(scales) for v in adj._e]     # adj(B) @ D
     assert all(v.denominator == 1 for v in x)
     assert x[-1] == 2 * m * m * scale
-    assert _top_of_slot(x, _adjugate_width(b, scales))
+    assert _top_of_slot(x, solve_width(b._e, 3, scales))
     # the same over ZZ, where every r_i is 1
     z = Matrix(ZZ, 3, 3, [m, m, 0, -m, m, 0, 0, 0, 1])
     horners[0] = 0
     assert z.adjugate() == z.adjugate_cofactor()
     assert horners[0] == 0
-    assert _top_of_slot(z.adjugate()._e, _adjugate_width(z, [1]))
+    assert _top_of_slot(z.adjugate()._e, solve_width(z._e, 3, [1]))
 
 
 @pytest.mark.parametrize("scale", [3, 2**20 + 7, 10**30 + 57])

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from helpers import Z1, Z8, ZT, plain_horner, plain_matmul
+from routes import int_matrix, invertible
 from ringmat.charpoly import charpoly
 from ringmat.fuzz import sample_matrix, sample_singular, stream
 from ringmat.matrix import (
@@ -35,20 +36,9 @@ RINGS = {
 }
 
 
-def _random(rng, rows, cols):
-    return Matrix(ZZ, rows, cols,
-                  [rng.randint(-9, 9) for _ in range(rows * cols)])
-
-
-def _invertible(rng, n):
-    while not (a := _random(rng, n, n)).det():
-        pass
-    return a
-
-
 def _rank(rng, n, r):
     """n x n of rank at most r: an n x r times an r x n factor."""
-    return plain_matmul(_random(rng, n, r), _random(rng, r, n))
+    return plain_matmul(int_matrix(rng, n, r), int_matrix(rng, r, n))
 
 
 def _nilpotent(rng, n):
@@ -67,7 +57,7 @@ def _nilpotent(rng, n):
 
 
 KINDS = {
-    "invertible": _invertible,
+    "invertible": invertible,
     "rank-n-1": lambda rng, n: _rank(rng, n, max(n - 1, 0)),
     "rank-n-2": lambda rng, n: _rank(rng, n, max(n - 2, 0)),
     "nilpotent": _nilpotent,
