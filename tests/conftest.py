@@ -1,17 +1,8 @@
 """Fixtures shared by the kernel route tests."""
 
-import os
-from pathlib import Path
-
 import pytest
 
 import ringmat.matrix as matrix_mod
-
-# pytest's pythonpath setting (pyproject.toml) reaches this process only;
-# the tests that run the CLI in a subprocess import this checkout too.
-os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
-    str(Path(__file__).resolve().parents[1] / "src"),
-    os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture

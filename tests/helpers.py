@@ -12,6 +12,7 @@ the comparison worth having.
 from __future__ import annotations
 
 import ast
+import os
 from pathlib import Path
 
 from ringmat.fuzz import sample_matrix, sample_singular, stream
@@ -19,6 +20,19 @@ from ringmat.identities import compositions, multinomial
 from ringmat.matrix import Matrix, char_matrix
 from ringmat.poly import Polynomial, PolynomialRing
 from ringmat.rings import QQ, ZZ, ModRing, ParseError
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def cli_env(**extra) -> dict:
+    """The environment for a test's Python subprocess: os.environ with
+    this checkout's src first on PYTHONPATH, which pytest's pythonpath
+    setting does not pass on, and RINGMAT_MUTATE only as extra sets it."""
+    env = {k: v for k, v in os.environ.items() if k != "RINGMAT_MUTATE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (SRC, env.get("PYTHONPATH"))))
+    return env | extra
+
 
 Z1 = ModRing(1)
 Z6 = ModRing(6)

@@ -10,9 +10,8 @@ MAX_WIDTH.  A ROUTES row names one route of one kernel, the ring kinds
 and sizes it serves, and the gate settings that force it.  Every route is
 exact on every input it serves, only slower past its gate, so a forced
 route must agree with the oracles, which never lift, eliminate, pack or
-take a closed form.  default_route restates the gates, on the integers
-that _encode gives, to predict the route each input takes when nothing
-is forced.
+take a closed form.  Which route an input takes when nothing is forced
+is pinned by hand beside each gate, in the kernel test files.
 
 The corpus is frozen by (seed, ring, kind, n) through the library's own
 splittable generator.
@@ -24,7 +23,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import factorial, isqrt, prod
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from helpers import RINGS8, Z1, plain_horner, plain_matmul
 from ringmat.fuzz import sample_element, sample_matrix, sample_singular, stream
@@ -34,11 +33,7 @@ from ringmat.matrix import (
     MAX_SOLVE_BITS,
     MAX_WIDTH,
     Matrix,
-    _adjugate_fit,
     _encode,
-    _matmul_fit,
-    _minors_fit,
-    _power_fit,
     adjugate_coefficients,
     apply_poly,
     berkowitz,
@@ -84,7 +79,6 @@ LIFTED = frozenset({"lifted", "tower"})
 FLAT = frozenset({"mod", "lifted"})
 SLOTS = frozenset({"tower", "deep"})
 EVERY = INTEGER | FLAT | SLOTS
-SQUARE = ("det", "charpoly", "adjugate", "D")
 
 
 def always(n, ring):
@@ -101,18 +95,36 @@ def no_encoding(*args):
     return None
 
 
+def lifts_p(case) -> bool:
+    """Whether p(A) can run on the integers: apply_poly encodes p only at
+    deg p >= 2, which every case from n = 1 has but over (Z/1)[t], where
+    p is 0."""
+    return case.p.degree >= 2
+
+
+def solvable(case) -> bool:
+    """Whether _solved_adjugate keeps case: its first n - 1 columns are
+    independent, that is adj's last row is not 0; else the adjugate falls
+    back to the trace chain."""
+    R = case.a.ring
+    return not all(map(R.is_zero, oracle("adjugate", case).row_list(
+        case.a.rows)))
+
+
 HUGE = 10**9
 
 
 class Route(NamedTuple):
     """One route of one kernel: the ring kinds and sizes n it serves and
-    the gate settings, matrix module globals, that force it."""
+    the gate settings, matrix module globals, that force it; serves, if
+    given, narrows the cases to those on which the force holds."""
     kernel: str
     route: str
     kinds: frozenset
     sizes: range
     force: dict
     via: str = ""
+    serves: Callable[[Case], bool] | None = None
 
     @property
     def id(self) -> str:
@@ -146,7 +158,7 @@ ROUTES = [
     Route("charpoly", "ring", SLOTS, GENERAL, TOWER, "slots"),
     Route("adjugate", "closed", EVERY, CLOSED, {"_closed_form": always}),
     Route("adjugate", "solve", INTEGER, GENERAL,
-          OPEN | {"MAX_SOLVE_BITS": HUGE}),
+          OPEN | {"MAX_SOLVE_BITS": HUGE}, serves=solvable),
     Route("adjugate", "packed", INTEGER, PACKED,
           OPEN | {"MAX_SOLVE_BITS": 0, "MAX_WIDTH": HUGE}),
     Route("adjugate", "matmul", INTEGER, GENERAL,
@@ -158,14 +170,16 @@ ROUTES = [
     Route("D", "matmul", INTEGER, GENERAL, OPEN | {"MAX_WIDTH": 0}),
     Route("D", "ring", FLAT, GENERAL, RING),
     Route("D", "ring", SLOTS, GENERAL, TOWER, "slots"),
-    Route("poly", "packed", INTEGER, PACKED, {"MAX_WIDTH": HUGE}),
-    Route("poly", "matmul", INTEGER, ANY, {"MAX_WIDTH": 0}),
+    Route("poly", "packed", INTEGER, PACKED, {"MAX_WIDTH": HUGE},
+          serves=lifts_p),
+    Route("poly", "matmul", INTEGER, GENERAL, {"MAX_WIDTH": 0},
+          serves=lifts_p),
     Route("poly", "ring", FLAT, ANY, {"_encode": no_encoding}),
     Route("poly", "ring", SLOTS, ANY, {"MAX_SLOTS": 0}, "slots"),
-    Route("matmul", "lift", LIFTED, ANY, {}),
+    Route("matmul", "lift", LIFTED, GENERAL, {}),
     Route("matmul", "ring", FLAT | {"int"}, ANY, {"_encode": no_encoding}),
     Route("matmul", "ring", SLOTS, ANY, {"MAX_SLOTS": 0}, "slots"),
-    Route("traces", "lift", LIFTED, ANY, {}),
+    Route("traces", "lift", LIFTED, GENERAL, {}),
     Route("traces", "ring", FLAT | {"int"}, ANY, {"_encode": no_encoding}),
     Route("traces", "ring", SLOTS, ANY, {"MAX_SLOTS": 0}, "slots"),
 ]
@@ -175,8 +189,10 @@ GATES = ("_closed_form", "_encode", "MAX_BAREISS_BITS", "MAX_CHARPOLY_BITS",
 
 class Case(NamedTuple):
     """A corpus matrix a over the ring named label, and the polynomial p
-    that p(A) takes on it: degree d = 1 + n % 3 and t**d's coefficient 1,
-    so zero, one or two Horner product steps."""
+    that p(A) takes on it: degree d = 1 + min(n, 2), t**d's coefficient
+    1, so no Horner product step at n = 0, one at n = 1, and from n = 2
+    two, where both the lift of p(A) (d >= 2) and packing (d >= 3)
+    apply."""
     label: str
     name: str
     a: Matrix
@@ -191,7 +207,7 @@ class Case(NamedTuple):
         return f"{self.label}-{self.name}"
 
 
-# ---- the widths the gates read, restated ------------------------------
+# ---- the widths the gates read, for the width pins ---------------------
 
 def width(bound: int) -> int:
     """The digit width that reads back values of absolute value <= bound."""
@@ -225,6 +241,15 @@ def solve_width(ints, n: int, scales=()) -> int:
     (n-1) minor, times the largest row scale."""
     top = prod(sorted(_row_squares(ints, n))[1:])
     return width(_ceil_sqrt(top) * max(scales, default=1))
+
+
+def integers(a: Matrix, fit, cols: int = 0):
+    """(ints, scales) that the integer kernels run on: a's own entries
+    over ZZ, its encoding at fit elsewhere, and None off those."""
+    if isinstance(a.ring, IntegerRing):
+        return list(a._e), []
+    lifted = _encode(a.ring, (a._e,), fit, cols)
+    return lifted and (lifted[0][0], lifted[1][1])
 
 
 def trace_width(ints, n: int) -> int:
@@ -380,26 +405,31 @@ def _rational_cases(rng) -> list:
     return out
 
 
+# The largest n of the corpus over the rings whose oracles are slowest;
+# 8 elsewhere.
+TOPS = {"rat": 6, "poly": 5, "poly-mod8": 5, "poly-rat": 4, "poly-poly": 4}
+
+
 def _cases(label: str) -> list:
-    """The named matrices over the ring label: n = 0..8, or 0..6 over
-    the two rings whose oracles are slowest, Q[t] and Z[t][u]; and 0..3
-    for the tower above MAX_SLOTS."""
+    """The named matrices over the ring label: n = 0..TOPS[label]; and
+    0..3 for the tower above MAX_SLOTS."""
     ring = RINGS[label]
     if label == "deep":
         return [(f"sparse-{n}", above_slots(n)) for n in range(4)]
-    top = 6 if label in ("poly-rat", "poly-poly") else 8
+    top = TOPS.get(label, 8)
     out = [(f"random-{n}", sample_matrix(stream(SEED, label, "random", n),
                                          ring, n, n)) for n in range(top + 1)]
     rng = stream(SEED, label, "kinds")
     out.append(("zero-4", Matrix.zeros(ring, 4, 4)))
     out += [(f"duplicated-{n}", sample_singular(rng, ring, n))
-            for n in (3, 5, top)]
-    out += [(f"rank-{n}", low_rank(rng, ring, n, n - 2)) for n in (4, 6)]
+            for n in sorted({3, min(5, top), top})]
+    out += [(f"rank-{n}", low_rank(rng, ring, n, n - 2))
+            for n in sorted({4, top})]
     out += [(f"column-{n}", zero_column(sample_matrix(rng, ring, n, n)))
-            for n in (3, 4, 6)]
+            for n in sorted({3, 4, top})]
     out += [(f"signs-{n}", Matrix(ring, n, n, [
         ring.from_int(1 - 2 * rng.below(2)) for _ in range(n * n)]))
-        for n in (4, top)]
+        for n in sorted({4, top})]
     # det 4 * N**3 at the top of the lifted slot 3! * N**3, and c_3 with
     # two rows swapped; adj's (1, 1) entry 2 * N**2 at the top of 2! * N**2
     big = 2**40
@@ -424,7 +454,7 @@ def _cases(label: str) -> list:
 def _case(label: str, name: str, a: Matrix) -> Case:
     R = a.ring
     rng = stream(SEED, label, name, "p")
-    d = 1 + a.rows % 3
+    d = 1 + min(a.rows, 2)
     p = Polynomial(R, [sample_element(rng, R) for _ in range(d)] + [R.one()])
     return Case(label, name, a, p)
 
@@ -436,7 +466,8 @@ CASES = [_case(label, name, a) for label in RINGS
 def domain(row: Route) -> list:
     """The corpus cases that row serves."""
     return [c for c in CASES
-            if c.kind in row.kinds and c.a.rows in row.sizes]
+            if c.kind in row.kinds and c.a.rows in row.sizes
+            and (row.serves is None or row.serves(c))]
 
 
 # ---- kernels and oracles ---------------------------------------------
@@ -468,10 +499,10 @@ def power_sum(p: Polynomial, a: Matrix) -> Matrix:
 
 def plain_traces(a: Matrix, m: int) -> list:
     """[0, Tr(a), ..., Tr(a**m)], every power by plain_matmul."""
-    out, power = [a.ring.zero()], a
-    for _ in range(m):
-        out.append(power.trace())
+    out, power = [a.ring.zero(), a.trace()], a
+    for _ in range(m - 1):
         power = plain_matmul(power, a)
+        out.append(power.trace())
     return out
 
 
@@ -500,94 +531,6 @@ ORACLES = {
 def oracle(kernel: str, case: Case):
     """The kernel's value on case by its oracle, computed once."""
     return ORACLES[kernel](case.a, case)
-
-
-# ---- the default routes, restated --------------------------------------
-
-def _dependent(ints, n: int, k: int) -> bool:
-    """Whether the first k columns of the n x n integer matrix are
-    linearly dependent, by elimination over QQ."""
-    rows = [[Fraction(v) for v in ints[i:i + k]] for i in range(0, n * n, n)]
-    for c in range(k):
-        pivot = next((r for r in rows[c:] if r[c]), None)
-        if pivot is None:
-            return True
-        rows.remove(pivot)
-        rows.insert(c, pivot)
-        for r in rows[c + 1:]:
-            f = r[c] / pivot[c]
-            r[:] = [x - f * y for x, y in zip(r, pivot)]
-    return False
-
-
-def integers(a: Matrix, fit, cols: int = 0):
-    """(ints, scales) that the integer kernels run on: a's own entries
-    over ZZ, its encoding at fit elsewhere, and None off those."""
-    if isinstance(a.ring, IntegerRing):
-        return list(a._e), []
-    lifted = _encode(a.ring, (a._e,), fit, cols)
-    return lifted and (lifted[0][0], lifted[1][1])
-
-
-def _chain(ints, n: int) -> str:
-    """The step kind of the traced Horner chain over ZZ."""
-    return "packed" if n >= 4 and trace_width(ints, n) <= MAX_WIDTH \
-        else "matmul"
-
-
-def default_route(kernel: str, case: Case) -> str:
-    """The route kernel takes on case with no gate forced, n >= 1."""
-    a, kind = case.a, case.kind
-    n, R = a.rows, a.ring
-    if kernel in SQUARE and (n <= 2 or n == 3 and kind in ("int", "mod")):
-        return "closed"
-    if kernel == "matmul":
-        return "lift" if _encode(R, (a._e, a._e), _matmul_fit(n)) else "ring"
-    if kernel == "traces":
-        fit = _power_fit(n, TRACES)
-        return "lift" if _encode(R, (a._e,), fit) else "ring"
-    if kernel == "poly":
-        return _poly_route(case)
-    fit = {"det": _minors_fit(n), "charpoly": _minors_fit(n),
-           "adjugate": _adjugate_fit(n), "D": _minors_fit(n - 1)}[kernel]
-    lifted = integers(a, fit, 0 if kernel == "D" else n)
-    if not lifted:
-        return "ring"
-    ints, scales = lifted
-    if kernel == "det":
-        wide = max(map(abs, ints)).bit_length() > MAX_BAREISS_BITS
-        return "berkowitz" if wide else "bareiss"
-    if kernel == "charpoly":
-        wide = n * charpoly_width(ints, n, scales) > MAX_CHARPOLY_BITS
-        return "berkowitz" if wide else "bareiss"
-    if kernel == "D":
-        return "closed" if n == 3 else _chain(ints, n)
-    if (solve_width(ints, n, scales) > MAX_SOLVE_BITS
-            or _dependent(ints, n, n - 1)):
-        return _chain(ints, n)
-    return "solve"
-
-
-def _poly_route(case: Case) -> str:
-    """p(A): over ZZ, and with deg p >= 2 on the encoding of A beside the
-    ring's 1 and of p, Horner on packed rows from two product steps at
-    n >= 4 while the slot fits MAX_WIDTH; else matmul steps."""
-    a, p = case.a, case.p
-    n, R, d = a.rows, a.ring, case.p.degree
-    if isinstance(R, IntegerRing):
-        ints, q = a._e, p.coeffs
-    else:
-        lifted = d >= 2 and _encode(R, (a._e + (R.one(),), p.coeffs),
-                                    _power_fit(n, d, d + 1))
-        if not lifted:
-            return "ring"
-        ((*ints, _), qs), ctx = lifted
-        scale = ctx[1][0] if ctx[1] else 1
-        q = [c * scale ** (d - i) for i, c in enumerate(qs)]
-    m = max(map(abs, ints), default=0)
-    bound = sum(map(abs, q)) * max(1, n * m) ** d
-    packs = n >= 4 and d >= 3 and width(bound) <= MAX_WIDTH
-    return "packed" if packs else "matmul"
 
 
 # ---- counting rings -----------------------------------------------------

@@ -22,6 +22,7 @@ from helpers import (
     Z8,
     ZT,
     assert_multinomial_recurrence,
+    cli_env,
     corpus,
     mat,
 )
@@ -302,9 +303,7 @@ def test_criterion_13_derivations():
 
 def test_criterion_14_cli_determinism_and_mutation(tmp_path):
     b = _Budget(14, "byte-identical reruns; mutation exits 1", 5)
-    import os
-    env = dict(os.environ)
-    env.pop("RINGMAT_MUTATE", None)
+    env = cli_env()
 
     def run(argv, **kw):
         return subprocess.run([sys.executable, "-m", "ringmat.cli", *argv],
@@ -316,7 +315,7 @@ def test_criterion_14_cli_determinism_and_mutation(tmp_path):
     second = run(argv, env=env)
     assert first.returncode == 0
     assert first.stdout == second.stdout and first.stdout
-    broken_env = dict(env, RINGMAT_MUTATE="det_product")
+    broken_env = cli_env(RINGMAT_MUTATE="det_product")
     a_json = json.dumps({"ring": "int", "entries": [[1, 2], [3, 4]]})
     broken = run(["verify", "det_product", "--matrix", a_json],
                  env=broken_env)

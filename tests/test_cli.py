@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from helpers import cli_env
 from ringmat import cli
 
 A_JSON = json.dumps({"ring": {"kind": "int"}, "entries": [[1, 2], [3, 4]]})
@@ -219,13 +220,9 @@ def test_exit_code_3_shape_errors(capsys):
 
 
 def _subprocess_run(argv, env_extra=None):
-    import os
-    env = dict(os.environ)
-    env.pop("RINGMAT_MUTATE", None)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "ringmat.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True,
+                          env=cli_env(**env_extra or {}))
 
 
 def test_identical_invocations_are_byte_identical():

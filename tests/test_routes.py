@@ -2,33 +2,16 @@
 
 Each ROUTES row (routes.py) is forced through matrix.py's own gates and
 run on every corpus case it serves: its value must equal the oracle's,
-and so every other route's, and the row's route must be the one taken on
-at least one case.  Then, with nothing forced, every case must take the
-route that routes.default_route predicts, by the conftest spies; the
-lifted routes must call no element arithmetic of their ring; and the
-table must cover every gate with a row and every row with a case.
+and so every other route's, and the conftest spies must see the row's
+route taken on each case.  The table must cover every gate with a row
+and every row with a case.
 """
 
 import pytest
 
 import ringmat.matrix as matrix_mod
-from routes import (
-    CASES,
-    GATES,
-    KERNELS,
-    KINDS,
-    LIFTED,
-    RINGS,
-    ROUTES,
-    SEED,
-    assert_no_element_arithmetic,
-    default_route,
-    domain,
-    oracle,
-)
-from ringmat.fuzz import sample_matrix, stream
-from ringmat.poly import PolynomialRing
-from ringmat.rings import ZZ, IntegerRing, ModRing
+from routes import GATES, KERNELS, ROUTES, domain, oracle
+from ringmat.rings import ZZ, IntegerRing
 
 
 @pytest.fixture
@@ -63,49 +46,18 @@ def taken(berkowitz_rings, eliminations, lifts, horners, packs):
 
 @pytest.mark.parametrize("row", ROUTES, ids=[r.id for r in ROUTES])
 def test_forced_route_matches_the_oracles(row, monkeypatch, taken):
-    kernel, seen = KERNELS[row.kernel], set()
-    cases = domain(row)
-    for case in cases:
-        oracle(row.kernel, case)
+    kernel, cases = KERNELS[row.kernel], domain(row)
+    wants = [oracle(row.kernel, case) for case in cases]
     for name, value in row.force.items():
         monkeypatch.setattr(matrix_mod, name, value)
-    for case in cases:
-        want = oracle(row.kernel, case)
+    strays = []
+    for case, want in zip(cases, wants):
         taken(row.kernel, case.a.ring)
         assert kernel(case) == want, case.id
-        seen.add(taken(row.kernel, case.a.ring))
-    assert row.route in seen, seen
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_every_case_takes_its_default_route(kernel, taken):
-    for case in CASES:
-        if not case.a.rows:
-            continue
-        want = oracle(kernel, case)
-        route = default_route(kernel, case)
-        taken(kernel, case.a.ring)
-        assert KERNELS[kernel](case) == want, case.id
-        assert taken(kernel, case.a.ring) == route, case.id
-
-
-def _tower(base, depth):
-    for _ in range(depth):
-        base = PolynomialRing(base)
-    return base
-
-
-COUNTED = [label for label in RINGS if KINDS[label] in LIFTED]
-COUNTED_RINGS = {label: RINGS[label] for label in COUNTED} | {
-    "int-d3": _tower(ZZ, 3), "mod6-d3": _tower(ModRing(6), 3)}
-
-
-@pytest.mark.parametrize("label", COUNTED_RINGS)
-def test_lifted_routes_do_no_element_arithmetic(label):
-    # 5 x 5: the lift packs, eliminates and runs the chain on packed rows
-    ring = COUNTED_RINGS[label]
-    assert_no_element_arithmetic(
-        sample_matrix(stream(SEED, "counting", label), ring, 5, 5))
+        route = taken(row.kernel, case.a.ring)
+        if route != row.route:
+            strays.append((case.id, route))
+    assert strays == []
 
 
 def test_every_gate_has_a_row_and_every_row_a_case():

@@ -9,15 +9,14 @@ equality and hashing their dataclass versions had.
 """
 
 import json
-import os
 import subprocess
 import sys
 import types
-from pathlib import Path
 
 import pytest
 
 import ringmat
+from helpers import cli_env
 from ringmat import (
     QQ,
     ZZ,
@@ -30,7 +29,6 @@ from ringmat import (
 )
 from ringmat.identities import IndexSubset
 
-SRC = str(Path(ringmat.__file__).resolve().parent.parent)
 ENGINE = ("ringmat.suite", "ringmat.identities", "ringmat.derivations",
           "ringmat.fuzz")
 HEAVY = ENGINE + ("dataclasses", "inspect")
@@ -43,10 +41,8 @@ def loaded_by(code: str) -> set:
               "before = set(sys.modules)\n"
               f"{code}\n"
               "sys.stdout.write('\\n' + json.dumps(sorted(set(sys.modules) - before)))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env)
+                          text=True, env=cli_env())
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
